@@ -413,6 +413,17 @@ let r_inst_snap r : Store.inst_snap =
       s_notarized_view;
       s_notarization }
 
+let w_floor b (f : Datablock_pool.floor) =
+  W.u32 b f.Datablock_pool.creator;
+  W.u32 b f.Datablock_pool.base;
+  W.list b W.u32 f.Datablock_pool.above
+
+let r_floor r : Datablock_pool.floor =
+  let creator = R.u32 r in
+  let base = R.u32 r in
+  let above = R.list r R.u32 in
+  { Datablock_pool.creator; base; above }
+
 let w_snapshot b (s : Store.snapshot) =
   W.u32 b s.Store.snap_view;
   W.u32 b s.Store.snap_lw;
@@ -422,11 +433,7 @@ let w_snapshot b (s : Store.snapshot) =
   W.u32 b s.Store.snap_executed_up_to;
   w_option w_cert b s.Store.snap_checkpoint;
   W.list b w_bftblock s.Store.snap_blocks;
-  W.list b
-    (fun b (h, sn) ->
-      w_hash b h;
-      W.u32 b sn)
-    s.Store.snap_executed_links;
+  W.list b w_floor s.Store.snap_executed_floors;
   W.list b w_inst_snap s.Store.snap_instances;
   W.list b
     (fun b (db, linked) ->
@@ -443,12 +450,7 @@ let r_snapshot r : Store.snapshot =
   let snap_executed_up_to = R.u32 r in
   let snap_checkpoint = r_option r_cert r in
   let snap_blocks = R.list r r_bftblock in
-  let snap_executed_links =
-    R.list r (fun r ->
-        let h = r_hash r in
-        let sn = R.u32 r in
-        (h, sn))
-  in
+  let snap_executed_floors = R.list r r_floor in
   let snap_instances = R.list r r_inst_snap in
   let snap_datablocks =
     R.list r (fun r ->
@@ -465,7 +467,7 @@ let r_snapshot r : Store.snapshot =
       snap_executed_up_to;
       snap_checkpoint;
       snap_blocks;
-      snap_executed_links;
+      snap_executed_floors;
       snap_instances;
       snap_datablocks }
 

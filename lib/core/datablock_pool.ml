@@ -1,31 +1,86 @@
 type verdict =
   | Accepted
   | Duplicate
+  | Executed
   | Equivocation of Datablock.t
 
 type entry = { db : Datablock.t; mutable linked : bool }
+
+module Int_set = Set.Make (Int)
+
+(* One creator's executed-and-pruned counters: every counter <= [upto],
+   plus the members of [beyond] ([beyond_size] of them, all > [upto]). *)
+type creator_floor = {
+  mutable upto : int;
+  mutable beyond : Int_set.t;
+  mutable beyond_size : int;
+}
+
+type floor = { creator : Net.Node_id.t; base : int; above : int list }
 
 type t = {
   by_hash : entry Crypto.Hash.Table.t;
   by_slot : (int * int, Crypto.Hash.t) Hashtbl.t; (* (creator, counter) -> hash *)
   pending : Crypto.Hash.t Queue.t;                (* arrival order, lazily cleaned *)
   mutable evidence : (Net.Node_id.t * Datablock.t * Datablock.t) list;
+  floors : (Net.Node_id.t, creator_floor) Hashtbl.t;
 }
+
+let floor_window = 1024
 
 let create () =
   { by_hash = Crypto.Hash.Table.create 256;
     by_slot = Hashtbl.create 256;
     pending = Queue.create ();
-    evidence = [] }
+    evidence = [];
+    floors = Hashtbl.create 16 }
+
+let executed_slot t ~creator ~counter =
+  match Hashtbl.find_opt t.floors creator with
+  | Some f -> counter <= f.upto || Int_set.mem counter f.beyond
+  | None -> false
+
+let rec absorb f =
+  match Int_set.min_elt_opt f.beyond with
+  | Some c when c = f.upto + 1 ->
+    f.beyond <- Int_set.remove c f.beyond;
+    f.beyond_size <- f.beyond_size - 1;
+    f.upto <- c;
+    absorb f
+  | Some _ | None -> ()
+
+(* A counter leaves [beyond] only by joining the contiguous floor. When
+   more than [floor_window] counters wait above a gap, the floor jumps
+   past the oldest gap: its counters are refused from then on, except
+   as requested fetch replies. *)
+let record_executed t ~creator ~counter =
+  let f =
+    match Hashtbl.find_opt t.floors creator with
+    | Some f -> f
+    | None ->
+      let f = { upto = 0; beyond = Int_set.empty; beyond_size = 0 } in
+      Hashtbl.add t.floors creator f;
+      f
+  in
+  if counter > f.upto && not (Int_set.mem counter f.beyond) then begin
+    f.beyond <- Int_set.add counter f.beyond;
+    f.beyond_size <- f.beyond_size + 1;
+    absorb f;
+    while f.beyond_size > floor_window do
+      f.upto <- Int_set.min_elt f.beyond - 1;
+      absorb f
+    done
+  end
 
 let find t h =
   Option.map (fun e -> e.db) (Crypto.Hash.Table.find_opt t.by_hash h)
 
 let mem t h = Crypto.Hash.Table.mem t.by_hash h
 
-let add t db =
+let add ?(requested = false) t db =
   let h = Datablock.hash db in
-  let slot = (db.Datablock.header.creator, db.Datablock.header.counter) in
+  let creator = db.Datablock.header.creator and counter = db.Datablock.header.counter in
+  let slot = (creator, counter) in
   match Hashtbl.find_opt t.by_slot slot with
   | Some h0 when Crypto.Hash.equal h0 h -> Duplicate
   | Some h0 ->
@@ -42,6 +97,7 @@ let add t db =
     if not (Crypto.Hash.Table.mem t.by_hash h) then
       Crypto.Hash.Table.add t.by_hash h { db; linked = true };
     Equivocation first
+  | None when (not requested) && executed_slot t ~creator ~counter -> Executed
   | None ->
     Hashtbl.add t.by_slot slot h;
     Crypto.Hash.Table.add t.by_hash h { db; linked = false };
@@ -119,6 +175,22 @@ let prune t ~keep =
     t.by_hash;
   List.iter
     (fun (h, db) ->
+      let creator = db.Datablock.header.creator and counter = db.Datablock.header.counter in
       Crypto.Hash.Table.remove t.by_hash h;
-      Hashtbl.remove t.by_slot (db.Datablock.header.creator, db.Datablock.header.counter))
+      Hashtbl.remove t.by_slot (creator, counter);
+      record_executed t ~creator ~counter)
     !victims
+
+let floors t =
+  Hashtbl.fold
+    (fun creator f acc -> { creator; base = f.upto; above = Int_set.elements f.beyond } :: acc)
+    t.floors []
+  |> List.sort (fun a b -> compare a.creator b.creator)
+
+let restore_floors t fs =
+  List.iter
+    (fun { creator; base; above } ->
+      let beyond = Int_set.of_list above in
+      Hashtbl.replace t.floors creator
+        { upto = base; beyond; beyond_size = Int_set.cardinal beyond })
+    fs

@@ -3,13 +3,21 @@
     Indexed by hash for BFTblock link resolution and by (creator,
     counter) for the duplicate/equivocation check of Algorithm 1 line 18.
     The leader additionally tracks which datablocks are not yet linked by
-    any proposed BFTblock ("pending"). *)
+    any proposed BFTblock ("pending").
+
+    Checkpoint garbage collection forgets executed datablocks but keeps
+    their [(creator, counter)] slots as a per-creator executed-counter
+    {!floor}, so a late copy or a replay of an executed datablock is
+    refused on arrival instead of re-entering the pending set. *)
 
 type t
 
 type verdict =
   | Accepted
   | Duplicate              (** same (creator, counter, hash) seen before *)
+  | Executed
+      (** the (creator, counter) slot was executed and pruned here: the
+          datablock is not stored *)
   | Equivocation of Datablock.t
       (** a *different* datablock with the same (creator, counter) was
           already received — the payload is the earlier one, usable as
@@ -19,8 +27,14 @@ type verdict =
 
 val create : unit -> t
 
-val add : t -> Datablock.t -> verdict
-(** Files a (signature-verified) datablock. *)
+val floor_window : int
+(** The most executed counters a creator's {!floor} holds above its
+    contiguous part (1024). *)
+
+val add : ?requested:bool -> t -> Datablock.t -> verdict
+(** Files a (signature-verified) datablock. A slot below its creator's
+    executed floor gives [Executed], unless [requested] (a fetch reply
+    this replica asked for: a confirmed block links that datablock). *)
 
 val find : t -> Crypto.Hash.t -> Datablock.t option
 
@@ -66,4 +80,23 @@ val size : t -> int
 (** Stored datablocks. *)
 
 val prune : t -> keep:(Datablock.t -> bool) -> unit
-(** Garbage collection after a checkpoint. *)
+(** Garbage collection after a checkpoint: drops every datablock failing
+    [keep] (the caller passes the executed ones) and records its
+    (creator, counter) slot in the creator's floor. *)
+
+type floor = {
+  creator : Net.Node_id.t;
+  base : int;        (** every counter [<= base] was executed and pruned *)
+  above : int list;  (** the executed and pruned counters [> base], ascending *)
+}
+(** One creator's executed-counter floor. [above] holds at most
+    {!floor_window} counters: on overflow [base] advances past the
+    oldest gap, so a snapshot carries O(n) floors, not the executed
+    history. *)
+
+val floors : t -> floor list
+(** Every creator's floor, sorted by creator (snapshot building). *)
+
+val restore_floors : t -> floor list -> unit
+(** Installs snapshot floors (recovery), replacing any recorded for the
+    same creators. *)

@@ -87,7 +87,9 @@ type t = {
   mutable latest_checkpoint : Msg.checkpoint_cert option;
   checkpoint_quorums : (int, Hash.t * Quorum.t) Hashtbl.t;
   mutable executed_payload : int;
-  (* linked-by-executed-block datablocks, pruned at checkpoints *)
+  (* datablocks executed in serials (lw, executed_up_to]: the checkpoint
+     that covers their serial prunes them from the pool and from here
+     (the pool's executed floors remember their slots) *)
   executed_links : int Hash.Table.t;       (* datablock hash -> executing sn *)
   (* proposals waiting for datablock availability *)
   waiting_propose : (int, Msg.t) Hashtbl.t;
@@ -233,9 +235,12 @@ let refresh_instance_view t inst =
 (* ----------------------------------------------------------------- *)
 
 (* A serializable image of everything [recover] needs: the confirmed
-   ledger prefix, the live agreement instances above the watermark and
-   the datablock index backing them. Collections are sorted so the same
-   replica state always serializes to the same bytes. *)
+   ledger above the watermark, the live agreement instances, the
+   datablock index backing them and the pool's executed floors. Its size
+   is O(k * bft_size + n), whatever the run length: [executed_links] is
+   not carried ([recover] re-derives it from the executed blocks).
+   Collections are sorted so the same replica state always serializes
+   to the same bytes. *)
 let snapshot_of t : Store.snapshot =
   let insts =
     Hashtbl.fold (fun _ i acc -> i :: acc) t.instances []
@@ -258,11 +263,6 @@ let snapshot_of t : Store.snapshot =
              (a.Datablock.header.creator, a.Datablock.header.counter)
              (b.Datablock.header.creator, b.Datablock.header.counter))
   in
-  let links =
-    Hash.Table.fold (fun h sn acc -> (h, sn) :: acc) t.executed_links []
-    |> List.sort (fun (h1, sn1) (h2, sn2) ->
-           match compare sn1 sn2 with 0 -> Hash.compare h1 h2 | c -> c)
-  in
   Store.
     { snap_view = t.view;
       snap_lw = t.lw;
@@ -272,7 +272,7 @@ let snapshot_of t : Store.snapshot =
       snap_executed_up_to = Ledger.executed_up_to t.ledger;
       snap_checkpoint = t.latest_checkpoint;
       snap_blocks = Ledger.blocks t.ledger;
-      snap_executed_links = links;
+      snap_executed_floors = Datablock_pool.floors t.pool;
       snap_instances = insts;
       snap_datablocks = dbs }
 
@@ -521,6 +521,12 @@ let apply_checkpoint_cert t (cert : Msg.checkpoint_cert) =
           match Hash.Table.find_opt t.executed_links (Datablock.hash db) with
           | Some sn -> sn > lw
           | None -> true);
+      Hash.Table.filter_map_inplace
+        (fun _ sn -> if sn > lw then Some sn else None)
+        t.executed_links;
+      Hashtbl.filter_map_inplace
+        (fun sn q -> if sn > lw then Some q else None)
+        t.checkpoint_quorums;
       Hashtbl.iter
         (fun sn _ -> if sn <= lw then Hashtbl.remove t.waiting_propose sn)
         (Hashtbl.copy t.waiting_propose);
@@ -966,6 +972,10 @@ let enter_view t ~nv_view ~vcs =
   (* Views only move forward: a restarted replica that forgot its view
      could prepare-vote twice for one serial under two leaders. *)
   log_store t (Store.Entered_view nv_view);
+  (* Timeout votes and view-change messages for the views before this
+     one can no longer trigger anything. *)
+  Hashtbl.filter_map_inplace (fun v set -> if v < nv_view then None else Some set) t.timeout_votes;
+  Hashtbl.filter_map_inplace (fun v tbl -> if v < nv_view then None else Some tbl) t.vc_msgs;
   (match highest_checkpoint vcs with
    | Some cert -> apply_checkpoint t cert
    | None -> ());
@@ -1032,6 +1042,12 @@ let enter_view t ~nv_view ~vcs =
 let notar_cache_cap = 8192
 
 let notar_cache_len t = Notar_table.length t.verified_notarizations
+
+let bookkeeping_sizes t =
+  [ ("executed_links", Hash.Table.length t.executed_links);
+    ("checkpoint_quorums", Hashtbl.length t.checkpoint_quorums);
+    ("timeout_votes", Hashtbl.length t.timeout_votes);
+    ("vc_msgs", Hashtbl.length t.vc_msgs) ]
 
 let note_verified_notarization t key =
   if Notar_table.length t.verified_notarizations >= notar_cache_cap then
@@ -1173,9 +1189,14 @@ let on_new_view_msg t (nv : Msg.new_view) =
 (* ----------------------------------------------------------------- *)
 
 let on_datablock_verified t (db : Datablock.t) ~is_fetch_reply =
+  (* A fetch reply we asked for is needed by a confirmed block: it passes
+     the executed floor (an equivocator's other variant can sit in an
+     executed slot). Anything else in an executed slot is a late copy or
+     a replay, and must not become pending again. *)
+  let requested = is_fetch_reply && Hash.Set.mem (Datablock.hash db) t.fetch_inflight in
   if is_fetch_reply then
     t.fetch_inflight <- Hash.Set.remove (Datablock.hash db) t.fetch_inflight;
-  match Datablock_pool.add t.pool db with
+  match Datablock_pool.add ~requested t.pool db with
   | Datablock_pool.Accepted ->
     (* Watch re-sent requests propagated in datablocks (§4.3). *)
     List.iter
@@ -1185,6 +1206,8 @@ let on_datablock_verified t (db : Datablock.t) ~is_fetch_reply =
     try_execute t;
     maybe_propose t
   | Datablock_pool.Duplicate -> ()
+  | Datablock_pool.Executed ->
+    tracef t "datablock.refused" "executed slot %a" Datablock.pp db
   | Datablock_pool.Equivocation first ->
     bump t (fun m -> m.equivocations);
     tracef t "equivocation" "from %a (first %a)" Net.Node_id.pp db.Datablock.header.creator
@@ -1346,7 +1369,7 @@ let on_confirmation t ~view ~sn ~notar_digest ~proof =
 
 let on_checkpoint_vote t ~cp_sn ~cp_state ~share =
   if
-    is_leader t && not t.in_view_change
+    is_leader t && not t.in_view_change && cp_sn > t.lw
     && Ts.verify_share t.tsetup share (Msg.checkpoint_payload ~cp_sn ~cp_state)
   then begin
     let _, q =
@@ -1641,11 +1664,14 @@ let recover ~platform ~cfg ~id ~sk ~pks ~tsetup ~tkey ?obs ?strategy ?hooks ?tra
          (fun (db, linked) ->
            if linked then Datablock_pool.mark_linked t.pool (Datablock.hash db))
          s.Store.snap_datablocks;
+       (* After the datablocks: a pool entry may sit below its floor. *)
+       Datablock_pool.restore_floors t.pool s.Store.snap_executed_floors;
        List.iter (Ledger.confirm t.ledger) s.Store.snap_blocks;
        Ledger.fast_forward t.ledger s.Store.snap_executed_up_to;
        List.iter
-         (fun (h, sn) -> Hash.Table.replace t.executed_links h sn)
-         s.Store.snap_executed_links;
+         (fun (sn, (block : Bftblock.t)) ->
+           List.iter (fun h -> Hash.Table.replace t.executed_links h sn) block.Bftblock.links)
+         (Ledger.executed_range t.ledger ~from_:t.lw);
        List.iter
          (fun (i : Store.inst_snap) ->
            let inst = instance_of t i.Store.s_sn in

@@ -151,3 +151,9 @@ val notar_cache_cap : int
 val notar_cache_len : t -> int
 (** Current verified-notarization memo size (always [<= notar_cache_cap];
     introspection for the bound test). *)
+
+val bookkeeping_sizes : t -> (string * int) list
+(** Entry counts of the tables a checkpoint or a view change prunes:
+    [executed_links] (serials in [(lw, executed_up_to]]),
+    [checkpoint_quorums] (above [lw]), [timeout_votes] and [vc_msgs]
+    (from the current view up) — introspection for the bound test. *)

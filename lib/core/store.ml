@@ -32,7 +32,7 @@ type snapshot = {
   snap_executed_up_to : int;
   snap_checkpoint : Msg.checkpoint_cert option;
   snap_blocks : Bftblock.t list;
-  snap_executed_links : (Crypto.Hash.t * int) list;
+  snap_executed_floors : Datablock_pool.floor list;
   snap_instances : inst_snap list;
   snap_datablocks : (Datablock.t * bool) list;
 }

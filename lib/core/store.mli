@@ -55,8 +55,10 @@ type snapshot = {
   snap_executed_up_to : int;
   snap_checkpoint : Msg.checkpoint_cert option;
   snap_blocks : Bftblock.t list;  (** ledger blocks retained above [lw] *)
-  snap_executed_links : (Crypto.Hash.t * int) list;
-      (** datablock hash -> executing serial (checkpoint GC bookkeeping) *)
+  snap_executed_floors : Datablock_pool.floor list;
+      (** per-creator counters of the datablocks executed and pruned at
+          or below [snap_lw]; the links executed above it are re-derived
+          from [snap_blocks] *)
   snap_instances : inst_snap list;
   snap_datablocks : (Datablock.t * bool) list;  (** with linked flag *)
 }

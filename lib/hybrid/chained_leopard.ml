@@ -308,7 +308,8 @@ let handle r ~src m =
             | Core.Datablock_pool.Accepted ->
               retry_waiting r;
               maybe_propose r
-            | Core.Datablock_pool.Duplicate | Core.Datablock_pool.Equivocation _ ->
+            | Core.Datablock_pool.Duplicate | Core.Datablock_pool.Executed
+            | Core.Datablock_pool.Equivocation _ ->
               retry_waiting r
           end)
     | Proposal { block; justify } ->

@@ -26,6 +26,7 @@ type metrics = {
   fsync_lat : Obs.Histogram.t;
   rotations : Obs.Counter.t;
   snapshots : Obs.Counter.t;
+  snapshot_bytes : Obs.Gauge.t;
 }
 
 type t = {
@@ -140,7 +141,10 @@ let metrics_of reg =
       Obs.Registry.counter reg ~help:"segment rotations" "leopard_store_rotations_total";
     snapshots =
       Obs.Registry.counter reg ~help:"checkpoint snapshots written"
-        "leopard_store_snapshots_total" }
+        "leopard_store_snapshots_total";
+    snapshot_bytes =
+      Obs.Registry.gauge reg ~help:"size of the last snapshot written (bytes)"
+        "leopard_store_snapshot_bytes" }
 
 let create ?obs ?(segment_bytes = 4 * 1024 * 1024) ?(fsync = Never)
     ?(now_ns = fun () -> int_of_float (Unix.gettimeofday () *. 1e9)) ~dir () =
@@ -180,14 +184,17 @@ let write_buffer t =
     t.dirty <- true
   end
 
+let timed_fsync t fd =
+  match t.ms with
+  | None -> Unix.fsync fd
+  | Some m ->
+    let t0 = t.now_ns () in
+    Unix.fsync fd;
+    Obs.Histogram.record m.fsync_lat (t.now_ns () - t0)
+
 let do_fsync t =
   if t.dirty then begin
-    (match t.ms with
-    | None -> Unix.fsync t.fd
-    | Some m ->
-      let t0 = t.now_ns () in
-      Unix.fsync t.fd;
-      Obs.Histogram.record m.fsync_lat (t.now_ns () - t0));
+    timed_fsync t t.fd;
     t.dirty <- false
   end;
   t.last_sync_ns <- t.now_ns ()
@@ -251,10 +258,16 @@ let save_snapshot t payload =
         while !pos < len do
           pos := !pos + Unix.write_substring fd data !pos (len - !pos)
         done;
-        Unix.fsync fd);
+        (* [Never] leaves durability to the page cache here too: a
+           process crash keeps the renamed file, an OS crash may not. *)
+        match t.fsync with Never -> () | Always | Interval _ -> timed_fsync t fd);
     (* Atomic publication, then truncation of everything it subsumes. *)
     Unix.rename tmp final;
-    (match t.ms with Some m -> Obs.Counter.incr m.snapshots | None -> ());
+    (match t.ms with
+    | Some m ->
+      Obs.Counter.incr m.snapshots;
+      Obs.Gauge.set m.snapshot_bytes (String.length payload)
+    | None -> ());
     List.iter
       (fun seq ->
         if seq < snap_seq then

@@ -37,9 +37,10 @@ val create :
     from {!load}. [segment_bytes] (default 4 MiB) bounds a segment before
     rotation; [now_ns] (default: wall clock) drives [Interval] fsyncs.
 
-    With [?obs], appends and fsyncs record [leopard_store_*_latency_ns]
-    histograms (timed via [now_ns]) and rotations/snapshots bump
-    [leopard_store_*_total] counters. Instruments are unlabeled and
+    With [?obs], appends and fsyncs (of segments and snapshots) record
+    [leopard_store_*_latency_ns] histograms (timed via [now_ns]),
+    rotations/snapshots bump [leopard_store_*_total] counters and
+    [leopard_store_snapshot_bytes] gauges the last snapshot's size. Instruments are unlabeled and
     shared by every WAL on the same registry: store metrics aggregate
     across replicas. *)
 
@@ -58,9 +59,11 @@ val sync : t -> unit
 
 val save_snapshot : t -> string -> unit
 (** Seals the current segment, writes the snapshot to a temp file, fsyncs
-    it and atomically renames it into place, then deletes every segment
-    and older snapshot below it. The snapshot's number is the first
-    segment {!load} will replay on top of it. *)
+    it (unless the policy is [Never]) and atomically renames it into
+    place, then deletes every segment and older snapshot below it. The
+    snapshot's number is the first segment {!load} will replay on top of
+    it. With [?obs], the [leopard_store_snapshot_bytes] gauge holds the
+    last snapshot's payload size. *)
 
 val crash : t -> unit
 (** Models the process dying: drops the un-flushed buffer and closes the

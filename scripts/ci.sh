@@ -58,6 +58,10 @@ run_step bench-store dune exec bench/main.exe -- --only store --fast --check-reg
 run_step tcp-smoke dune exec bin/leopard_cli.exe -- local-cluster -n 4 --load 2000 \
   --duration 3 --min-confirmed 1000 --drain 10 --metrics-out _ci_logs/tcp-smoke.prom
 run_step chaos dune exec bin/leopard_cli.exe -- chaos --fast --trace-dir _chaos
+# every BENCHMARK.json workload for a short window, plus one traced run
+# (about a minute): the TCP-plane benchmark still builds, passes its
+# correctness gate and prints every declared metric
+run_step tcpbench-smoke python3 tcpbench/test_smoke.py
 
 echo
 fail=0

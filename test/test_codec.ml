@@ -171,6 +171,49 @@ let prop_trailing_garbage_rejected =
   QCheck.Test.make ~name:"trailing bytes fail to decode" ~count:100 (QCheck.make gen_msg)
     (fun m -> Core.Codec.decode_msg (Core.Codec.encode_msg m ^ "\x00") = None)
 
+(* Snapshots: the executed-counter floors (and the rest of the image)
+   survive a decode; re-encoding the decoded value gives the same
+   bytes. *)
+let gen_floor =
+  QCheck.Gen.(
+    map
+      (fun (creator, base, gaps) ->
+        let above = List.sort_uniq compare (List.map (fun g -> base + 2 + g) gaps) in
+        { Core.Datablock_pool.creator; base; above })
+      (tup3 (int_bound 63) (int_bound 100_000) (list_size (int_range 0 10) (int_bound 2000))))
+
+let gen_snapshot =
+  QCheck.Gen.(
+    map
+      (fun ((view, lw, cp), blocks, floors, dbs) ->
+        Core.Store.
+          { snap_view = 1 + view;
+            snap_lw = lw;
+            snap_next_sn = lw + 1;
+            snap_db_counter = 1 + lw;
+            snap_state_hash = Crypto.Hash.of_string "state";
+            snap_executed_up_to = lw;
+            snap_checkpoint = cp;
+            snap_blocks = blocks;
+            snap_executed_floors = floors;
+            snap_instances = [];
+            snap_datablocks = List.map (fun db -> (db, false)) dbs })
+      (tup4
+         (tup3 (int_bound 50) (int_bound 10_000) (option gen_cert))
+         (list_size (int_range 0 4) gen_bftblock)
+         (list_size (int_range 0 8) gen_floor)
+         (list_size (int_range 0 2) gen_datablock)))
+
+let prop_snapshot_roundtrip =
+  QCheck.Test.make ~name:"snapshot (with executed floors) round-trips" ~count:100
+    (QCheck.make gen_snapshot) (fun snap ->
+      let bytes = Core.Codec.encode_snapshot snap in
+      match Core.Codec.decode_snapshot bytes with
+      | Some snap' ->
+        snap'.Core.Store.snap_executed_floors = snap.Core.Store.snap_executed_floors
+        && String.equal (Core.Codec.encode_snapshot snap') bytes
+      | None -> false)
+
 (* -- golden bytes -------------------------------------------------------- *)
 
 (* Hex images captured from the seed codec before the zero-copy rewrite:
@@ -330,7 +373,8 @@ let () =
             prop_msg_roundtrip;
             prop_encoding_deterministic;
             prop_truncation_rejected;
-            prop_trailing_garbage_rejected ] );
+            prop_trailing_garbage_rejected;
+            prop_snapshot_roundtrip ] );
       ( "golden bytes",
         [ Alcotest.test_case "batch" `Quick test_golden_batch;
           Alcotest.test_case "bftblock" `Quick test_golden_bftblock;

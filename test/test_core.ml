@@ -216,6 +216,83 @@ let test_pool_prune () =
   checki "one left" 1 (Core.Datablock_pool.size pool);
   checkb "pruned gone" false (Core.Datablock_pool.mem pool (Core.Datablock.hash db1))
 
+(* A checkpoint prune forgets executed datablocks but keeps their slots:
+   a late copy or a replay is refused, a requested fetch reply is not. *)
+let test_pool_refuses_executed_slot () =
+  let _, sk = keypair () in
+  let pool = Core.Datablock_pool.create () in
+  let dbs = List.init 3 (fun i -> mk_db ~counter:(i + 1) sk) in
+  List.iter (fun db -> ignore (Core.Datablock_pool.add pool db)) dbs;
+  Core.Datablock_pool.prune pool ~keep:(fun _ -> false);
+  let db1 = List.hd dbs in
+  checkb "replay refused" true (Core.Datablock_pool.add pool db1 = Core.Datablock_pool.Executed);
+  checkb "equivocating variant of an executed slot refused" true
+    (Core.Datablock_pool.add pool (mk_db ~counter:2 ~batches:[ batch (); batch () ] sk)
+     = Core.Datablock_pool.Executed);
+  checki "nothing stored" 0 (Core.Datablock_pool.size pool);
+  checki "nothing pending" 0 (Core.Datablock_pool.pending pool);
+  checkb "next counter accepted" true
+    (Core.Datablock_pool.add pool (mk_db ~counter:4 sk) = Core.Datablock_pool.Accepted);
+  checkb "requested fetch reply below the floor accepted" true
+    (Core.Datablock_pool.add ~requested:true pool db1 = Core.Datablock_pool.Accepted);
+  checkb "other creators unaffected" true
+    (Core.Datablock_pool.add pool (mk_db ~creator:1 ~counter:1 sk)
+     = Core.Datablock_pool.Accepted)
+
+(* The floor is contiguous: a counter executed out of order sits above
+   it until the gap fills, and the gap's counters stay admissible. *)
+let test_pool_floor_contiguous () =
+  let _, sk = keypair () in
+  let pool = Core.Datablock_pool.create () in
+  let prune_counters cs =
+    List.iter (fun c -> ignore (Core.Datablock_pool.add pool (mk_db ~counter:c sk))) cs;
+    Core.Datablock_pool.prune pool ~keep:(fun _ -> false)
+  in
+  let floor () =
+    match Core.Datablock_pool.floors pool with
+    | [ f ] -> (f.Core.Datablock_pool.base, f.Core.Datablock_pool.above)
+    | _ -> Alcotest.fail "expected one creator floor"
+  in
+  prune_counters [ 1; 2; 4; 6 ];
+  checkb "base 2, above [4; 6]" true (floor () = (2, [ 4; 6 ]));
+  checkb "gap counter 3 admissible" true
+    (Core.Datablock_pool.add pool (mk_db ~counter:3 sk) = Core.Datablock_pool.Accepted);
+  Core.Datablock_pool.prune pool ~keep:(fun _ -> false);
+  checkb "gap filled: base 4, above [6]" true (floor () = (4, [ 6 ]));
+  checkb "gap counter 5 still admissible" true
+    (Core.Datablock_pool.add pool (mk_db ~counter:5 sk) = Core.Datablock_pool.Accepted)
+
+(* Above a gap that never fills, the window caps what the floor holds:
+   on overflow the floor advances past the oldest gap. *)
+let test_pool_floor_window () =
+  let _, sk = keypair () in
+  let pool = Core.Datablock_pool.create () in
+  let window = Core.Datablock_pool.floor_window in
+  (* counter 1 never executes; 2 .. window + 1 do, then one more *)
+  let execute counters =
+    List.iter (fun c -> ignore (Core.Datablock_pool.add pool (mk_db ~counter:c sk))) counters;
+    Core.Datablock_pool.prune pool ~keep:(fun _ -> false)
+  in
+  let floor () =
+    match Core.Datablock_pool.floors pool with
+    | [ f ] -> f
+    | _ -> Alcotest.fail "expected one creator floor"
+  in
+  execute (List.init window (fun i -> i + 2));
+  checki "held above the gap up to the window" window
+    (List.length (floor ()).Core.Datablock_pool.above);
+  checki "floor below the gap" 0 (floor ()).Core.Datablock_pool.base;
+  execute [ window + 2 ];
+  checki "overflow: floor jumped the gap" (window + 2) (floor ()).Core.Datablock_pool.base;
+  checkb "nothing held above" true ((floor ()).Core.Datablock_pool.above = []);
+  checkb "skipped counter now refused" true
+    (Core.Datablock_pool.add pool (mk_db ~counter:1 sk) = Core.Datablock_pool.Executed);
+  (* restore_floors installs a snapshot's floors in a fresh pool *)
+  let fresh = Core.Datablock_pool.create () in
+  Core.Datablock_pool.restore_floors fresh (Core.Datablock_pool.floors pool);
+  checkb "restored floors refuse the same slots" true
+    (Core.Datablock_pool.add fresh (mk_db ~counter:5 sk) = Core.Datablock_pool.Executed)
+
 (* -- Quorum ----------------------------------------------------------------------- *)
 
 let _tsetup, tkeys = Crypto.Threshold.keygen rng ~threshold:2 ~parties:5
@@ -407,7 +484,10 @@ let () =
           Alcotest.test_case "pending & take" `Quick test_pool_pending_take;
           Alcotest.test_case "mark linked & missing" `Quick test_pool_mark_linked_and_missing;
           Alcotest.test_case "relink pending" `Quick test_pool_relink_pending;
-          Alcotest.test_case "prune" `Quick test_pool_prune ] );
+          Alcotest.test_case "prune" `Quick test_pool_prune;
+          Alcotest.test_case "refuses executed slot" `Quick test_pool_refuses_executed_slot;
+          Alcotest.test_case "floor is contiguous" `Quick test_pool_floor_contiguous;
+          Alcotest.test_case "floor window" `Quick test_pool_floor_window ] );
       ("quorum", [ Alcotest.test_case "ready once" `Quick test_quorum_ready_once ]);
       ( "ledger",
         [ Alcotest.test_case "sequential execution" `Quick test_ledger_sequential_execution;

@@ -528,6 +528,216 @@ let test_restart_resends_same_share () =
         (List.length (Core.Datablock_pool.equivocations (Core.Replica.pool r))))
     (Core.Runner.replicas t)
 
+(* -- Checkpoint garbage collection: O(live state) snapshots ---------------- *)
+
+(* A sink that hands each saved snapshot to [on_save] before storing it. *)
+let observed_mem_store on_save =
+  let sink = Core.Store.mem () in
+  { sink with
+    Core.Store.save =
+      (fun snap ->
+        on_save snap;
+        sink.Core.Store.save snap) }
+
+(* Every checkpoint snapshot carries the live window only: the 200th is
+   no larger than the early ones, up to what that window can hold
+   (k * bft_size executed links, n creator floors). Before the executed
+   set was pruned, each checkpoint added its serials' links to every
+   later snapshot. *)
+let test_snapshot_size_flat () =
+  let cfg = small_cfg ~k:4 () in
+  let n = cfg.Core.Config.n and k = cfg.Core.Config.k and bft_size = cfg.Core.Config.bft_size in
+  let sizes = ref [] in
+  let stores =
+    Array.init n (fun id ->
+        if id = 0 then
+          observed_mem_store (fun snap ->
+              sizes := String.length (Core.Codec.encode_snapshot snap) :: !sizes)
+        else Core.Store.mem ())
+  in
+  let t =
+    Core.Runner.create
+      (Core.Runner.spec ~cfg ~seed:17L ~load:400. ~duration:(Sim_time.s 120)
+         ~warmup:(Sim_time.s 1) ~stores ())
+  in
+  let cursor = ref Sim_time.zero in
+  while List.length !sizes < 200 && Sim_time.compare !cursor (Sim_time.s 120) < 0 do
+    cursor := Sim_time.(!cursor + s 1);
+    Core.Runner.run_until t !cursor
+  done;
+  Core.Runner.shutdown t;
+  let sizes = Array.of_list (List.rev !sizes) in
+  checkb "200 checkpoints saved" true (Array.length sizes >= 200);
+  let window_max lo hi =
+    let m = ref 0 in
+    for i = lo to hi do
+      m := max !m sizes.(i)
+    done;
+    !m
+  in
+  (* an executed link costs 40 bytes in the old format (length-prefixed
+     hash + serial), a floor 12 (creator, base, empty list) *)
+  let bound = (k * bft_size * 40) + (n * 12) in
+  let early = window_max 0 9 and late = window_max 190 199 in
+  if late > early + bound then
+    Alcotest.failf "snapshot grew: %d bytes by checkpoint 10, %d by 200 (bound +%d)" early
+      late bound
+
+(* Capture the first datablock [creator] multicasts to [dst]. *)
+let capture_datablock network ~creator ~dst ~on_propose =
+  let first = ref None in
+  Net.Network.set_fault_hook network (fun ~now:_ ~src ~dst:d msg ->
+      (match msg with
+      | Core.Msg.Datablock_msg _ when src = creator && d = dst && !first = None ->
+        first := Some msg
+      | Core.Msg.Propose { block; _ } -> on_propose block
+      | _ -> ());
+      Net.Network.Pass);
+  fun () ->
+    match !first with
+    | Some (Core.Msg.Datablock_msg db as msg) -> (msg, db)
+    | _ -> Alcotest.fail "no datablock captured"
+
+(* A copy of an executed datablock that arrives after the checkpoint
+   pruned it — a late duplicate, or a Byzantine replay of the creator's
+   signed bytes — is refused on arrival, so no leader can propose it a
+   second time. An unsolicited fetch reply carrying it is refused too. *)
+let test_replayed_datablock_executed_once () =
+  let cfg = small_cfg () in
+  let t =
+    Core.Runner.create
+      (Core.Runner.spec ~cfg ~seed:21L ~load:400. ~duration:(Sim_time.s 12)
+         ~warmup:(Sim_time.s 1) ~load_until:(Sim_time.s 8) ())
+  in
+  let network = Core.Runner.network t in
+  let leader = Core.Config.leader_of_view cfg 1 and creator = 2 in
+  let linked_at = Hashtbl.create 256 in
+  let captured =
+    capture_datablock network ~creator ~dst:leader ~on_propose:(fun block ->
+        List.iter
+          (fun h ->
+            let key = Crypto.Hash.to_hex h in
+            let sns = Option.value ~default:[] (Hashtbl.find_opt linked_at key) in
+            if not (List.mem block.Core.Bftblock.sn sns) then
+              Hashtbl.replace linked_at key (block.Core.Bftblock.sn :: sns))
+          block.Core.Bftblock.links)
+  in
+  Core.Runner.run_until t (Sim_time.s 4);
+  let msg, db = captured () in
+  let h = Core.Datablock.hash db in
+  let in_pool r = Core.Datablock_pool.mem (Core.Replica.pool r) h in
+  checkb "executed and pruned at the leader" false (in_pool (Core.Runner.replicas t).(leader));
+  for dst = 0 to cfg.Core.Config.n - 1 do
+    if dst <> creator then Net.Network.send network ~src:creator ~dst msg
+  done;
+  Net.Network.send network ~src:creator ~dst:leader (Core.Msg.Fetch_reply db);
+  Core.Runner.run_until t (Sim_time.s 12);
+  Core.Runner.shutdown t;
+  checki "linked by exactly one serial" 1
+    (List.length (Option.value ~default:[] (Hashtbl.find_opt linked_at (Crypto.Hash.to_hex h))));
+  Array.iter
+    (fun r -> checkb "replay refused" false (in_pool r))
+    (Core.Runner.replicas t);
+  checkb "safety" true (Core.Runner.check_safety t)
+
+(* The executed floors are persisted: a replica restarted from a
+   post-prune snapshot still refuses the replay. *)
+let test_restart_keeps_executed_floors () =
+  let cfg = small_cfg () in
+  let victim = 0 and creator = 2 in
+  let last_snap = ref None in
+  let stores =
+    Array.init cfg.Core.Config.n (fun id ->
+        if id = victim then observed_mem_store (fun snap -> last_snap := Some snap)
+        else Core.Store.mem ())
+  in
+  let t =
+    Core.Runner.create
+      (Core.Runner.spec ~cfg ~seed:21L ~load:400. ~duration:(Sim_time.s 12)
+         ~warmup:(Sim_time.s 1) ~load_until:(Sim_time.s 8) ~stores ())
+  in
+  let network = Core.Runner.network t in
+  let captured = capture_datablock network ~creator ~dst:victim ~on_propose:ignore in
+  Core.Runner.run_until t (Sim_time.s 4);
+  let msg, db = captured () in
+  let counter = db.Core.Datablock.header.counter in
+  let covered =
+    match !last_snap with
+    | None -> false
+    | Some snap ->
+      List.exists
+        (fun (f : Core.Datablock_pool.floor) ->
+          f.creator = creator && (counter <= f.base || List.mem counter f.above))
+        snap.Core.Store.snap_executed_floors
+  in
+  checkb "the snapshot's floors cover the executed datablock" true covered;
+  Core.Runner.restart_replica t victim;
+  Net.Network.send network ~src:creator ~dst:victim msg;
+  Core.Runner.run_until t (Sim_time.s 6);
+  Core.Runner.shutdown t;
+  checkb "recovered replica refuses the replay" false
+    (Core.Datablock_pool.mem
+       (Core.Replica.pool (Core.Runner.replicas t).(victim))
+       (Core.Datablock.hash db));
+  checkb "safety" true (Core.Runner.check_safety t)
+
+(* Checkpoint quorums, timeout votes and view-change messages are
+   pruned behind the watermark and the view: across many checkpoints and
+   view changes their sizes stay flat instead of growing with the run. *)
+let test_bookkeeping_bounded () =
+  let cfg = small_cfg ~view_timeout:(Sim_time.s 1) () in
+  let t =
+    Core.Runner.create
+      (Core.Runner.spec ~cfg ~seed:5L ~load:400. ~duration:(Sim_time.s 200)
+         ~warmup:(Sim_time.s 1) ~client_resend_timeout:(Sim_time.s 1) ())
+  in
+  let network = Core.Runner.network t in
+  let replicas () = Core.Runner.replicas t in
+  let top_view () = Array.fold_left (fun m r -> max m (Core.Replica.view r)) 1 (replicas ()) in
+  let peak = Hashtbl.create 4 in
+  let sample () =
+    Array.iter
+      (fun r ->
+        List.iter
+          (fun (name, size) ->
+            let m = Option.value ~default:0 (Hashtbl.find_opt peak name) in
+            Hashtbl.replace peak name (max m size))
+          (Core.Replica.bookkeeping_sizes r))
+      (replicas ())
+  in
+  let cursor = ref (Sim_time.s 2) in
+  Core.Runner.run_until t !cursor;
+  (* Take down the current leader until the others leave its view, then
+     bring it back; each round forces one more view change. *)
+  for _ = 1 to 8 do
+    let v = top_view () in
+    let leader = Core.Config.leader_of_view cfg v in
+    Net.Network.set_down network leader true;
+    let deadline = Sim_time.(!cursor + s 20) in
+    while top_view () = v && Sim_time.compare !cursor deadline < 0 do
+      cursor := Sim_time.(!cursor + ms 250);
+      Core.Runner.run_until t !cursor;
+      sample ()
+    done;
+    Net.Network.set_down network leader false;
+    cursor := Sim_time.(!cursor + s 3);
+    Core.Runner.run_until t !cursor;
+    sample ()
+  done;
+  let lw = Core.Replica.low_watermark (replicas ()).(0) in
+  Core.Runner.shutdown t;
+  checkb "eight view changes" true (top_view () >= 9);
+  checkb "many checkpoints" true (lw >= 20 * cfg.Core.Config.checkpoint_interval);
+  let peak name = Option.value ~default:0 (Hashtbl.find_opt peak name) in
+  let k = cfg.Core.Config.k in
+  checkb "executed links within the watermark window" true
+    (peak "executed_links" <= k * cfg.Core.Config.bft_size);
+  checkb "checkpoint quorums within the watermark window" true
+    (peak "checkpoint_quorums" <= k / cfg.Core.Config.checkpoint_interval);
+  checkb "timeout votes bounded" true (peak "timeout_votes" <= 3);
+  checkb "view-change messages bounded" true (peak "vc_msgs" <= 3);
+  checkb "safety" true (Core.Runner.check_safety t)
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -575,7 +785,15 @@ let () =
         [ Alcotest.test_case "mem store keeps reports byte-identical" `Quick
             test_mem_store_report_identical;
           Alcotest.test_case "restart re-sends the same prepare share" `Quick
-            test_restart_resends_same_share ] );
+            test_restart_resends_same_share;
+          Alcotest.test_case "restart keeps executed floors" `Quick
+            test_restart_keeps_executed_floors ] );
+      ( "checkpoint gc",
+        [ Alcotest.test_case "snapshot size flat over 200 checkpoints" `Quick
+            test_snapshot_size_flat;
+          Alcotest.test_case "replayed datablock executed once" `Quick
+            test_replayed_datablock_executed_once;
+          Alcotest.test_case "bookkeeping tables bounded" `Quick test_bookkeeping_bounded ] );
       ( "internals",
         [ Alcotest.test_case "watermarks bound parallelism" `Quick test_watermarks_bound_parallelism;
           Alcotest.test_case "checkpoints advance lw" `Quick test_checkpoints_advance_watermark;

@@ -153,6 +153,42 @@ let test_wal_metrics () =
           Wal.close wal2;
           checki "shared append histogram" 81 (Obs.Histogram.count append_h)))
 
+(* The snapshot's fsync follows the WAL's policy: none under [Never]
+   (the rename alone, like every other write of that policy), one
+   before the rename under [Always] and [Interval]. No records are
+   appended, so the snapshot is the only fsync candidate. *)
+let test_snapshot_fsync_policy () =
+  List.iter
+    (fun (label, fsync, expected) ->
+      with_dir (fun dir ->
+          let reg = Obs.Registry.create () in
+          let wal = Wal.create ~fsync ~obs:reg ~dir () in
+          Wal.save_snapshot wal "state";
+          let fsyncs =
+            Obs.Histogram.count (Obs.Registry.histogram reg "leopard_store_fsync_latency_ns")
+          in
+          Wal.close wal;
+          checki (label ^ ": snapshot fsyncs") expected fsyncs;
+          let snap, _, _ = Wal.load ~dir in
+          checkb (label ^ ": snapshot published") true (snap = Some "state")))
+    [ ("never", Wal.Never, 0); ("always", Wal.Always, 1); ("interval", Wal.Interval 1_000_000, 1) ]
+
+(* [leopard_store_snapshot_bytes] gauges the last snapshot written. *)
+let test_snapshot_bytes_gauge () =
+  with_dir (fun dir ->
+      let reg = Obs.Registry.create () in
+      let wal = Wal.create ~obs:reg ~dir () in
+      let gauge = Obs.Registry.gauge reg "leopard_store_snapshot_bytes" in
+      checki "zero before any snapshot" 0 (Obs.Gauge.value gauge);
+      Wal.save_snapshot wal (String.make 1000 's');
+      checki "first snapshot size" 1000 (Obs.Gauge.value gauge);
+      Wal.save_snapshot wal (String.make 300 's');
+      checki "tracks the last snapshot, not the largest" 300 (Obs.Gauge.value gauge);
+      Wal.close wal;
+      checkb "exposed in the metrics dump" true
+        (List.mem "leopard_store_snapshot_bytes 300"
+           (String.split_on_char '\n' (Obs.Registry.expose reg))))
+
 let test_reopen_starts_fresh_segment () =
   with_dir (fun dir ->
       let w1 = Wal.create ~dir () in
@@ -346,7 +382,10 @@ let () =
           Alcotest.test_case "snapshot truncates" `Quick test_snapshot_truncates;
           Alcotest.test_case "metrics instruments" `Quick test_wal_metrics;
           Alcotest.test_case "reopen starts fresh segment" `Quick
-            test_reopen_starts_fresh_segment ] );
+            test_reopen_starts_fresh_segment;
+          Alcotest.test_case "snapshot fsync follows policy" `Quick
+            test_snapshot_fsync_policy;
+          Alcotest.test_case "snapshot bytes gauge" `Quick test_snapshot_bytes_gauge ] );
       ( "recovery fuzz",
         [ Alcotest.test_case "bit flips" `Quick test_fuzz_bit_flips;
           Alcotest.test_case "random mutations" `Quick test_fuzz_random_mutations;
