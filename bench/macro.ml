@@ -110,11 +110,6 @@ let write_baseline path rows =
   output_string oc "  ]\n}\n";
   close_out oc
 
-(* Scanf.sscanf_opt is 5.0-only; the CI matrix still builds on 4.14. *)
-let sscanf_opt line fmt f =
-  try Some (Scanf.sscanf line fmt f)
-  with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
-
 let read_baseline path =
   if not (Sys.file_exists path) then None
   else begin
@@ -129,7 +124,7 @@ let read_baseline path =
            else line
          in
          match
-           sscanf_opt line
+           Scanf.sscanf_opt line
              "{\"n\": %d, \"sim_s\": %f, \"wall_s\": %f, \"events\": %d, \
               \"events_per_s\": %f, \"minor_words_per_event\": %f, \
               \"delivered_msgs\": %d, \"minor_words_per_msg\": %f, \"confirmed\": %d}"

@@ -162,11 +162,6 @@ let write_baseline path results =
 (* Reads exactly the shape [write_baseline] produces: one benchmark per
    line. Unparseable lines are skipped, so the file tolerates hand edits
    to the header fields. *)
-(* Scanf.sscanf_opt is 5.0-only; the CI matrix still builds on 4.14. *)
-let sscanf_opt line fmt f =
-  try Some (Scanf.sscanf line fmt f)
-  with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
-
 let read_baseline path =
   if not (Sys.file_exists path) then None
   else begin
@@ -181,7 +176,7 @@ let read_baseline path =
            else line
          in
          match
-           sscanf_opt line
+           Scanf.sscanf_opt line
              "{\"name\": %S, \"ns_per_op\": %f, \"mb_per_s\": %f, \"minor_words_per_op\": %f}"
              (fun name ns mb words ->
                { name; ns_per_op = ns; mb_per_s = mb; minor_words_per_op = words })

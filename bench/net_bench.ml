@@ -274,10 +274,6 @@ let write_baseline path rows orows =
   output_string oc "  ]\n}\n";
   close_out oc
 
-let sscanf_opt line fmt f =
-  try Some (Scanf.sscanf line fmt f)
-  with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
-
 let read_baseline path =
   if not (Sys.file_exists path) then None
   else begin
@@ -293,7 +289,7 @@ let read_baseline path =
            else line
          in
          match
-           sscanf_opt line
+           Scanf.sscanf_opt line
              "{\"n\": %d, \"wall_s\": %f, \"frames\": %d, \"frames_per_s\": %f, \
               \"writes_per_frame\": %f, \"reads_per_frame\": %f, \
               \"minor_words_per_frame\": %f}"
@@ -305,7 +301,7 @@ let read_baseline path =
          | Some r -> entries := r :: !entries
          | None -> (
            match
-             sscanf_opt line
+             Scanf.sscanf_opt line
                "{\"leg\": \"overload\", \"n\": %d, \"wall_s\": %f, \
                 \"consensus_frames\": %d, \"consensus_frames_per_s\": %f, \
                 \"consensus_drops\": %d, \"bulk_drop_ratio\": %f}"

@@ -140,10 +140,6 @@ let write_baseline path append_rows recovery_rows =
   output_string oc "  ]\n}\n";
   close_out oc
 
-let sscanf_opt line fmt f =
-  try Some (Scanf.sscanf line fmt f)
-  with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
-
 let read_baseline path =
   if not (Sys.file_exists path) then None
   else begin
@@ -158,7 +154,7 @@ let read_baseline path =
            else line
          in
          (match
-            sscanf_opt line
+            Scanf.sscanf_opt line
               "{\"policy\": \"%s@\", \"records\": %d, \"wall_s\": %f, \"records_per_s\": %f}"
               (fun policy records wall_s records_per_s ->
                 { policy; records; wall_s; records_per_s })
@@ -166,7 +162,7 @@ let read_baseline path =
          | Some r -> appends := r :: !appends
          | None -> ());
          match
-           sscanf_opt line
+           Scanf.sscanf_opt line
              "{\"log_records\": %d, \"recovered\": %d, \"rec_wall_s\": %f, \
               \"rec_records_per_s\": %f}"
              (fun log_records recovered rec_wall_s rec_records_per_s ->

@@ -186,10 +186,6 @@ let write_baseline path ~host_cores ~speedup4 db_rows tcp_rows =
   output_string oc "  ]\n}\n";
   close_out oc
 
-let sscanf_opt line fmt f =
-  try Some (Scanf.sscanf line fmt f)
-  with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
-
 let read_baseline path =
   if not (Sys.file_exists path) then None
   else begin
@@ -204,14 +200,14 @@ let read_baseline path =
            else line
          in
          (match
-            sscanf_opt line
+            Scanf.sscanf_opt line
               "{\"leg\": \"%s@\", \"blocks\": %d, \"wall_s\": %f, \"blocks_per_s\": %f}"
               (fun leg blocks wall_s blocks_per_s -> { leg; blocks; wall_s; blocks_per_s })
           with
          | Some r -> dbs := r :: !dbs
          | None -> ());
          match
-           sscanf_opt line
+           Scanf.sscanf_opt line
              "{\"tcp_n\": %d, \"pool\": \"%s@\", \"offered\": %d, \"confirmed\": %d, \
               \"throughput\": %f}"
              (fun tcp_n pool offered confirmed throughput ->

@@ -463,7 +463,7 @@ let chaos_cmd =
                 $(docv).<scenario>-n<k>.prom." ~docv:"BASE")
   in
   let fast =
-    Arg.(value & flag & info [ "fast" ] ~doc:"Sim plane at n=4 only (quick gate).")
+    Arg.(value & flag & info [ "fast" ] ~doc:"Sim plane at n=4 only; the TCP plane, if selected, runs at $(b,--tcp-n).")
   in
   Cmd.v
     (Cmd.info "chaos"

@@ -60,8 +60,12 @@ module Replica = Replica
 (** The Leopard replica state machine (§4), including checkpoints
     (Algorithm 3) and the view-change protocol. *)
 
+module Driver = Driver
+(** One deployment and its client-side accounting (f+1 confirmation,
+    re-sends, safety check, restart), shared by both planes. *)
+
 module Runner = Runner
-(** Cluster orchestration and measurement. *)
+(** Cluster orchestration and measurement on the simulator. *)
 
 module Scaling_factor = Scaling_factor
 (** The paper's scaling-factor metric, analytic and measured (§5.2). *)

@@ -17,8 +17,8 @@ type t
 type hooks = {
   on_execute : id:Net.Node_id.t -> sn:int -> Bftblock.t -> Datablock.t list -> unit;
       (** fires when THIS replica executes a BFTblock (serially, in
-          serial-number order); the runner derives throughput, latency
-          and client acknowledgments from it *)
+          serial-number order); {!Driver} derives confirmations and
+          latency from it *)
   on_view_change : id:Net.Node_id.t -> view:int -> unit;
       (** fires when the replica enters a new view *)
   on_view_change_trigger : id:Net.Node_id.t -> abandoned:int -> unit;
@@ -26,11 +26,11 @@ type hooks = {
           view-change message (the instant §6.2.4 measures from) *)
   on_propose : id:Net.Node_id.t -> sn:int -> at:Sim.Sim_time.t -> unit;
       (** fires when the replica (as leader) multicasts a proposal; the
-          runner uses it for the agreement-stage latency breakdown *)
+          agreement-stage latency breakdown starts there *)
   on_checkpoint : id:Net.Node_id.t -> lw:int -> unit;
       (** fires when a checkpoint certificate advances THIS replica's low
           watermark to [lw] (every serial [<= lw] is durably agreed by a
-          quorum); the runner prunes its per-serial bookkeeping on it *)
+          quorum); {!Driver} prunes its per-serial bookkeeping on it *)
 }
 
 val no_hooks : hooks

@@ -83,70 +83,28 @@ type t = {
   sp : spec;
   engine : Engine.t;
   network : Msg.t Net.Network.t;
-  replicas : Replica.t array;
+  driver : Driver.t;
   gen : Workload.Generator.t;
   trace : Trace.t;
-  strategies : Byzantine.t array;
-  (* f+1 execution tracking. Both tables are keyed per serial and would
-     otherwise grow for the whole run; when a checkpoint certificate
-     advances the low watermark every serial at or below it is settled,
-     so [on_checkpoint] prunes them (see [prune_below]) and
-     [pruned_below] guards against a lagging replica's late execution of
-     a pruned serial being re-counted from scratch. Batch-level dedup
-     lives on the requests themselves ({!Workload.Request.mark_counted}),
-     which needs no table at all. *)
-  exec_counts : (int, int ref) Hashtbl.t;
-  propose_times : (int, Sim_time.t) Hashtbl.t;
-  mutable pruned_below : int;
   confirm_meter : Stats.Meter.t;
   goodput_meter : Stats.Meter.t; (* payload bytes confirmed *)
-  latency : Stats.Histogram.t;
   (* Table-3 stage accumulators (request-weighted seconds), indexed by
      [stage_*] below. A float array keeps the per-confirmed-batch hot path
      free of the boxed-float stores and string-hashtable lookups a
      {!Stats.Breakdown} would cost; the report materializes the named
      list. *)
   stage_acc : float array;
-  mutable confirmed_requests : int;
-  mutable executed_blocks : int;
-  mutable first_vc_trigger : Sim_time.t option;
-  mutable last_view_entry : Sim_time.t option;
-  mutable view_changes : int;
-  (* Unconfirmed client batches ordered by next re-send deadline (ns key,
-     batch id as tiebreak; the value carries the attempt count for the
-     exponential backoff). A scan pops only the entries that are due —
-     O(due) — where the previous implementation swept the generator's
-     entire batch history every half-timeout. Confirmed batches are
-     dropped lazily when their deadline surfaces. *)
-  resend_queue : (Workload.Request.t * int) Heap.t;
   (* One pool shared by every simulated replica when [spec.verify_domains]
      asks for one: workers only evaluate pure crypto, so sharing changes
      nothing observable and keeps domain count independent of n. *)
   verify_pool : Exec.Pool.t option;
-  (* retained so [restart_replica] can rebuild a replica mid-run *)
-  keys : (Crypto.Signature.public_key * Crypto.Signature.private_key) array;
-  pks : Crypto.Signature.public_key array;
-  tsetup : Crypto.Threshold.setup;
-  tkeys : Crypto.Threshold.member_key array;
-  hooks : Replica.hooks;
-  (* confirm-latency instruments when [spec.obs] is attached; the sim's
-     own [latency] histogram stays authoritative for the report *)
-  obs_confirm : (Obs.Histogram.t * Obs.Counter.t) option;
 }
 
 let engine t = t.engine
 let network t = t.network
-let replicas t = t.replicas
-let generator t = t.gen
-let metrics_report t = Option.map Obs.Registry.expose t.sp.obs
+let driver t = t.driver
+let replicas t = Driver.replicas t.driver
 let trace t = t.trace
-
-let honest_ids t =
-  Array.to_list t.replicas
-  |> List.filteri (fun i _ -> not (Byzantine.is_byzantine t.strategies.(i)))
-  |> List.map Replica.id
-
-let f_plus_1 t = Config.max_faulty t.sp.cfg + 1
 
 let stage_generation = 0
 and stage_delivery = 1
@@ -156,155 +114,24 @@ and stage_response = 3
 let stage_names =
   [| "Datablock Generation"; "Datablock Delivery"; "Agreement"; "Response to Client" |]
 
-(* The (f+1)-th execution of a serial is the client-visible confirmation
-   instant (a valid client response needs f+1 identical acks, §4.1). *)
-let on_f1_execution t ~sn (block : Bftblock.t) dbs =
-  let now = Engine.now t.engine in
-  t.executed_blocks <- t.executed_blocks + 1;
-  let agree_start = Hashtbl.find_opt t.propose_times sn in
-  List.iter
-    (fun (db : Datablock.t) ->
-      List.iter
-        (fun (b : Workload.Request.t) ->
-          if not (Workload.Request.is_counted b) then begin
-            Workload.Request.mark_counted b;
-            let count = b.Workload.Request.count in
-            t.confirmed_requests <- t.confirmed_requests + count;
-            Stats.Meter.add t.confirm_meter ~at:now count;
-            Stats.Meter.add t.goodput_meter ~at:now (Workload.Request.payload_bytes b);
-            Stats.Histogram.add t.latency Sim_time.(now - b.Workload.Request.born);
-            (match t.obs_confirm with
-             | Some (h, c) ->
-               Obs.Histogram.record h
-                 (Int64.to_int Sim_time.(now - b.Workload.Request.born));
-               Obs.Counter.add c count
-             | None -> ());
-            let w = float_of_int count in
-            let acc = t.stage_acc in
-            let gen_span = Sim_time.to_sec Sim_time.(db.Datablock.created_at - b.Workload.Request.born) in
-            acc.(stage_generation) <- acc.(stage_generation) +. (w *. Float.max 0. gen_span);
-            (match agree_start with
-             | Some p ->
-               acc.(stage_delivery) <-
-                 acc.(stage_delivery)
-                 +. (w *. Float.max 0. (Sim_time.to_sec Sim_time.(p - db.Datablock.created_at)));
-               acc.(stage_agreement) <-
-                 acc.(stage_agreement)
-                 +. (w *. Float.max 0. (Sim_time.to_sec Sim_time.(now - p)))
-             | None -> ());
-            acc.(stage_response) <-
-              acc.(stage_response) +. (w *. Sim_time.to_sec t.sp.link.Net.Network.prop_delay)
-          end)
-        db.Datablock.batches)
-    dbs;
-  ignore block
-
-(* Checkpoint garbage collection for the runner's own bookkeeping: once
-   the protocol's low watermark reaches [lw], no serial at or below it
-   can produce a fresh (f+1)-th execution, so the per-serial counters and
-   the ids of batches counted under those serials can go. Runs once per
-   watermark value (n replicas report the same advance). *)
-let prune_below t lw =
-  if lw > t.pruned_below then begin
-    t.pruned_below <- lw;
-    let stale =
-      Hashtbl.fold (fun sn _ acc -> if sn <= lw then sn :: acc else acc) t.exec_counts []
-    in
-    List.iter (Hashtbl.remove t.exec_counts) stale;
-    let stale =
-      Hashtbl.fold (fun sn _ acc -> if sn <= lw then sn :: acc else acc) t.propose_times []
-    in
-    List.iter (Hashtbl.remove t.propose_times) stale
-  end
-
-let make_hooks t_ref =
-  { Replica.on_execute =
-      (fun ~id:_ ~sn block dbs ->
-        match !t_ref with
-        | None -> ()
-        | Some t ->
-          (* A replica catching up via state transfer can execute a
-             serial the checkpoint GC already settled; restarting its
-             counter from zero must not re-trigger the f+1 accounting. *)
-          if sn > t.pruned_below then begin
-            let c =
-              match Hashtbl.find_opt t.exec_counts sn with
-              | Some c -> c
-              | None ->
-                let c = ref 0 in
-                Hashtbl.add t.exec_counts sn c;
-                c
-            in
-            incr c;
-            if !c = f_plus_1 t then on_f1_execution t ~sn block dbs
-          end);
-    on_view_change =
-      (fun ~id:_ ~view ->
-        match !t_ref with
-        | None -> ()
-        | Some t ->
-          t.view_changes <- max t.view_changes (view - 1);
-          t.last_view_entry <- Some (Engine.now t.engine));
-    on_view_change_trigger =
-      (fun ~id:_ ~abandoned:_ ->
-        match !t_ref with
-        | None -> ()
-        | Some t ->
-          if t.first_vc_trigger = None then t.first_vc_trigger <- Some (Engine.now t.engine));
-    on_propose =
-      (fun ~id:_ ~sn ~at ->
-        match !t_ref with
-        | None -> ()
-        | Some t -> if not (Hashtbl.mem t.propose_times sn) then Hashtbl.add t.propose_times sn at);
-    on_checkpoint =
-      (fun ~id:_ ~lw ->
-        match !t_ref with
-        | None -> ()
-        | Some t -> prune_below t lw)
-  }
-
-let resend_batch t (b : Workload.Request.t) =
-  let copy = Workload.Request.resend_of b in
-  (* Re-send to several deterministically chosen replicas; §4.1:
-     s = 9 already gives > 99.99% probability of hitting an
-     honest one (f + 1 would guarantee it but floods large
-     clusters). *)
-  let fanout = min 9 (min (Config.max_faulty t.sp.cfg + 1) (t.sp.cfg.Config.n - 1)) in
-  let leader = Config.leader_of_view t.sp.cfg 1 in
-  let targets =
-    Workload.Assign.replicas_for ~n:t.sp.cfg.Config.n ~s:fanout ~leader
-      ~key:b.Workload.Request.id
-  in
-  List.iter
-    (fun dst ->
-      Net.Network.inject t.network ~dst ~size:(Workload.Request.wire_bytes copy)
-        ~category:"client-req" (fun () ->
-          ignore (Replica.submit t.replicas.(dst) copy : Replica.admission)))
-    targets
-
-let schedule_resends t timeout =
-  let period = Int64.div timeout 2L in
-  let timeout_ns = Int64.to_int timeout in
-  let rec scan () =
-    let now_ns = Engine.now_ns t.engine in
-    while
-      (not (Heap.is_empty t.resend_queue)) && Heap.peek_key_ns t.resend_queue <= now_ns
-    do
-      let b, attempts = Heap.pop_value t.resend_queue in
-      if not (Workload.Request.is_confirmed b) then begin
-        resend_batch t b;
-        (* Exponential backoff (capped): a recovering cluster is not
-           re-flooded with its whole backlog every period. *)
-        let attempts = attempts + 1 in
-        let wait_ns = timeout_ns * min 8 (1 lsl attempts) in
-        Heap.add_ns t.resend_queue ~key_ns:(now_ns + wait_ns) ~seq:b.Workload.Request.id
-          (b, attempts)
-      end
-    done;
-    if Sim_time.compare (Engine.now t.engine) t.sp.duration < 0 then
-      ignore (Engine.schedule t.engine ~delay:period (fun () -> scan ()))
-  in
-  ignore (Engine.schedule t.engine ~delay:timeout (fun () -> scan ()))
+(* Per confirmed batch: rate meters and the Table 3 decomposition. *)
+let on_confirm ~confirm_meter ~goodput_meter ~(acc : float array) ~prop_delay ~now ~proposed_at
+    (db : Datablock.t) (b : Workload.Request.t) =
+  let count = b.Workload.Request.count in
+  Stats.Meter.add confirm_meter ~at:now count;
+  Stats.Meter.add goodput_meter ~at:now (Workload.Request.payload_bytes b);
+  let w = float_of_int count in
+  let gen_span = Sim_time.to_sec Sim_time.(db.Datablock.created_at - b.Workload.Request.born) in
+  acc.(stage_generation) <- acc.(stage_generation) +. (w *. Float.max 0. gen_span);
+  (match proposed_at with
+   | Some p ->
+     acc.(stage_delivery) <-
+       acc.(stage_delivery)
+       +. (w *. Float.max 0. (Sim_time.to_sec Sim_time.(p - db.Datablock.created_at)));
+     acc.(stage_agreement) <-
+       acc.(stage_agreement) +. (w *. Float.max 0. (Sim_time.to_sec Sim_time.(now - p)))
+   | None -> ());
+  acc.(stage_response) <- acc.(stage_response) +. (w *. Sim_time.to_sec prop_delay)
 
 let create sp =
   let cfg = sp.cfg in
@@ -321,32 +148,31 @@ let create sp =
        (Net.Partial_sync.until_gst ~rng ~gst ~max_delay:cfg.Config.view_timeout)
    | None -> ());
   let key_rng = Rng.split (Engine.rng engine) in
-  let keys = Array.init cfg.Config.n (fun _ -> Crypto.Signature.keygen key_rng) in
-  let pks = Array.map fst keys in
-  let tsetup, tkeys =
-    Crypto.Threshold.keygen key_rng ~threshold:(2 * cfg.Config.f) ~parties:cfg.Config.n
-  in
-  let strategies = Array.make cfg.Config.n Byzantine.Honest in
-  List.iter (fun (id, s) -> strategies.(id) <- s) sp.byzantine;
   let trace = Trace.create ~enabled:sp.trace ~capacity:1_000_000 () in
-  let t_ref = ref None in
-  let hooks = make_hooks t_ref in
   let verify_pool =
     match sp.verify_domains with
     | Some d when d > 0 -> Some (Exec.Pool.create ?obs:sp.obs ~domains:d ())
     | _ -> None
   in
-  let store_of id = Option.map (fun stores -> stores.(id)) sp.stores in
-  let replicas =
-    Array.init cfg.Config.n (fun id ->
-        let platform =
-          Platform.of_sim ?verify_pool ?store:(store_of id) ~engine ~network ~id
-            ~cores:cfg.Config.cores ()
-        in
-        Replica.create ~platform ~cfg ~id ~sk:(snd keys.(id)) ~pks ~tsetup
-          ~tkey:tkeys.(id) ?obs:sp.obs ~strategy:strategies.(id) ~hooks ~trace ())
+  let confirm_meter = Stats.Meter.create () and goodput_meter = Stats.Meter.create () in
+  let stage_acc = Array.make (Array.length stage_names) 0. in
+  let inject ~dst ~size cb = Net.Network.inject network ~dst ~size ~category:"client-req" cb in
+  let driver =
+    Driver.create ~cfg ~key_rng
+      ~platform:(fun id ->
+        Platform.of_sim ?verify_pool
+          ?store:(Option.map (fun stores -> stores.(id)) sp.stores)
+          ~engine ~network ~id ~cores:cfg.Config.cores ())
+      ~now:(fun () -> Engine.now engine)
+      ~schedule:(fun ~delay f -> ignore (Engine.schedule engine ~delay f))
+      ~deliver:inject ~byzantine:sp.byzantine ~resend:sp.client_resend_timeout ~trace
+      ?obs:sp.obs
+      ~on_confirm:
+        (on_confirm ~confirm_meter ~goodput_meter ~acc:stage_acc
+           ~prop_delay:sp.link.Net.Network.prop_delay)
+      ()
   in
-  Array.iter Replica.start replicas;
+  let replicas = Driver.replicas driver in
   let leader = Config.leader_of_view cfg 1 in
   (* Clients avoid the leader (it generates no datablocks) unless the
      leader-generates ablation is on. *)
@@ -360,50 +186,31 @@ let create sp =
     List.filter
       (fun id ->
         is_target id
-        && (sp.client_resend_timeout <> None || not (Byzantine.is_byzantine strategies.(id))))
+        && (sp.client_resend_timeout <> None || not (Driver.is_byzantine driver id)))
       (List.init cfg.Config.n Fun.id)
-  in
-  let resend_queue = Heap.create () in
-  (* Every new batch registers its first re-send deadline as it is born;
-     the scanner in [schedule_resends] then only ever touches due
-     entries. *)
-  let on_batch =
-    match sp.client_resend_timeout with
-    | None -> None
-    | Some timeout ->
-      let timeout_ns = Int64.to_int timeout in
-      Some
-        (fun (b : Workload.Request.t) ->
-          Heap.add_ns resend_queue
-            ~key_ns:(Int64.to_int b.Workload.Request.born + timeout_ns)
-            ~seq:b.Workload.Request.id (b, 0))
   in
   let gen =
     (* Coarser client batching at large scale keeps the event volume of
        the open-loop generator proportional to the offered load rather
        than to n. *)
     let tick = if cfg.Config.n >= 128 then Sim_time.ms 100 else Sim_time.ms 20 in
-    let inject ~dst ~size cb = Net.Network.inject network ~dst ~size ~category:"client-req" cb in
-    (* Client fan-out s > 1 (§4.1): each batch also goes to s - 1 extra
-       mu-chosen replicas; the shared confirmation ref dedups counting. *)
-    let fanned : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+    (* Client fan-out s > 1 (§4.1): each batch (the generator submits it
+       once) also goes to s - 1 extra mu-chosen replicas; the driver
+       counts it once. *)
     let submit ~target b =
       (* The sim client stays open-loop: verdicts are rendered but not
          acted on (an overload scenario's oracle reads the counters). *)
       ignore (Replica.submit replicas.(target) b : Replica.admission);
-      if cfg.Config.s > 1 && (not b.Workload.Request.resend) && not (Hashtbl.mem fanned b.Workload.Request.id)
-      then begin
-        Hashtbl.add fanned b.Workload.Request.id ();
+      if cfg.Config.s > 1 then
         Workload.Assign.replicas_for ~n:cfg.Config.n ~s:cfg.Config.s ~leader
           ~key:b.Workload.Request.id
         |> List.iter (fun dst ->
                if not (Net.Node_id.equal dst target) then
                  inject ~dst ~size:(Workload.Request.wire_bytes b) (fun () ->
                      ignore (Replica.submit replicas.(dst) b : Replica.admission)))
-      end
     in
     Workload.Generator.start engine ~rate:sp.load ~payload:cfg.Config.payload ~targets ~tick
-      ~inject ~submit ?on_batch
+      ~inject ~submit ~on_batch:(Driver.offer driver)
       ?until:(match sp.load_until with Some u -> Some u | None -> Some sp.duration)
       ()
   in
@@ -411,39 +218,14 @@ let create sp =
     { sp;
       engine;
       network;
-      replicas;
+      driver;
       gen;
       trace;
-      strategies;
-      exec_counts = Hashtbl.create 1024;
-      propose_times = Hashtbl.create 1024;
-      pruned_below = 0;
-      confirm_meter = Stats.Meter.create ();
-      goodput_meter = Stats.Meter.create ();
-      latency = Stats.Histogram.create ();
-      stage_acc = Array.make (Array.length stage_names) 0.;
-      confirmed_requests = 0;
-      executed_blocks = 0;
-      first_vc_trigger = None;
-      last_view_entry = None;
-      view_changes = 0;
-      resend_queue;
-      verify_pool;
-      keys;
-      pks;
-      tsetup;
-      tkeys;
-      hooks;
-      obs_confirm =
-        Option.map
-          (fun reg ->
-            ( Obs.Registry.histogram reg ~help:"submit to f+1-confirm latency (ns)"
-                "leopard_confirm_latency_ns",
-              Obs.Registry.counter reg ~help:"client requests confirmed"
-                "leopard_confirmed_requests_total" ))
-          sp.obs }
+      confirm_meter;
+      goodput_meter;
+      stage_acc;
+      verify_pool }
   in
-  t_ref := Some t;
   (* Bandwidth accounting restarts when the warmup window closes. *)
   ignore (Engine.schedule_at engine ~at:sp.warmup (fun () -> Net.Network.reset_stats network));
   (match sp.stop_leader_at with
@@ -453,52 +235,21 @@ let create sp =
             Net.Network.set_down network leader true;
             Trace.recordf trace ~at ~tag:"leader.stopped" "%a" Net.Node_id.pp leader))
    | None -> ());
-  (match sp.client_resend_timeout with
-   | Some timeout -> schedule_resends t timeout
-   | None -> ());
+  Driver.arm_resends driver ~until:sp.duration ();
   t
 
 let run_until t at = Engine.run ~until:at t.engine
 
 (* Process restart mid-run: kill the replica, rebuild it from its durable
    store (the spec must have attached [stores]; with none attached the
-   replacement restarts from genesis, which a safety check would catch).
-   The replacement registers its own delivery handler on a fresh sim
-   platform bound to the same network slot. *)
+   replacement restarts from genesis, which a safety check would catch)
+   on a fresh sim platform bound to the same network slot. *)
 let restart_replica t id =
-  Replica.halt t.replicas.(id);
   let store = Option.map (fun stores -> stores.(id)) t.sp.stores in
-  let platform =
-    Platform.of_sim ?verify_pool:t.verify_pool ?store ~engine:t.engine ~network:t.network ~id
-      ~cores:t.sp.cfg.Config.cores ()
-  in
-  let r =
-    Replica.recover ~platform ~cfg:t.sp.cfg ~id ~sk:(snd t.keys.(id)) ~pks:t.pks
-      ~tsetup:t.tsetup ~tkey:t.tkeys.(id) ?obs:t.sp.obs ~strategy:t.strategies.(id)
-      ~hooks:t.hooks ~trace:t.trace ()
-  in
-  t.replicas.(id) <- r;
-  Net.Network.set_down t.network id false;
-  Replica.start r
-
-let check_safety t =
-  let honest = honest_ids t in
-  let ledgers = List.map (fun id -> Replica.ledger t.replicas.(id)) honest in
-  match ledgers with
-  | [] -> true
-  | first :: rest ->
-    let agree l1 l2 =
-      let upto = min (Ledger.executed_up_to l1) (Ledger.executed_up_to l2) in
-      let rec go sn =
-        if sn > upto then true
-        else
-          match (Ledger.get l1 sn, Ledger.get l2 sn) with
-          | Some a, Some b -> Bftblock.equal_content a b && go (sn + 1)
-          | _ -> go (sn + 1) (* pruned below a checkpoint: vacuously fine *)
-      in
-      go 1
-    in
-    List.for_all (agree first) rest
+  Driver.restart t.driver id
+    ~platform:
+      (Platform.of_sim ?verify_pool:t.verify_pool ?store ~engine:t.engine ~network:t.network ~id
+         ~cores:t.sp.cfg.Config.cores ())
 
 let bandwidth_view t id =
   let acct = Net.Network.stats t.network id in
@@ -516,41 +267,28 @@ let report t =
   let non_leader =
     List.find
       (fun id -> not (Net.Node_id.equal id leader))
-      (honest_ids t)
+      (Driver.honest_ids t.driver)
   in
   let leader_view = bandwidth_view t leader in
   let throughput = Stats.Meter.rate t.confirm_meter ~from_ ~until in
   let goodput_bps = 8. *. Stats.Meter.rate t.goodput_meter ~from_ ~until in
   let vc_bytes =
-    Array.to_list t.replicas
+    Array.to_list (replicas t)
     |> List.map (fun r ->
            Net.Bandwidth.category_total
              (Net.Network.stats t.network (Replica.id r))
              Net.Bandwidth.Sent "viewchange")
     |> List.fold_left ( + ) 0
   in
-  let vc_trigger_to_entry =
-    match (t.first_vc_trigger, t.last_view_entry) with
-    | Some a, Some b when Sim_time.compare b a > 0 -> Some (Sim_time.to_sec Sim_time.(b - a))
-    | _ -> None
-  in
-  let final_view =
-    List.fold_left (fun acc id -> max acc (Replica.view t.replicas.(id))) 1 (honest_ids t)
-  in
-  let equivocations =
-    List.fold_left
-      (fun acc id -> acc + List.length (Datablock_pool.equivocations (Replica.pool t.replicas.(id))))
-      0 (honest_ids t)
-  in
   let all_confirmed =
     List.for_all Workload.Request.is_confirmed (Workload.Generator.batches t.gen)
   in
   { n = cfg.Config.n;
     offered = Workload.Generator.offered t.gen;
-    confirmed = t.confirmed_requests;
+    confirmed = Driver.confirmed t.driver;
     throughput;
     goodput_bps;
-    latency = t.latency;
+    latency = Driver.latency t.driver;
     stage_seconds = Array.to_list (Array.mapi (fun i name -> (name, t.stage_acc.(i))) stage_names);
     leader = leader_view;
     non_leader = bandwidth_view t non_leader;
@@ -558,14 +296,14 @@ let report t =
       (if window_sec <= 0. then 0.
        else 8. *. float_of_int (leader_view.sent_bytes + leader_view.received_bytes) /. window_sec);
     window_sec;
-    executed_blocks = t.executed_blocks;
-    view_changes = t.view_changes;
-    final_view;
-    vc_trigger_to_entry;
+    executed_blocks = Driver.executed_blocks t.driver;
+    view_changes = Driver.view_changes t.driver;
+    final_view = Driver.final_view t.driver;
+    vc_trigger_to_entry = Driver.vc_trigger_to_entry t.driver;
     vc_bytes;
-    equivocations_detected = equivocations;
+    equivocations_detected = Driver.equivocations t.driver;
     all_confirmed;
-    safety_ok = check_safety t }
+    safety_ok = Driver.ledgers_agree t.driver }
 
 let shutdown t = Option.iter Exec.Pool.shutdown t.verify_pool
 

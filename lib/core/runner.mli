@@ -1,6 +1,12 @@
 (** Cluster orchestration: build a Leopard deployment on the simulator,
     drive a workload, and measure what the paper measures.
 
+    The deployment and the client-side accounting (f+1 confirmation,
+    re-sends, the safety check, restart) are {!Driver}'s, shared with the
+    TCP plane; this module adds the simulator wiring — engine, network,
+    the open-loop {!Workload.Generator} — and the sim-only measurements:
+    bandwidth views and the Table 3 stage decomposition.
+
     This is the main entry point of the library: benches and examples
     describe an experiment as a {!spec} and read the {!report}. Tests can
     instead keep the {!t} handle and inspect replicas mid-run. *)
@@ -33,7 +39,7 @@ type spec = {
           bytes are identical to a spec without the field. *)
   obs : Obs.Registry.t option;
       (** metrics registry: replicas register [leopard_replica_*]
-          counters, the runner a [leopard_confirm_latency_ns] histogram,
+          counters, the driver a [leopard_confirm_latency_ns] histogram,
           and the verify pool (if any) its [leopard_verify_*] family.
           Observation only — {!report} bytes are identical with and
           without it (pinned by test). *)
@@ -107,31 +113,25 @@ type t
 val create : spec -> t
 val engine : t -> Sim.Engine.t
 
-val metrics_report : t -> string option
-(** {!Obs.Registry.expose} of the spec's registry, if one was attached. *)
-
 val network : t -> Msg.t Net.Network.t
+
+val driver : t -> Driver.t
+(** The shared driver: confirmation and view-change counters, the
+    safety check ({!Driver.ledgers_agree}), the honest frontier. *)
+
 val replicas : t -> Replica.t array
-val generator : t -> Workload.Generator.t
 val trace : t -> Sim.Trace.t
 val run_until : t -> Sim.Sim_time.span -> unit
 (** Advances the simulation to the given instant (absolute). *)
 
 val restart_replica : t -> Net.Node_id.t -> unit
-(** Process restart: halts the replica, rebuilds it from its sink in
-    [spec.stores] via [Replica.recover] (from genesis if no stores were
-    attached), brings its network endpoint back up and restarts its
-    timers. Distinct from a transport-level crash ([Network.set_down]),
-    which keeps the replica's memory intact. *)
+(** {!Driver.restart} on a fresh sim platform over the replica's sink in
+    [spec.stores] (from genesis if none were attached). Unlike a
+    transport-level crash ([Network.set_down]), memory does not survive. *)
 
 val report : t -> report
 (** Summarizes the run so far. *)
 
-val honest_ids : t -> Net.Node_id.t list
-
 val shutdown : t -> unit
 (** Joins the verification pool's domains, if the spec asked for one.
     {!run} does this itself; callers of {!create} must. Idempotent. *)
-
-val check_safety : t -> bool
-(** Position-wise equality of all honest executed logs (Theorem 5.3). *)

@@ -20,55 +20,6 @@ type outcome = {
 
 let outcome_ok o = ok o.verdict
 
-let evaluate ~(scenario : Scenario.t) ~safety ~confirmed_at_heal ~confirmed
-    ~final_view ~equivocations ~state_sync =
-  let checks =
-    [ { label = "safety";
-        ok = safety;
-        detail = "honest executed ledgers agree position-wise" };
-      { label = "liveness";
-        ok = confirmed > confirmed_at_heal;
-        detail =
-          Printf.sprintf "confirmed %d -> %d within the settle bound"
-            confirmed_at_heal confirmed } ]
-  in
-  let checks =
-    if scenario.expect.view_change then
-      checks
-      @ [ { label = "view-change";
-            ok = final_view >= 2;
-            detail = Printf.sprintf "final view %d (expected >= 2)" final_view } ]
-    else checks
-  in
-  let checks =
-    if scenario.expect.equivocation then
-      checks
-      @ [ { label = "equivocation-detected";
-            ok = equivocations > 0;
-            detail = Printf.sprintf "%d equivocation pairs collected" equivocations } ]
-    else checks
-  in
-  let checks =
-    if scenario.expect.no_equivocation then
-      checks
-      @ [ { label = "no-double-vote";
-            ok = equivocations = 0;
-            detail =
-              Printf.sprintf
-                "%d equivocation pairs (restarted replicas must re-vote identically)"
-                equivocations } ]
-    else checks
-  in
-  match scenario.expect.state_sync with
-  | None -> checks
-  | Some id ->
-    checks
-    @ [ { label = "state-sync";
-          ok = state_sync id;
-          detail =
-            Format.asprintf "replica %a back at the honest execution frontier"
-              Net.Node_id.pp id } ]
-
 (* Deterministic rendering of a run's trace: entry per line via
    [Trace.pp_entry]. For same-seed sim runs the result is byte-identical,
    which is what the replay test pins. *)
@@ -80,6 +31,65 @@ let render_trace trace =
     (Sim.Trace.entries trace);
   Format.pp_print_flush fmt ();
   Buffer.contents buf
+
+let expectations ~(scenario : Scenario.t) driver =
+  let final_view = Core.Driver.final_view driver in
+  let equivocations = Core.Driver.equivocations driver in
+  let expect = scenario.expect in
+  List.filter_map Fun.id
+    [ (if expect.view_change then
+         Some
+           { label = "view-change";
+             ok = final_view >= 2;
+             detail = Printf.sprintf "final view %d (expected >= 2)" final_view }
+       else None);
+      (if expect.equivocation then
+         Some
+           { label = "equivocation-detected";
+             ok = equivocations > 0;
+             detail = Printf.sprintf "%d equivocation pairs collected" equivocations }
+       else None);
+      (if expect.no_equivocation then
+         Some
+           { label = "no-double-vote";
+             ok = equivocations = 0;
+             detail =
+               Printf.sprintf
+                 "%d equivocation pairs (restarted replicas must re-vote identically)"
+                 equivocations }
+       else None);
+      Option.map
+        (fun id ->
+          { label = "state-sync";
+            ok = Core.Driver.synced driver id;
+            detail =
+              Format.asprintf "replica %a back at the honest execution frontier"
+                Net.Node_id.pp id })
+        expect.state_sync ]
+
+let judge ~scenario ~plane ~seed ~confirmed_at_heal ~wall_sec ~trace driver =
+  let confirmed = Core.Driver.confirmed driver in
+  let standing =
+    [ { label = "safety";
+        ok = Core.Driver.ledgers_agree driver;
+        detail = "honest executed ledgers agree position-wise" };
+      { label = "liveness";
+        ok = confirmed > confirmed_at_heal;
+        detail =
+          Printf.sprintf "confirmed %d -> %d within the settle bound"
+            confirmed_at_heal confirmed } ]
+  in
+  { scenario;
+    plane;
+    seed;
+    verdict = standing @ expectations ~scenario driver;
+    confirmed_at_heal;
+    confirmed;
+    final_view = Core.Driver.final_view driver;
+    view_changes = Core.Driver.view_changes driver;
+    equivocations = Core.Driver.equivocations driver;
+    wall_sec;
+    trace = render_trace trace }
 
 let pp_check fmt c =
   Format.fprintf fmt "%s %-22s %s" (if c.ok then "ok  " else "FAIL") c.label c.detail

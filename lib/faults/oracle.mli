@@ -39,18 +39,25 @@ type outcome = {
 
 val outcome_ok : outcome -> bool
 
-val evaluate :
+val expectations : scenario:Scenario.t -> Core.Driver.t -> verdict
+(** The checks the scenario declares (view change, equivocation
+    evidence or its absence, a replica back at the honest execution
+    frontier), read off the driver as the run stands. *)
+
+val judge :
   scenario:Scenario.t ->
-  safety:bool ->
+  plane:string ->
+  seed:int64 ->
   confirmed_at_heal:int ->
-  confirmed:int ->
-  final_view:int ->
-  equivocations:int ->
-  state_sync:(Net.Node_id.t -> bool) ->
-  verdict
-(** Builds the verdict: the two standing invariants plus whichever
-    expectations the scenario declares. [state_sync id] must say whether
-    replica [id] has rejoined the honest execution frontier. *)
+  wall_sec:float ->
+  trace:Sim.Trace.t ->
+  Core.Driver.t ->
+  outcome
+(** Reads the run's numbers off the plane's driver and builds the
+    outcome: the two standing invariants ({!Core.Driver.ledgers_agree},
+    confirmed growth since the heal) plus whichever expectations the
+    scenario declares, with {!Core.Driver.synced} as the state-sync
+    test. *)
 
 val render_trace : Sim.Trace.t -> string
 (** One {!Sim.Trace.pp_entry} line per entry; the byte-identical-replay

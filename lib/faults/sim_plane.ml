@@ -16,10 +16,7 @@ let run ?(seed = 42L) ?load (sc : Scenario.t) =
   let cfg = cfg_of sc in
   let n = sc.Scenario.n in
   let load =
-    match (load, sc.Scenario.load) with
-    | Some l, _ -> l
-    | None, Some l -> l
-    | None, None -> default_load n
+    match load with Some l -> l | None -> Option.value sc.Scenario.load ~default:(default_load n)
   in
   let heal = Scenario.last_event_at sc in
   let duration = Scenario.duration sc in
@@ -74,33 +71,10 @@ let run ?(seed = 42L) ?load (sc : Scenario.t) =
              | link_fault -> ignore (Injector.apply inj link_fault : bool))
           : Engine.handle))
     sc.Scenario.events;
+  let driver = Core.Runner.driver t in
   Core.Runner.run_until t heal;
-  let confirmed_at_heal = (Core.Runner.report t).Core.Runner.confirmed in
+  let confirmed_at_heal = Core.Driver.confirmed driver in
   Core.Runner.run_until t duration;
   Net.Network.clear_fault_hook network;
-  let r = Core.Runner.report t in
-  let replicas = Core.Runner.replicas t in
-  let exec id = Core.Ledger.executed_up_to (Core.Replica.ledger replicas.(id)) in
-  let honest_frontier =
-    List.fold_left (fun acc id -> max acc (exec id)) 0 (Core.Runner.honest_ids t)
-  in
-  let state_sync id =
-    exec id > 0 && exec id + cfg.Core.Config.k >= honest_frontier
-  in
-  let verdict =
-    Oracle.evaluate ~scenario:sc ~safety:r.Core.Runner.safety_ok
-      ~confirmed_at_heal ~confirmed:r.Core.Runner.confirmed
-      ~final_view:r.Core.Runner.final_view
-      ~equivocations:r.Core.Runner.equivocations_detected ~state_sync
-  in
-  { Oracle.scenario = sc;
-    plane = "sim";
-    seed;
-    verdict;
-    confirmed_at_heal;
-    confirmed = r.Core.Runner.confirmed;
-    final_view = r.Core.Runner.final_view;
-    view_changes = r.Core.Runner.view_changes;
-    equivocations = r.Core.Runner.equivocations_detected;
-    wall_sec = Unix.gettimeofday () -. t0;
-    trace = Oracle.render_trace trace }
+  Oracle.judge ~scenario:sc ~plane:"sim" ~seed ~confirmed_at_heal
+    ~wall_sec:(Unix.gettimeofday () -. t0) ~trace driver

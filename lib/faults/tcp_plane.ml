@@ -13,12 +13,7 @@ let run ?(seed = 42L) ?load ?data_root ?metrics_out (sc : Scenario.t) =
   let t0 = Unix.gettimeofday () in
   let cfg = cfg_of sc in
   let n = sc.Scenario.n in
-  let load =
-    match (load, sc.Scenario.load) with
-    | Some l, _ -> l
-    | None, Some l -> l
-    | None, None -> 800.
-  in
+  let load = match load with Some l -> l | None -> Option.value sc.Scenario.load ~default:800. in
   let trace = Trace.create ~enabled:true () in
   (* With a [data_root], node WAL directories live under
      <root>/<scenario>/ and survive a failing run as artifacts; a
@@ -46,7 +41,7 @@ let run ?(seed = 42L) ?load ?data_root ?metrics_out (sc : Scenario.t) =
     ~finally:(fun () -> Transport.Cluster.close cl)
     (fun () ->
       let loop = Transport.Cluster.loop cl in
-      let replicas = Transport.Cluster.replicas cl in
+      let driver = Transport.Cluster.driver cl in
       let inj = Injector.create ~n ~rng:(Rng.create seed) in
       for src = 0 to n - 1 do
         Transport.Cluster.set_fault_filter cl src
@@ -77,36 +72,12 @@ let run ?(seed = 42L) ?load ?data_root ?metrics_out (sc : Scenario.t) =
       let heal_ns = start_ns + Int64.to_int (Scenario.last_event_at sc) in
       Transport.Cluster.run_while cl (fun _ -> Transport.Loop.now_ns loop < heal_ns);
       let confirmed_at_heal = Transport.Cluster.confirmed cl in
-      let exec id =
-        Core.Ledger.executed_up_to (Core.Replica.ledger replicas.(id))
-      in
-      let byz id = List.mem_assoc id sc.Scenario.byzantine in
-      let honest_frontier () =
-        let acc = ref 0 in
-        for id = 0 to n - 1 do
-          if not (byz id) then acc := max !acc (exec id)
-        done;
-        !acc
-      in
-      let state_sync id =
-        exec id > 0 && exec id + cfg.Core.Config.k >= honest_frontier ()
-      in
-      let equivocations () =
-        Array.fold_left
-          (fun acc r ->
-            acc + List.length (Core.Datablock_pool.equivocations (Core.Replica.pool r)))
-          0 replicas
-      in
-      (* Wall-clock is expensive: once every obligation the oracle will
-         check is already satisfied, stop burning real seconds. *)
+      (* Wall-clock is expensive: once progress has resumed and every
+         expectation the oracle will check already holds, stop burning
+         real seconds. *)
       let obligations_met () =
         Transport.Cluster.confirmed cl > confirmed_at_heal + 100
-        && ((not sc.Scenario.expect.Scenario.view_change)
-           || Transport.Cluster.max_view cl >= 2)
-        && ((not sc.Scenario.expect.Scenario.equivocation) || equivocations () > 0)
-        && match sc.Scenario.expect.Scenario.state_sync with
-           | None -> true
-           | Some id -> state_sync id
+        && Oracle.ok (Oracle.expectations ~scenario:sc driver)
       in
       let deadline_ns = start_ns + Int64.to_int (Scenario.duration sc) in
       Transport.Cluster.run_while cl (fun _ ->
@@ -116,25 +87,8 @@ let run ?(seed = 42L) ?load ?data_root ?metrics_out (sc : Scenario.t) =
       Transport.Cluster.run_while cl (fun cl ->
           Transport.Loop.now_ns loop < drain_ns
           && not (Transport.Cluster.state_converged cl));
-      let verdict =
-        Oracle.evaluate ~scenario:sc
-          ~safety:(Transport.Cluster.ledgers_agree cl)
-          ~confirmed_at_heal
-          ~confirmed:(Transport.Cluster.confirmed cl)
-          ~final_view:(Transport.Cluster.max_view cl)
-          ~equivocations:(equivocations ()) ~state_sync
-      in
-      { Oracle.scenario = sc;
-        plane = "tcp";
-        seed;
-        verdict;
-        confirmed_at_heal;
-        confirmed = Transport.Cluster.confirmed cl;
-        final_view = Transport.Cluster.max_view cl;
-        view_changes = Transport.Cluster.view_changes cl;
-        equivocations = equivocations ();
-        wall_sec = Unix.gettimeofday () -. t0;
-        trace = Oracle.render_trace trace })
+      Oracle.judge ~scenario:sc ~plane:"tcp" ~seed ~confirmed_at_heal
+        ~wall_sec:(Unix.gettimeofday () -. t0) ~trace driver)
   in
   (match data_dir with
   | Some dir when Oracle.outcome_ok outcome ->

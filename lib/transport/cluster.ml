@@ -1,23 +1,10 @@
-(* An unconfirmed client batch eligible for re-sending. *)
-type pending_req = {
-  batch : Workload.Request.t;
-  mutable last_sent_ns : int;
-}
-
 type t = {
   loop : Loop.t;
   cfg : Core.Config.t;
   nodes : Runtime.node array;
-  replicas : Core.Replica.t array;
+  (* replicas, f+1 accounting, re-sends, safety check, restart *)
+  driver : Core.Driver.t;
   trace : Sim.Trace.t;
-  (* f+1 execution accounting, as in [Core.Runner]: per-serial counters,
-     and batch-id dedup (decoded message copies do not share the
-     [counted] ref with the client's original, so the dedup is by id). *)
-  exec_counts : (int, int ref) Hashtbl.t;
-  counted_batches : (int, unit) Hashtbl.t;
-  latency : Stats.Histogram.t;
-  mutable executed_blocks : int;
-  mutable confirmed : int;
   (* open-loop client *)
   load : float;
   mutable load_active : bool;
@@ -35,17 +22,11 @@ type t = {
   retry_after : int array; (* per-target: earliest ns to submit again *)
   mutable load_started_ns : int;
   mutable load_stopped_ns : int;
-  (* client re-sends (needed to arm the replica watchdog: only
-     resend-tagged batches are watched for view-change triggering) *)
-  client_resend : Sim.Sim_time.span option;
-  pending : (int, pending_req) Hashtbl.t;
-  mutable resends : int;
-  (* view-change observability *)
-  mutable view_changes : int;
-  mutable vc_triggers : int;
   (* verification pool (None = inline verification on the loop thread) *)
   verify_pool : Exec.Pool.t option;
-  mutable verify_tick : Loop.tick_handle option;
+  (* per-iteration loop hooks (verify drain, WAL flush, metrics dump),
+     removed first thing in [close] *)
+  mutable ticks : Loop.tick_handle list;
   (* durable state: one WAL directory per node under [data_dir]. The
      cells hold the live file handles — [restart_replica] crashes the old
      handle and installs a fresh one, and the sinks threaded into the
@@ -55,85 +36,22 @@ type t = {
   data_dir : string;
   keep_data : bool;
   fsync : Store.Wal.fsync_policy;
-  mutable store_tick : Loop.tick_handle option;
-  (* retained for [restart_replica] *)
-  keys : (Crypto.Signature.public_key * Crypto.Signature.private_key) array;
-  tsetup : Crypto.Threshold.setup;
-  tkeys : Crypto.Threshold.member_key array;
-  strategies : Core.Byzantine.t array;
-  hooks : Core.Replica.hooks;
   mutable closed : bool;
-  (* observability: registry shared by every layer of this cluster, the
-     confirm-latency instruments, and the periodic file dump *)
+  (* observability: registry shared by every layer of this cluster and
+     the periodic file dump *)
   obs : Obs.Registry.t option;
-  obs_confirm : (Obs.Histogram.t * Obs.Counter.t) option;
   metrics_out : string option;
   metrics_interval_ns : int;
   mutable last_dump_ns : int;
-  mutable metrics_tick : Loop.tick_handle option;
 }
 
 let loop t = t.loop
-let replicas t = t.replicas
+let driver t = t.driver
+let replicas t = Core.Driver.replicas t.driver
 let nodes t = t.nodes
 let offered t = t.offered
-let confirmed t = t.confirmed
-let trace t = t.trace
-let view_changes t = t.view_changes
-let vc_triggers t = t.vc_triggers
-let resends t = t.resends
+let confirmed t = Core.Driver.confirmed t.driver
 let rejected t = t.rejected
-let throttled t = t.throttled
-let verify_stats t = Option.map Exec.Pool.stats t.verify_pool
-
-let f_plus_1 t = Core.Config.max_faulty t.cfg + 1
-
-let on_f1_execution t (dbs : Core.Datablock.t list) =
-  let now = Loop.now t.loop in
-  t.executed_blocks <- t.executed_blocks + 1;
-  List.iter
-    (fun (db : Core.Datablock.t) ->
-      List.iter
-        (fun (b : Workload.Request.t) ->
-          let id = b.Workload.Request.id in
-          if not (Hashtbl.mem t.counted_batches id) then begin
-            Hashtbl.add t.counted_batches id ();
-            Hashtbl.remove t.pending id;
-            t.confirmed <- t.confirmed + b.Workload.Request.count;
-            Stats.Histogram.add t.latency Sim.Sim_time.(now - b.Workload.Request.born);
-            (match t.obs_confirm with
-            | Some (h, c) ->
-              Obs.Histogram.record h (Int64.to_int Sim.Sim_time.(now - b.Workload.Request.born));
-              Obs.Counter.add c b.Workload.Request.count
-            | None -> ())
-          end)
-        db.Core.Datablock.batches)
-    dbs
-
-let make_hooks t_ref =
-  { Core.Replica.on_execute =
-      (fun ~id:_ ~sn _block dbs ->
-        match !t_ref with
-        | None -> ()
-        | Some t ->
-          let c =
-            match Hashtbl.find_opt t.exec_counts sn with
-            | Some c -> c
-            | None ->
-              let c = ref 0 in
-              Hashtbl.add t.exec_counts sn c;
-              c
-          in
-          incr c;
-          if !c = f_plus_1 t then on_f1_execution t dbs);
-    on_view_change =
-      (fun ~id:_ ~view:_ ->
-        match !t_ref with None -> () | Some t -> t.view_changes <- t.view_changes + 1);
-    on_view_change_trigger =
-      (fun ~id:_ ~abandoned:_ ->
-        match !t_ref with None -> () | Some t -> t.vc_triggers <- t.vc_triggers + 1);
-    on_propose = (fun ~id:_ ~sn:_ ~at:_ -> ());
-    on_checkpoint = (fun ~id:_ ~lw:_ -> ()) }
 
 (* -- client ------------------------------------------------------------- *)
 
@@ -152,21 +70,17 @@ let carry_bucket_sec = 0.5
 let overload_controls_on t =
   t.cfg.Core.Config.mempool_cap > 0 || t.cfg.Core.Config.pace_on_pressure
 
-let leader t = Core.Config.leader_of_view t.cfg 1
-
 let client_targets t =
-  let l = leader t in
+  let l = Core.Config.leader_of_view t.cfg 1 in
   (* The leader is skipped to keep its NIC free for proposals — unless
      the leader-generates ablation is on, in which case it packs
      datablocks like everyone else and needs requests to pack. *)
   let skip_leader = not t.cfg.Core.Config.leader_generates_datablocks in
-  let acc = ref [] in
-  for id = t.cfg.Core.Config.n - 1 downto 0 do
-    if ((not skip_leader) || not (Net.Node_id.equal id l))
-       && not (Conn.is_down (Runtime.conn t.nodes.(id)))
-    then acc := id :: !acc
-  done;
-  !acc
+  List.filter
+    (fun id ->
+      ((not skip_leader) || not (Net.Node_id.equal id l))
+      && not (Conn.is_down (Runtime.conn t.nodes.(id))))
+    (List.init t.cfg.Core.Config.n Fun.id)
 
 let offer_batch t ~target ~count =
   let b =
@@ -174,12 +88,10 @@ let offer_batch t ~target ~count =
       ~size_each:t.cfg.Core.Config.payload ~born:(Loop.now t.loop) ()
   in
   t.next_batch_id <- t.next_batch_id + 1;
-  match Core.Replica.submit t.replicas.(target) b with
+  match Core.Replica.submit (replicas t).(target) b with
   | Core.Replica.Admitted ->
     t.offered <- t.offered + count;
-    if t.client_resend <> None then
-      Hashtbl.replace t.pending b.Workload.Request.id
-        { batch = b; last_sent_ns = Loop.now_ns t.loop }
+    Core.Driver.offer t.driver b
   | Core.Replica.Rejected _ ->
     (* Closed-loop: the requests were never accepted, so they go back
        into [carry] (bounded to the token-bucket depth) to be re-offered
@@ -187,53 +99,6 @@ let offer_batch t ~target ~count =
     t.rejected <- t.rejected + count;
     t.carry <- Float.min (t.carry +. float_of_int count) (t.load *. carry_bucket_sec);
     t.retry_after.(target) <- Loop.now_ns t.loop + retry_after_ns
-
-(* Re-send unconfirmed batches, round-robin over the up replicas. The
-   copies carry the resend tag, so receivers watch them and vote to
-   change the view if they stay unconfirmed for a full view timeout —
-   without this no TCP-plane fault can ever trigger a view change. *)
-let resend_tick t =
-  match t.client_resend with
-  | None -> ()
-  | Some period ->
-    let period_ns = Int64.to_int period in
-    let now_ns = Loop.now_ns t.loop in
-    (match client_targets t with
-    | [] -> ()
-    | targets ->
-      let targets = Array.of_list targets in
-      let m = Array.length targets in
-      (* collect first: a submit must not mutate [pending] mid-iteration *)
-      let due = ref [] in
-      Hashtbl.iter
-        (fun _ p ->
-          if now_ns - p.last_sent_ns >= period_ns then begin
-            p.last_sent_ns <- now_ns;
-            due := p.batch :: !due
-          end)
-        t.pending;
-      List.iter
-        (fun batch ->
-          t.resends <- t.resends + 1;
-          t.rr <- t.rr + 1;
-          let copy = Workload.Request.resend_of batch in
-          (* A rejected resend copy is not retried early: the original
-             stays in [pending] and the next period sends a fresh copy. *)
-          ignore
-            (Core.Replica.submit t.replicas.(targets.(t.rr mod m)) copy
-              : Core.Replica.admission))
-        !due)
-
-let rec resend_loop t =
-  match t.client_resend with
-  | None -> ()
-  | Some period ->
-    if not t.closed then begin
-      resend_tick t;
-      ignore
-        (Loop.schedule t.loop ~delay:(Int64.div period 2L) (fun () -> resend_loop t)
-          : Loop.handle)
-    end
 
 (* Targets the hybrid client will actually submit to this tick: up,
    non-leader, past any retry-after cooldown, and (when the overload
@@ -380,36 +245,22 @@ let create ~cfg ?(load = 2000.) ?outbuf_hwm ?(trace = Sim.Trace.create ~enabled:
             (Unix.ADDR_INET (Unix.inet_addr_loopback, ports.(dst)))
       done)
     nodes;
-  let key_rng = Sim.Rng.create 42L in
-  let keys = Array.init n (fun _ -> Crypto.Signature.keygen key_rng) in
-  let pks = Array.map fst keys in
-  let tsetup, tkeys =
-    Crypto.Threshold.keygen key_rng ~threshold:(2 * cfg.Core.Config.f) ~parties:n
-  in
-  let t_ref = ref None in
-  let hooks = make_hooks t_ref in
-  let strategies =
-    Array.init n (fun id ->
-        Option.value ~default:Core.Byzantine.Honest (List.assoc_opt id byzantine))
-  in
-  let replicas =
-    Array.init n (fun id ->
-        Core.Replica.create
-          ~platform:(Runtime.platform nodes.(id))
-          ~cfg ~id ~sk:(snd keys.(id)) ~pks ~tsetup ~tkey:tkeys.(id) ?obs
-          ~strategy:strategies.(id) ~hooks ~trace ())
+  let driver =
+    Core.Driver.create ~cfg ~key_rng:(Sim.Rng.create 42L)
+      ~platform:(fun id -> Runtime.platform nodes.(id))
+      ~now:(fun () -> Loop.now loop)
+      ~schedule:(fun ~delay f -> ignore (Loop.schedule loop ~delay f : Loop.handle))
+      ~deliver:(fun ~dst ~size:_ k ->
+        (* a message to a downed process is lost *)
+        if not (Conn.is_down (Runtime.conn nodes.(dst))) then k ())
+      ~byzantine ~resend:client_resend ~trace ?obs ()
   in
   let t =
     { loop;
       cfg;
       nodes;
-      replicas;
+      driver;
       trace;
-      exec_counts = Hashtbl.create 256;
-      counted_batches = Hashtbl.create 1024;
-      latency = Stats.Histogram.create ();
-      executed_blocks = 0;
-      confirmed = 0;
       load;
       load_active = false;
       offered = 0;
@@ -422,39 +273,18 @@ let create ~cfg ?(load = 2000.) ?outbuf_hwm ?(trace = Sim.Trace.create ~enabled:
       retry_after = Array.make n 0;
       load_started_ns = 0;
       load_stopped_ns = 0;
-      client_resend;
-      pending = Hashtbl.create 1024;
-      resends = 0;
-      view_changes = 0;
-      vc_triggers = 0;
       verify_pool;
-      verify_tick = None;
+      ticks = [];
       stores;
       data_dir;
       keep_data;
       fsync;
-      store_tick = None;
-      keys;
-      tsetup;
-      tkeys;
-      strategies;
-      hooks;
       closed = false;
       obs;
-      obs_confirm =
-        Option.map
-          (fun reg ->
-            ( Obs.Registry.histogram reg ~help:"submit to f+1-confirm latency (ns)"
-                "leopard_confirm_latency_ns",
-              Obs.Registry.counter reg ~help:"client requests confirmed"
-                "leopard_confirmed_requests_total" ))
-          obs;
       metrics_out;
       metrics_interval_ns;
-      last_dump_ns = 0;
-      metrics_tick = None }
+      last_dump_ns = 0 }
   in
-  t_ref := Some t;
   (* Cluster-level client/consensus aggregates, refreshed at scrape. *)
   (match obs with
   | None -> ()
@@ -477,40 +307,33 @@ let create ~cfg ?(load = 2000.) ?outbuf_hwm ?(trace = Sim.Trace.create ~enabled:
       Obs.Registry.counter reg ~help:"blocks f+1-executed" "leopard_cluster_executed_blocks_total"
     in
     let max_view_g =
-      Obs.Registry.gauge reg ~help:"highest view of any up replica" "leopard_cluster_max_view"
+      Obs.Registry.gauge reg ~help:"highest view of any honest replica"
+        "leopard_cluster_max_view"
     in
     Obs.Registry.on_collect reg (fun () ->
         Obs.Counter.mirror offered_c t.offered;
-        Obs.Counter.mirror resends_c t.resends;
+        Obs.Counter.mirror resends_c (Core.Driver.resends driver);
         Obs.Counter.mirror rejected_c t.rejected;
         Obs.Counter.mirror throttled_c t.throttled;
-        Obs.Counter.mirror blocks_c t.executed_blocks;
-        let mv = ref 1 in
-        Array.iteri
-          (fun id node ->
-            if not (Conn.is_down (Runtime.conn node)) then
-              mv := max !mv (Core.Replica.view t.replicas.(id)))
-          t.nodes;
-        Obs.Gauge.set max_view_g !mv));
+        Obs.Counter.mirror blocks_c (Core.Driver.executed_blocks driver);
+        Obs.Gauge.set max_view_g (Core.Driver.final_view driver)));
   (* Periodic exposition dump: checked once per loop iteration, written
      at most once per [metrics_interval_ns] (atomic tmp+rename, so a
      tail-ing reader never sees a torn dump). *)
+  let on_tick f = t.ticks <- Loop.on_tick loop f :: t.ticks in
   (match (obs, metrics_out) with
   | Some reg, Some path ->
     t.last_dump_ns <- Loop.now_ns loop;
-    t.metrics_tick <-
-      Some
-        (Loop.on_tick loop (fun () ->
-             let now = Loop.now_ns loop in
-             if now - t.last_dump_ns >= t.metrics_interval_ns then begin
-               t.last_dump_ns <- now;
-               try Obs.Registry.dump_file reg path with Sys_error _ -> ()
-             end))
+    on_tick (fun () ->
+        let now = Loop.now_ns loop in
+        if now - t.last_dump_ns >= t.metrics_interval_ns then begin
+          t.last_dump_ns <- now;
+          try Obs.Registry.dump_file reg path with Sys_error _ -> ()
+        end)
   | _ -> ());
   (* Group commit: buffered WAL records hit the files once per loop
      iteration (and fsync per the policy), not once per append. *)
-  t.store_tick <-
-    Some (Loop.on_tick loop (fun () -> Array.iter (fun c -> Store.Store_file.flush !c) stores));
+  on_tick (fun () -> Array.iter (fun c -> Store.Store_file.flush !c) stores);
   (match verify_pool with
    | None -> ()
    | Some p ->
@@ -520,10 +343,9 @@ let create ~cfg ?(load = 2000.) ?outbuf_hwm ?(trace = Sim.Trace.create ~enabled:
         notify pipe wakes select the moment a result lands, so verified
         messages never wait out the select timeout. *)
      let drain () = ignore (Exec.Pool.drain p : int) in
-     t.verify_tick <- Some (Loop.on_tick loop drain);
+     on_tick drain;
      Loop.watch_read loop (Exec.Pool.notify_fd p) drain);
-  Array.iter Core.Replica.start replicas;
-  resend_loop t;
+  Core.Driver.arm_resends driver ();
   t
 
 let set_replica_down t id down =
@@ -532,62 +354,36 @@ let set_replica_down t id down =
     ~tag:(if down then "cluster.kill" else "cluster.revive")
     "%a" Net.Node_id.pp id
 
-let data_dir t = if t.keep_data then Some t.data_dir else None
-
 (* Process restart: the replica value dies with whatever state was only
    in memory (including the store's un-flushed buffer — [crash] drops
-   it), and the replacement rebuilds itself from the node's WAL directory
-   via [Replica.recover]. The replacement takes over the same [Runtime]
+   it), and [Core.Driver.restart] rebuilds the replica from the node's WAL
+   directory. The replacement takes over the same [Runtime]
    node: its [set_handler] overwrites the delivery cell, and the
    cell-indirect store sink starts hitting the fresh file handle. *)
 let restart_replica t id =
-  Core.Replica.halt t.replicas.(id);
   Store.Store_file.crash !(t.stores.(id));
   t.stores.(id) :=
     Store.Store_file.create ?obs:t.obs ~fsync:t.fsync
       ~now_ns:(fun () -> Loop.now_ns t.loop)
       ~dir:(node_dir t.data_dir id) ();
-  let pks = Array.map fst t.keys in
-  let r =
-    Core.Replica.recover
-      ~platform:(Runtime.platform t.nodes.(id))
-      ~cfg:t.cfg ~id ~sk:(snd t.keys.(id)) ~pks ~tsetup:t.tsetup ~tkey:t.tkeys.(id)
-      ?obs:t.obs ~strategy:t.strategies.(id) ~hooks:t.hooks ~trace:t.trace ()
-  in
-  t.replicas.(id) <- r;
-  Runtime.set_down t.nodes.(id) false;
-  Core.Replica.start r;
+  Core.Driver.restart t.driver id ~platform:(Runtime.platform t.nodes.(id));
   Sim.Trace.recordf t.trace ~at:(Loop.now t.loop) ~tag:"cluster.restart" "%a" Net.Node_id.pp
     id
 
 let set_fault_filter t id f = Conn.set_fault (Runtime.conn t.nodes.(id)) f
 
-let faulted t =
-  Array.fold_left (fun acc node -> acc + Conn.faulted (Runtime.conn node)) 0 t.nodes
-
 (* Cluster-wide data-plane counters: per-node [Conn.stats] summed. *)
 let transport_stats t =
-  let acc =
-    { Conn.write_syscalls = 0;
-      read_syscalls = 0;
-      frames_sent = 0;
-      frames_recvd = 0;
-      bytes_sent = 0;
-      bytes_recvd = 0;
-      reconnects = 0 }
-  in
-  Array.iter
-    (fun node ->
-      let s = Conn.stats (Runtime.conn node) in
-      acc.Conn.write_syscalls <- acc.Conn.write_syscalls + s.Conn.write_syscalls;
-      acc.Conn.read_syscalls <- acc.Conn.read_syscalls + s.Conn.read_syscalls;
-      acc.Conn.frames_sent <- acc.Conn.frames_sent + s.Conn.frames_sent;
-      acc.Conn.frames_recvd <- acc.Conn.frames_recvd + s.Conn.frames_recvd;
-      acc.Conn.bytes_sent <- acc.Conn.bytes_sent + s.Conn.bytes_sent;
-      acc.Conn.bytes_recvd <- acc.Conn.bytes_recvd + s.Conn.bytes_recvd;
-      acc.Conn.reconnects <- acc.Conn.reconnects + s.Conn.reconnects)
-    t.nodes;
-  acc
+  let stats = Array.map (fun node -> Conn.stats (Runtime.conn node)) t.nodes in
+  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 stats in
+  Conn.
+    { write_syscalls = sum (fun s -> s.write_syscalls);
+      read_syscalls = sum (fun s -> s.read_syscalls);
+      frames_sent = sum (fun s -> s.frames_sent);
+      frames_recvd = sum (fun s -> s.frames_recvd);
+      bytes_sent = sum (fun s -> s.bytes_sent);
+      bytes_recvd = sum (fun s -> s.bytes_recvd);
+      reconnects = sum (fun s -> s.reconnects) }
 
 let run_while t pred = Loop.run_while t.loop (fun () -> pred t)
 
@@ -600,42 +396,16 @@ let state_converged t =
   match up_ids t with
   | [] -> true
   | first :: rest ->
-    let reference = t.replicas.(first) in
+    let replicas = replicas t in
+    let reference = replicas.(first) in
     let exec = Core.Ledger.executed_up_to (Core.Replica.ledger reference) in
     let hash = Core.Replica.state_hash reference in
     List.for_all
       (fun id ->
-        let r = t.replicas.(id) in
+        let r = replicas.(id) in
         Core.Ledger.executed_up_to (Core.Replica.ledger r) = exec
         && Crypto.Hash.equal (Core.Replica.state_hash r) hash)
       rest
-
-let ledgers_agree t =
-  match up_ids t with
-  | [] -> true
-  | first :: rest ->
-    let agree l1 l2 =
-      let upto =
-        min (Core.Ledger.executed_up_to l1) (Core.Ledger.executed_up_to l2)
-      in
-      let rec go sn =
-        if sn > upto then true
-        else
-          match (Core.Ledger.get l1 sn, Core.Ledger.get l2 sn) with
-          | Some a, Some b -> Core.Bftblock.equal_content a b && go (sn + 1)
-          | _ -> go (sn + 1) (* pruned below a checkpoint *)
-      in
-      go 1
-    in
-    let l1 = Core.Replica.ledger t.replicas.(first) in
-    List.for_all (fun id -> agree l1 (Core.Replica.ledger t.replicas.(id))) rest
-
-let max_view t =
-  List.fold_left
-    (fun acc id -> max acc (Core.Replica.view t.replicas.(id)))
-    1 (up_ids t)
-
-let metrics_report t = Option.map Obs.Registry.expose t.obs
 
 let close t =
   if not t.closed then begin
@@ -647,44 +417,25 @@ let close t =
     | Some reg, Some path -> (
       try Obs.Registry.dump_file reg path with Sys_error _ -> ())
     | _ -> ());
-    (match t.metrics_tick with
-    | Some h ->
-      Loop.remove_tick t.loop h;
-      t.metrics_tick <- None
-    | None -> ());
+    (* Unhook the ticks before what they touch goes away: the pool's
+       pipe fds, the WAL handles. *)
+    List.iter (Loop.remove_tick t.loop) t.ticks;
+    t.ticks <- [];
     Loop.stop t.loop;
-    (* Unhook the pool from the loop before shutdown closes its pipe fds
-       (a closed fd in the select read set would fail the loop), then
-       join the worker domains. Un-drained continuations are dropped —
-       the replicas they would touch are being torn down anyway. *)
+    (* Unwatch the pool's notify fd before shutdown closes it (a closed
+       fd in the select read set would fail the loop), then join the
+       worker domains. Un-drained continuations are dropped — the
+       replicas they would touch are being torn down anyway. *)
     (match t.verify_pool with
      | None -> ()
      | Some p ->
-       (match t.verify_tick with
-        | Some h ->
-          Loop.remove_tick t.loop h;
-          t.verify_tick <- None
-        | None -> ());
        Loop.unwatch t.loop (Exec.Pool.notify_fd p);
        Exec.Pool.shutdown p);
-    (* Same discipline for the store flush tick (idempotent like the
-       verify tick): unhook before the handles close. *)
-    (match t.store_tick with
-     | Some h ->
-       Loop.remove_tick t.loop h;
-       t.store_tick <- None
-     | None -> ());
     Array.iter (fun node -> Conn.close (Runtime.conn node)) t.nodes;
     Array.iter (fun c -> Store.Store_file.close !c) t.stores;
     (* Auto (temp) data dirs leave nothing behind; explicit ones are the
        caller's artifacts. *)
-    if not t.keep_data then Store.Store_file.remove_dir t.data_dir;
-    (* Reap the joined accounting state too, so a harness that builds
-       clusters in a loop (the chaos corpus) cannot accrete per-run
-       tables behind a still-reachable [t]. *)
-    Hashtbl.reset t.exec_counts;
-    Hashtbl.reset t.counted_batches;
-    Hashtbl.reset t.pending
+    if not t.keep_data then Store.Store_file.remove_dir t.data_dir
   end
 
 (* -- one-shot runs ------------------------------------------------------ *)
@@ -742,21 +493,22 @@ let report_of t =
     - t.load_started_ns
   in
   let wall_sec = float_of_int (max 1 window_ns) *. 1e-9 in
+  let confirmed = confirmed t in
   { n = t.cfg.Core.Config.n;
     offered = t.offered;
-    confirmed = t.confirmed;
+    confirmed;
     rejected = t.rejected;
-    throughput = float_of_int t.confirmed /. wall_sec;
-    latency = t.latency;
-    executed_blocks = t.executed_blocks;
+    throughput = float_of_int confirmed /. wall_sec;
+    latency = Core.Driver.latency t.driver;
+    executed_blocks = Core.Driver.executed_blocks t.driver;
     wall_sec;
     dropped_frames =
       Array.fold_left (fun acc node -> acc + Conn.dropped (Runtime.conn node)) 0 t.nodes;
     transport = transport_stats t;
     state_hashes =
-      Array.to_list (Array.mapi (fun id r -> (id, Core.Replica.state_hash r)) t.replicas);
+      Array.to_list (Array.mapi (fun id r -> (id, Core.Replica.state_hash r)) (replicas t));
     converged = state_converged t;
-    ledgers_agree = ledgers_agree t }
+    ledgers_agree = Core.Driver.ledgers_agree t.driver }
 
 let run ~cfg ?load ?(duration = Sim.Sim_time.s 5) ?(drain = Sim.Sim_time.s 10)
     ?min_confirmed ?kill ?trace ?verify_domains ?data_dir ?fsync ?obs ?metrics_out
@@ -788,7 +540,7 @@ let run ~cfg ?load ?(duration = Sim.Sim_time.s 5) ?(drain = Sim.Sim_time.s 10)
       let deadline = Loop.now_ns t.loop + Int64.to_int duration in
       run_while t (fun t ->
           Loop.now_ns t.loop < deadline
-          && match min_confirmed with Some m -> t.confirmed < m | None -> true);
+          && match min_confirmed with Some m -> confirmed t < m | None -> true);
       stop_load t;
       (* Drain: let in-flight serials finish and laggards catch up so the
          state hashes can be compared at a common execution frontier. *)

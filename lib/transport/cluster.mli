@@ -5,8 +5,11 @@
     between them is framed, written to a socket, read back and decoded —
     the full deployable stack, minus process isolation. A built-in
     client submits request batches round-robin to the non-leader
-    replicas and measures confirmation (the (f+1)-th execution of a
-    serial) exactly as the simulator's runner does.
+    replicas. Replica construction, confirmation (the (f+1)-th execution
+    of a serial), re-sends, the safety check and restart are
+    {!Core.Driver}'s — the same code the simulator's [Core.Runner] runs;
+    this module adds the socket wiring, the WAL directories, the verify
+    pool ticks, the client and the metrics dump.
 
     The client is a closed/open hybrid. With the overload controls off
     ([mempool_cap = 0] and [pace_on_pressure = false], the defaults) it
@@ -44,10 +47,10 @@ val create :
     every pair, creates and starts the replicas. [load] is the client
     request rate (default 2000 req/s) — not offered until
     {!start_load}. [byzantine] assigns adversarial strategies by id
-    (default: all honest). [client_resend] makes the built-in client
-    re-send unconfirmed batches after that span (resend-tagged, so
-    receivers arm the view-change watchdog — required for any TCP-plane
-    view change, exactly as in [Core.Runner]).
+    (default: all honest). [client_resend] makes the driver re-send
+    unconfirmed batches after that span (resend-tagged, so receivers arm
+    the view-change watchdog — required for any TCP-plane view change;
+    see {!Core.Driver} for the policy).
 
     [verify_domains] sizes the shared verification pool: crypto checks
     run on worker domains ({!Core.Verify.pooled}) and completions are
@@ -68,17 +71,21 @@ val create :
 
     [obs] attaches a metrics registry to every layer: per-replica
     consensus counters, per-node transport mirrors, the shared verify
-    pool and the per-node WAL stores, plus the cluster's own
-    [leopard_confirm_latency_ns] histogram and client aggregates.
+    pool and the per-node WAL stores, plus the driver's
+    [leopard_confirm_latency_ns] histogram and the client aggregates.
     [metrics_out] writes the exposition text to that file — atomically,
     at most once per [metrics_interval_ns] (default 1 s) from a loop
     tick, and a final time in {!close}; when [metrics_out] is given
     without [obs], a private registry is created. *)
 
 val loop : t -> Loop.t
+
+val driver : t -> Core.Driver.t
+(** The shared driver: view-change counters, re-sends, the honest
+    frontier, equivocation evidence, bookkeeping sizes. *)
+
 val replicas : t -> Core.Replica.t array
 val nodes : t -> Runtime.node array
-val trace : t -> Sim.Trace.t
 
 val start_load : t -> unit
 val stop_load : t -> unit
@@ -94,16 +101,10 @@ val set_replica_down : t -> Net.Node_id.t -> bool -> unit
     also dropped from the client's target rotation. *)
 
 val restart_replica : t -> Net.Node_id.t -> unit
-(** Process restart of one replica: the state machine dies (with its
-    store's un-flushed buffer), a replacement is rebuilt from the node's
-    WAL directory via [Core.Replica.recover], takes over the node's
-    delivery handler and rejoins immediately. Unlike
-    {!set_replica_down}, in-memory state does NOT survive — only what
-    the store made durable. *)
-
-val data_dir : t -> string option
-(** The explicit data directory, when one was passed to {!create}
-    ([None] for the auto temp dir, which {!close} removes). *)
+(** Process restart: the node's store is crashed (dropping its
+    un-flushed buffer) and reopened, then {!Core.Driver.restart} rebuilds
+    the replica from the WAL directory on the same node. Unlike
+    {!set_replica_down}, only what the store made durable survives. *)
 
 val set_fault_filter :
   t -> Net.Node_id.t -> (dst:Net.Node_id.t -> Core.Msg.t -> Conn.fault_verdict) option -> unit
@@ -111,40 +112,10 @@ val set_fault_filter :
     {!Conn.set_fault}); the chaos harness builds partitions and
     drop/delay/duplicate rules out of these. *)
 
-val faulted : t -> int
-(** {!Conn.faulted}, summed over nodes. *)
-
-val transport_stats : t -> Conn.stats
-(** Data-plane counters ({!Conn.stats}) summed over nodes — a fresh
-    snapshot record each call. *)
-
-val resends : t -> int
-(** Client re-send copies submitted so far. *)
-
 val rejected : t -> int
 (** Requests the replicas refused at mempool admission ([Rejected]
     verdicts seen by the client, in requests). Zero with the overload
     controls off. *)
-
-val throttled : t -> int
-(** Target-ticks the client skipped because the target node's egress
-    pressure was at or above 1. Zero with the overload controls off. *)
-
-val view_changes : t -> int
-(** Replica view entries beyond view 1, summed over replicas. *)
-
-val vc_triggers : t -> int
-(** View-change triggers fired (replicas giving up on a view). *)
-
-val verify_stats : t -> Exec.Pool.stats option
-(** Verification-pool counters ([None] when verification is inline). *)
-
-val metrics_report : t -> string option
-(** {!Obs.Registry.expose} of the cluster's registry, if one is
-    attached — the full four-layer exposition text. *)
-
-val max_view : t -> int
-(** Highest view any up replica is in (1 = no view change yet). *)
 
 val run_while : t -> (t -> bool) -> unit
 (** Drives the shared loop while the predicate holds. *)
@@ -152,10 +123,6 @@ val run_while : t -> (t -> bool) -> unit
 val state_converged : t -> bool
 (** Every up replica reports the same [executed_up_to] and the same
     {!Core.Replica.state_hash}. *)
-
-val ledgers_agree : t -> bool
-(** Position-wise equality of the up replicas' executed ledgers (the
-    safety check, over however far each has executed). *)
 
 val close : t -> unit
 
@@ -171,7 +138,7 @@ type report = {
   executed_blocks : int;
   wall_sec : float;          (** load window, wall-clock seconds *)
   dropped_frames : int;      (** {!Conn.dropped}, summed over nodes *)
-  transport : Conn.stats;    (** {!transport_stats} snapshot at run end *)
+  transport : Conn.stats;    (** {!Conn.stats} summed over nodes at run end *)
   state_hashes : (Net.Node_id.t * Crypto.Hash.t) list;
   converged : bool;          (** {!state_converged} after the drain *)
   ledgers_agree : bool;      (** position-wise honest-ledger equality *)

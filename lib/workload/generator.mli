@@ -31,8 +31,8 @@ val start :
     given. Requires a non-empty target list and [rate >= 0].
 
     [on_batch] is invoked once for every batch the moment it is created
-    (including {!make_batch} ones) — the hook a client re-send scheduler
-    uses to register deadlines without ever scanning {!batches}. *)
+    (including {!make_batch} ones) — where [Core.Driver.offer] registers
+    it for counting and re-sends, without ever scanning {!batches}. *)
 
 val stop : t -> unit
 

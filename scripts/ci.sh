@@ -57,7 +57,12 @@ run_step bench-verify dune exec bench/main.exe -- --only verify --fast --check-r
 run_step bench-store dune exec bench/main.exe -- --only store --fast --check-regressions
 run_step tcp-smoke dune exec bin/leopard_cli.exe -- local-cluster -n 4 --load 2000 \
   --duration 3 --min-confirmed 1000 --drain 10 --metrics-out _ci_logs/tcp-smoke.prom
-run_step chaos dune exec bin/leopard_cli.exe -- chaos --fast --trace-dir _chaos
+# the corpus on each plane at n=4, one step per plane: the sim run takes
+# about a second, the TCP run (real loopback sockets, wall-clock fault
+# schedules) about 80 s and covers the TCP re-send and restart paths
+run_step chaos dune exec bin/leopard_cli.exe -- chaos --fast --plane sim --trace-dir _chaos
+run_step chaos-tcp dune exec bin/leopard_cli.exe -- chaos --plane tcp --tcp-n 4 \
+  --trace-dir _chaos
 # every BENCHMARK.json workload for a short window, plus one traced run
 # (about a minute): the TCP-plane benchmark still builds, passes its
 # correctness gate and prints every declared metric

@@ -106,6 +106,42 @@ let test_replay_is_byte_identical () =
   checkb "different seed, different trace" false
     (String.equal a.Oracle.trace c.Oracle.trace)
 
+(* -- golden pins: what the sim plane does, recorded ----------------------- *)
+
+(* MD5 of every corpus scenario's rendered trace at n=4, seed 42, recorded
+   from an earlier build. Unlike the replay test above (two runs of the
+   same binary) these catch a refactor that changes simulated behaviour. *)
+let golden_trace_md5 =
+  [ ("leader-crash", "27189e20e396c5e512a3e9640668578d");
+    ("leader-crash-checkpoint", "a29f27e36dce2adebc4ddc2171181035");
+    ("f-crashes", "87f3d5f3a3808ed3480a486d1db75278");
+    ("partition-quorum", "258e3e31e328c897bca2a93471ac398c");
+    ("slow-leader", "432a2cf286d9edfa745ff7a4e4b819c9");
+    ("silence-leader", "4049ffbb189f54d4e00c7c699a19d874");
+    ("equivocating-leader", "b9d98489bacbe72424c90e93eed5c610");
+    ("lagging-replica", "24f2f01d8af091625a7f5a535b0adf42");
+    ("duplicate-storm", "13e72080a9cc1408617dad56f87f88f8");
+    ("leader-restart", "2623e013e00d9ead05a7610d21dc23ae");
+    ("restart-checkpoint", "6b2cb3b0db12642f04d8b68b8c6ba940");
+    ("restart-torn-tail", "3762eec24e4de6dbcba7de2e8e390910");
+    ("restart-storm", "ba1f5fa24a34b8b10b73aa8549e64a91");
+    ("overload-burst", "e6fde84ca374292d11fd8c6f2cb8c1d9");
+    ("slow-peer", "20cd7a320b1bc26ed20368e84fec44d3") ]
+
+let test_golden_trace_digests () =
+  checki "one digest per corpus scenario" (List.length Corpus.all)
+    (List.length golden_trace_md5);
+  List.iter
+    (fun build ->
+      let sc = build ~n:4 in
+      let o = Sim_plane.run ~seed:42L sc in
+      let name = sc.Scenario.name in
+      Alcotest.(check string)
+        (name ^ " trace md5")
+        (Option.value ~default:"?" (List.assoc_opt name golden_trace_md5))
+        (Digest.to_hex (Digest.string o.Oracle.trace)))
+    Corpus.all
+
 (* -- both planes: faults must actually force a view change and recover -- *)
 
 let vc_scenarios =
@@ -118,6 +154,10 @@ let assert_view_change_recovery (o : Oracle.outcome) =
     Alcotest.failf "%s %s failed:@.%a" o.Oracle.plane name Oracle.pp_verdict
       o.Oracle.verdict;
   checkb (o.Oracle.plane ^ " " ^ name ^ " left view 1") true (o.Oracle.final_view >= 2);
+  (* one definition of "view changes" on both planes *)
+  checki
+    (o.Oracle.plane ^ " " ^ name ^ " vc = final view - 1")
+    (o.Oracle.final_view - 1) o.Oracle.view_changes;
   checkb
     (o.Oracle.plane ^ " " ^ name ^ " resumed confirming after the fault")
     true
@@ -194,13 +234,58 @@ let test_tcp_restart_catches_up () =
       checkb "restarted replica converged to the same state hash" true
         (Transport.Cluster.state_converged cl);
       checkb "ledgers agree after the restart" true
-        (Transport.Cluster.ledgers_agree cl);
+        (Core.Driver.ledgers_agree (Transport.Cluster.driver cl));
       Array.iter
         (fun r ->
           checki "no equivocation evidence" 0
             (List.length
                (Core.Datablock_pool.equivocations (Core.Replica.pool r))))
         (Transport.Cluster.replicas cl))
+
+(* -- TCP accounting stays bounded ----------------------------------------- *)
+
+(* The driver's per-serial counters are pruned at each checkpoint and its
+   per-batch tables hold only unconfirmed batches, so across twenty
+   checkpoints of steady load on real sockets every table stays flat
+   instead of growing with the run. *)
+let test_tcp_bookkeeping_bounded () =
+  let cl =
+    Transport.Cluster.create ~cfg:small_cfg ~load:2000.
+      ~client_resend:(Sim.Sim_time.ms 500) ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Transport.Cluster.close cl)
+    (fun () ->
+      let loop = Transport.Cluster.loop cl in
+      let driver = Transport.Cluster.driver cl in
+      let interval = small_cfg.Core.Config.checkpoint_interval in
+      let lw () = Core.Replica.low_watermark (Transport.Cluster.replicas cl).(0) in
+      let peak = Hashtbl.create 4 in
+      let sample () =
+        List.iter
+          (fun (name, size) ->
+            let m = Option.value ~default:0 (Hashtbl.find_opt peak name) in
+            Hashtbl.replace peak name (max m size))
+          (Core.Driver.bookkeeping_sizes driver)
+      in
+      Transport.Cluster.start_load cl;
+      let deadline = Transport.Loop.now_ns loop + Int64.to_int (Sim.Sim_time.s 60) in
+      Transport.Cluster.run_while cl (fun _ ->
+          sample ();
+          lw () < 20 * interval && Transport.Loop.now_ns loop < deadline);
+      checkb "twenty checkpoints" true (lw () >= 20 * interval);
+      let peak name = Option.value ~default:0 (Hashtbl.find_opt peak name) in
+      (* the client offers one batch per up non-leader per 10 ms tick *)
+      let batches_per_s = 100 * (small_cfg.Core.Config.n - 1) in
+      checkb "per-serial counters within the watermark window" true
+        (peak "serials" <= 2 * small_cfg.Core.Config.k);
+      checkb "outstanding batches within a second of load" true
+        (peak "outstanding" <= batches_per_s);
+      (* a deadline outlives its batch's confirmation by up to the re-send
+         timeout plus one scan period *)
+      checkb "re-send deadlines within two seconds of load" true
+        (peak "resend_queue" <= 2 * batches_per_s);
+      checkb "confirmed along the way" true (Transport.Cluster.confirmed cl > 1000))
 
 (* -- TCP teardown hygiene ------------------------------------------------ *)
 
@@ -275,7 +360,8 @@ let () =
         [ Alcotest.test_case "all scenarios pass at n=4" `Quick test_sim_corpus_n4;
           Alcotest.test_case "spot checks at n=16" `Slow test_sim_corpus_n16_spot;
           Alcotest.test_case "replay is byte-identical" `Quick
-            test_replay_is_byte_identical ] );
+            test_replay_is_byte_identical;
+          Alcotest.test_case "golden trace digests" `Quick test_golden_trace_digests ] );
       ( "view change",
         [ Alcotest.test_case "sim plane recovers via view change" `Quick
             test_view_change_sim;
@@ -288,6 +374,9 @@ let () =
             test_restart_tcp;
           Alcotest.test_case "tcp restart catches up to the same state" `Quick
             test_tcp_restart_catches_up ] );
+      ( "accounting",
+        [ Alcotest.test_case "tcp bookkeeping tables bounded" `Quick
+            test_tcp_bookkeeping_bounded ] );
       ( "teardown",
         [ Alcotest.test_case "close reaps fds" `Quick test_cluster_close_reaps_fds;
           Alcotest.test_case "close after kill" `Quick test_cluster_close_after_kill ] )

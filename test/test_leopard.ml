@@ -60,6 +60,31 @@ let test_deterministic_report_bytes () =
   checkb "byte-identical reports" true
     (String.equal (Marshal.to_string a []) (Marshal.to_string b []))
 
+(* Golden pin: the seed-13 re-send-enabled run, summarised field by
+   field and compared against values recorded from an earlier build. The
+   byte-identical tests above compare two runs of the same binary; this
+   one catches a refactor that changes what the simulator does. *)
+let render_summary (r : Core.Runner.report) =
+  Printf.sprintf
+    "offered=%d confirmed=%d blocks=%d leader_sent=%d p50=%.6f p99=%.6f vc=%d stages=%s"
+    r.Core.Runner.offered r.Core.Runner.confirmed r.Core.Runner.executed_blocks
+    r.Core.Runner.leader.Core.Runner.sent_bytes
+    (Stats.Histogram.quantile r.Core.Runner.latency 0.50)
+    (Stats.Histogram.quantile r.Core.Runner.latency 0.99)
+    r.Core.Runner.view_changes
+    (String.concat ","
+       (List.map (fun (name, v) -> Printf.sprintf "%s:%.9f" name v) r.Core.Runner.stage_seconds))
+
+let golden_seed13_summary =
+  "offered=2397 confirmed=2397 blocks=122 leader_sent=120675 p50=0.047386 p99=0.146709 vc=0 \
+   stages=Datablock Generation:71.820798552,Datablock Delivery:34.231366922,\
+   Agreement:13.072086208,Response to Client:2.397000000"
+
+let test_golden_seed13_summary () =
+  let spec = run_spec ~seed:13L ~client_resend_timeout:(Sim_time.s 1) (small_cfg ()) in
+  Alcotest.(check string) "seed-13 summary" golden_seed13_summary
+    (render_summary (Core.Runner.run spec))
+
 (* Metrics are observation-only: attaching a registry must not perturb
    the simulation in any way — the report stays byte-for-byte what the
    unobserved run produces, while the registry still captures the run
@@ -337,7 +362,7 @@ let test_equivocator_punished () =
   let punishers =
     List.filter
       (fun id -> List.mem 0 (Core.Replica.punished (Core.Runner.replicas t).(id)))
-      (Core.Runner.honest_ids t)
+      (Core.Driver.honest_ids (Core.Runner.driver t))
   in
   checkb "someone punished the equivocator" true (punishers <> []);
   checkb "liveness (re-sends route around the outcast)" true r.Core.Runner.all_confirmed
@@ -638,7 +663,7 @@ let test_replayed_datablock_executed_once () =
   Array.iter
     (fun r -> checkb "replay refused" false (in_pool r))
     (Core.Runner.replicas t);
-  checkb "safety" true (Core.Runner.check_safety t)
+  checkb "safety" true (Core.Driver.ledgers_agree (Core.Runner.driver t))
 
 (* The executed floors are persisted: a replica restarted from a
    post-prune snapshot still refuses the replay. *)
@@ -679,7 +704,7 @@ let test_restart_keeps_executed_floors () =
     (Core.Datablock_pool.mem
        (Core.Replica.pool (Core.Runner.replicas t).(victim))
        (Core.Datablock.hash db));
-  checkb "safety" true (Core.Runner.check_safety t)
+  checkb "safety" true (Core.Driver.ledgers_agree (Core.Runner.driver t))
 
 (* Checkpoint quorums, timeout votes and view-change messages are
    pruned behind the watermark and the view: across many checkpoints and
@@ -736,7 +761,7 @@ let test_bookkeeping_bounded () =
     (peak "checkpoint_quorums" <= k / cfg.Core.Config.checkpoint_interval);
   checkb "timeout votes bounded" true (peak "timeout_votes" <= 3);
   checkb "view-change messages bounded" true (peak "vc_msgs" <= 3);
-  checkb "safety" true (Core.Runner.check_safety t)
+  checkb "safety" true (Core.Driver.ledgers_agree (Core.Runner.driver t))
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
@@ -747,6 +772,7 @@ let () =
           Alcotest.test_case "larger cluster" `Slow test_honest_larger_cluster;
           Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
           Alcotest.test_case "byte-identical reports" `Quick test_deterministic_report_bytes;
+          Alcotest.test_case "golden seed-13 summary" `Quick test_golden_seed13_summary;
           Alcotest.test_case "metrics observation-only (byte-identical)" `Quick
             test_metrics_do_not_perturb_report;
           Alcotest.test_case "pool sizes 1/2/4 byte-identical" `Quick
