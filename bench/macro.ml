@@ -38,9 +38,6 @@ type row = {
                                determinism fingerprint, not a perf metric *)
 }
 
-let baseline_file = "BENCH_sim.json"
-let regression_factor = 2.0
-
 (* ------------------------------------------------------------------ *)
 (* One measured run                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -88,120 +85,25 @@ let run_one ~fast n =
 let ns ~fast = if fast then [ 4; 16; 64 ] else [ 4; 16; 64; 128; 300 ]
 
 (* ------------------------------------------------------------------ *)
-(* JSON baseline (same line-per-entry shape as BENCH_micro.json)        *)
+(* Baseline and gates                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let write_baseline path rows =
-  let oc = open_out path in
-  output_string oc "{\n";
-  output_string oc "  \"generated_by\": \"dune exec bench/main.exe -- --only macro\",\n";
-  output_string oc "  \"benchmarks\": [\n";
-  let count = List.length rows in
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    {\"n\": %d, \"sim_s\": %.1f, \"wall_s\": %.2f, \"events\": %d, \
-         \"events_per_s\": %.0f, \"minor_words_per_event\": %.1f, \
-         \"delivered_msgs\": %d, \"minor_words_per_msg\": %.1f, \"confirmed\": %d}%s\n"
-        r.n r.sim_s r.wall_s r.events r.events_per_s r.minor_words_per_event
-        r.delivered_msgs r.minor_words_per_msg r.confirmed
-        (if i = count - 1 then "" else ","))
-    rows;
-  output_string oc "  ]\n}\n";
-  close_out oc
-
-let read_baseline path =
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in path in
-    let entries = ref [] in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         let line =
-           if String.length line > 0 && line.[String.length line - 1] = ',' then
-             String.sub line 0 (String.length line - 1)
-           else line
-         in
-         match
-           Scanf.sscanf_opt line
-             "{\"n\": %d, \"sim_s\": %f, \"wall_s\": %f, \"events\": %d, \
-              \"events_per_s\": %f, \"minor_words_per_event\": %f, \
-              \"delivered_msgs\": %d, \"minor_words_per_msg\": %f, \"confirmed\": %d}"
-             (fun n sim_s wall_s events events_per_s minor_words_per_event delivered_msgs
-                  minor_words_per_msg confirmed ->
-               { n; sim_s; wall_s; events; events_per_s; minor_words_per_event;
-                 delivered_msgs; minor_words_per_msg; confirmed })
-         with
-         | Some r -> entries := r :: !entries
-         | None -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    Some (List.rev !entries)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Rendering and gates                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let render rows =
-  let fmt_rows =
-    List.map
-      (fun r ->
-        [ string_of_int r.n;
-          Printf.sprintf "%.0f" r.sim_s;
-          Printf.sprintf "%.2f" r.wall_s;
-          Printf.sprintf "%.2fM" (float_of_int r.events /. 1e6);
-          Printf.sprintf "%.2fM" (r.events_per_s /. 1e6);
-          Printf.sprintf "%.1f" r.minor_words_per_event;
-          Printf.sprintf "%.1f" r.minor_words_per_msg;
-          string_of_int r.confirmed ])
-      rows
-  in
-  Stats.Text_table.render
-    ~headers:
-      [ "n"; "sim s"; "wall s"; "events"; "events/s"; "words/event"; "words/msg"; "confirmed" ]
-    fmt_rows
-
-let check_regressions ~baseline rows =
-  let failures =
-    List.concat_map
-      (fun r ->
-        match List.find_opt (fun b -> b.n = r.n) baseline with
-        | None -> []
-        | Some b ->
-          let gate what current base =
-            if base > 0. && current > regression_factor *. base then
-              [ ( Printf.sprintf "n=%d %s: %.2f vs baseline %.2f (%.1fx)" r.n what current
-                    base (current /. base),
-                  (Printf.sprintf "n=%d %s" r.n what, current /. base) ) ]
-            else []
-          in
-          gate "wall_s" r.wall_s b.wall_s
-          @ gate "minor_words_per_event" r.minor_words_per_event b.minor_words_per_event
-          (* Gated since the n=300 anomaly: words/msg had crept superlinear
-             in n through [retry_waiting_proposals] allocating a snapshot
-             per datablock arrival; it is flat (~186 at n=128 and n=300)
-             now that the retry pre-scans without allocating, and this
-             gate keeps it that way. *)
-          @ gate "minor_words_per_msg" r.minor_words_per_msg b.minor_words_per_msg)
-      rows
-  in
-  match failures with
-  | [] ->
-    Harness.say "macro: PASS no regressions > %.1fx against %s" regression_factor baseline_file;
-    true
-  | fs ->
-    List.iter (fun (f, _) -> Harness.say "REGRESSION %s" f) fs;
-    let worst_name, worst_factor =
-      List.fold_left
-        (fun ((_, wf) as acc) (_, (name, f)) -> if f > wf then (name, f) else acc)
-        ("", 0.) fs
-    in
-    Harness.say "macro: FAIL %d gate(s) exceeded %.1fx vs %s (worst %s %.1fx)" (List.length fs)
-      regression_factor baseline_file worst_name worst_factor;
-    false
+let schema =
+  Bench_gate.
+    [ int ~key:true "n" (fun r -> r.n);
+      float 1 "sim_s" (fun r -> r.sim_s);
+      float 2 "wall_s" ~gate:Lower_is_better (fun r -> r.wall_s);
+      int "events" (fun r -> r.events);
+      float 0 "events_per_s" (fun r -> r.events_per_s);
+      float 1 "minor_words_per_event" ~gate:Lower_is_better (fun r -> r.minor_words_per_event);
+      int "delivered_msgs" (fun r -> r.delivered_msgs);
+      (* Gated since the n=300 anomaly: words/msg had crept superlinear
+         in n through [retry_waiting_proposals] allocating a snapshot
+         per datablock arrival; it is flat (~186 at n=128 and n=300)
+         now that the retry pre-scans without allocating, and this
+         gate keeps it that way. *)
+      float 1 "minor_words_per_msg" ~gate:Lower_is_better (fun r -> r.minor_words_per_msg);
+      int "confirmed" (fun r -> r.confirmed) ]
 
 let run ~fast ~check =
   let rows =
@@ -214,16 +116,4 @@ let run ~fast ~check =
       (ns ~fast)
   in
   Harness.say "";
-  Harness.say "%s" (render rows);
-  Harness.say "";
-  if check then begin
-    match read_baseline baseline_file with
-    | None | Some [] ->
-      Harness.say "no baseline %s found; writing a fresh one" baseline_file;
-      write_baseline baseline_file rows
-    | Some baseline -> if not (check_regressions ~baseline rows) then exit 1
-  end
-  else begin
-    write_baseline baseline_file rows;
-    Harness.say "baseline written to %s" baseline_file
-  end
+  Bench_gate.finish ~id:"macro" ~file:"BENCH_sim.json" ~check [ Bench_gate.table schema rows ]

@@ -27,14 +27,6 @@ type result = {
   minor_words_per_op : float;
 }
 
-let baseline_file = "BENCH_micro.json"
-let regression_factor = 2.0
-
-(* A pure ratio gate is meaningless for single-digit-ns primitives (the
-   obs counter bump): scheduler jitter alone doubles them. A regression
-   must also lose this many absolute ns/op to count. *)
-let regression_floor_ns = 25.
-
 (* ------------------------------------------------------------------ *)
 (* Measurement                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -140,134 +132,36 @@ let run_all ~fast =
        fun () -> Obs.Histogram.record h 48_213) ]
 
 (* ------------------------------------------------------------------ *)
-(* JSON baseline                                                       *)
+(* Baseline and gates                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let write_baseline path results =
-  let oc = open_out path in
-  output_string oc "{\n";
-  output_string oc "  \"generated_by\": \"dune exec bench/main.exe -- --only micro\",\n";
-  output_string oc "  \"benchmarks\": [\n";
-  let n = List.length results in
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    {\"name\": %S, \"ns_per_op\": %.1f, \"mb_per_s\": %.2f, \"minor_words_per_op\": %.1f}%s\n"
-        r.name r.ns_per_op r.mb_per_s r.minor_words_per_op
-        (if i = n - 1 then "" else ","))
-    results;
-  output_string oc "  ]\n}\n";
-  close_out oc
-
-(* Reads exactly the shape [write_baseline] produces: one benchmark per
-   line. Unparseable lines are skipped, so the file tolerates hand edits
-   to the header fields. *)
-let read_baseline path =
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in path in
-    let entries = ref [] in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         let line =
-           if String.length line > 0 && line.[String.length line - 1] = ',' then
-             String.sub line 0 (String.length line - 1)
-           else line
-         in
-         match
-           Scanf.sscanf_opt line
-             "{\"name\": %S, \"ns_per_op\": %f, \"mb_per_s\": %f, \"minor_words_per_op\": %f}"
-             (fun name ns mb words ->
-               { name; ns_per_op = ns; mb_per_s = mb; minor_words_per_op = words })
-         with
-         | Some r -> entries := r :: !entries
-         | None -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    Some (List.rev !entries)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Entry point                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let render results =
-  let rows =
-    List.map
-      (fun r ->
-        [ r.name;
-          Printf.sprintf "%.1f" r.ns_per_op;
-          (if r.mb_per_s = 0. then "-" else Printf.sprintf "%.1f" r.mb_per_s);
-          Printf.sprintf "%.1f" r.minor_words_per_op ])
-      results
-  in
-  Stats.Text_table.render ~headers:[ "primitive"; "ns/op"; "MB/s"; "minor words/op" ] rows
-
-let check_regressions ~baseline results =
-  let failures =
-    List.filter_map
-      (fun r ->
-        match List.find_opt (fun b -> b.name = r.name) baseline with
-        | Some b
-          when r.ns_per_op > regression_factor *. b.ns_per_op
-               && r.ns_per_op -. b.ns_per_op > regression_floor_ns ->
-          let factor = r.ns_per_op /. b.ns_per_op in
-          Some
-            ( Printf.sprintf "%s: %.1f ns/op vs baseline %.1f ns/op (%.1fx)" r.name r.ns_per_op
-                b.ns_per_op factor,
-              (r.name, factor) )
-        | _ -> None)
-      results
-  in
-  match failures with
-  | [] ->
-    Harness.say "micro: PASS no regressions > %.1fx against %s" regression_factor baseline_file;
-    true
-  | fs ->
-    List.iter (fun (f, _) -> Harness.say "REGRESSION %s" f) fs;
-    let worst_name, worst_factor =
-      List.fold_left
-        (fun ((_, wf) as acc) (_, (name, f)) -> if f > wf then (name, f) else acc)
-        ("", 0.) fs
-    in
-    Harness.say "micro: FAIL %d/%d benchmarks regressed beyond %.1fx vs %s (worst %s %.1fx)"
-      (List.length fs) (List.length results) regression_factor baseline_file worst_name
-      worst_factor;
-    false
+(* A pure ratio gate is meaningless for single-digit-ns primitives (the
+   obs counter bump): scheduler jitter alone doubles them. A regression
+   must also lose 25 absolute ns/op to count. *)
+let schema =
+  Bench_gate.
+    [ str ~key:true "name" (fun (r : result) -> r.name);
+      float 1 "ns_per_op" ~gate:Lower_is_better ~floor:25. (fun r -> r.ns_per_op);
+      float 2 "mb_per_s" (fun r -> r.mb_per_s);
+      float 1 "minor_words_per_op" (fun r -> r.minor_words_per_op) ]
 
 (* The observability promise is "a counter bump costs nothing": gate it
    absolutely, independent of any baseline. OLS noise on a free op sits
    well under half a word. *)
 let alloc_budget_words = 0.5
 
-let check_alloc_gate results =
-  match List.find_opt (fun r -> r.name = "obs/counter-bump") results with
-  | None -> true
-  | Some r when r.minor_words_per_op <= alloc_budget_words ->
-    Harness.say "micro: PASS obs/counter-bump allocates %.2f minor words/op (budget %.1f)"
-      r.minor_words_per_op alloc_budget_words;
-    true
-  | Some r ->
-    Harness.say "micro: FAIL obs/counter-bump allocates %.2f minor words/op (budget %.1f)"
-      r.minor_words_per_op alloc_budget_words;
-    false
+let alloc_gate results =
+  List.filter_map
+    (fun r ->
+      if r.name = "obs/counter-bump" && not (r.minor_words_per_op <= alloc_budget_words) then
+        Some
+          (Bench_gate.failure "name=obs/counter-bump minor_words_per_op"
+             (Printf.sprintf "obs/counter-bump allocates %.2f minor words/op (budget %.1f)"
+                r.minor_words_per_op alloc_budget_words))
+      else None)
+    results
 
 let run ~fast ~check =
   let results = run_all ~fast in
-  Harness.say "%s" (render results);
-  Harness.say "";
-  if check then begin
-    let alloc_ok = check_alloc_gate results in
-    (match read_baseline baseline_file with
-     | None | Some [] ->
-       Harness.say "no baseline %s found; writing a fresh one" baseline_file;
-       write_baseline baseline_file results
-     | Some baseline -> if not (check_regressions ~baseline results) then exit 1);
-    if not alloc_ok then exit 1
-  end
-  else begin
-    write_baseline baseline_file results;
-    Harness.say "baseline written to %s" baseline_file
-  end
+  Bench_gate.finish ~id:"micro" ~file:"BENCH_micro.json" ~check ~absolute:(alloc_gate results)
+    [ Bench_gate.table schema results ]

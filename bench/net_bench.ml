@@ -55,8 +55,6 @@ type overload_row = {
   bulk_drop_ratio : float;    (* dropped bulk frames / offered bulk frames *)
 }
 
-let baseline_file = "BENCH_net.json"
-let regression_factor = 2.0
 let chunk = 256 (* multicasts per batch; bounded well below the HWM *)
 
 (* ------------------------------------------------------------------ *)
@@ -242,182 +240,45 @@ let run_overload ~fast n =
 let overload_ns = [ 4 ]
 
 (* ------------------------------------------------------------------ *)
-(* JSON baseline (same line-per-entry shape as BENCH_sim.json)          *)
+(* Baseline and gates                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let write_baseline path rows orows =
-  let oc = open_out path in
-  output_string oc "{\n";
-  output_string oc "  \"generated_by\": \"dune exec bench/main.exe -- --only net\",\n";
-  output_string oc "  \"benchmarks\": [\n";
-  let count = List.length rows + List.length orows in
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    {\"n\": %d, \"wall_s\": %.2f, \"frames\": %d, \"frames_per_s\": %.0f, \
-         \"writes_per_frame\": %.4f, \"reads_per_frame\": %.4f, \
-         \"minor_words_per_frame\": %.1f}%s\n"
-        r.n r.wall_s r.frames r.frames_per_s r.writes_per_frame r.reads_per_frame
-        r.minor_words_per_frame
-        (if i = count - 1 then "" else ","))
-    rows;
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    {\"leg\": \"overload\", \"n\": %d, \"wall_s\": %.2f, \
-         \"consensus_frames\": %d, \"consensus_frames_per_s\": %.0f, \
-         \"consensus_drops\": %d, \"bulk_drop_ratio\": %.3f}%s\n"
-        r.o_n r.o_wall_s r.consensus_frames r.consensus_frames_per_s
-        r.consensus_drops r.bulk_drop_ratio
-        (if List.length rows + i = count - 1 then "" else ","))
-    orows;
-  output_string oc "  ]\n}\n";
-  close_out oc
+let schema =
+  Bench_gate.
+    [ int ~key:true "n" (fun r -> r.n);
+      float 2 "wall_s" (fun r -> r.wall_s);
+      int "frames" (fun r -> r.frames);
+      float 0 "frames_per_s" ~gate:Higher_is_better (fun r -> r.frames_per_s);
+      float 4 "writes_per_frame" ~gate:Lower_is_better (fun r -> r.writes_per_frame);
+      float 4 "reads_per_frame" ~gate:Lower_is_better (fun r -> r.reads_per_frame);
+      float 1 "minor_words_per_frame" ~gate:Lower_is_better (fun r -> r.minor_words_per_frame) ]
 
-let read_baseline path =
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in path in
-    let entries = ref [] in
-    let oentries = ref [] in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         let line =
-           if String.length line > 0 && line.[String.length line - 1] = ',' then
-             String.sub line 0 (String.length line - 1)
-           else line
-         in
-         match
-           Scanf.sscanf_opt line
-             "{\"n\": %d, \"wall_s\": %f, \"frames\": %d, \"frames_per_s\": %f, \
-              \"writes_per_frame\": %f, \"reads_per_frame\": %f, \
-              \"minor_words_per_frame\": %f}"
-             (fun n wall_s frames frames_per_s writes_per_frame reads_per_frame
-                  minor_words_per_frame ->
-               { n; wall_s; frames; frames_per_s; writes_per_frame; reads_per_frame;
-                 minor_words_per_frame })
-         with
-         | Some r -> entries := r :: !entries
-         | None -> (
-           match
-             Scanf.sscanf_opt line
-               "{\"leg\": \"overload\", \"n\": %d, \"wall_s\": %f, \
-                \"consensus_frames\": %d, \"consensus_frames_per_s\": %f, \
-                \"consensus_drops\": %d, \"bulk_drop_ratio\": %f}"
-               (fun o_n o_wall_s consensus_frames consensus_frames_per_s
-                    consensus_drops bulk_drop_ratio ->
-                 { o_n; o_wall_s; consensus_frames; consensus_frames_per_s;
-                   consensus_drops; bulk_drop_ratio })
-           with
-           | Some r -> oentries := r :: !oentries
-           | None -> ())
-       done
-     with End_of_file -> ());
-    close_in ic;
-    Some (List.rev !entries, List.rev !oentries)
-  end
+(* The overload gate is two-headed: delivered consensus throughput gates
+   against the baseline like the other legs, and any consensus-kind
+   backpressure drop fails outright (the policy's invariant, not a
+   relative measure). *)
+let overload_schema =
+  Bench_gate.
+    [ str ~key:true "leg" (fun _ -> "overload");
+      int ~key:true "n" (fun r -> r.o_n);
+      float 2 "wall_s" (fun r -> r.o_wall_s);
+      int "consensus_frames" (fun r -> r.consensus_frames);
+      float 0 "consensus_frames_per_s" ~gate:Higher_is_better (fun r -> r.consensus_frames_per_s);
+      int "consensus_drops" (fun r -> r.consensus_drops);
+      float 3 "bulk_drop_ratio" (fun r -> r.bulk_drop_ratio) ]
 
-(* ------------------------------------------------------------------ *)
-(* Rendering and gates                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let render rows =
-  let fmt_rows =
-    List.map
-      (fun r ->
-        [ string_of_int r.n;
-          Printf.sprintf "%.2f" r.wall_s;
-          string_of_int r.frames;
-          Printf.sprintf "%.0fk" (r.frames_per_s /. 1e3);
-          Printf.sprintf "%.4f" r.writes_per_frame;
-          Printf.sprintf "%.4f" r.reads_per_frame;
-          Printf.sprintf "%.1f" r.minor_words_per_frame ])
-      rows
-  in
-  Stats.Text_table.render
-    ~headers:
-      [ "n"; "wall s"; "frames"; "frames/s"; "writes/frame"; "reads/frame"; "words/frame" ]
-    fmt_rows
-
-(* The overload gate is two-headed: any consensus-kind backpressure drop
-   fails outright (the policy's invariant, not a relative measure), and
-   delivered consensus throughput gates 2x against the baseline like the
-   other legs. *)
-let check_overload ~baseline orows =
-  let failures =
-    List.concat_map
-      (fun r ->
-        let invariant =
-          if r.consensus_drops > 0 then
-            [ Printf.sprintf
-                "overload n=%d: %d consensus-kind frames dropped under backpressure \
-                 (must be 0)"
-                r.o_n r.consensus_drops ]
-          else []
-        in
-        let slower =
-          match List.find_opt (fun b -> b.o_n = r.o_n) baseline with
-          | Some b
-            when r.consensus_frames_per_s > 0.
-                 && b.consensus_frames_per_s
-                    > regression_factor *. r.consensus_frames_per_s ->
-            [ Printf.sprintf
-                "overload n=%d consensus_frames_per_s: %.0f vs baseline %.0f (%.1fx \
-                 slower)"
-                r.o_n r.consensus_frames_per_s b.consensus_frames_per_s
-                (b.consensus_frames_per_s /. r.consensus_frames_per_s) ]
-          | _ -> []
-        in
-        invariant @ slower)
-      orows
-  in
-  List.iter (fun f -> Harness.say "REGRESSION %s" f) failures;
-  failures = []
-
-let check_regressions ~baseline rows =
-  let failures =
-    List.concat_map
-      (fun r ->
-        match List.find_opt (fun b -> b.n = r.n) baseline with
-        | None -> []
-        | Some b ->
-          (* higher-is-worse metrics gate on current > 2x base; the
-             throughput gates on current < base / 2. *)
-          let worse what current base =
-            if base > 0. && current > regression_factor *. base then
-              [ ( Printf.sprintf "n=%d %s: %.4f vs baseline %.4f (%.1fx)" r.n what current
-                    base (current /. base),
-                  (Printf.sprintf "n=%d %s" r.n what, current /. base) ) ]
-            else []
-          in
-          let slower what current base =
-            if current > 0. && base > regression_factor *. current then
-              [ ( Printf.sprintf "n=%d %s: %.0f vs baseline %.0f (%.1fx slower)" r.n what
-                    current base (base /. current),
-                  (Printf.sprintf "n=%d %s" r.n what, base /. current) ) ]
-            else []
-          in
-          slower "frames_per_s" r.frames_per_s b.frames_per_s
-          @ worse "writes_per_frame" r.writes_per_frame b.writes_per_frame
-          @ worse "reads_per_frame" r.reads_per_frame b.reads_per_frame
-          @ worse "minor_words_per_frame" r.minor_words_per_frame b.minor_words_per_frame)
-      rows
-  in
-  match failures with
-  | [] ->
-    Harness.say "net: PASS no regressions > %.1fx against %s" regression_factor baseline_file;
-    true
-  | fs ->
-    List.iter (fun (f, _) -> Harness.say "REGRESSION %s" f) fs;
-    let worst_name, worst_factor =
-      List.fold_left
-        (fun ((_, wf) as acc) (_, (name, f)) -> if f > wf then (name, f) else acc)
-        ("", 0.) fs
-    in
-    Harness.say "net: FAIL %d gate(s) exceeded %.1fx vs %s (worst %s %.1fx)" (List.length fs)
-      regression_factor baseline_file worst_name worst_factor;
-    false
+let drop_gate orows =
+  List.filter_map
+    (fun r ->
+      if r.consensus_drops > 0 then
+        Some
+          (Bench_gate.failure
+             (Printf.sprintf "leg=overload n=%d consensus_drops" r.o_n)
+             (Printf.sprintf
+                "overload n=%d: %d consensus-kind frames dropped under backpressure (must be 0)"
+                r.o_n r.consensus_drops))
+      else None)
+    orows
 
 let run ~fast ~check =
   let rows =
@@ -443,19 +304,5 @@ let run ~fast ~check =
       overload_ns
   in
   Harness.say "";
-  Harness.say "%s" (render rows);
-  Harness.say "";
-  if check then begin
-    match read_baseline baseline_file with
-    | None | Some ([], _) ->
-      Harness.say "no baseline %s found; writing a fresh one" baseline_file;
-      write_baseline baseline_file rows orows
-    | Some (baseline, obaseline) ->
-      let ok_rows = check_regressions ~baseline rows in
-      let ok_overload = check_overload ~baseline:obaseline orows in
-      if not (ok_rows && ok_overload) then exit 1
-  end
-  else begin
-    write_baseline baseline_file rows orows;
-    Harness.say "baseline written to %s" baseline_file
-  end
+  Bench_gate.finish ~id:"net" ~file:"BENCH_net.json" ~check ~absolute:(drop_gate orows)
+    [ Bench_gate.table schema rows; Bench_gate.table overload_schema orows ]

@@ -2,20 +2,12 @@
    against inline verification, with a JSON baseline and regression
    gates.
 
-   Two parts:
-
-   - Batch datablock verification (the Merkle + signature check of
-     Algorithm 1) over fresh clones each round — memo fields reset via
-     [Datablock.of_wire] so every round recomputes the real crypto —
-     single-threaded inline vs pools of 1, 2 and 4 worker domains.
-     The d4/d1 ratio is the headline speedup.
-
-   - An n=16 loopback TCP cluster with the pool off, then on: the
-     pool-off leg's confirmed count becomes the pool-on leg's
-     [min_confirmed] target, so "pool on confirms no fewer requests
-     than pool off" is checked by construction (the on-leg only
-     finishes early by reaching it; falling short shows up as a
-     smaller confirmed count and fails the gate).
+   Batch datablock verification (the Merkle + signature check of
+   Algorithm 1) over fresh clones each round — memo fields reset via
+   [Datablock.of_wire] so every round recomputes the real crypto —
+   single-threaded inline vs pools of 1, 2 and 4 worker domains. The
+   d4/d1 ratio is the headline speedup. The end-to-end number for the
+   pool on the TCP plane is tcpbench's (tcpbench/README.md).
 
    Caveat recorded in the JSON: a host without spare cores (the CI
    container has one) cannot express a parallel speedup — workers and
@@ -30,7 +22,7 @@
 
    The run writes [BENCH_verify.json]; with [--check-regressions] it
    compares against the checked-in baseline and exits nonzero when any
-   leg got more than 2x slower (blocks/s, TCP throughput). *)
+   leg got more than 2x slower (blocks/s). *)
 
 type db_row = {
   leg : string; (* "inline" | "d1" | "d2" | "d4" *)
@@ -39,16 +31,6 @@ type db_row = {
   blocks_per_s : float;
 }
 
-type tcp_row = {
-  pool : string; (* "off" | "on" *)
-  tcp_n : int;
-  offered : int;
-  confirmed : int;
-  throughput : float;
-}
-
-let baseline_file = "BENCH_verify.json"
-let regression_factor = 2.0
 let speedup_target = 2.5
 let n_blocks = 64
 
@@ -118,167 +100,15 @@ let run_db_leg ~window ~pks ~domains blocks =
           (if wall_s <= 0. then 0. else float_of_int !verified /. wall_s) })
 
 (* ------------------------------------------------------------------ *)
-(* n=16 TCP cluster, pool off vs on                                    *)
+(* Baseline and gates                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let tcp_n = 16
-
-let tcp_cfg () =
-  (* Small batches and snappy timers (the transport tests' shape, at
-     n=16): commits every few tens of milliseconds, so a short window
-     still carries thousands of requests through the full verify path. *)
-  Core.Config.make ~n:tcp_n ~alpha:10 ~bft_size:2 ~k:16 ~payload:64
-    ~datablock_timeout:(Sim.Sim_time.ms 20) ~proposal_timeout:(Sim.Sim_time.ms 20)
-    ~view_timeout:(Sim.Sim_time.s 120) ~fetch_grace:(Sim.Sim_time.ms 200)
-    ~cost:Crypto.Cost_model.free ()
-
-let run_tcp_leg ~fast ~pool ~min_confirmed () =
-  (* The chasing leg (min_confirmed set) gets a doubled load window: it
-     stops early on reaching the target, so the extra headroom only
-     matters when it is genuinely slower — which is what the gate is
-     for. Without the headroom the window can close before the target
-     count has even been offered and the gate trips on timing noise. *)
-  let base = if fast then 2 else 4 in
-  let duration =
-    Sim.Sim_time.s (match min_confirmed with Some _ -> 2 * base | None -> base)
-  in
-  let r =
-    Transport.Cluster.run ~cfg:(tcp_cfg ()) ~load:2000. ~duration
-      ~drain:(Sim.Sim_time.s 10)
-      ?min_confirmed
-      ~verify_domains:(if pool then 2 else 0)
-      ()
-  in
-  if not r.Transport.Cluster.ledgers_agree then
-    failwith "verify bench: TCP ledgers diverged";
-  { pool = (if pool then "on" else "off");
-    tcp_n;
-    offered = r.Transport.Cluster.offered;
-    confirmed = r.Transport.Cluster.confirmed;
-    throughput = r.Transport.Cluster.throughput }
-
-(* ------------------------------------------------------------------ *)
-(* JSON baseline (same line-per-entry shape as BENCH_net.json)          *)
-(* ------------------------------------------------------------------ *)
-
-let write_baseline path ~host_cores ~speedup4 db_rows tcp_rows =
-  let oc = open_out path in
-  output_string oc "{\n";
-  output_string oc "  \"generated_by\": \"dune exec bench/main.exe -- --only verify\",\n";
-  Printf.fprintf oc "  \"host\": {\"recommended_domains\": %d},\n" host_cores;
-  Printf.fprintf oc "  \"speedup_d4_vs_d1\": %.2f,\n" speedup4;
-  output_string oc "  \"benchmarks\": [\n";
-  List.iter
-    (fun r ->
-      Printf.fprintf oc
-        "    {\"leg\": \"%s\", \"blocks\": %d, \"wall_s\": %.2f, \"blocks_per_s\": %.0f},\n"
-        r.leg r.blocks r.wall_s r.blocks_per_s)
-    db_rows;
-  let count = List.length tcp_rows in
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    {\"tcp_n\": %d, \"pool\": \"%s\", \"offered\": %d, \"confirmed\": %d, \
-         \"throughput\": %.0f}%s\n"
-        r.tcp_n r.pool r.offered r.confirmed r.throughput
-        (if i = count - 1 then "" else ","))
-    tcp_rows;
-  output_string oc "  ]\n}\n";
-  close_out oc
-
-let read_baseline path =
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in path in
-    let dbs = ref [] and tcps = ref [] in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         let line =
-           if String.length line > 0 && line.[String.length line - 1] = ',' then
-             String.sub line 0 (String.length line - 1)
-           else line
-         in
-         (match
-            Scanf.sscanf_opt line
-              "{\"leg\": \"%s@\", \"blocks\": %d, \"wall_s\": %f, \"blocks_per_s\": %f}"
-              (fun leg blocks wall_s blocks_per_s -> { leg; blocks; wall_s; blocks_per_s })
-          with
-         | Some r -> dbs := r :: !dbs
-         | None -> ());
-         match
-           Scanf.sscanf_opt line
-             "{\"tcp_n\": %d, \"pool\": \"%s@\", \"offered\": %d, \"confirmed\": %d, \
-              \"throughput\": %f}"
-             (fun tcp_n pool offered confirmed throughput ->
-               { tcp_n; pool; offered; confirmed; throughput })
-         with
-         | Some r -> tcps := r :: !tcps
-         | None -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    Some (List.rev !dbs, List.rev !tcps)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Rendering and gates                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let render_db rows =
-  Stats.Text_table.render
-    ~headers:[ "leg"; "blocks"; "wall s"; "blocks/s" ]
-    (List.map
-       (fun r ->
-         [ r.leg; string_of_int r.blocks; Printf.sprintf "%.2f" r.wall_s;
-           Printf.sprintf "%.0f" r.blocks_per_s ])
-       rows)
-
-let render_tcp rows =
-  Stats.Text_table.render
-    ~headers:[ "n"; "pool"; "offered"; "confirmed"; "req/s" ]
-    (List.map
-       (fun r ->
-         [ string_of_int r.tcp_n; r.pool; string_of_int r.offered;
-           string_of_int r.confirmed; Printf.sprintf "%.0f" r.throughput ])
-       rows)
-
-let check_regressions ~db_base ~tcp_base db_rows tcp_rows =
-  let failures = ref [] in
-  let slower what current base =
-    if current > 0. && base > regression_factor *. current then
-      failures :=
-        Printf.sprintf "%s: %.0f vs baseline %.0f (%.1fx slower)" what current base
-          (base /. current)
-        :: !failures
-  in
-  List.iter
-    (fun r ->
-      match List.find_opt (fun b -> String.equal b.leg r.leg) db_base with
-      | Some b -> slower (Printf.sprintf "%s blocks_per_s" r.leg) r.blocks_per_s b.blocks_per_s
-      | None -> ())
-    db_rows;
-  List.iter
-    (fun (r : tcp_row) ->
-      match
-        List.find_opt (fun (b : tcp_row) -> String.equal b.pool r.pool && b.tcp_n = r.tcp_n)
-          tcp_base
-      with
-      | Some b ->
-        slower (Printf.sprintf "tcp n=%d pool=%s throughput" r.tcp_n r.pool) r.throughput
-          b.throughput
-      | None -> ())
-    tcp_rows;
-  match !failures with
-  | [] ->
-    Harness.say "verify: PASS no regressions > %.1fx against %s" regression_factor
-      baseline_file;
-    true
-  | fs ->
-    List.iter (fun f -> Harness.say "REGRESSION %s" f) fs;
-    Harness.say "verify: FAIL %d gate(s) exceeded %.1fx vs %s" (List.length fs)
-      regression_factor baseline_file;
-    false
+let schema =
+  Bench_gate.
+    [ str ~key:true "leg" (fun r -> r.leg);
+      int "blocks" (fun r -> r.blocks);
+      float 2 "wall_s" (fun r -> r.wall_s);
+      float 0 "blocks_per_s" ~gate:Higher_is_better (fun r -> r.blocks_per_s) ]
 
 let run ~fast ~check =
   let host_cores = Domain.recommended_domain_count () in
@@ -299,54 +129,24 @@ let run ~fast ~check =
     | None -> 0.
   in
   let speedup4 = if rate "d1" > 0. then rate "d4" /. rate "d1" else 0. in
-  Harness.say "";
-  Harness.say "%s" (render_db db_rows);
-  Harness.say "";
   Harness.say "  d4 vs d1 speedup: %.2fx (host recommended_domain_count = %d)" speedup4
     host_cores;
-  let off = run_tcp_leg ~fast ~pool:false ~min_confirmed:None () in
-  Harness.say "  tcp n=%d pool=off: %d confirmed (%.0f req/s)" tcp_n off.confirmed
-    off.throughput;
-  (* The on-leg chases the off-leg's confirmed count: reaching it ends
-     the load window early, so "no fewer requests than pool-off" is the
-     success condition, not a tuning accident. *)
-  let on = run_tcp_leg ~fast ~pool:true ~min_confirmed:(Some off.confirmed) () in
-  Harness.say "  tcp n=%d pool=on : %d confirmed (%.0f req/s)" tcp_n on.confirmed
-    on.throughput;
-  let tcp_rows = [ off; on ] in
-  Harness.say "";
-  Harness.say "%s" (render_tcp tcp_rows);
-  Harness.say "";
-  let pool_keeps_up = on.confirmed >= off.confirmed in
-  if not pool_keeps_up then
-    Harness.say "GATE pool-on confirmed %d < pool-off %d at n=%d" on.confirmed off.confirmed
-      tcp_n;
-  let speedup_ok =
-    if host_cores >= 5 then begin
-      if speedup4 < speedup_target then
-        Harness.say "GATE d4 speedup %.2fx < %.1fx with %d cores available" speedup4
-          speedup_target host_cores;
-      speedup4 >= speedup_target
-    end
-    else begin
+  let speedup_gate =
+    if host_cores < 5 then begin
       Harness.say
         "  speedup gate skipped: host has %d recommended domains (< 5); workers time-share"
         host_cores;
-      true
+      []
     end
+    else if not (speedup4 >= speedup_target) then
+      [ Bench_gate.failure "speedup_d4_vs_d1"
+          (Printf.sprintf "d4 speedup %.2fx < %.1fx with %d cores available" speedup4
+             speedup_target host_cores) ]
+    else []
   in
-  if check then begin
-    let gates_ok = pool_keeps_up && speedup_ok in
-    match read_baseline baseline_file with
-    | None | Some ([], []) ->
-      Harness.say "no baseline %s found; writing a fresh one" baseline_file;
-      write_baseline baseline_file ~host_cores ~speedup4 db_rows tcp_rows;
-      if not gates_ok then exit 1
-    | Some (db_base, tcp_base) ->
-      let regress_ok = check_regressions ~db_base ~tcp_base db_rows tcp_rows in
-      if not (regress_ok && gates_ok) then exit 1
-  end
-  else begin
-    write_baseline baseline_file ~host_cores ~speedup4 db_rows tcp_rows;
-    Harness.say "baseline written to %s" baseline_file
-  end
+  Harness.say "";
+  Bench_gate.finish ~id:"verify" ~file:"BENCH_verify.json" ~check
+    ~header:
+      [ ("host", Printf.sprintf "{\"recommended_domains\": %d}" host_cores);
+        ("speedup_d4_vs_d1", Printf.sprintf "%.2f" speedup4) ]
+    ~absolute:speedup_gate [ Bench_gate.table schema db_rows ]

@@ -18,7 +18,7 @@ ref="${1:-HEAD}"
 # trend FILE IDKEYS METRIC — IDKEYS is a space-separated list of JSON
 # keys whose values (joined) identify a benchmark line; METRIC is the
 # headline number to diff. Lines without METRIC are skipped, so one file
-# can hold several benchmark shapes (BENCH_verify.json does).
+# can hold several benchmark shapes (BENCH_net.json does).
 trend() {
   local file="$1" idkeys="$2" metric="$3"
   [ -f "$file" ] || return 0
@@ -79,6 +79,5 @@ trend BENCH_sim.json "n" events_per_s
 trend BENCH_net.json "n" frames_per_s
 trend BENCH_net.json "leg n" consensus_frames_per_s
 trend BENCH_verify.json "leg" blocks_per_s
-trend BENCH_verify.json "tcp_n pool" throughput
 trend BENCH_store.json "policy" records_per_s
 exit 0

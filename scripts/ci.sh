@@ -7,7 +7,7 @@
 # Each step's output is also captured under _ci_logs/<step>.log; when
 # $GITHUB_STEP_SUMMARY is set (GitHub Actions), the same table is
 # appended there as GitHub-flavored markdown, with each bench step's
-# regression verdict (including the worst offender on failure) pulled
+# regression verdict (including the worst offender) pulled
 # from its log into the Note column.
 set -u -o pipefail
 cd "$(dirname "$0")/.."
@@ -25,8 +25,9 @@ run_step() {
   local note=""
   case "$name" in
   bench-*)
-    # the bench's own verdict line: "micro: PASS no regressions ..." or
-    # "micro: FAIL ... (worst <id> <factor>x)"
+    # the bench's one verdict line, printed by bench/bench_gate.ml:
+    # "micro: PASS no regressions ... (worst <row> <metric> <ratio>x)" or
+    # "micro: FAIL <k> gate(s) failed ... (worst <row> <metric> ...)"
     note=$(grep -E ': (PASS|FAIL) ' "$log" | tail -1 || true)
     ;;
   esac
