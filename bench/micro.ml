@@ -2,8 +2,8 @@
 
    Each entry measures one primitive under the simulator's hot paths —
    SHA-256 (the digest under every hash link, vote payload and Merkle
-   node), the wire codec, Merkle roots, threshold shares and the event
-   loop — via bechamel's OLS estimator, against both the monotonic clock
+   node), the wire codec, Merkle roots, threshold shares, the simulator's
+   event loop and one round of the TCP plane's event loop — via bechamel's OLS estimator, against both the monotonic clock
    and the minor allocator, so a change that trades time for garbage is
    visible.
 
@@ -58,6 +58,42 @@ let bench_one ~fast ?(bytes_per_op = 0) name f =
 (* ------------------------------------------------------------------ *)
 
 let sha_chunk = 64
+
+(* One [Transport.Loop] round with [fds] watched for reading, both ends
+   of [fds / 2] idle socketpairs, one of which holds an undrained byte,
+   so every round dispatches once and never blocks. 30 and 92 are the
+   fd counts of the n = 4 and n = 7 TCP clusters, 480 saturate-n16's: a
+   round that pays per watched fd shows up as growth across the three. *)
+let loop_round ~fast fds =
+  let loop = Transport.Loop.create () in
+  let pairs = List.init (fds / 2) (fun _ -> Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0) in
+  List.iter
+    (fun (a, b) ->
+      Transport.Loop.watch_read loop a ignore;
+      Transport.Loop.watch_read loop b ignore)
+    pairs;
+  (match pairs with
+  | (_, b) :: _ -> ignore (Unix.write_substring b "x" 0 1 : int)
+  | [] -> ());
+  let once = ref false in
+  let more () =
+    let m = !once in
+    once := false;
+    m
+  in
+  let r =
+    bench_one ~fast (Printf.sprintf "loop/round-%dfd" fds) (fun () ->
+        once := true;
+        Transport.Loop.run_while loop more)
+  in
+  List.iter
+    (fun (a, b) ->
+      Transport.Loop.unwatch loop a;
+      Transport.Loop.unwatch loop b;
+      Unix.close a;
+      Unix.close b)
+    pairs;
+  r
 
 let run_all ~fast =
   let bench name ?bytes_per_op f = bench_one ~fast ?bytes_per_op name f in
@@ -129,7 +165,10 @@ let run_all ~fast =
     bench "obs/hist-record"
       (let reg = Obs.Registry.create () in
        let h = Obs.Registry.histogram reg "bench_lat_ns" in
-       fun () -> Obs.Histogram.record h 48_213) ]
+       fun () -> Obs.Histogram.record h 48_213);
+    loop_round ~fast 30;
+    loop_round ~fast 92;
+    loop_round ~fast 480 ]
 
 (* ------------------------------------------------------------------ *)
 (* Baseline and gates                                                  *)

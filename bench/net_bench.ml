@@ -18,7 +18,8 @@
        encode (amortized over n-1 peers) and the decoded message.
 
    A star, not a full mesh: n=64 needs 63 connections (~130 fds), while a
-   mesh would need ~8000 — past FD_SETSIZE for the select(2) loop. The
+   mesh would need ~8000. That was past FD_SETSIZE for a select(2) loop;
+   the epoll loop has no such cap, and a mesh leg is future work. The
    full protocol over a (small) mesh is exercised by the cluster tests
    and the CLI's local-cluster; this bench pins the data-plane costs.
 

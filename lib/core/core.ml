@@ -29,6 +29,10 @@ module Datablock_pool = Datablock_pool
 module Quorum = Quorum
 (** Threshold-share collection for one voting round. *)
 
+module Watchdog = Watchdog
+(** Re-sent requests awaiting confirmation: the view-change trigger (1)
+    of §4.3. *)
+
 module Ledger = Ledger
 (** The log of confirmed BFTblocks with sequential execution. *)
 

@@ -104,9 +104,7 @@ type t = {
   vc_msgs : (int, (Net.Node_id.t, Msg.view_change) Hashtbl.t) Hashtbl.t;
   mutable new_view_sent_for : int;
   (* watched (re-sent) requests driving the view-change trigger *)
-  watched : (int, Workload.Request.t * Sim_time.t) Hashtbl.t;
-      (* re-sent requests under observation, by batch id, with the
-         instant observation started *)
+  watched : Watchdog.t;
   verified_notarizations : unit Notar_table.t;
       (* notarization proofs already verified — view-change and new-view
          messages repeat the same proofs 2f+1 times, and re-verifying an
@@ -900,34 +898,21 @@ and note_timeout t ~abandoned ~sender =
 
 (* A watched (re-sent) request that stays unconfirmed beyond the view
    timeout is the paper's trigger condition (1). One per-replica
-   watchdog timer scans the watch set — a timer per watched request
+   watchdog timer checks the watch set — a timer per watched request
    would explode under a re-send burst, when every datablock carries
    hundreds of tagged batches to every replica. *)
-let watch_request t batch =
-  if active t && not (Workload.Request.is_confirmed batch) then
-    let id = batch.Workload.Request.id in
-    if not (Hashtbl.mem t.watched id) then Hashtbl.replace t.watched id (batch, now t)
+let watch_request t batch = if active t then Watchdog.watch t.watched ~now:(now t) batch
 
 let watchdog_check t =
-  if active t && Hashtbl.length t.watched > 0 then begin
-    let stale = ref [] in
-    let expired = ref false in
+  if active t && Watchdog.length t.watched > 0 then begin
     (* Give up only when a watched request has waited a full timeout AND
        the view is old enough AND has made no execution progress for a
        full timeout (PBFT restarts its timer on progress). *)
     let grace_end =
       Sim_time.(Sim_time.max t.view_entered_at t.last_execution_at + t.cfg.view_timeout)
     in
-    Hashtbl.iter
-      (fun id (batch, since) ->
-        if Workload.Request.is_confirmed batch then stale := id :: !stale
-        else if
-          Sim_time.compare (now t) Sim_time.(since + t.cfg.view_timeout) >= 0
-          && Sim_time.compare (now t) grace_end >= 0
-        then expired := true)
-      t.watched;
-    List.iter (Hashtbl.remove t.watched) !stale;
-    if !expired then vote_timeout t ~abandoned:t.view
+    if Watchdog.expired t.watched ~now:(now t) ~timeout:t.cfg.view_timeout ~grace_end then
+      vote_timeout t ~abandoned:t.view
   end
 
 let new_view_redo_plan vcs lw =
@@ -1559,7 +1544,7 @@ let create ~platform ~cfg ~id ~sk ~pks ~tsetup ~tkey ?obs ?(strategy = Byzantine
       last_execution_at = Sim_time.zero;
       vc_msgs = Hashtbl.create 8;
       new_view_sent_for = 0;
-      watched = Hashtbl.create 64;
+      watched = Watchdog.create ();
       verified_notarizations = Notar_table.create 64;
       crashed = false;
       recovering = false;

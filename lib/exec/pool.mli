@@ -87,7 +87,7 @@ val drain : t -> int
 
 val notify_fd : t -> Unix.file_descr
 (** Read end of a self-pipe: becomes readable when the completion queue
-    transitions empty→non-empty, so a [select]-based owner wakes
+    transitions empty→non-empty, so a poll-based owner wakes
     immediately instead of sleeping out its timeout. {!drain} clears
     it. Do not close it; {!shutdown} does. *)
 

@@ -215,7 +215,7 @@ let create ~cfg ?(load = 2000.) ?outbuf_hwm ?(trace = Sim.Trace.create ~enabled:
      plane — real parallel crypto), sized to leave one core for the
      event loop. [Some 0] disables it (bench baseline); on a small host
      the default degenerates to one worker, still keeping crypto off the
-     select thread. One pool for the in-process cluster: workers only
+     loop thread. One pool for the in-process cluster: workers only
      run pure crypto, so sharing is safe and bounds the domain count. *)
   let verify_pool =
     match verify_domains with
@@ -340,8 +340,8 @@ let create ~cfg ?(load = 2000.) ?outbuf_hwm ?(trace = Sim.Trace.create ~enabled:
      (* Completions are delivered on the loop thread: every dispatch
         round starts with a drain ([on_tick] registered after the Conn
         flush ticks runs before them — newest first), and the pool's
-        notify pipe wakes select the moment a result lands, so verified
-        messages never wait out the select timeout. *)
+        notify pipe wakes the loop the moment a result lands, so verified
+        messages never wait out the poll timeout. *)
      let drain () = ignore (Exec.Pool.drain p : int) in
      on_tick drain;
      Loop.watch_read loop (Exec.Pool.notify_fd p) drain);
@@ -422,8 +422,8 @@ let close t =
     List.iter (Loop.remove_tick t.loop) t.ticks;
     t.ticks <- [];
     Loop.stop t.loop;
-    (* Unwatch the pool's notify fd before shutdown closes it (a closed
-       fd in the select read set would fail the loop), then join the
+    (* Unwatch the pool's notify fd before shutdown closes it (see
+       {!Loop.watch_read} on closing watched fds), then join the
        worker domains. Un-drained continuations are dropped — the
        replicas they would touch are being torn down anyway. *)
     (match t.verify_pool with

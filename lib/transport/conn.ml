@@ -77,7 +77,14 @@ type out_conn = {
   mutable head_off : int;
   mutable pre : string; (* unsent hello prefix on a fresh connection *)
   mutable pre_off : int;
-  mutable backoff_ns : int;
+  mutable backoff_ns : int; (* base of the next redial's delay *)
+  (* The base the redial before this connection waited out, and when
+     the connection came up: only a connection that outlives that wait
+     resets [backoff_ns]. A downed host's listener accepts and closes at
+     once, and resetting on every connect kept its dialers at the base,
+     redialing it many times a second. *)
+  mutable waited_ns : int;
+  mutable up_at_ns : int;
   mutable flush_queued : bool; (* already on the loop-tick flush list *)
   wbuf : Bytes.t; (* pooled gather buffer for coalesced writes *)
 }
@@ -267,7 +274,7 @@ let rec connect_out t oc =
 
 and on_connected t oc fd =
   oc.state <- Connected fd;
-  oc.backoff_ns <- backoff_base_ns;
+  oc.up_at_ns <- Loop.now_ns t.loop;
   oc.pre <- Frame.encode_hello t.id;
   oc.pre_off <- 0;
   oc.head_off <- 0;
@@ -348,7 +355,10 @@ and try_flush t oc =
 
 and fail_out t oc =
   (match oc.state with
-  | Connecting fd | Connected fd -> close_fd t fd
+  | Connected fd ->
+    if Loop.now_ns t.loop - oc.up_at_ns >= oc.waited_ns then oc.backoff_ns <- backoff_base_ns;
+    close_fd t fd
+  | Connecting fd -> close_fd t fd
   | Idle | Waiting _ -> ());
   oc.state <- Idle;
   (* A frame cut mid-write is unrecoverable: the peer's stream ended
@@ -370,6 +380,7 @@ and schedule_redial t oc =
   t.stats.reconnects <- t.stats.reconnects + 1;
   let b = oc.backoff_ns in
   let delay_ns = (b / 2) + Random.State.int t.rng (max 1 (b / 2)) in
+  oc.waited_ns <- b;
   oc.backoff_ns <- min backoff_cap_ns (b * 2);
   let h =
     Loop.schedule t.loop ~delay:(Int64.of_int delay_ns) (fun () ->
@@ -503,6 +514,8 @@ let out_conn t dst =
         pre = "";
         pre_off = 0;
         backoff_ns = backoff_base_ns;
+        waited_ns = 0;
+        up_at_ns = 0;
         flush_queued = false;
         wbuf = Pool.acquire t.pool gather_bytes }
     in
@@ -614,10 +627,22 @@ let multicast t ~n msg =
 
 exception Protocol_violation
 
+(* A hello from [src] proves it is up: a dial to it waiting out a
+   backoff (up to the 2 s cap after a long outage) goes now instead. *)
+let dial_now t src =
+  match Hashtbl.find_opt t.outs src with
+  | Some ({ state = Waiting h; _ } as oc) when not t.down ->
+    Loop.cancel t.loop h;
+    oc.state <- Idle;
+    connect_out t oc
+  | _ -> ()
+
 let handle_frame t ic frame =
   t.stats.frames_recvd <- t.stats.frames_recvd + 1;
   match (ic.src, frame) with
-  | None, Frame.Hello src -> ic.src <- Some src
+  | None, Frame.Hello src ->
+    ic.src <- Some src;
+    dial_now t src
   | Some src, Frame.Msg m -> if not t.down then t.on_msg ~src m
   | None, Frame.Msg _ | Some _, Frame.Hello _ -> raise Protocol_violation
 

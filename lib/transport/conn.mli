@@ -20,7 +20,10 @@
     the next connection (resuming would corrupt the peer's framing).
 
     Failed outgoing connections redial with capped exponential backoff
-    plus jitter. {!set_down} models a crashed host: every connection is
+    plus jitter. The backoff resets only after a connection outlives the
+    wait that preceded it, so a downed host whose listener accepts and
+    then closes is redialed ever more slowly; a hello from a peer whose
+    redial is pending cuts the wait short. {!set_down} models a crashed host: every connection is
     torn down and queued bytes discarded; on revival, peers' backoff
     redials and the node's own lazy dials knit the mesh back together.
 

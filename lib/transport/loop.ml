@@ -9,15 +9,9 @@ type t = {
   cancelled : (int, unit) Hashtbl.t;
   readers : (Unix.file_descr, unit -> unit) Hashtbl.t;
   writers : (Unix.file_descr, unit -> unit) Hashtbl.t;
-  (* Cached fd lists for select(2), rebuilt only when the watch sets
-     change: watch/unwatch churn is rare next to rounds, and folding the
-     tables every round allocated a fresh list pair per iteration. *)
-  mutable rd_cache : Unix.file_descr list;
-  mutable wr_cache : Unix.file_descr list;
-  mutable rd_dirty : bool;
-  mutable wr_dirty : bool;
+  poller : Poller.t;
   (* End-of-phase hooks (see [on_tick]): run after timers fire and after
-     fd dispatch, always before the loop can block in select(2). Keyed
+     fd dispatch, always before the loop can block in the poller. Keyed
      so an owner tearing itself down can deregister ([remove_tick]) and
      stop being kept alive by the loop. *)
   mutable ticks : (tick_handle * (unit -> unit)) list;
@@ -25,7 +19,7 @@ type t = {
   mutable stopped : bool;
 }
 
-let create () =
+let create_on poller =
   (* A peer closing mid-write must surface as EPIPE on the write (handled
      per-connection), not as a process-killing signal. *)
   if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -37,14 +31,15 @@ let create () =
     cancelled = Hashtbl.create 16;
     readers = Hashtbl.create 16;
     writers = Hashtbl.create 16;
-    rd_cache = [];
-    wr_cache = [];
-    rd_dirty = false;
-    wr_dirty = false;
+    poller;
     ticks = [];
     next_tick = 0;
     stopped = false;
   }
+
+let create () = create_on (Poller.create ())
+let create_select () = create_on (Poller.create_select ())
+let uses_epoll t = Poller.is_epoll t.poller
 
 let refresh_clock t =
   let raw = int_of_float ((Unix.gettimeofday () -. t.t0) *. 1e9) in
@@ -91,8 +86,9 @@ let fire_due t =
     else continue := false
   done
 
-(* Seconds until the next live timer, within [0, cap]; [cap] when idle. *)
-let select_timeout t ~cap =
+(* Nanoseconds until the next live timer, within [0, cap]; [cap] when
+   idle. *)
+let wait_timeout_ns t ~cap =
   (* Skip cancelled heads so a pile of cancellations can't force a busy
      poll at their stale deadlines. *)
   let continue = ref true in
@@ -108,47 +104,46 @@ let select_timeout t ~cap =
   if Sim.Heap.is_empty t.timers then cap
   else
     let gap_ns = Sim.Heap.peek_key_ns t.timers - t.clock_ns in
-    if gap_ns <= 0 then 0.
-    else Float.min cap (float_of_int gap_ns *. 1e-9)
+    if gap_ns <= 0 then 0 else min cap gap_ns
 
 (* -- file descriptors --------------------------------------------------- *)
 
+let interest t fd =
+  (if Hashtbl.mem t.readers fd then Poller.read else 0)
+  lor if Hashtbl.mem t.writers fd then Poller.write else 0
+
+(* Tell the poller about a change of [fd]'s interest from [before]. *)
+let sync t fd before =
+  let after = interest t fd in
+  if after <> before then
+    if before = 0 then Poller.add t.poller fd after
+    else if after = 0 then Poller.remove t.poller fd
+    else Poller.modify t.poller fd after
+
 let watch_read t fd f =
-  if not (Hashtbl.mem t.readers fd) then t.rd_dirty <- true;
-  Hashtbl.replace t.readers fd f
+  let before = interest t fd in
+  Hashtbl.replace t.readers fd f;
+  sync t fd before
 
 let watch_write t fd f =
-  if not (Hashtbl.mem t.writers fd) then t.wr_dirty <- true;
-  Hashtbl.replace t.writers fd f
+  let before = interest t fd in
+  Hashtbl.replace t.writers fd f;
+  sync t fd before
 
 let unwatch_write t fd =
   if Hashtbl.mem t.writers fd then begin
+    let before = interest t fd in
     Hashtbl.remove t.writers fd;
-    t.wr_dirty <- true
+    sync t fd before
   end
 
 let unwatch t fd =
-  if Hashtbl.mem t.readers fd then begin
+  let before = interest t fd in
+  if before <> 0 then begin
     Hashtbl.remove t.readers fd;
-    t.rd_dirty <- true
-  end;
-  unwatch_write t fd
-
-let keys tbl = Hashtbl.fold (fun fd _ acc -> fd :: acc) tbl []
-
-let read_fds t =
-  if t.rd_dirty then begin
-    t.rd_cache <- keys t.readers;
-    t.rd_dirty <- false
-  end;
-  t.rd_cache
-
-let write_fds t =
-  if t.wr_dirty then begin
-    t.wr_cache <- keys t.writers;
-    t.wr_dirty <- false
-  end;
-  t.wr_cache
+    Hashtbl.remove t.writers fd;
+    sync t fd before
+  end
 
 let on_tick t f =
   let h = t.next_tick in
@@ -160,34 +155,26 @@ let remove_tick t h = t.ticks <- List.filter (fun (h', _) -> h' <> h) t.ticks
 
 (* -- driving ------------------------------------------------------------ *)
 
-let max_block = 0.05
+let max_block_ns = 50_000_000
 
 let run_ticks t = List.iter (fun (_, f) -> f ()) t.ticks
+
+(* A callback may unwatch (and close) fds that were also ready this
+   round; dispatch only to fds still watched at call time. *)
+let dispatch t tbl n bit =
+  for i = 0 to n - 1 do
+    if Poller.ready_events t.poller i land bit <> 0 then
+      match Hashtbl.find_opt tbl (Poller.ready_fd t.poller i) with
+      | Some f -> f ()
+      | None -> ()
+  done
 
 let round t =
   fire_due t;
   run_ticks t;
-  let timeout = select_timeout t ~cap:max_block in
-  let rds = read_fds t and wrs = write_fds t in
-  let ready_r, ready_w =
-    match Unix.select rds wrs [] timeout with
-    | r, w, _ -> (r, w)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
-  in
-  (* A callback may unwatch (and close) fds that were also ready this
-     round; dispatch only to fds still watched at call time. *)
-  List.iter
-    (fun fd ->
-      match Hashtbl.find_opt t.readers fd with
-      | Some f -> f ()
-      | None -> ())
-    ready_r;
-  List.iter
-    (fun fd ->
-      match Hashtbl.find_opt t.writers fd with
-      | Some f -> f ()
-      | None -> ())
-    ready_w;
+  let n = Poller.wait t.poller ~timeout_ns:(wait_timeout_ns t ~cap:max_block_ns) in
+  dispatch t t.readers n Poller.read;
+  dispatch t t.writers n Poller.write;
   fire_due t;
   run_ticks t
 

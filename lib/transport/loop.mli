@@ -1,4 +1,4 @@
-(** Single-threaded [select]-based event loop with a timer wheel.
+(** Single-threaded event loop with a timer wheel.
 
     The socket runtime's engine: file-descriptor readiness callbacks
     plus monotonic timers, dispatched from one thread — replica code
@@ -12,7 +12,15 @@
     It is derived from the wall clock but clamped to never move
     backwards, so timer order is stable under NTP steps ([Unix] exposes
     no raw monotonic clock; the clamp gives local monotonicity, which
-    is all the timer wheel needs). *)
+    is all the timer wheel needs).
+
+    Readiness comes from epoll(7) on Linux and from select(2)
+    elsewhere, picked at build time. Under epoll a round costs the same
+    whatever the number of watched fds, and fd numbers above
+    [FD_SETSIZE] (1024) work; the epoll fd is opened at the first watch
+    and closed when the last fd is unwatched, so a loop with nothing
+    watched holds no fd. Waits have nanosecond resolution (millisecond,
+    rounded up, on kernels without [epoll_pwait2]). *)
 
 type t
 
@@ -23,6 +31,14 @@ val create : unit -> t
 (** A fresh loop with clock at {!Sim.Sim_time.zero}. Also sets SIGPIPE
     to ignore (process-wide): a peer closing mid-write must surface as
     [EPIPE] on that write, not kill the process. *)
+
+val create_select : unit -> t
+(** As {!create}, but on the portable select(2) poller whatever the
+    platform, which caps fd numbers at 1024 and costs every watched fd
+    on every round. Tests use it to hold both pollers to one
+    behaviour. *)
+
+val uses_epoll : t -> bool
 
 val now : t -> Sim.Sim_time.t
 (** Current loop time (updated at each dispatch round, and on demand by
@@ -46,9 +62,12 @@ val pending_timers : t -> int
 (** {2 File descriptors}
 
     Callbacks are level-triggered: a readable [fd] fires its callback
-    every dispatch round until drained. Always {!unwatch} an [fd]
-    before closing it — a closed fd left in the watch set fails the
-    whole [select]. *)
+    every dispatch round until drained. A callback that unwatches an fd
+    which was also ready in the same round stops that fd's dispatch.
+    Always {!unwatch} an [fd] before closing it: under select(2) a
+    closed fd left in the watch set fails the whole wait, and under
+    epoll the kernel drops it silently while the loop still counts it
+    (keeping the epoll fd open), and a duplicate of it keeps firing. *)
 
 val watch_read : t -> Unix.file_descr -> (unit -> unit) -> unit
 val watch_write : t -> Unix.file_descr -> (unit -> unit) -> unit
@@ -64,7 +83,7 @@ type tick_handle
 val on_tick : t -> (unit -> unit) -> tick_handle
 (** Registers a hook run after every batch of work — after due timers
     fire and after fd callbacks dispatch — and always before the loop
-    can block in select(2). {!Conn} uses this to flush write queues once
+    can block waiting for fds. {!Conn} uses this to flush write queues once
     per batch, so the many small frames one round produces coalesce into
     one [write(2)] per peer instead of one each. *)
 
@@ -77,8 +96,8 @@ val remove_tick : t -> tick_handle -> unit
 
 val run_while : t -> (unit -> bool) -> unit
 (** Dispatches timers and fd events while the predicate holds (checked
-    once per round) and {!stop} has not been called. Rounds block in
-    [select] for at most the gap to the next timer (capped at 50 ms, so
+    once per round) and {!stop} has not been called. Rounds block
+    waiting for fds for at most the gap to the next timer (capped at 50 ms, so
     the predicate stays responsive). *)
 
 val run_for : t -> span:Sim.Sim_time.span -> unit

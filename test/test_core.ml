@@ -418,6 +418,50 @@ let test_msg_view_change_sizes_scale () =
   in
   checkb "NV size ~ linear in carried VCs" true (nv 6 > 5 * nv 1 / 2)
 
+(* -- view-change watchdog ---------------------------------------------- *)
+
+let wd_timeout = Sim_time.ms 100
+
+let test_watchdog_stale_behind_confirmed () =
+  let w = Core.Watchdog.create () in
+  (* 200 re-sent requests, confirmed soon after they are watched (the
+     length passes the compaction threshold on the way), then one that
+     never confirms. *)
+  for i = 0 to 199 do
+    let b = batch () in
+    Core.Watchdog.watch w ~now:(Sim_time.ms i) b;
+    Workload.Request.mark_confirmed b
+  done;
+  Core.Watchdog.watch w ~now:(Sim_time.ms 200) (batch ());
+  let expired now = Core.Watchdog.expired w ~now ~timeout:wd_timeout ~grace_end:Sim_time.zero in
+  checkb "not yet a full timeout after the stale one arrived" false (expired (Sim_time.ms 299));
+  checkb "the stale request triggers a timeout vote" true (expired (Sim_time.ms 300));
+  checki "confirmed requests ahead of it were dropped" 1 (Core.Watchdog.length w)
+
+let test_watchdog_all_confirmed () =
+  let w = Core.Watchdog.create () in
+  let bs = List.init 50 (fun _ -> batch ()) in
+  List.iteri (fun i b -> Core.Watchdog.watch w ~now:(Sim_time.ms i) b) bs;
+  List.iter Workload.Request.mark_confirmed bs;
+  checkb "nothing triggers when every request is confirmed" false
+    (Core.Watchdog.expired w ~now:(Sim_time.s 60) ~timeout:wd_timeout ~grace_end:Sim_time.zero);
+  checki "all dropped" 0 (Core.Watchdog.length w);
+  let b = batch () in
+  Workload.Request.mark_confirmed b;
+  Core.Watchdog.watch w ~now:(Sim_time.s 61) b;
+  checki "a confirmed request is not watched" 0 (Core.Watchdog.length w)
+
+let test_watchdog_grace () =
+  let w = Core.Watchdog.create () in
+  let b = batch () in
+  Core.Watchdog.watch w ~now:Sim_time.zero b;
+  (* Watching the same id again keeps the first instant. *)
+  Core.Watchdog.watch w ~now:(Sim_time.s 5) b;
+  let expired now = Core.Watchdog.expired w ~now ~timeout:wd_timeout ~grace_end:(Sim_time.s 1) in
+  checkb "nothing triggers before the grace period ends" false (expired (Sim_time.ms 999));
+  checkb "triggers once the grace period ends" true (expired (Sim_time.s 1));
+  checki "re-watching an id adds nothing" 1 (Core.Watchdog.length w)
+
 let test_silent_f_selection () =
   let cfg = Core.Config.make ~n:10 () in
   let byz = Core.Runner.silent_f cfg in
@@ -500,6 +544,11 @@ let () =
             test_msg_payload_domain_separation;
           Alcotest.test_case "view-change sizes scale" `Quick
             test_msg_view_change_sizes_scale ] );
+      ( "watchdog",
+        [ Alcotest.test_case "stale request behind confirmed ones" `Quick
+            test_watchdog_stale_behind_confirmed;
+          Alcotest.test_case "all confirmed" `Quick test_watchdog_all_confirmed;
+          Alcotest.test_case "grace period" `Quick test_watchdog_grace ] );
       ("runner", [ Alcotest.test_case "silent_f selection" `Quick test_silent_f_selection ]);
       ( "scaling factor",
         [ Alcotest.test_case "formulas" `Quick test_sf_formulas;

@@ -1,5 +1,6 @@
-(* Transport stack tests: the frame layer bit-for-bit, the select loop's
-   timer semantics, and n = 4 clusters over real loopback TCP — including
+(* Transport stack tests: the frame layer bit-for-bit, the event loop's
+   timer and fd semantics on both pollers, redial backoff, and n = 4
+   clusters over real loopback TCP — including
    the acceptance scenarios: >= 1000 requests confirmed with identical
    state hashes, and a fail-stopped non-leader that the cluster survives
    and that reconnects after revival. *)
@@ -152,6 +153,142 @@ let test_loop_schedule_from_callback () =
   Transport.Loop.run_for loop ~span:(Sim.Sim_time.ms 20);
   checki "chained zero-delay timers both ran" 2 !hits;
   checkb "clock is monotone" true (Transport.Loop.now_ns loop >= 0)
+
+(* -- event loop: file descriptors, on both pollers ------------------------ *)
+
+(* Each fd case runs on the platform poller (epoll on Linux) and on the
+   portable select(2) one. *)
+let pollers =
+  [ ("epoll", true, Transport.Loop.create); ("select", false, Transport.Loop.create_select) ]
+
+let with_loop ~epoll mk f () =
+  let loop = mk () in
+  if epoll && not (Transport.Loop.uses_epoll loop) then
+    print_endline "skipped: no epoll on this platform"
+  else f loop
+
+(* Runs exactly [n] rounds. *)
+let rounds loop n =
+  let left = ref n in
+  Transport.Loop.run_while loop (fun () ->
+      decr left;
+      !left >= 0)
+
+let pair () = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0
+
+let close_pair loop (a, b) =
+  Transport.Loop.unwatch loop a;
+  Unix.close a;
+  Unix.close b
+
+let test_loop_fd_level_triggered loop =
+  let ((a, b) as p) = pair () in
+  ignore (Unix.write_substring b "xyz" 0 3 : int);
+  let fired = ref 0 in
+  let one = Bytes.create 1 in
+  Transport.Loop.watch_read loop a (fun () ->
+      incr fired;
+      ignore (Unix.read a one 0 1 : int));
+  rounds loop 5;
+  checki "one read callback per round until the 3 bytes are drained" 3 !fired;
+  close_pair loop p
+
+let test_loop_fd_unwatch_in_callback loop =
+  let a1, b1 = pair () and a2, b2 = pair () in
+  ignore (Unix.write_substring b1 "x" 0 1 : int);
+  ignore (Unix.write_substring b2 "x" 0 1 : int);
+  let fired = ref [] and closed = ref None in
+  (* Both fds are ready in the same round; whichever runs first
+     unwatches and closes the other. *)
+  let cb mine other () =
+    fired := mine :: !fired;
+    if !closed = None then begin
+      Transport.Loop.unwatch loop other;
+      Unix.close other;
+      closed := Some other
+    end
+  in
+  Transport.Loop.watch_read loop a1 (cb a1 a2);
+  Transport.Loop.watch_read loop a2 (cb a2 a1);
+  rounds loop 1;
+  checki "only the callback that ran first was dispatched" 1 (List.length !fired);
+  let survivor = List.hd !fired in
+  Transport.Loop.unwatch loop survivor;
+  Unix.close survivor;
+  Unix.close b1;
+  Unix.close b2
+
+let test_loop_fd_write_readiness loop =
+  let ((a, b) as p) = pair () in
+  let writable = ref 0 and readable = ref 0 in
+  Transport.Loop.watch_read loop a (fun () ->
+      incr readable;
+      ignore (Unix.read a (Bytes.create 8) 0 8 : int));
+  Transport.Loop.watch_write loop a (fun () ->
+      incr writable;
+      if !writable = 2 then Transport.Loop.unwatch_write loop a);
+  rounds loop 2;
+  checki "an idle socket is writable every round" 2 !writable;
+  rounds loop 2;
+  checki "no write callback after unwatch_write" 2 !writable;
+  checki "nothing to read yet" 0 !readable;
+  ignore (Unix.write_substring b "x" 0 1 : int);
+  rounds loop 1;
+  checki "the read side stays watched" 1 !readable;
+  close_pair loop p
+
+(* /proc/self/limits' soft "Max open files"; [None] when unreadable. *)
+let soft_fd_limit () =
+  match open_in "/proc/self/limits" with
+  | exception Sys_error _ -> None
+  | ic ->
+    let rec scan () =
+      match input_line ic with
+      | exception End_of_file -> None
+      | line when String.starts_with ~prefix:"Max open files" line -> (
+        match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+        | _ :: _ :: _ :: soft :: _ -> int_of_string_opt soft
+        | _ -> None)
+      | _ -> scan ()
+    in
+    let r = scan () in
+    close_in ic;
+    r
+
+let test_loop_fd_above_1024 () =
+  let loop = Transport.Loop.create () in
+  match soft_fd_limit () with
+  | _ when not (Transport.Loop.uses_epoll loop) ->
+    print_endline "skipped: no epoll on this platform"
+  | Some lim when lim >= 2048 ->
+    let a, b = pair () in
+    (* On Unix a file_descr is the fd number. *)
+    let high : Unix.file_descr = Obj.magic 1500 in
+    Unix.dup2 a high;
+    Unix.close a;
+    ignore (Unix.write_substring b "x" 0 1 : int);
+    let fired = ref 0 in
+    Transport.Loop.watch_read loop high (fun () ->
+        incr fired;
+        ignore (Unix.read high (Bytes.create 1) 0 1 : int));
+    rounds loop 1;
+    checki "fd 1500 dispatched" 1 !fired;
+    close_pair loop (high, b)
+  | lim ->
+    Printf.printf "skipped: soft fd limit %s is below 2048\n"
+      (match lim with Some l -> string_of_int l | None -> "unknown")
+
+let loop_fd_cases =
+  List.concat_map
+    (fun (name, epoll, mk) ->
+      [ Alcotest.test_case ("readable fires until drained, " ^ name) `Quick
+          (with_loop ~epoll mk test_loop_fd_level_triggered);
+        Alcotest.test_case ("unwatch in callback stops dispatch, " ^ name) `Quick
+          (with_loop ~epoll mk test_loop_fd_unwatch_in_callback);
+        Alcotest.test_case ("write readiness and unwatch_write, " ^ name) `Quick
+          (with_loop ~epoll mk test_loop_fd_write_readiness) ])
+    pollers
+  @ [ Alcotest.test_case "fd above 1024, epoll" `Quick test_loop_fd_above_1024 ]
 
 (* -- zero-copy data plane ------------------------------------------------ *)
 
@@ -394,6 +531,31 @@ let test_multicast_delivery_and_stats () =
   Transport.Conn.close a;
   Transport.Conn.close b
 
+(* A downed host's listener accepts and closes at once. Resetting the
+   backoff on every completed connect redialed it every 25-50 ms; the
+   backoff must keep doubling instead (about 7 redials in 3 s). *)
+let test_redial_backoff_grows_on_accept_and_close () =
+  let loop = Transport.Loop.create () in
+  let lfd, port = raw_listener () in
+  Unix.set_nonblock lfd;
+  let accepts = ref 0 in
+  Transport.Loop.watch_read loop lfd (fun () ->
+      match Unix.accept lfd with
+      | fd, _ ->
+        incr accepts;
+        Unix.close fd
+      | exception Unix.Unix_error _ -> ());
+  let conn = Transport.Conn.create ~loop ~id:0 ~on_msg:(fun ~src:_ _ -> ()) () in
+  Transport.Conn.set_peer_addr conn 1 (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Transport.Conn.send conn ~dst:1 (Core.Msg.Fetch { hash = Crypto.Hash.of_string "x" });
+  Transport.Loop.run_for loop ~span:(Sim.Sim_time.s 3);
+  let redials = (Transport.Conn.stats conn).Transport.Conn.reconnects in
+  checkb (Printf.sprintf "the peer was dialed (%d accepts)" !accepts) true (!accepts >= 2);
+  checkb (Printf.sprintf "at most 8 redials in 3 s, got %d" redials) true (redials <= 8);
+  Transport.Conn.close conn;
+  Transport.Loop.unwatch loop lfd;
+  Unix.close lfd
+
 (* -- real-TCP clusters --------------------------------------------------- *)
 
 (* Small batches and snappy timers: commits every few tens of
@@ -538,6 +700,7 @@ let () =
           Alcotest.test_case "cancel" `Quick test_loop_cancel;
           Alcotest.test_case "schedule from callback" `Quick test_loop_schedule_from_callback;
           Alcotest.test_case "tick hook removal" `Quick test_loop_tick_remove ] );
+      ("loop fds", loop_fd_cases);
       ( "data plane",
         [ Alcotest.test_case "pool: reuse, poison, double free" `Quick
             test_pool_reuse_poison_double_free;
@@ -549,6 +712,8 @@ let () =
             test_multicast_one_byte_torture;
           Alcotest.test_case "large frames: genuine kernel backpressure" `Quick
             test_large_frame_genuine_backpressure;
+          Alcotest.test_case "redial backoff grows on accept-and-close" `Quick
+            test_redial_backoff_grows_on_accept_and_close;
           Alcotest.test_case "multicast: delivery & recv counters" `Quick
             test_multicast_delivery_and_stats ] );
       ( "tcp cluster",
