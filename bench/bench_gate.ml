@@ -76,12 +76,11 @@ let to_string ~id ?(header = []) tables =
 (* One flat JSON object per line with string and number values: the
    shape [row_json] writes. Any other line (the header fields, the
    brackets) is not a row and gives [None]. *)
+let strip_comma s =
+  if String.ends_with ~suffix:"," s then String.sub s 0 (String.length s - 1) else s
+
 let parse_line line =
-  let line = String.trim line in
-  let line =
-    if String.ends_with ~suffix:"," line then String.sub line 0 (String.length line - 1)
-    else line
-  in
+  let line = strip_comma (String.trim line) in
   let len = String.length line and pos = ref 0 in
   let peek () = if !pos < len then line.[!pos] else '\000' in
   let expect c = if peek () = c then incr pos else raise Exit in
@@ -133,6 +132,26 @@ let read file =
   else
     In_channel.with_open_text file In_channel.input_all
     |> String.split_on_char '\n' |> List.filter_map parse_line
+
+(* The run-record fields a bench writes above its rows, as raw JSON. *)
+let header_of lines =
+  List.filter_map
+    (fun line ->
+      match String.index_opt line ':' with
+      | Some i when String.starts_with ~prefix:"  \"" line && parse_line line = None ->
+        let key = String.sub line 3 (i - 4) in
+        let raw = String.sub line (i + 1) (String.length line - i - 1) in
+        let raw = strip_comma (String.trim raw) in
+        if key = "generated_by" || key = "benchmarks" then None else Some (key, raw)
+      | _ -> None)
+    lines
+
+(* [file]'s run-record fields; [] when it is missing. *)
+let read_header file =
+  if not (Sys.file_exists file) then []
+  else
+    In_channel.with_open_text file In_channel.input_all
+    |> String.split_on_char '\n' |> header_of
 
 (* The baseline rows of [columns]'s shape: the lines with exactly its
    field names, in order. *)

@@ -19,22 +19,6 @@ let contains s sub =
   let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
   at 0
 
-let strip_comma s =
-  if String.ends_with ~suffix:"," s then String.sub s 0 (String.length s - 1) else s
-
-(* The run-record fields a bench writes above its rows, as raw JSON. *)
-let header_of lines =
-  List.filter_map
-    (fun line ->
-      match String.index_opt line ':' with
-      | Some i when String.starts_with ~prefix:"  \"" line && parse_line line = None ->
-        let key = String.sub line 3 (i - 4) in
-        let raw = String.sub line (i + 1) (String.length line - i - 1) in
-        let raw = strip_comma (String.trim raw) in
-        if key = "generated_by" || key = "benchmarks" then None else Some (key, raw)
-      | _ -> None)
-    lines
-
 let round_trip () =
   List.iter
     (fun (id, file, tables) ->

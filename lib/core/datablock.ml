@@ -40,8 +40,18 @@ let header_overhead_bytes = 48 (* creator + counter + digest *)
 
 let digest_of_batches batches = Crypto.Merkle.root (List.map Workload.Request.hash batches)
 
+(* The bytes of [Printf.sprintf "dbhdr:%d:%d:%s"], built without Printf. *)
 let header_encoding h =
-  Printf.sprintf "dbhdr:%d:%d:%s" h.creator h.counter (Crypto.Hash.raw h.digest)
+  let digest = Crypto.Hash.raw h.digest in
+  let w = Workload.Decimal.width in
+  let b = Bytes.create (8 + w h.creator + w h.counter + String.length digest) in
+  Bytes.blit_string "dbhdr:" 0 b 0 6;
+  let pos = Workload.Decimal.blit h.creator b 6 in
+  Bytes.set b pos ':';
+  let pos = Workload.Decimal.blit h.counter b (pos + 1) in
+  Bytes.set b pos ':';
+  Bytes.blit_string digest 0 b (pos + 1) (String.length digest);
+  Bytes.unsafe_to_string b
 
 let of_wire ~creator ~counter ~digest ~created_at ~signature batches =
   (* Typed error, not an assert: this constructor sits behind the wire

@@ -48,9 +48,9 @@ type t = {
           sim plane continues synchronously at the dispatch point
           ({!Verify.inline}, or {!Verify.blocking} when a pool is
           attached — both keep reports byte-identical); the socket
-          runtime may continue asynchronously at a later loop tick
-          ({!Verify.pooled}), so continuations must re-check captured
-          replica state. *)
+          runtime continues cheap checks synchronously and costly ones
+          at a later loop tick ({!Verify.pooled}), so continuations must
+          re-check captured replica state. *)
   store : Store.sink;
       (** durable state. {!Replica} logs votes and certificates here
           before sending them and [Replica.recover] replays them after a

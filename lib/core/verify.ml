@@ -50,12 +50,33 @@ let blocking pool : dispatch =
       (* bind each await before conjoining: no await may be skipped *)
       k (List.fold_left (fun acc f -> Exec.Pool.await f && acc) true futs)
 
+(* What a job costs, in SHA-256 compressions. A datablock check hashes
+   one leaf per batch (a [Request.encode] fits one block), two
+   compressions per Merkle inner node (batches - 1 of them) and four for
+   the HMAC over the header; a share or aggregate check is one member or
+   group commitment plus the message mask, about two. *)
+let rec cost = function
+  | Datablock_check { db; _ } -> (3 * List.length db.Datablock.batches) + 2
+  | Aggregate_check _ | Share_check _ -> 2
+  | All js -> List.fold_left (fun acc j -> acc + cost j) 0 js
+
+(* Jobs cheaper than this run inline on the owner: shipping them costs
+   more than they do. From the two micro rows that measure the sides
+   (BENCH_micro.json; 2-vCPU x86-64 host with SHA-NI): a [verify/handoff]
+   pool round trip takes 22.2 us, and a fresh [datablock/verify-7]
+   (cost 23) 4.08 us, 177 ns per compression, so a round trip is worth
+   ~125 compressions. A full datablock (alpha = 100 batches, cost 302)
+   still goes to the pool; the 7-batch datablocks of a 1000 req/s run and
+   every lone share or aggregate check run inline. *)
+let inline_below = 125
+
 let pooled pool : dispatch =
  fun job k ->
-  match leaves_of job with
-  | [] -> Exec.Pool.async_all pool [] (fun _ -> k true)
-  | [ l ] -> Exec.Pool.async pool (fun () -> run_leaf l) k
-  | ls ->
-      Exec.Pool.async_all pool
-        (List.map (fun l () -> run_leaf l) ls)
-        (fun oks -> k (List.for_all Fun.id oks))
+  if cost job < inline_below then k (run job)
+  else
+    match leaves_of job with
+    | [ l ] -> Exec.Pool.async pool (fun () -> run_leaf l) k
+    | ls ->
+        Exec.Pool.async_all pool
+          (List.map (fun l () -> run_leaf l) ls)
+          (fun oks -> k (List.for_all Fun.id oks))

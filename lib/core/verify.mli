@@ -16,11 +16,13 @@
       {!inline} (so sim reports stay byte-identical for any pool size),
       but the crypto genuinely executes on worker domains — this is what
       the determinism-under-parallelism tests exercise.
-    - {!pooled} ships the job and returns immediately; the continuation
-      runs later, on the owner thread, when {!Exec.Pool.drain} is called
+    - {!pooled} runs a cheap job inline, like {!inline}, and ships any
+      other to the pool and returns at once; its continuation then runs
+      later, on the owner thread, when {!Exec.Pool.drain} is called
       (the TCP runtime drains from a loop tick + the pool's notify fd).
       Continuations must therefore re-check any replica state they
-      captured — the world may have moved on while the crypto ran.
+      captured — the world may have moved on while the crypto ran —
+      and must also be safe to run synchronously.
 
     All three deliver the same verdicts: jobs are pure functions of
     immutable values, and the memo fields they warm are domain-safe
@@ -59,6 +61,19 @@ val blocking : Exec.Pool.t -> dispatch
     run concurrently across the pool's domains; the caller blocks until
     all finish, then the continuation runs in the caller. *)
 
+val cost : job -> int
+(** The job's estimated cost in SHA-256 compressions: [3 * batches + 2]
+    for a datablock check (leaf hashes, Merkle inner nodes, HMAC), 2 for
+    a share or aggregate check, the sum for [All]. *)
+
+val inline_below : int
+(** The cut of {!pooled}: jobs whose {!cost} is below it run inline.
+    It is one pool round trip expressed in compressions, from the
+    [verify/handoff] and [datablock/verify-7] rows of BENCH_micro. *)
+
 val pooled : Exec.Pool.t -> dispatch
-(** Asynchronous: the continuation runs at a later {!Exec.Pool.drain} on
-    the owner thread — never synchronously, even for [All []]. *)
+(** Cost-aware: a job whose {!cost} is below {!inline_below} runs on the
+    caller and its continuation is called synchronously, as {!inline}
+    does (so [All []] completes at once). Any other job runs on the
+    pool's workers and its continuation at a later {!Exec.Pool.drain} on
+    the owner thread, never synchronously. *)

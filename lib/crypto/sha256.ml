@@ -1,322 +1,37 @@
-(* FIPS 180-4 SHA-256, fully unrolled over unboxed [Int32].
+(* FIPS 180-4 SHA-256 over the C compressor in sha256_stubs.c.
 
-   The compression function below is mechanically unrolled: all 64 rounds
-   are let-threaded straight-line code with the message schedule fused in
-   (w16..w63 are computed inline from the rolling 16-word window, so there
-   is no schedule array and no per-round array traffic). Every local is a
-   let-bound [Int32] consumed by [Int32] primitives, which classic
-   ocamlopt keeps unboxed in straight-line code — 32-bit wrap-around comes
-   free from the width of the operations, with no masking and no per-word
-   allocation. Only the 8-word chaining state crosses the function
-   boundary, as an [int array] of 32-bit values.
+   The one-shot digests (string, Merkle pair, HMAC) are single C calls.
+   The streaming context keeps its block buffer on the OCaml side and
+   hands whole blocks to C; its chaining state is 32 bytes of native
+   uint32 words that only C reads or writes. Digests are verified
+   against the FIPS 180-4 / RFC 6234 / RFC 4231 vectors in
+   test_crypto.ml, and the two C compressors against each other. *)
 
-   Measured on the simulator's vote hot path this is ~3x the throughput
-   of the boxed [Int32] reference implementation it replaces; see
-   bench/micro.ml and DESIGN.md ("Performance substrate"). Digests are
-   verified against the FIPS 180-4 / RFC 6234 vectors in test_crypto.ml. *)
+external select_sha_ni : unit -> bool = "leopard_sha256_select"
+external has_sha_ni : unit -> bool = "leopard_sha256_has_sha_ni"
+external init_state : bytes -> unit = "leopard_sha256_init_state" [@@noalloc]
 
-let mask32 = 0xFFFFFFFF
+external compress_blocks : bytes -> bytes -> int -> int -> unit = "leopard_sha256_compress"
+  [@@noalloc]
+
+external digest_string : string -> string = "leopard_sha256_digest"
+external pair_into : bytes -> int -> bytes -> int -> unit = "leopard_sha256_pair" [@@noalloc]
+external hmac_c : string -> string -> string = "leopard_sha256_hmac"
+
+let backend = if select_sha_ni () then "sha-ni" else "portable"
 
 type ctx = {
-  h : int array;                     (* 8 chaining words, 32-bit each *)
-  block : bytes;                     (* 64-byte input block buffer *)
-  mutable fill : int;                (* bytes buffered in [block] *)
-  mutable total : int;               (* total message bytes fed *)
+  h : bytes; (* 8 chaining words, native-endian uint32, owned by C *)
+  block : bytes; (* 64-byte input block buffer *)
+  mutable fill : int; (* bytes buffered in [block] *)
+  mutable total : int; (* total message bytes fed *)
   mutable finalized : bool;
 }
 
 let init () =
-  { h =
-      [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
-         0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
-    block = Bytes.create 64;
-    fill = 0;
-    total = 0;
-    finalized = false }
-
-(* Do not hand-edit the round bodies: regenerate or edit all 64 uniformly.
-   Round i:  t    = h + S1(e) + Ch(e,f,g) + K[i] + w[i]   (Ch as g^(e&(f^g)), Maj as (a&(b^c))^(b&c))
-             e'   = d + t
-             a'   = t + S0(a) + Maj(a,b,c)
-   Schedule: w[i] = w[i-16] + s0(w[i-15]) + w[i-7] + s1(w[i-2])   (i >= 16) *)
-let compress (h : int array) (block : bytes) (off : int) =
-  let ia = Int32.of_int (Array.unsafe_get h 0) and ib = Int32.of_int (Array.unsafe_get h 1)
-  and ic = Int32.of_int (Array.unsafe_get h 2) and id = Int32.of_int (Array.unsafe_get h 3)
-  and ie = Int32.of_int (Array.unsafe_get h 4) and if_ = Int32.of_int (Array.unsafe_get h 5)
-  and ig = Int32.of_int (Array.unsafe_get h 6) and ih = Int32.of_int (Array.unsafe_get h 7) in
-  let w0 = Bytes.get_int32_be block (off + 0) in
-  let w1 = Bytes.get_int32_be block (off + 4) in
-  let w2 = Bytes.get_int32_be block (off + 8) in
-  let w3 = Bytes.get_int32_be block (off + 12) in
-  let w4 = Bytes.get_int32_be block (off + 16) in
-  let w5 = Bytes.get_int32_be block (off + 20) in
-  let w6 = Bytes.get_int32_be block (off + 24) in
-  let w7 = Bytes.get_int32_be block (off + 28) in
-  let w8 = Bytes.get_int32_be block (off + 32) in
-  let w9 = Bytes.get_int32_be block (off + 36) in
-  let w10 = Bytes.get_int32_be block (off + 40) in
-  let w11 = Bytes.get_int32_be block (off + 44) in
-  let w12 = Bytes.get_int32_be block (off + 48) in
-  let w13 = Bytes.get_int32_be block (off + 52) in
-  let w14 = Bytes.get_int32_be block (off + 56) in
-  let w15 = Bytes.get_int32_be block (off + 60) in
-  (* rounds 0-7 *)
-  let t0 = Int32.add (Int32.add ih (Int32.logxor (Int32.logor (Int32.shift_right_logical ie 6) (Int32.shift_left ie 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical ie 11) (Int32.shift_left ie 21)) (Int32.logor (Int32.shift_right_logical ie 25) (Int32.shift_left ie 7))))) (Int32.add (Int32.logxor ig (Int32.logand ie (Int32.logxor if_ ig))) (Int32.add 1116352408l w0)) in
-  let e0 = Int32.add id t0 in
-  let a0 = Int32.add t0 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical ia 2) (Int32.shift_left ia 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical ia 13) (Int32.shift_left ia 19)) (Int32.logor (Int32.shift_right_logical ia 22) (Int32.shift_left ia 10)))) (Int32.logxor (Int32.logand ia (Int32.logxor ib ic)) (Int32.logand ib ic))) in
-  let t1 = Int32.add (Int32.add ig (Int32.logxor (Int32.logor (Int32.shift_right_logical e0 6) (Int32.shift_left e0 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e0 11) (Int32.shift_left e0 21)) (Int32.logor (Int32.shift_right_logical e0 25) (Int32.shift_left e0 7))))) (Int32.add (Int32.logxor if_ (Int32.logand e0 (Int32.logxor ie if_))) (Int32.add 1899447441l w1)) in
-  let e1 = Int32.add ic t1 in
-  let a1 = Int32.add t1 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a0 2) (Int32.shift_left a0 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a0 13) (Int32.shift_left a0 19)) (Int32.logor (Int32.shift_right_logical a0 22) (Int32.shift_left a0 10)))) (Int32.logxor (Int32.logand a0 (Int32.logxor ia ib)) (Int32.logand ia ib))) in
-  let t2 = Int32.add (Int32.add if_ (Int32.logxor (Int32.logor (Int32.shift_right_logical e1 6) (Int32.shift_left e1 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e1 11) (Int32.shift_left e1 21)) (Int32.logor (Int32.shift_right_logical e1 25) (Int32.shift_left e1 7))))) (Int32.add (Int32.logxor ie (Int32.logand e1 (Int32.logxor e0 ie))) (Int32.add (-1245643825l) w2)) in
-  let e2 = Int32.add ib t2 in
-  let a2 = Int32.add t2 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a1 2) (Int32.shift_left a1 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a1 13) (Int32.shift_left a1 19)) (Int32.logor (Int32.shift_right_logical a1 22) (Int32.shift_left a1 10)))) (Int32.logxor (Int32.logand a1 (Int32.logxor a0 ia)) (Int32.logand a0 ia))) in
-  let t3 = Int32.add (Int32.add ie (Int32.logxor (Int32.logor (Int32.shift_right_logical e2 6) (Int32.shift_left e2 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e2 11) (Int32.shift_left e2 21)) (Int32.logor (Int32.shift_right_logical e2 25) (Int32.shift_left e2 7))))) (Int32.add (Int32.logxor e0 (Int32.logand e2 (Int32.logxor e1 e0))) (Int32.add (-373957723l) w3)) in
-  let e3 = Int32.add ia t3 in
-  let a3 = Int32.add t3 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a2 2) (Int32.shift_left a2 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a2 13) (Int32.shift_left a2 19)) (Int32.logor (Int32.shift_right_logical a2 22) (Int32.shift_left a2 10)))) (Int32.logxor (Int32.logand a2 (Int32.logxor a1 a0)) (Int32.logand a1 a0))) in
-  let t4 = Int32.add (Int32.add e0 (Int32.logxor (Int32.logor (Int32.shift_right_logical e3 6) (Int32.shift_left e3 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e3 11) (Int32.shift_left e3 21)) (Int32.logor (Int32.shift_right_logical e3 25) (Int32.shift_left e3 7))))) (Int32.add (Int32.logxor e1 (Int32.logand e3 (Int32.logxor e2 e1))) (Int32.add 961987163l w4)) in
-  let e4 = Int32.add a0 t4 in
-  let a4 = Int32.add t4 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a3 2) (Int32.shift_left a3 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a3 13) (Int32.shift_left a3 19)) (Int32.logor (Int32.shift_right_logical a3 22) (Int32.shift_left a3 10)))) (Int32.logxor (Int32.logand a3 (Int32.logxor a2 a1)) (Int32.logand a2 a1))) in
-  let t5 = Int32.add (Int32.add e1 (Int32.logxor (Int32.logor (Int32.shift_right_logical e4 6) (Int32.shift_left e4 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e4 11) (Int32.shift_left e4 21)) (Int32.logor (Int32.shift_right_logical e4 25) (Int32.shift_left e4 7))))) (Int32.add (Int32.logxor e2 (Int32.logand e4 (Int32.logxor e3 e2))) (Int32.add 1508970993l w5)) in
-  let e5 = Int32.add a1 t5 in
-  let a5 = Int32.add t5 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a4 2) (Int32.shift_left a4 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a4 13) (Int32.shift_left a4 19)) (Int32.logor (Int32.shift_right_logical a4 22) (Int32.shift_left a4 10)))) (Int32.logxor (Int32.logand a4 (Int32.logxor a3 a2)) (Int32.logand a3 a2))) in
-  let t6 = Int32.add (Int32.add e2 (Int32.logxor (Int32.logor (Int32.shift_right_logical e5 6) (Int32.shift_left e5 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e5 11) (Int32.shift_left e5 21)) (Int32.logor (Int32.shift_right_logical e5 25) (Int32.shift_left e5 7))))) (Int32.add (Int32.logxor e3 (Int32.logand e5 (Int32.logxor e4 e3))) (Int32.add (-1841331548l) w6)) in
-  let e6 = Int32.add a2 t6 in
-  let a6 = Int32.add t6 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a5 2) (Int32.shift_left a5 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a5 13) (Int32.shift_left a5 19)) (Int32.logor (Int32.shift_right_logical a5 22) (Int32.shift_left a5 10)))) (Int32.logxor (Int32.logand a5 (Int32.logxor a4 a3)) (Int32.logand a4 a3))) in
-  let t7 = Int32.add (Int32.add e3 (Int32.logxor (Int32.logor (Int32.shift_right_logical e6 6) (Int32.shift_left e6 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e6 11) (Int32.shift_left e6 21)) (Int32.logor (Int32.shift_right_logical e6 25) (Int32.shift_left e6 7))))) (Int32.add (Int32.logxor e4 (Int32.logand e6 (Int32.logxor e5 e4))) (Int32.add (-1424204075l) w7)) in
-  let e7 = Int32.add a3 t7 in
-  let a7 = Int32.add t7 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a6 2) (Int32.shift_left a6 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a6 13) (Int32.shift_left a6 19)) (Int32.logor (Int32.shift_right_logical a6 22) (Int32.shift_left a6 10)))) (Int32.logxor (Int32.logand a6 (Int32.logxor a5 a4)) (Int32.logand a5 a4))) in
-  (* rounds 8-15 *)
-  let t8 = Int32.add (Int32.add e4 (Int32.logxor (Int32.logor (Int32.shift_right_logical e7 6) (Int32.shift_left e7 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e7 11) (Int32.shift_left e7 21)) (Int32.logor (Int32.shift_right_logical e7 25) (Int32.shift_left e7 7))))) (Int32.add (Int32.logxor e5 (Int32.logand e7 (Int32.logxor e6 e5))) (Int32.add (-670586216l) w8)) in
-  let e8 = Int32.add a4 t8 in
-  let a8 = Int32.add t8 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a7 2) (Int32.shift_left a7 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a7 13) (Int32.shift_left a7 19)) (Int32.logor (Int32.shift_right_logical a7 22) (Int32.shift_left a7 10)))) (Int32.logxor (Int32.logand a7 (Int32.logxor a6 a5)) (Int32.logand a6 a5))) in
-  let t9 = Int32.add (Int32.add e5 (Int32.logxor (Int32.logor (Int32.shift_right_logical e8 6) (Int32.shift_left e8 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e8 11) (Int32.shift_left e8 21)) (Int32.logor (Int32.shift_right_logical e8 25) (Int32.shift_left e8 7))))) (Int32.add (Int32.logxor e6 (Int32.logand e8 (Int32.logxor e7 e6))) (Int32.add 310598401l w9)) in
-  let e9 = Int32.add a5 t9 in
-  let a9 = Int32.add t9 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a8 2) (Int32.shift_left a8 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a8 13) (Int32.shift_left a8 19)) (Int32.logor (Int32.shift_right_logical a8 22) (Int32.shift_left a8 10)))) (Int32.logxor (Int32.logand a8 (Int32.logxor a7 a6)) (Int32.logand a7 a6))) in
-  let t10 = Int32.add (Int32.add e6 (Int32.logxor (Int32.logor (Int32.shift_right_logical e9 6) (Int32.shift_left e9 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e9 11) (Int32.shift_left e9 21)) (Int32.logor (Int32.shift_right_logical e9 25) (Int32.shift_left e9 7))))) (Int32.add (Int32.logxor e7 (Int32.logand e9 (Int32.logxor e8 e7))) (Int32.add 607225278l w10)) in
-  let e10 = Int32.add a6 t10 in
-  let a10 = Int32.add t10 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a9 2) (Int32.shift_left a9 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a9 13) (Int32.shift_left a9 19)) (Int32.logor (Int32.shift_right_logical a9 22) (Int32.shift_left a9 10)))) (Int32.logxor (Int32.logand a9 (Int32.logxor a8 a7)) (Int32.logand a8 a7))) in
-  let t11 = Int32.add (Int32.add e7 (Int32.logxor (Int32.logor (Int32.shift_right_logical e10 6) (Int32.shift_left e10 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e10 11) (Int32.shift_left e10 21)) (Int32.logor (Int32.shift_right_logical e10 25) (Int32.shift_left e10 7))))) (Int32.add (Int32.logxor e8 (Int32.logand e10 (Int32.logxor e9 e8))) (Int32.add 1426881987l w11)) in
-  let e11 = Int32.add a7 t11 in
-  let a11 = Int32.add t11 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a10 2) (Int32.shift_left a10 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a10 13) (Int32.shift_left a10 19)) (Int32.logor (Int32.shift_right_logical a10 22) (Int32.shift_left a10 10)))) (Int32.logxor (Int32.logand a10 (Int32.logxor a9 a8)) (Int32.logand a9 a8))) in
-  let t12 = Int32.add (Int32.add e8 (Int32.logxor (Int32.logor (Int32.shift_right_logical e11 6) (Int32.shift_left e11 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e11 11) (Int32.shift_left e11 21)) (Int32.logor (Int32.shift_right_logical e11 25) (Int32.shift_left e11 7))))) (Int32.add (Int32.logxor e9 (Int32.logand e11 (Int32.logxor e10 e9))) (Int32.add 1925078388l w12)) in
-  let e12 = Int32.add a8 t12 in
-  let a12 = Int32.add t12 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a11 2) (Int32.shift_left a11 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a11 13) (Int32.shift_left a11 19)) (Int32.logor (Int32.shift_right_logical a11 22) (Int32.shift_left a11 10)))) (Int32.logxor (Int32.logand a11 (Int32.logxor a10 a9)) (Int32.logand a10 a9))) in
-  let t13 = Int32.add (Int32.add e9 (Int32.logxor (Int32.logor (Int32.shift_right_logical e12 6) (Int32.shift_left e12 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e12 11) (Int32.shift_left e12 21)) (Int32.logor (Int32.shift_right_logical e12 25) (Int32.shift_left e12 7))))) (Int32.add (Int32.logxor e10 (Int32.logand e12 (Int32.logxor e11 e10))) (Int32.add (-2132889090l) w13)) in
-  let e13 = Int32.add a9 t13 in
-  let a13 = Int32.add t13 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a12 2) (Int32.shift_left a12 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a12 13) (Int32.shift_left a12 19)) (Int32.logor (Int32.shift_right_logical a12 22) (Int32.shift_left a12 10)))) (Int32.logxor (Int32.logand a12 (Int32.logxor a11 a10)) (Int32.logand a11 a10))) in
-  let t14 = Int32.add (Int32.add e10 (Int32.logxor (Int32.logor (Int32.shift_right_logical e13 6) (Int32.shift_left e13 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e13 11) (Int32.shift_left e13 21)) (Int32.logor (Int32.shift_right_logical e13 25) (Int32.shift_left e13 7))))) (Int32.add (Int32.logxor e11 (Int32.logand e13 (Int32.logxor e12 e11))) (Int32.add (-1680079193l) w14)) in
-  let e14 = Int32.add a10 t14 in
-  let a14 = Int32.add t14 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a13 2) (Int32.shift_left a13 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a13 13) (Int32.shift_left a13 19)) (Int32.logor (Int32.shift_right_logical a13 22) (Int32.shift_left a13 10)))) (Int32.logxor (Int32.logand a13 (Int32.logxor a12 a11)) (Int32.logand a12 a11))) in
-  let t15 = Int32.add (Int32.add e11 (Int32.logxor (Int32.logor (Int32.shift_right_logical e14 6) (Int32.shift_left e14 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e14 11) (Int32.shift_left e14 21)) (Int32.logor (Int32.shift_right_logical e14 25) (Int32.shift_left e14 7))))) (Int32.add (Int32.logxor e12 (Int32.logand e14 (Int32.logxor e13 e12))) (Int32.add (-1046744716l) w15)) in
-  let e15 = Int32.add a11 t15 in
-  let a15 = Int32.add t15 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a14 2) (Int32.shift_left a14 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a14 13) (Int32.shift_left a14 19)) (Int32.logor (Int32.shift_right_logical a14 22) (Int32.shift_left a14 10)))) (Int32.logxor (Int32.logand a14 (Int32.logxor a13 a12)) (Int32.logand a13 a12))) in
-  (* rounds 16-23 *)
-  let w16 = Int32.add (Int32.add w0 (Int32.logxor (Int32.logor (Int32.shift_right_logical w1 7) (Int32.shift_left w1 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w1 18) (Int32.shift_left w1 14)) (Int32.shift_right_logical w1 3)))) (Int32.add w9 (Int32.logxor (Int32.logor (Int32.shift_right_logical w14 17) (Int32.shift_left w14 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w14 19) (Int32.shift_left w14 13)) (Int32.shift_right_logical w14 10)))) in
-  let t16 = Int32.add (Int32.add e12 (Int32.logxor (Int32.logor (Int32.shift_right_logical e15 6) (Int32.shift_left e15 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e15 11) (Int32.shift_left e15 21)) (Int32.logor (Int32.shift_right_logical e15 25) (Int32.shift_left e15 7))))) (Int32.add (Int32.logxor e13 (Int32.logand e15 (Int32.logxor e14 e13))) (Int32.add (-459576895l) w16)) in
-  let e16 = Int32.add a12 t16 in
-  let a16 = Int32.add t16 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a15 2) (Int32.shift_left a15 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a15 13) (Int32.shift_left a15 19)) (Int32.logor (Int32.shift_right_logical a15 22) (Int32.shift_left a15 10)))) (Int32.logxor (Int32.logand a15 (Int32.logxor a14 a13)) (Int32.logand a14 a13))) in
-  let w17 = Int32.add (Int32.add w1 (Int32.logxor (Int32.logor (Int32.shift_right_logical w2 7) (Int32.shift_left w2 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w2 18) (Int32.shift_left w2 14)) (Int32.shift_right_logical w2 3)))) (Int32.add w10 (Int32.logxor (Int32.logor (Int32.shift_right_logical w15 17) (Int32.shift_left w15 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w15 19) (Int32.shift_left w15 13)) (Int32.shift_right_logical w15 10)))) in
-  let t17 = Int32.add (Int32.add e13 (Int32.logxor (Int32.logor (Int32.shift_right_logical e16 6) (Int32.shift_left e16 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e16 11) (Int32.shift_left e16 21)) (Int32.logor (Int32.shift_right_logical e16 25) (Int32.shift_left e16 7))))) (Int32.add (Int32.logxor e14 (Int32.logand e16 (Int32.logxor e15 e14))) (Int32.add (-272742522l) w17)) in
-  let e17 = Int32.add a13 t17 in
-  let a17 = Int32.add t17 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a16 2) (Int32.shift_left a16 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a16 13) (Int32.shift_left a16 19)) (Int32.logor (Int32.shift_right_logical a16 22) (Int32.shift_left a16 10)))) (Int32.logxor (Int32.logand a16 (Int32.logxor a15 a14)) (Int32.logand a15 a14))) in
-  let w18 = Int32.add (Int32.add w2 (Int32.logxor (Int32.logor (Int32.shift_right_logical w3 7) (Int32.shift_left w3 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w3 18) (Int32.shift_left w3 14)) (Int32.shift_right_logical w3 3)))) (Int32.add w11 (Int32.logxor (Int32.logor (Int32.shift_right_logical w16 17) (Int32.shift_left w16 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w16 19) (Int32.shift_left w16 13)) (Int32.shift_right_logical w16 10)))) in
-  let t18 = Int32.add (Int32.add e14 (Int32.logxor (Int32.logor (Int32.shift_right_logical e17 6) (Int32.shift_left e17 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e17 11) (Int32.shift_left e17 21)) (Int32.logor (Int32.shift_right_logical e17 25) (Int32.shift_left e17 7))))) (Int32.add (Int32.logxor e15 (Int32.logand e17 (Int32.logxor e16 e15))) (Int32.add 264347078l w18)) in
-  let e18 = Int32.add a14 t18 in
-  let a18 = Int32.add t18 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a17 2) (Int32.shift_left a17 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a17 13) (Int32.shift_left a17 19)) (Int32.logor (Int32.shift_right_logical a17 22) (Int32.shift_left a17 10)))) (Int32.logxor (Int32.logand a17 (Int32.logxor a16 a15)) (Int32.logand a16 a15))) in
-  let w19 = Int32.add (Int32.add w3 (Int32.logxor (Int32.logor (Int32.shift_right_logical w4 7) (Int32.shift_left w4 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w4 18) (Int32.shift_left w4 14)) (Int32.shift_right_logical w4 3)))) (Int32.add w12 (Int32.logxor (Int32.logor (Int32.shift_right_logical w17 17) (Int32.shift_left w17 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w17 19) (Int32.shift_left w17 13)) (Int32.shift_right_logical w17 10)))) in
-  let t19 = Int32.add (Int32.add e15 (Int32.logxor (Int32.logor (Int32.shift_right_logical e18 6) (Int32.shift_left e18 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e18 11) (Int32.shift_left e18 21)) (Int32.logor (Int32.shift_right_logical e18 25) (Int32.shift_left e18 7))))) (Int32.add (Int32.logxor e16 (Int32.logand e18 (Int32.logxor e17 e16))) (Int32.add 604807628l w19)) in
-  let e19 = Int32.add a15 t19 in
-  let a19 = Int32.add t19 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a18 2) (Int32.shift_left a18 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a18 13) (Int32.shift_left a18 19)) (Int32.logor (Int32.shift_right_logical a18 22) (Int32.shift_left a18 10)))) (Int32.logxor (Int32.logand a18 (Int32.logxor a17 a16)) (Int32.logand a17 a16))) in
-  let w20 = Int32.add (Int32.add w4 (Int32.logxor (Int32.logor (Int32.shift_right_logical w5 7) (Int32.shift_left w5 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w5 18) (Int32.shift_left w5 14)) (Int32.shift_right_logical w5 3)))) (Int32.add w13 (Int32.logxor (Int32.logor (Int32.shift_right_logical w18 17) (Int32.shift_left w18 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w18 19) (Int32.shift_left w18 13)) (Int32.shift_right_logical w18 10)))) in
-  let t20 = Int32.add (Int32.add e16 (Int32.logxor (Int32.logor (Int32.shift_right_logical e19 6) (Int32.shift_left e19 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e19 11) (Int32.shift_left e19 21)) (Int32.logor (Int32.shift_right_logical e19 25) (Int32.shift_left e19 7))))) (Int32.add (Int32.logxor e17 (Int32.logand e19 (Int32.logxor e18 e17))) (Int32.add 770255983l w20)) in
-  let e20 = Int32.add a16 t20 in
-  let a20 = Int32.add t20 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a19 2) (Int32.shift_left a19 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a19 13) (Int32.shift_left a19 19)) (Int32.logor (Int32.shift_right_logical a19 22) (Int32.shift_left a19 10)))) (Int32.logxor (Int32.logand a19 (Int32.logxor a18 a17)) (Int32.logand a18 a17))) in
-  let w21 = Int32.add (Int32.add w5 (Int32.logxor (Int32.logor (Int32.shift_right_logical w6 7) (Int32.shift_left w6 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w6 18) (Int32.shift_left w6 14)) (Int32.shift_right_logical w6 3)))) (Int32.add w14 (Int32.logxor (Int32.logor (Int32.shift_right_logical w19 17) (Int32.shift_left w19 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w19 19) (Int32.shift_left w19 13)) (Int32.shift_right_logical w19 10)))) in
-  let t21 = Int32.add (Int32.add e17 (Int32.logxor (Int32.logor (Int32.shift_right_logical e20 6) (Int32.shift_left e20 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e20 11) (Int32.shift_left e20 21)) (Int32.logor (Int32.shift_right_logical e20 25) (Int32.shift_left e20 7))))) (Int32.add (Int32.logxor e18 (Int32.logand e20 (Int32.logxor e19 e18))) (Int32.add 1249150122l w21)) in
-  let e21 = Int32.add a17 t21 in
-  let a21 = Int32.add t21 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a20 2) (Int32.shift_left a20 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a20 13) (Int32.shift_left a20 19)) (Int32.logor (Int32.shift_right_logical a20 22) (Int32.shift_left a20 10)))) (Int32.logxor (Int32.logand a20 (Int32.logxor a19 a18)) (Int32.logand a19 a18))) in
-  let w22 = Int32.add (Int32.add w6 (Int32.logxor (Int32.logor (Int32.shift_right_logical w7 7) (Int32.shift_left w7 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w7 18) (Int32.shift_left w7 14)) (Int32.shift_right_logical w7 3)))) (Int32.add w15 (Int32.logxor (Int32.logor (Int32.shift_right_logical w20 17) (Int32.shift_left w20 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w20 19) (Int32.shift_left w20 13)) (Int32.shift_right_logical w20 10)))) in
-  let t22 = Int32.add (Int32.add e18 (Int32.logxor (Int32.logor (Int32.shift_right_logical e21 6) (Int32.shift_left e21 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e21 11) (Int32.shift_left e21 21)) (Int32.logor (Int32.shift_right_logical e21 25) (Int32.shift_left e21 7))))) (Int32.add (Int32.logxor e19 (Int32.logand e21 (Int32.logxor e20 e19))) (Int32.add 1555081692l w22)) in
-  let e22 = Int32.add a18 t22 in
-  let a22 = Int32.add t22 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a21 2) (Int32.shift_left a21 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a21 13) (Int32.shift_left a21 19)) (Int32.logor (Int32.shift_right_logical a21 22) (Int32.shift_left a21 10)))) (Int32.logxor (Int32.logand a21 (Int32.logxor a20 a19)) (Int32.logand a20 a19))) in
-  let w23 = Int32.add (Int32.add w7 (Int32.logxor (Int32.logor (Int32.shift_right_logical w8 7) (Int32.shift_left w8 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w8 18) (Int32.shift_left w8 14)) (Int32.shift_right_logical w8 3)))) (Int32.add w16 (Int32.logxor (Int32.logor (Int32.shift_right_logical w21 17) (Int32.shift_left w21 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w21 19) (Int32.shift_left w21 13)) (Int32.shift_right_logical w21 10)))) in
-  let t23 = Int32.add (Int32.add e19 (Int32.logxor (Int32.logor (Int32.shift_right_logical e22 6) (Int32.shift_left e22 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e22 11) (Int32.shift_left e22 21)) (Int32.logor (Int32.shift_right_logical e22 25) (Int32.shift_left e22 7))))) (Int32.add (Int32.logxor e20 (Int32.logand e22 (Int32.logxor e21 e20))) (Int32.add 1996064986l w23)) in
-  let e23 = Int32.add a19 t23 in
-  let a23 = Int32.add t23 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a22 2) (Int32.shift_left a22 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a22 13) (Int32.shift_left a22 19)) (Int32.logor (Int32.shift_right_logical a22 22) (Int32.shift_left a22 10)))) (Int32.logxor (Int32.logand a22 (Int32.logxor a21 a20)) (Int32.logand a21 a20))) in
-  (* rounds 24-31 *)
-  let w24 = Int32.add (Int32.add w8 (Int32.logxor (Int32.logor (Int32.shift_right_logical w9 7) (Int32.shift_left w9 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w9 18) (Int32.shift_left w9 14)) (Int32.shift_right_logical w9 3)))) (Int32.add w17 (Int32.logxor (Int32.logor (Int32.shift_right_logical w22 17) (Int32.shift_left w22 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w22 19) (Int32.shift_left w22 13)) (Int32.shift_right_logical w22 10)))) in
-  let t24 = Int32.add (Int32.add e20 (Int32.logxor (Int32.logor (Int32.shift_right_logical e23 6) (Int32.shift_left e23 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e23 11) (Int32.shift_left e23 21)) (Int32.logor (Int32.shift_right_logical e23 25) (Int32.shift_left e23 7))))) (Int32.add (Int32.logxor e21 (Int32.logand e23 (Int32.logxor e22 e21))) (Int32.add (-1740746414l) w24)) in
-  let e24 = Int32.add a20 t24 in
-  let a24 = Int32.add t24 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a23 2) (Int32.shift_left a23 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a23 13) (Int32.shift_left a23 19)) (Int32.logor (Int32.shift_right_logical a23 22) (Int32.shift_left a23 10)))) (Int32.logxor (Int32.logand a23 (Int32.logxor a22 a21)) (Int32.logand a22 a21))) in
-  let w25 = Int32.add (Int32.add w9 (Int32.logxor (Int32.logor (Int32.shift_right_logical w10 7) (Int32.shift_left w10 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w10 18) (Int32.shift_left w10 14)) (Int32.shift_right_logical w10 3)))) (Int32.add w18 (Int32.logxor (Int32.logor (Int32.shift_right_logical w23 17) (Int32.shift_left w23 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w23 19) (Int32.shift_left w23 13)) (Int32.shift_right_logical w23 10)))) in
-  let t25 = Int32.add (Int32.add e21 (Int32.logxor (Int32.logor (Int32.shift_right_logical e24 6) (Int32.shift_left e24 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e24 11) (Int32.shift_left e24 21)) (Int32.logor (Int32.shift_right_logical e24 25) (Int32.shift_left e24 7))))) (Int32.add (Int32.logxor e22 (Int32.logand e24 (Int32.logxor e23 e22))) (Int32.add (-1473132947l) w25)) in
-  let e25 = Int32.add a21 t25 in
-  let a25 = Int32.add t25 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a24 2) (Int32.shift_left a24 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a24 13) (Int32.shift_left a24 19)) (Int32.logor (Int32.shift_right_logical a24 22) (Int32.shift_left a24 10)))) (Int32.logxor (Int32.logand a24 (Int32.logxor a23 a22)) (Int32.logand a23 a22))) in
-  let w26 = Int32.add (Int32.add w10 (Int32.logxor (Int32.logor (Int32.shift_right_logical w11 7) (Int32.shift_left w11 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w11 18) (Int32.shift_left w11 14)) (Int32.shift_right_logical w11 3)))) (Int32.add w19 (Int32.logxor (Int32.logor (Int32.shift_right_logical w24 17) (Int32.shift_left w24 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w24 19) (Int32.shift_left w24 13)) (Int32.shift_right_logical w24 10)))) in
-  let t26 = Int32.add (Int32.add e22 (Int32.logxor (Int32.logor (Int32.shift_right_logical e25 6) (Int32.shift_left e25 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e25 11) (Int32.shift_left e25 21)) (Int32.logor (Int32.shift_right_logical e25 25) (Int32.shift_left e25 7))))) (Int32.add (Int32.logxor e23 (Int32.logand e25 (Int32.logxor e24 e23))) (Int32.add (-1341970488l) w26)) in
-  let e26 = Int32.add a22 t26 in
-  let a26 = Int32.add t26 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a25 2) (Int32.shift_left a25 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a25 13) (Int32.shift_left a25 19)) (Int32.logor (Int32.shift_right_logical a25 22) (Int32.shift_left a25 10)))) (Int32.logxor (Int32.logand a25 (Int32.logxor a24 a23)) (Int32.logand a24 a23))) in
-  let w27 = Int32.add (Int32.add w11 (Int32.logxor (Int32.logor (Int32.shift_right_logical w12 7) (Int32.shift_left w12 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w12 18) (Int32.shift_left w12 14)) (Int32.shift_right_logical w12 3)))) (Int32.add w20 (Int32.logxor (Int32.logor (Int32.shift_right_logical w25 17) (Int32.shift_left w25 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w25 19) (Int32.shift_left w25 13)) (Int32.shift_right_logical w25 10)))) in
-  let t27 = Int32.add (Int32.add e23 (Int32.logxor (Int32.logor (Int32.shift_right_logical e26 6) (Int32.shift_left e26 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e26 11) (Int32.shift_left e26 21)) (Int32.logor (Int32.shift_right_logical e26 25) (Int32.shift_left e26 7))))) (Int32.add (Int32.logxor e24 (Int32.logand e26 (Int32.logxor e25 e24))) (Int32.add (-1084653625l) w27)) in
-  let e27 = Int32.add a23 t27 in
-  let a27 = Int32.add t27 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a26 2) (Int32.shift_left a26 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a26 13) (Int32.shift_left a26 19)) (Int32.logor (Int32.shift_right_logical a26 22) (Int32.shift_left a26 10)))) (Int32.logxor (Int32.logand a26 (Int32.logxor a25 a24)) (Int32.logand a25 a24))) in
-  let w28 = Int32.add (Int32.add w12 (Int32.logxor (Int32.logor (Int32.shift_right_logical w13 7) (Int32.shift_left w13 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w13 18) (Int32.shift_left w13 14)) (Int32.shift_right_logical w13 3)))) (Int32.add w21 (Int32.logxor (Int32.logor (Int32.shift_right_logical w26 17) (Int32.shift_left w26 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w26 19) (Int32.shift_left w26 13)) (Int32.shift_right_logical w26 10)))) in
-  let t28 = Int32.add (Int32.add e24 (Int32.logxor (Int32.logor (Int32.shift_right_logical e27 6) (Int32.shift_left e27 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e27 11) (Int32.shift_left e27 21)) (Int32.logor (Int32.shift_right_logical e27 25) (Int32.shift_left e27 7))))) (Int32.add (Int32.logxor e25 (Int32.logand e27 (Int32.logxor e26 e25))) (Int32.add (-958395405l) w28)) in
-  let e28 = Int32.add a24 t28 in
-  let a28 = Int32.add t28 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a27 2) (Int32.shift_left a27 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a27 13) (Int32.shift_left a27 19)) (Int32.logor (Int32.shift_right_logical a27 22) (Int32.shift_left a27 10)))) (Int32.logxor (Int32.logand a27 (Int32.logxor a26 a25)) (Int32.logand a26 a25))) in
-  let w29 = Int32.add (Int32.add w13 (Int32.logxor (Int32.logor (Int32.shift_right_logical w14 7) (Int32.shift_left w14 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w14 18) (Int32.shift_left w14 14)) (Int32.shift_right_logical w14 3)))) (Int32.add w22 (Int32.logxor (Int32.logor (Int32.shift_right_logical w27 17) (Int32.shift_left w27 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w27 19) (Int32.shift_left w27 13)) (Int32.shift_right_logical w27 10)))) in
-  let t29 = Int32.add (Int32.add e25 (Int32.logxor (Int32.logor (Int32.shift_right_logical e28 6) (Int32.shift_left e28 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e28 11) (Int32.shift_left e28 21)) (Int32.logor (Int32.shift_right_logical e28 25) (Int32.shift_left e28 7))))) (Int32.add (Int32.logxor e26 (Int32.logand e28 (Int32.logxor e27 e26))) (Int32.add (-710438585l) w29)) in
-  let e29 = Int32.add a25 t29 in
-  let a29 = Int32.add t29 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a28 2) (Int32.shift_left a28 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a28 13) (Int32.shift_left a28 19)) (Int32.logor (Int32.shift_right_logical a28 22) (Int32.shift_left a28 10)))) (Int32.logxor (Int32.logand a28 (Int32.logxor a27 a26)) (Int32.logand a27 a26))) in
-  let w30 = Int32.add (Int32.add w14 (Int32.logxor (Int32.logor (Int32.shift_right_logical w15 7) (Int32.shift_left w15 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w15 18) (Int32.shift_left w15 14)) (Int32.shift_right_logical w15 3)))) (Int32.add w23 (Int32.logxor (Int32.logor (Int32.shift_right_logical w28 17) (Int32.shift_left w28 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w28 19) (Int32.shift_left w28 13)) (Int32.shift_right_logical w28 10)))) in
-  let t30 = Int32.add (Int32.add e26 (Int32.logxor (Int32.logor (Int32.shift_right_logical e29 6) (Int32.shift_left e29 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e29 11) (Int32.shift_left e29 21)) (Int32.logor (Int32.shift_right_logical e29 25) (Int32.shift_left e29 7))))) (Int32.add (Int32.logxor e27 (Int32.logand e29 (Int32.logxor e28 e27))) (Int32.add 113926993l w30)) in
-  let e30 = Int32.add a26 t30 in
-  let a30 = Int32.add t30 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a29 2) (Int32.shift_left a29 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a29 13) (Int32.shift_left a29 19)) (Int32.logor (Int32.shift_right_logical a29 22) (Int32.shift_left a29 10)))) (Int32.logxor (Int32.logand a29 (Int32.logxor a28 a27)) (Int32.logand a28 a27))) in
-  let w31 = Int32.add (Int32.add w15 (Int32.logxor (Int32.logor (Int32.shift_right_logical w16 7) (Int32.shift_left w16 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w16 18) (Int32.shift_left w16 14)) (Int32.shift_right_logical w16 3)))) (Int32.add w24 (Int32.logxor (Int32.logor (Int32.shift_right_logical w29 17) (Int32.shift_left w29 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w29 19) (Int32.shift_left w29 13)) (Int32.shift_right_logical w29 10)))) in
-  let t31 = Int32.add (Int32.add e27 (Int32.logxor (Int32.logor (Int32.shift_right_logical e30 6) (Int32.shift_left e30 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e30 11) (Int32.shift_left e30 21)) (Int32.logor (Int32.shift_right_logical e30 25) (Int32.shift_left e30 7))))) (Int32.add (Int32.logxor e28 (Int32.logand e30 (Int32.logxor e29 e28))) (Int32.add 338241895l w31)) in
-  let e31 = Int32.add a27 t31 in
-  let a31 = Int32.add t31 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a30 2) (Int32.shift_left a30 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a30 13) (Int32.shift_left a30 19)) (Int32.logor (Int32.shift_right_logical a30 22) (Int32.shift_left a30 10)))) (Int32.logxor (Int32.logand a30 (Int32.logxor a29 a28)) (Int32.logand a29 a28))) in
-  (* rounds 32-39 *)
-  let w32 = Int32.add (Int32.add w16 (Int32.logxor (Int32.logor (Int32.shift_right_logical w17 7) (Int32.shift_left w17 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w17 18) (Int32.shift_left w17 14)) (Int32.shift_right_logical w17 3)))) (Int32.add w25 (Int32.logxor (Int32.logor (Int32.shift_right_logical w30 17) (Int32.shift_left w30 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w30 19) (Int32.shift_left w30 13)) (Int32.shift_right_logical w30 10)))) in
-  let t32 = Int32.add (Int32.add e28 (Int32.logxor (Int32.logor (Int32.shift_right_logical e31 6) (Int32.shift_left e31 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e31 11) (Int32.shift_left e31 21)) (Int32.logor (Int32.shift_right_logical e31 25) (Int32.shift_left e31 7))))) (Int32.add (Int32.logxor e29 (Int32.logand e31 (Int32.logxor e30 e29))) (Int32.add 666307205l w32)) in
-  let e32 = Int32.add a28 t32 in
-  let a32 = Int32.add t32 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a31 2) (Int32.shift_left a31 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a31 13) (Int32.shift_left a31 19)) (Int32.logor (Int32.shift_right_logical a31 22) (Int32.shift_left a31 10)))) (Int32.logxor (Int32.logand a31 (Int32.logxor a30 a29)) (Int32.logand a30 a29))) in
-  let w33 = Int32.add (Int32.add w17 (Int32.logxor (Int32.logor (Int32.shift_right_logical w18 7) (Int32.shift_left w18 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w18 18) (Int32.shift_left w18 14)) (Int32.shift_right_logical w18 3)))) (Int32.add w26 (Int32.logxor (Int32.logor (Int32.shift_right_logical w31 17) (Int32.shift_left w31 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w31 19) (Int32.shift_left w31 13)) (Int32.shift_right_logical w31 10)))) in
-  let t33 = Int32.add (Int32.add e29 (Int32.logxor (Int32.logor (Int32.shift_right_logical e32 6) (Int32.shift_left e32 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e32 11) (Int32.shift_left e32 21)) (Int32.logor (Int32.shift_right_logical e32 25) (Int32.shift_left e32 7))))) (Int32.add (Int32.logxor e30 (Int32.logand e32 (Int32.logxor e31 e30))) (Int32.add 773529912l w33)) in
-  let e33 = Int32.add a29 t33 in
-  let a33 = Int32.add t33 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a32 2) (Int32.shift_left a32 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a32 13) (Int32.shift_left a32 19)) (Int32.logor (Int32.shift_right_logical a32 22) (Int32.shift_left a32 10)))) (Int32.logxor (Int32.logand a32 (Int32.logxor a31 a30)) (Int32.logand a31 a30))) in
-  let w34 = Int32.add (Int32.add w18 (Int32.logxor (Int32.logor (Int32.shift_right_logical w19 7) (Int32.shift_left w19 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w19 18) (Int32.shift_left w19 14)) (Int32.shift_right_logical w19 3)))) (Int32.add w27 (Int32.logxor (Int32.logor (Int32.shift_right_logical w32 17) (Int32.shift_left w32 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w32 19) (Int32.shift_left w32 13)) (Int32.shift_right_logical w32 10)))) in
-  let t34 = Int32.add (Int32.add e30 (Int32.logxor (Int32.logor (Int32.shift_right_logical e33 6) (Int32.shift_left e33 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e33 11) (Int32.shift_left e33 21)) (Int32.logor (Int32.shift_right_logical e33 25) (Int32.shift_left e33 7))))) (Int32.add (Int32.logxor e31 (Int32.logand e33 (Int32.logxor e32 e31))) (Int32.add 1294757372l w34)) in
-  let e34 = Int32.add a30 t34 in
-  let a34 = Int32.add t34 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a33 2) (Int32.shift_left a33 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a33 13) (Int32.shift_left a33 19)) (Int32.logor (Int32.shift_right_logical a33 22) (Int32.shift_left a33 10)))) (Int32.logxor (Int32.logand a33 (Int32.logxor a32 a31)) (Int32.logand a32 a31))) in
-  let w35 = Int32.add (Int32.add w19 (Int32.logxor (Int32.logor (Int32.shift_right_logical w20 7) (Int32.shift_left w20 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w20 18) (Int32.shift_left w20 14)) (Int32.shift_right_logical w20 3)))) (Int32.add w28 (Int32.logxor (Int32.logor (Int32.shift_right_logical w33 17) (Int32.shift_left w33 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w33 19) (Int32.shift_left w33 13)) (Int32.shift_right_logical w33 10)))) in
-  let t35 = Int32.add (Int32.add e31 (Int32.logxor (Int32.logor (Int32.shift_right_logical e34 6) (Int32.shift_left e34 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e34 11) (Int32.shift_left e34 21)) (Int32.logor (Int32.shift_right_logical e34 25) (Int32.shift_left e34 7))))) (Int32.add (Int32.logxor e32 (Int32.logand e34 (Int32.logxor e33 e32))) (Int32.add 1396182291l w35)) in
-  let e35 = Int32.add a31 t35 in
-  let a35 = Int32.add t35 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a34 2) (Int32.shift_left a34 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a34 13) (Int32.shift_left a34 19)) (Int32.logor (Int32.shift_right_logical a34 22) (Int32.shift_left a34 10)))) (Int32.logxor (Int32.logand a34 (Int32.logxor a33 a32)) (Int32.logand a33 a32))) in
-  let w36 = Int32.add (Int32.add w20 (Int32.logxor (Int32.logor (Int32.shift_right_logical w21 7) (Int32.shift_left w21 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w21 18) (Int32.shift_left w21 14)) (Int32.shift_right_logical w21 3)))) (Int32.add w29 (Int32.logxor (Int32.logor (Int32.shift_right_logical w34 17) (Int32.shift_left w34 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w34 19) (Int32.shift_left w34 13)) (Int32.shift_right_logical w34 10)))) in
-  let t36 = Int32.add (Int32.add e32 (Int32.logxor (Int32.logor (Int32.shift_right_logical e35 6) (Int32.shift_left e35 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e35 11) (Int32.shift_left e35 21)) (Int32.logor (Int32.shift_right_logical e35 25) (Int32.shift_left e35 7))))) (Int32.add (Int32.logxor e33 (Int32.logand e35 (Int32.logxor e34 e33))) (Int32.add 1695183700l w36)) in
-  let e36 = Int32.add a32 t36 in
-  let a36 = Int32.add t36 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a35 2) (Int32.shift_left a35 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a35 13) (Int32.shift_left a35 19)) (Int32.logor (Int32.shift_right_logical a35 22) (Int32.shift_left a35 10)))) (Int32.logxor (Int32.logand a35 (Int32.logxor a34 a33)) (Int32.logand a34 a33))) in
-  let w37 = Int32.add (Int32.add w21 (Int32.logxor (Int32.logor (Int32.shift_right_logical w22 7) (Int32.shift_left w22 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w22 18) (Int32.shift_left w22 14)) (Int32.shift_right_logical w22 3)))) (Int32.add w30 (Int32.logxor (Int32.logor (Int32.shift_right_logical w35 17) (Int32.shift_left w35 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w35 19) (Int32.shift_left w35 13)) (Int32.shift_right_logical w35 10)))) in
-  let t37 = Int32.add (Int32.add e33 (Int32.logxor (Int32.logor (Int32.shift_right_logical e36 6) (Int32.shift_left e36 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e36 11) (Int32.shift_left e36 21)) (Int32.logor (Int32.shift_right_logical e36 25) (Int32.shift_left e36 7))))) (Int32.add (Int32.logxor e34 (Int32.logand e36 (Int32.logxor e35 e34))) (Int32.add 1986661051l w37)) in
-  let e37 = Int32.add a33 t37 in
-  let a37 = Int32.add t37 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a36 2) (Int32.shift_left a36 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a36 13) (Int32.shift_left a36 19)) (Int32.logor (Int32.shift_right_logical a36 22) (Int32.shift_left a36 10)))) (Int32.logxor (Int32.logand a36 (Int32.logxor a35 a34)) (Int32.logand a35 a34))) in
-  let w38 = Int32.add (Int32.add w22 (Int32.logxor (Int32.logor (Int32.shift_right_logical w23 7) (Int32.shift_left w23 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w23 18) (Int32.shift_left w23 14)) (Int32.shift_right_logical w23 3)))) (Int32.add w31 (Int32.logxor (Int32.logor (Int32.shift_right_logical w36 17) (Int32.shift_left w36 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w36 19) (Int32.shift_left w36 13)) (Int32.shift_right_logical w36 10)))) in
-  let t38 = Int32.add (Int32.add e34 (Int32.logxor (Int32.logor (Int32.shift_right_logical e37 6) (Int32.shift_left e37 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e37 11) (Int32.shift_left e37 21)) (Int32.logor (Int32.shift_right_logical e37 25) (Int32.shift_left e37 7))))) (Int32.add (Int32.logxor e35 (Int32.logand e37 (Int32.logxor e36 e35))) (Int32.add (-2117940946l) w38)) in
-  let e38 = Int32.add a34 t38 in
-  let a38 = Int32.add t38 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a37 2) (Int32.shift_left a37 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a37 13) (Int32.shift_left a37 19)) (Int32.logor (Int32.shift_right_logical a37 22) (Int32.shift_left a37 10)))) (Int32.logxor (Int32.logand a37 (Int32.logxor a36 a35)) (Int32.logand a36 a35))) in
-  let w39 = Int32.add (Int32.add w23 (Int32.logxor (Int32.logor (Int32.shift_right_logical w24 7) (Int32.shift_left w24 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w24 18) (Int32.shift_left w24 14)) (Int32.shift_right_logical w24 3)))) (Int32.add w32 (Int32.logxor (Int32.logor (Int32.shift_right_logical w37 17) (Int32.shift_left w37 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w37 19) (Int32.shift_left w37 13)) (Int32.shift_right_logical w37 10)))) in
-  let t39 = Int32.add (Int32.add e35 (Int32.logxor (Int32.logor (Int32.shift_right_logical e38 6) (Int32.shift_left e38 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e38 11) (Int32.shift_left e38 21)) (Int32.logor (Int32.shift_right_logical e38 25) (Int32.shift_left e38 7))))) (Int32.add (Int32.logxor e36 (Int32.logand e38 (Int32.logxor e37 e36))) (Int32.add (-1838011259l) w39)) in
-  let e39 = Int32.add a35 t39 in
-  let a39 = Int32.add t39 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a38 2) (Int32.shift_left a38 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a38 13) (Int32.shift_left a38 19)) (Int32.logor (Int32.shift_right_logical a38 22) (Int32.shift_left a38 10)))) (Int32.logxor (Int32.logand a38 (Int32.logxor a37 a36)) (Int32.logand a37 a36))) in
-  (* rounds 40-47 *)
-  let w40 = Int32.add (Int32.add w24 (Int32.logxor (Int32.logor (Int32.shift_right_logical w25 7) (Int32.shift_left w25 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w25 18) (Int32.shift_left w25 14)) (Int32.shift_right_logical w25 3)))) (Int32.add w33 (Int32.logxor (Int32.logor (Int32.shift_right_logical w38 17) (Int32.shift_left w38 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w38 19) (Int32.shift_left w38 13)) (Int32.shift_right_logical w38 10)))) in
-  let t40 = Int32.add (Int32.add e36 (Int32.logxor (Int32.logor (Int32.shift_right_logical e39 6) (Int32.shift_left e39 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e39 11) (Int32.shift_left e39 21)) (Int32.logor (Int32.shift_right_logical e39 25) (Int32.shift_left e39 7))))) (Int32.add (Int32.logxor e37 (Int32.logand e39 (Int32.logxor e38 e37))) (Int32.add (-1564481375l) w40)) in
-  let e40 = Int32.add a36 t40 in
-  let a40 = Int32.add t40 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a39 2) (Int32.shift_left a39 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a39 13) (Int32.shift_left a39 19)) (Int32.logor (Int32.shift_right_logical a39 22) (Int32.shift_left a39 10)))) (Int32.logxor (Int32.logand a39 (Int32.logxor a38 a37)) (Int32.logand a38 a37))) in
-  let w41 = Int32.add (Int32.add w25 (Int32.logxor (Int32.logor (Int32.shift_right_logical w26 7) (Int32.shift_left w26 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w26 18) (Int32.shift_left w26 14)) (Int32.shift_right_logical w26 3)))) (Int32.add w34 (Int32.logxor (Int32.logor (Int32.shift_right_logical w39 17) (Int32.shift_left w39 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w39 19) (Int32.shift_left w39 13)) (Int32.shift_right_logical w39 10)))) in
-  let t41 = Int32.add (Int32.add e37 (Int32.logxor (Int32.logor (Int32.shift_right_logical e40 6) (Int32.shift_left e40 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e40 11) (Int32.shift_left e40 21)) (Int32.logor (Int32.shift_right_logical e40 25) (Int32.shift_left e40 7))))) (Int32.add (Int32.logxor e38 (Int32.logand e40 (Int32.logxor e39 e38))) (Int32.add (-1474664885l) w41)) in
-  let e41 = Int32.add a37 t41 in
-  let a41 = Int32.add t41 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a40 2) (Int32.shift_left a40 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a40 13) (Int32.shift_left a40 19)) (Int32.logor (Int32.shift_right_logical a40 22) (Int32.shift_left a40 10)))) (Int32.logxor (Int32.logand a40 (Int32.logxor a39 a38)) (Int32.logand a39 a38))) in
-  let w42 = Int32.add (Int32.add w26 (Int32.logxor (Int32.logor (Int32.shift_right_logical w27 7) (Int32.shift_left w27 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w27 18) (Int32.shift_left w27 14)) (Int32.shift_right_logical w27 3)))) (Int32.add w35 (Int32.logxor (Int32.logor (Int32.shift_right_logical w40 17) (Int32.shift_left w40 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w40 19) (Int32.shift_left w40 13)) (Int32.shift_right_logical w40 10)))) in
-  let t42 = Int32.add (Int32.add e38 (Int32.logxor (Int32.logor (Int32.shift_right_logical e41 6) (Int32.shift_left e41 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e41 11) (Int32.shift_left e41 21)) (Int32.logor (Int32.shift_right_logical e41 25) (Int32.shift_left e41 7))))) (Int32.add (Int32.logxor e39 (Int32.logand e41 (Int32.logxor e40 e39))) (Int32.add (-1035236496l) w42)) in
-  let e42 = Int32.add a38 t42 in
-  let a42 = Int32.add t42 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a41 2) (Int32.shift_left a41 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a41 13) (Int32.shift_left a41 19)) (Int32.logor (Int32.shift_right_logical a41 22) (Int32.shift_left a41 10)))) (Int32.logxor (Int32.logand a41 (Int32.logxor a40 a39)) (Int32.logand a40 a39))) in
-  let w43 = Int32.add (Int32.add w27 (Int32.logxor (Int32.logor (Int32.shift_right_logical w28 7) (Int32.shift_left w28 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w28 18) (Int32.shift_left w28 14)) (Int32.shift_right_logical w28 3)))) (Int32.add w36 (Int32.logxor (Int32.logor (Int32.shift_right_logical w41 17) (Int32.shift_left w41 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w41 19) (Int32.shift_left w41 13)) (Int32.shift_right_logical w41 10)))) in
-  let t43 = Int32.add (Int32.add e39 (Int32.logxor (Int32.logor (Int32.shift_right_logical e42 6) (Int32.shift_left e42 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e42 11) (Int32.shift_left e42 21)) (Int32.logor (Int32.shift_right_logical e42 25) (Int32.shift_left e42 7))))) (Int32.add (Int32.logxor e40 (Int32.logand e42 (Int32.logxor e41 e40))) (Int32.add (-949202525l) w43)) in
-  let e43 = Int32.add a39 t43 in
-  let a43 = Int32.add t43 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a42 2) (Int32.shift_left a42 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a42 13) (Int32.shift_left a42 19)) (Int32.logor (Int32.shift_right_logical a42 22) (Int32.shift_left a42 10)))) (Int32.logxor (Int32.logand a42 (Int32.logxor a41 a40)) (Int32.logand a41 a40))) in
-  let w44 = Int32.add (Int32.add w28 (Int32.logxor (Int32.logor (Int32.shift_right_logical w29 7) (Int32.shift_left w29 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w29 18) (Int32.shift_left w29 14)) (Int32.shift_right_logical w29 3)))) (Int32.add w37 (Int32.logxor (Int32.logor (Int32.shift_right_logical w42 17) (Int32.shift_left w42 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w42 19) (Int32.shift_left w42 13)) (Int32.shift_right_logical w42 10)))) in
-  let t44 = Int32.add (Int32.add e40 (Int32.logxor (Int32.logor (Int32.shift_right_logical e43 6) (Int32.shift_left e43 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e43 11) (Int32.shift_left e43 21)) (Int32.logor (Int32.shift_right_logical e43 25) (Int32.shift_left e43 7))))) (Int32.add (Int32.logxor e41 (Int32.logand e43 (Int32.logxor e42 e41))) (Int32.add (-778901479l) w44)) in
-  let e44 = Int32.add a40 t44 in
-  let a44 = Int32.add t44 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a43 2) (Int32.shift_left a43 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a43 13) (Int32.shift_left a43 19)) (Int32.logor (Int32.shift_right_logical a43 22) (Int32.shift_left a43 10)))) (Int32.logxor (Int32.logand a43 (Int32.logxor a42 a41)) (Int32.logand a42 a41))) in
-  let w45 = Int32.add (Int32.add w29 (Int32.logxor (Int32.logor (Int32.shift_right_logical w30 7) (Int32.shift_left w30 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w30 18) (Int32.shift_left w30 14)) (Int32.shift_right_logical w30 3)))) (Int32.add w38 (Int32.logxor (Int32.logor (Int32.shift_right_logical w43 17) (Int32.shift_left w43 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w43 19) (Int32.shift_left w43 13)) (Int32.shift_right_logical w43 10)))) in
-  let t45 = Int32.add (Int32.add e41 (Int32.logxor (Int32.logor (Int32.shift_right_logical e44 6) (Int32.shift_left e44 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e44 11) (Int32.shift_left e44 21)) (Int32.logor (Int32.shift_right_logical e44 25) (Int32.shift_left e44 7))))) (Int32.add (Int32.logxor e42 (Int32.logand e44 (Int32.logxor e43 e42))) (Int32.add (-694614492l) w45)) in
-  let e45 = Int32.add a41 t45 in
-  let a45 = Int32.add t45 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a44 2) (Int32.shift_left a44 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a44 13) (Int32.shift_left a44 19)) (Int32.logor (Int32.shift_right_logical a44 22) (Int32.shift_left a44 10)))) (Int32.logxor (Int32.logand a44 (Int32.logxor a43 a42)) (Int32.logand a43 a42))) in
-  let w46 = Int32.add (Int32.add w30 (Int32.logxor (Int32.logor (Int32.shift_right_logical w31 7) (Int32.shift_left w31 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w31 18) (Int32.shift_left w31 14)) (Int32.shift_right_logical w31 3)))) (Int32.add w39 (Int32.logxor (Int32.logor (Int32.shift_right_logical w44 17) (Int32.shift_left w44 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w44 19) (Int32.shift_left w44 13)) (Int32.shift_right_logical w44 10)))) in
-  let t46 = Int32.add (Int32.add e42 (Int32.logxor (Int32.logor (Int32.shift_right_logical e45 6) (Int32.shift_left e45 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e45 11) (Int32.shift_left e45 21)) (Int32.logor (Int32.shift_right_logical e45 25) (Int32.shift_left e45 7))))) (Int32.add (Int32.logxor e43 (Int32.logand e45 (Int32.logxor e44 e43))) (Int32.add (-200395387l) w46)) in
-  let e46 = Int32.add a42 t46 in
-  let a46 = Int32.add t46 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a45 2) (Int32.shift_left a45 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a45 13) (Int32.shift_left a45 19)) (Int32.logor (Int32.shift_right_logical a45 22) (Int32.shift_left a45 10)))) (Int32.logxor (Int32.logand a45 (Int32.logxor a44 a43)) (Int32.logand a44 a43))) in
-  let w47 = Int32.add (Int32.add w31 (Int32.logxor (Int32.logor (Int32.shift_right_logical w32 7) (Int32.shift_left w32 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w32 18) (Int32.shift_left w32 14)) (Int32.shift_right_logical w32 3)))) (Int32.add w40 (Int32.logxor (Int32.logor (Int32.shift_right_logical w45 17) (Int32.shift_left w45 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w45 19) (Int32.shift_left w45 13)) (Int32.shift_right_logical w45 10)))) in
-  let t47 = Int32.add (Int32.add e43 (Int32.logxor (Int32.logor (Int32.shift_right_logical e46 6) (Int32.shift_left e46 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e46 11) (Int32.shift_left e46 21)) (Int32.logor (Int32.shift_right_logical e46 25) (Int32.shift_left e46 7))))) (Int32.add (Int32.logxor e44 (Int32.logand e46 (Int32.logxor e45 e44))) (Int32.add 275423344l w47)) in
-  let e47 = Int32.add a43 t47 in
-  let a47 = Int32.add t47 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a46 2) (Int32.shift_left a46 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a46 13) (Int32.shift_left a46 19)) (Int32.logor (Int32.shift_right_logical a46 22) (Int32.shift_left a46 10)))) (Int32.logxor (Int32.logand a46 (Int32.logxor a45 a44)) (Int32.logand a45 a44))) in
-  (* rounds 48-55 *)
-  let w48 = Int32.add (Int32.add w32 (Int32.logxor (Int32.logor (Int32.shift_right_logical w33 7) (Int32.shift_left w33 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w33 18) (Int32.shift_left w33 14)) (Int32.shift_right_logical w33 3)))) (Int32.add w41 (Int32.logxor (Int32.logor (Int32.shift_right_logical w46 17) (Int32.shift_left w46 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w46 19) (Int32.shift_left w46 13)) (Int32.shift_right_logical w46 10)))) in
-  let t48 = Int32.add (Int32.add e44 (Int32.logxor (Int32.logor (Int32.shift_right_logical e47 6) (Int32.shift_left e47 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e47 11) (Int32.shift_left e47 21)) (Int32.logor (Int32.shift_right_logical e47 25) (Int32.shift_left e47 7))))) (Int32.add (Int32.logxor e45 (Int32.logand e47 (Int32.logxor e46 e45))) (Int32.add 430227734l w48)) in
-  let e48 = Int32.add a44 t48 in
-  let a48 = Int32.add t48 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a47 2) (Int32.shift_left a47 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a47 13) (Int32.shift_left a47 19)) (Int32.logor (Int32.shift_right_logical a47 22) (Int32.shift_left a47 10)))) (Int32.logxor (Int32.logand a47 (Int32.logxor a46 a45)) (Int32.logand a46 a45))) in
-  let w49 = Int32.add (Int32.add w33 (Int32.logxor (Int32.logor (Int32.shift_right_logical w34 7) (Int32.shift_left w34 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w34 18) (Int32.shift_left w34 14)) (Int32.shift_right_logical w34 3)))) (Int32.add w42 (Int32.logxor (Int32.logor (Int32.shift_right_logical w47 17) (Int32.shift_left w47 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w47 19) (Int32.shift_left w47 13)) (Int32.shift_right_logical w47 10)))) in
-  let t49 = Int32.add (Int32.add e45 (Int32.logxor (Int32.logor (Int32.shift_right_logical e48 6) (Int32.shift_left e48 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e48 11) (Int32.shift_left e48 21)) (Int32.logor (Int32.shift_right_logical e48 25) (Int32.shift_left e48 7))))) (Int32.add (Int32.logxor e46 (Int32.logand e48 (Int32.logxor e47 e46))) (Int32.add 506948616l w49)) in
-  let e49 = Int32.add a45 t49 in
-  let a49 = Int32.add t49 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a48 2) (Int32.shift_left a48 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a48 13) (Int32.shift_left a48 19)) (Int32.logor (Int32.shift_right_logical a48 22) (Int32.shift_left a48 10)))) (Int32.logxor (Int32.logand a48 (Int32.logxor a47 a46)) (Int32.logand a47 a46))) in
-  let w50 = Int32.add (Int32.add w34 (Int32.logxor (Int32.logor (Int32.shift_right_logical w35 7) (Int32.shift_left w35 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w35 18) (Int32.shift_left w35 14)) (Int32.shift_right_logical w35 3)))) (Int32.add w43 (Int32.logxor (Int32.logor (Int32.shift_right_logical w48 17) (Int32.shift_left w48 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w48 19) (Int32.shift_left w48 13)) (Int32.shift_right_logical w48 10)))) in
-  let t50 = Int32.add (Int32.add e46 (Int32.logxor (Int32.logor (Int32.shift_right_logical e49 6) (Int32.shift_left e49 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e49 11) (Int32.shift_left e49 21)) (Int32.logor (Int32.shift_right_logical e49 25) (Int32.shift_left e49 7))))) (Int32.add (Int32.logxor e47 (Int32.logand e49 (Int32.logxor e48 e47))) (Int32.add 659060556l w50)) in
-  let e50 = Int32.add a46 t50 in
-  let a50 = Int32.add t50 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a49 2) (Int32.shift_left a49 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a49 13) (Int32.shift_left a49 19)) (Int32.logor (Int32.shift_right_logical a49 22) (Int32.shift_left a49 10)))) (Int32.logxor (Int32.logand a49 (Int32.logxor a48 a47)) (Int32.logand a48 a47))) in
-  let w51 = Int32.add (Int32.add w35 (Int32.logxor (Int32.logor (Int32.shift_right_logical w36 7) (Int32.shift_left w36 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w36 18) (Int32.shift_left w36 14)) (Int32.shift_right_logical w36 3)))) (Int32.add w44 (Int32.logxor (Int32.logor (Int32.shift_right_logical w49 17) (Int32.shift_left w49 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w49 19) (Int32.shift_left w49 13)) (Int32.shift_right_logical w49 10)))) in
-  let t51 = Int32.add (Int32.add e47 (Int32.logxor (Int32.logor (Int32.shift_right_logical e50 6) (Int32.shift_left e50 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e50 11) (Int32.shift_left e50 21)) (Int32.logor (Int32.shift_right_logical e50 25) (Int32.shift_left e50 7))))) (Int32.add (Int32.logxor e48 (Int32.logand e50 (Int32.logxor e49 e48))) (Int32.add 883997877l w51)) in
-  let e51 = Int32.add a47 t51 in
-  let a51 = Int32.add t51 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a50 2) (Int32.shift_left a50 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a50 13) (Int32.shift_left a50 19)) (Int32.logor (Int32.shift_right_logical a50 22) (Int32.shift_left a50 10)))) (Int32.logxor (Int32.logand a50 (Int32.logxor a49 a48)) (Int32.logand a49 a48))) in
-  let w52 = Int32.add (Int32.add w36 (Int32.logxor (Int32.logor (Int32.shift_right_logical w37 7) (Int32.shift_left w37 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w37 18) (Int32.shift_left w37 14)) (Int32.shift_right_logical w37 3)))) (Int32.add w45 (Int32.logxor (Int32.logor (Int32.shift_right_logical w50 17) (Int32.shift_left w50 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w50 19) (Int32.shift_left w50 13)) (Int32.shift_right_logical w50 10)))) in
-  let t52 = Int32.add (Int32.add e48 (Int32.logxor (Int32.logor (Int32.shift_right_logical e51 6) (Int32.shift_left e51 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e51 11) (Int32.shift_left e51 21)) (Int32.logor (Int32.shift_right_logical e51 25) (Int32.shift_left e51 7))))) (Int32.add (Int32.logxor e49 (Int32.logand e51 (Int32.logxor e50 e49))) (Int32.add 958139571l w52)) in
-  let e52 = Int32.add a48 t52 in
-  let a52 = Int32.add t52 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a51 2) (Int32.shift_left a51 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a51 13) (Int32.shift_left a51 19)) (Int32.logor (Int32.shift_right_logical a51 22) (Int32.shift_left a51 10)))) (Int32.logxor (Int32.logand a51 (Int32.logxor a50 a49)) (Int32.logand a50 a49))) in
-  let w53 = Int32.add (Int32.add w37 (Int32.logxor (Int32.logor (Int32.shift_right_logical w38 7) (Int32.shift_left w38 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w38 18) (Int32.shift_left w38 14)) (Int32.shift_right_logical w38 3)))) (Int32.add w46 (Int32.logxor (Int32.logor (Int32.shift_right_logical w51 17) (Int32.shift_left w51 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w51 19) (Int32.shift_left w51 13)) (Int32.shift_right_logical w51 10)))) in
-  let t53 = Int32.add (Int32.add e49 (Int32.logxor (Int32.logor (Int32.shift_right_logical e52 6) (Int32.shift_left e52 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e52 11) (Int32.shift_left e52 21)) (Int32.logor (Int32.shift_right_logical e52 25) (Int32.shift_left e52 7))))) (Int32.add (Int32.logxor e50 (Int32.logand e52 (Int32.logxor e51 e50))) (Int32.add 1322822218l w53)) in
-  let e53 = Int32.add a49 t53 in
-  let a53 = Int32.add t53 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a52 2) (Int32.shift_left a52 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a52 13) (Int32.shift_left a52 19)) (Int32.logor (Int32.shift_right_logical a52 22) (Int32.shift_left a52 10)))) (Int32.logxor (Int32.logand a52 (Int32.logxor a51 a50)) (Int32.logand a51 a50))) in
-  let w54 = Int32.add (Int32.add w38 (Int32.logxor (Int32.logor (Int32.shift_right_logical w39 7) (Int32.shift_left w39 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w39 18) (Int32.shift_left w39 14)) (Int32.shift_right_logical w39 3)))) (Int32.add w47 (Int32.logxor (Int32.logor (Int32.shift_right_logical w52 17) (Int32.shift_left w52 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w52 19) (Int32.shift_left w52 13)) (Int32.shift_right_logical w52 10)))) in
-  let t54 = Int32.add (Int32.add e50 (Int32.logxor (Int32.logor (Int32.shift_right_logical e53 6) (Int32.shift_left e53 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e53 11) (Int32.shift_left e53 21)) (Int32.logor (Int32.shift_right_logical e53 25) (Int32.shift_left e53 7))))) (Int32.add (Int32.logxor e51 (Int32.logand e53 (Int32.logxor e52 e51))) (Int32.add 1537002063l w54)) in
-  let e54 = Int32.add a50 t54 in
-  let a54 = Int32.add t54 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a53 2) (Int32.shift_left a53 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a53 13) (Int32.shift_left a53 19)) (Int32.logor (Int32.shift_right_logical a53 22) (Int32.shift_left a53 10)))) (Int32.logxor (Int32.logand a53 (Int32.logxor a52 a51)) (Int32.logand a52 a51))) in
-  let w55 = Int32.add (Int32.add w39 (Int32.logxor (Int32.logor (Int32.shift_right_logical w40 7) (Int32.shift_left w40 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w40 18) (Int32.shift_left w40 14)) (Int32.shift_right_logical w40 3)))) (Int32.add w48 (Int32.logxor (Int32.logor (Int32.shift_right_logical w53 17) (Int32.shift_left w53 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w53 19) (Int32.shift_left w53 13)) (Int32.shift_right_logical w53 10)))) in
-  let t55 = Int32.add (Int32.add e51 (Int32.logxor (Int32.logor (Int32.shift_right_logical e54 6) (Int32.shift_left e54 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e54 11) (Int32.shift_left e54 21)) (Int32.logor (Int32.shift_right_logical e54 25) (Int32.shift_left e54 7))))) (Int32.add (Int32.logxor e52 (Int32.logand e54 (Int32.logxor e53 e52))) (Int32.add 1747873779l w55)) in
-  let e55 = Int32.add a51 t55 in
-  let a55 = Int32.add t55 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a54 2) (Int32.shift_left a54 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a54 13) (Int32.shift_left a54 19)) (Int32.logor (Int32.shift_right_logical a54 22) (Int32.shift_left a54 10)))) (Int32.logxor (Int32.logand a54 (Int32.logxor a53 a52)) (Int32.logand a53 a52))) in
-  (* rounds 56-63 *)
-  let w56 = Int32.add (Int32.add w40 (Int32.logxor (Int32.logor (Int32.shift_right_logical w41 7) (Int32.shift_left w41 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w41 18) (Int32.shift_left w41 14)) (Int32.shift_right_logical w41 3)))) (Int32.add w49 (Int32.logxor (Int32.logor (Int32.shift_right_logical w54 17) (Int32.shift_left w54 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w54 19) (Int32.shift_left w54 13)) (Int32.shift_right_logical w54 10)))) in
-  let t56 = Int32.add (Int32.add e52 (Int32.logxor (Int32.logor (Int32.shift_right_logical e55 6) (Int32.shift_left e55 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e55 11) (Int32.shift_left e55 21)) (Int32.logor (Int32.shift_right_logical e55 25) (Int32.shift_left e55 7))))) (Int32.add (Int32.logxor e53 (Int32.logand e55 (Int32.logxor e54 e53))) (Int32.add 1955562222l w56)) in
-  let e56 = Int32.add a52 t56 in
-  let a56 = Int32.add t56 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a55 2) (Int32.shift_left a55 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a55 13) (Int32.shift_left a55 19)) (Int32.logor (Int32.shift_right_logical a55 22) (Int32.shift_left a55 10)))) (Int32.logxor (Int32.logand a55 (Int32.logxor a54 a53)) (Int32.logand a54 a53))) in
-  let w57 = Int32.add (Int32.add w41 (Int32.logxor (Int32.logor (Int32.shift_right_logical w42 7) (Int32.shift_left w42 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w42 18) (Int32.shift_left w42 14)) (Int32.shift_right_logical w42 3)))) (Int32.add w50 (Int32.logxor (Int32.logor (Int32.shift_right_logical w55 17) (Int32.shift_left w55 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w55 19) (Int32.shift_left w55 13)) (Int32.shift_right_logical w55 10)))) in
-  let t57 = Int32.add (Int32.add e53 (Int32.logxor (Int32.logor (Int32.shift_right_logical e56 6) (Int32.shift_left e56 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e56 11) (Int32.shift_left e56 21)) (Int32.logor (Int32.shift_right_logical e56 25) (Int32.shift_left e56 7))))) (Int32.add (Int32.logxor e54 (Int32.logand e56 (Int32.logxor e55 e54))) (Int32.add 2024104815l w57)) in
-  let e57 = Int32.add a53 t57 in
-  let a57 = Int32.add t57 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a56 2) (Int32.shift_left a56 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a56 13) (Int32.shift_left a56 19)) (Int32.logor (Int32.shift_right_logical a56 22) (Int32.shift_left a56 10)))) (Int32.logxor (Int32.logand a56 (Int32.logxor a55 a54)) (Int32.logand a55 a54))) in
-  let w58 = Int32.add (Int32.add w42 (Int32.logxor (Int32.logor (Int32.shift_right_logical w43 7) (Int32.shift_left w43 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w43 18) (Int32.shift_left w43 14)) (Int32.shift_right_logical w43 3)))) (Int32.add w51 (Int32.logxor (Int32.logor (Int32.shift_right_logical w56 17) (Int32.shift_left w56 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w56 19) (Int32.shift_left w56 13)) (Int32.shift_right_logical w56 10)))) in
-  let t58 = Int32.add (Int32.add e54 (Int32.logxor (Int32.logor (Int32.shift_right_logical e57 6) (Int32.shift_left e57 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e57 11) (Int32.shift_left e57 21)) (Int32.logor (Int32.shift_right_logical e57 25) (Int32.shift_left e57 7))))) (Int32.add (Int32.logxor e55 (Int32.logand e57 (Int32.logxor e56 e55))) (Int32.add (-2067236844l) w58)) in
-  let e58 = Int32.add a54 t58 in
-  let a58 = Int32.add t58 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a57 2) (Int32.shift_left a57 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a57 13) (Int32.shift_left a57 19)) (Int32.logor (Int32.shift_right_logical a57 22) (Int32.shift_left a57 10)))) (Int32.logxor (Int32.logand a57 (Int32.logxor a56 a55)) (Int32.logand a56 a55))) in
-  let w59 = Int32.add (Int32.add w43 (Int32.logxor (Int32.logor (Int32.shift_right_logical w44 7) (Int32.shift_left w44 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w44 18) (Int32.shift_left w44 14)) (Int32.shift_right_logical w44 3)))) (Int32.add w52 (Int32.logxor (Int32.logor (Int32.shift_right_logical w57 17) (Int32.shift_left w57 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w57 19) (Int32.shift_left w57 13)) (Int32.shift_right_logical w57 10)))) in
-  let t59 = Int32.add (Int32.add e55 (Int32.logxor (Int32.logor (Int32.shift_right_logical e58 6) (Int32.shift_left e58 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e58 11) (Int32.shift_left e58 21)) (Int32.logor (Int32.shift_right_logical e58 25) (Int32.shift_left e58 7))))) (Int32.add (Int32.logxor e56 (Int32.logand e58 (Int32.logxor e57 e56))) (Int32.add (-1933114872l) w59)) in
-  let e59 = Int32.add a55 t59 in
-  let a59 = Int32.add t59 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a58 2) (Int32.shift_left a58 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a58 13) (Int32.shift_left a58 19)) (Int32.logor (Int32.shift_right_logical a58 22) (Int32.shift_left a58 10)))) (Int32.logxor (Int32.logand a58 (Int32.logxor a57 a56)) (Int32.logand a57 a56))) in
-  let w60 = Int32.add (Int32.add w44 (Int32.logxor (Int32.logor (Int32.shift_right_logical w45 7) (Int32.shift_left w45 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w45 18) (Int32.shift_left w45 14)) (Int32.shift_right_logical w45 3)))) (Int32.add w53 (Int32.logxor (Int32.logor (Int32.shift_right_logical w58 17) (Int32.shift_left w58 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w58 19) (Int32.shift_left w58 13)) (Int32.shift_right_logical w58 10)))) in
-  let t60 = Int32.add (Int32.add e56 (Int32.logxor (Int32.logor (Int32.shift_right_logical e59 6) (Int32.shift_left e59 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e59 11) (Int32.shift_left e59 21)) (Int32.logor (Int32.shift_right_logical e59 25) (Int32.shift_left e59 7))))) (Int32.add (Int32.logxor e57 (Int32.logand e59 (Int32.logxor e58 e57))) (Int32.add (-1866530822l) w60)) in
-  let e60 = Int32.add a56 t60 in
-  let a60 = Int32.add t60 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a59 2) (Int32.shift_left a59 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a59 13) (Int32.shift_left a59 19)) (Int32.logor (Int32.shift_right_logical a59 22) (Int32.shift_left a59 10)))) (Int32.logxor (Int32.logand a59 (Int32.logxor a58 a57)) (Int32.logand a58 a57))) in
-  let w61 = Int32.add (Int32.add w45 (Int32.logxor (Int32.logor (Int32.shift_right_logical w46 7) (Int32.shift_left w46 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w46 18) (Int32.shift_left w46 14)) (Int32.shift_right_logical w46 3)))) (Int32.add w54 (Int32.logxor (Int32.logor (Int32.shift_right_logical w59 17) (Int32.shift_left w59 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w59 19) (Int32.shift_left w59 13)) (Int32.shift_right_logical w59 10)))) in
-  let t61 = Int32.add (Int32.add e57 (Int32.logxor (Int32.logor (Int32.shift_right_logical e60 6) (Int32.shift_left e60 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e60 11) (Int32.shift_left e60 21)) (Int32.logor (Int32.shift_right_logical e60 25) (Int32.shift_left e60 7))))) (Int32.add (Int32.logxor e58 (Int32.logand e60 (Int32.logxor e59 e58))) (Int32.add (-1538233109l) w61)) in
-  let e61 = Int32.add a57 t61 in
-  let a61 = Int32.add t61 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a60 2) (Int32.shift_left a60 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a60 13) (Int32.shift_left a60 19)) (Int32.logor (Int32.shift_right_logical a60 22) (Int32.shift_left a60 10)))) (Int32.logxor (Int32.logand a60 (Int32.logxor a59 a58)) (Int32.logand a59 a58))) in
-  let w62 = Int32.add (Int32.add w46 (Int32.logxor (Int32.logor (Int32.shift_right_logical w47 7) (Int32.shift_left w47 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w47 18) (Int32.shift_left w47 14)) (Int32.shift_right_logical w47 3)))) (Int32.add w55 (Int32.logxor (Int32.logor (Int32.shift_right_logical w60 17) (Int32.shift_left w60 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w60 19) (Int32.shift_left w60 13)) (Int32.shift_right_logical w60 10)))) in
-  let t62 = Int32.add (Int32.add e58 (Int32.logxor (Int32.logor (Int32.shift_right_logical e61 6) (Int32.shift_left e61 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e61 11) (Int32.shift_left e61 21)) (Int32.logor (Int32.shift_right_logical e61 25) (Int32.shift_left e61 7))))) (Int32.add (Int32.logxor e59 (Int32.logand e61 (Int32.logxor e60 e59))) (Int32.add (-1090935817l) w62)) in
-  let e62 = Int32.add a58 t62 in
-  let a62 = Int32.add t62 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a61 2) (Int32.shift_left a61 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a61 13) (Int32.shift_left a61 19)) (Int32.logor (Int32.shift_right_logical a61 22) (Int32.shift_left a61 10)))) (Int32.logxor (Int32.logand a61 (Int32.logxor a60 a59)) (Int32.logand a60 a59))) in
-  let w63 = Int32.add (Int32.add w47 (Int32.logxor (Int32.logor (Int32.shift_right_logical w48 7) (Int32.shift_left w48 25)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w48 18) (Int32.shift_left w48 14)) (Int32.shift_right_logical w48 3)))) (Int32.add w56 (Int32.logxor (Int32.logor (Int32.shift_right_logical w61 17) (Int32.shift_left w61 15)) (Int32.logxor (Int32.logor (Int32.shift_right_logical w61 19) (Int32.shift_left w61 13)) (Int32.shift_right_logical w61 10)))) in
-  let t63 = Int32.add (Int32.add e59 (Int32.logxor (Int32.logor (Int32.shift_right_logical e62 6) (Int32.shift_left e62 26)) (Int32.logxor (Int32.logor (Int32.shift_right_logical e62 11) (Int32.shift_left e62 21)) (Int32.logor (Int32.shift_right_logical e62 25) (Int32.shift_left e62 7))))) (Int32.add (Int32.logxor e60 (Int32.logand e62 (Int32.logxor e61 e60))) (Int32.add (-965641998l) w63)) in
-  let e63 = Int32.add a59 t63 in
-  let a63 = Int32.add t63 (Int32.add (Int32.logxor (Int32.logor (Int32.shift_right_logical a62 2) (Int32.shift_left a62 30)) (Int32.logxor (Int32.logor (Int32.shift_right_logical a62 13) (Int32.shift_left a62 19)) (Int32.logor (Int32.shift_right_logical a62 22) (Int32.shift_left a62 10)))) (Int32.logxor (Int32.logand a62 (Int32.logxor a61 a60)) (Int32.logand a61 a60))) in
-  Array.unsafe_set h 0 (Int32.to_int (Int32.add (Int32.of_int (Array.unsafe_get h 0)) a63) land mask32);
-  Array.unsafe_set h 1 (Int32.to_int (Int32.add (Int32.of_int (Array.unsafe_get h 1)) a62) land mask32);
-  Array.unsafe_set h 2 (Int32.to_int (Int32.add (Int32.of_int (Array.unsafe_get h 2)) a61) land mask32);
-  Array.unsafe_set h 3 (Int32.to_int (Int32.add (Int32.of_int (Array.unsafe_get h 3)) a60) land mask32);
-  Array.unsafe_set h 4 (Int32.to_int (Int32.add (Int32.of_int (Array.unsafe_get h 4)) e63) land mask32);
-  Array.unsafe_set h 5 (Int32.to_int (Int32.add (Int32.of_int (Array.unsafe_get h 5)) e62) land mask32);
-  Array.unsafe_set h 6 (Int32.to_int (Int32.add (Int32.of_int (Array.unsafe_get h 6)) e61) land mask32);
-  Array.unsafe_set h 7 (Int32.to_int (Int32.add (Int32.of_int (Array.unsafe_get h 7)) e60) land mask32);
-  ()
+  let h = Bytes.create 32 in
+  init_state h;
+  { h; block = Bytes.create 64; fill = 0; total = 0; finalized = false }
 
 let feed_bytes ctx ?(off = 0) ?len src =
   if ctx.finalized then invalid_arg "Sha256.feed_bytes: context already finalized";
@@ -333,16 +48,17 @@ let feed_bytes ctx ?(off = 0) ?len src =
     pos := !pos + take;
     remaining := !remaining - take;
     if ctx.fill = 64 then begin
-      compress ctx.h ctx.block 0;
+      compress_blocks ctx.h ctx.block 0 1;
       ctx.fill <- 0
     end
   end;
-  (* Whole blocks straight from the caller's buffer, zero-copy. *)
-  while !remaining >= 64 do
-    compress ctx.h src !pos;
-    pos := !pos + 64;
-    remaining := !remaining - 64
-  done;
+  (* Whole blocks straight from the caller's buffer, in one call. *)
+  let whole = !remaining lsr 6 in
+  if whole > 0 then begin
+    compress_blocks ctx.h src !pos whole;
+    pos := !pos + (whole lsl 6);
+    remaining := !remaining - (whole lsl 6)
+  end;
   if !remaining > 0 then begin
     Bytes.blit src !pos ctx.block ctx.fill !remaining;
     ctx.fill <- ctx.fill + !remaining
@@ -350,17 +66,9 @@ let feed_bytes ctx ?(off = 0) ?len src =
 
 let feed_string ctx s = feed_bytes ctx (Bytes.unsafe_of_string s)
 
-let[@inline] output_digest (h : int array) =
-  let out = Bytes.create 32 in
-  for i = 0 to 7 do
-    Bytes.set_int32_be out (4 * i) (Int32.of_int (Array.unsafe_get h i))
-  done;
-  Bytes.unsafe_to_string out
-
 let finalize ctx =
   if ctx.finalized then invalid_arg "Sha256.finalize: context already finalized";
   ctx.finalized <- true;
-  let bit_len = Int64.of_int (ctx.total * 8) in
   (* Padding: 0x80, zeros, 8-byte big-endian bit length — written straight
      into the block buffer, no scratch allocation. *)
   let block = ctx.block in
@@ -368,81 +76,28 @@ let finalize ctx =
   Bytes.unsafe_set block fill '\x80';
   if fill >= 56 then begin
     Bytes.fill block (fill + 1) (63 - fill) '\000';
-    compress ctx.h block 0;
+    compress_blocks ctx.h block 0 1;
     Bytes.fill block 0 56 '\000'
   end
   else Bytes.fill block (fill + 1) (55 - fill) '\000';
-  Bytes.set_int64_be block 56 bit_len;
-  compress ctx.h block 0;
+  Bytes.set_int64_be block 56 (Int64.of_int (ctx.total * 8));
+  compress_blocks ctx.h block 0 1;
   ctx.fill <- 0;
-  output_digest ctx.h
-
-(* One-shot fast path: hash whole blocks straight out of the string and
-   build only the final padded block(s) — no context, no input copying. *)
-let digest_string s =
-  let len = String.length s in
-  let h =
-    [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
-       0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
-  in
-  let block = Bytes.unsafe_of_string s in
-  let nblocks = len lsr 6 in
-  for b = 0 to nblocks - 1 do
-    compress h block (b lsl 6)
+  let out = Bytes.create 32 in
+  for i = 0 to 7 do
+    Bytes.set_int32_be out (4 * i) (Bytes.get_int32_ne ctx.h (4 * i))
   done;
-  let rem = len land 63 in
-  let pad = Bytes.make (if rem >= 56 then 128 else 64) '\000' in
-  Bytes.blit_string s (len - rem) pad 0 rem;
-  Bytes.unsafe_set pad rem '\x80';
-  let pad_len = Bytes.length pad in
-  Bytes.set_int64_be pad (pad_len - 8) (Int64.of_int (len * 8));
-  compress h pad 0;
-  if pad_len = 128 then compress h pad 64;
-  output_digest h
+  Bytes.unsafe_to_string out
 
-let digest_strings parts =
-  let ctx = init () in
-  List.iter (feed_string ctx) parts;
-  finalize ctx
-
-(* Merkle inner-node fast path: a 64-byte message (two concatenated
-   32-byte digests) is exactly one data block plus one padding block, and
-   the padding block is a constant — 0x80, zeros, bit length 512. Two
-   [compress] calls over preallocated scratch, no steady-state allocation.
-   The scratch state vector is domain-local so concurrent callers in
-   different domains cannot interleave compress rounds. *)
-let pair_pad =
-  let b = Bytes.make 64 '\000' in
-  Bytes.unsafe_set b 0 '\x80';
-  Bytes.set_int64_be b 56 512L;
-  b
-
-let pair_h_key = Domain.DLS.new_key (fun () -> Array.make 8 0)
+let digest_strings parts = digest_string (String.concat "" parts)
 
 let digest_pair_into ~src ~src_off ~dst ~dst_off =
   if src_off < 0 || src_off + 64 > Bytes.length src || dst_off < 0
      || dst_off + 32 > Bytes.length dst
   then invalid_arg "Sha256.digest_pair_into";
-  let h = Domain.DLS.get pair_h_key in
-  h.(0) <- 0x6a09e667; h.(1) <- 0xbb67ae85;
-  h.(2) <- 0x3c6ef372; h.(3) <- 0xa54ff53a;
-  h.(4) <- 0x510e527f; h.(5) <- 0x9b05688c;
-  h.(6) <- 0x1f83d9ab; h.(7) <- 0x5be0cd19;
-  compress h src src_off;
-  compress h pair_pad 0;
-  for i = 0 to 7 do
-    Bytes.set_int32_be dst (dst_off + (4 * i)) (Int32.of_int (Array.unsafe_get h i))
-  done
+  pair_into src src_off dst dst_off
 
-let hmac ~key msg =
-  let key = if String.length key > 64 then digest_string key else key in
-  let pad fill =
-    let b = Bytes.make 64 (Char.chr fill) in
-    String.iteri (fun i c -> Bytes.set b i (Char.chr (Char.code c lxor fill))) key;
-    Bytes.unsafe_to_string b
-  in
-  let inner = digest_strings [ pad 0x36; msg ] in
-  digest_strings [ pad 0x5c; inner ]
+let hmac ~key msg = hmac_c key msg
 
 let hex_chars = "0123456789abcdef"
 
@@ -455,3 +110,22 @@ let to_hex raw =
     Bytes.unsafe_set out ((2 * i) + 1) (String.unsafe_get hex_chars (c land 0xf))
   done;
   Bytes.unsafe_to_string out
+
+module For_testing = struct
+  type backend = Portable | Sha_ni
+
+  let code = function Portable -> 0 | Sha_ni -> 1
+
+  external digest_with : int -> string -> string = "leopard_sha256_digest_with"
+
+  external pair_with : int -> bytes -> int -> bytes -> int -> unit = "leopard_sha256_pair_with"
+
+  let sha_ni_available = has_sha_ni ()
+  let digest_string b s = digest_with (code b) s
+
+  let digest_pair_into b ~src ~src_off ~dst ~dst_off =
+    if src_off < 0 || src_off + 64 > Bytes.length src || dst_off < 0
+       || dst_off + 32 > Bytes.length dst
+    then invalid_arg "Sha256.For_testing.digest_pair_into";
+    pair_with (code b) src src_off dst dst_off
+end

@@ -1,10 +1,19 @@
-(** SHA-256 (FIPS 180-4), pure OCaml.
+(** SHA-256 (FIPS 180-4), compressed in C.
 
     Used for request digests, datablock/BFTblock hashes and hash links.
     The implementation is the real compression function (verified against
     the RFC 6234 test vectors in the test suite), so hash-link integrity
     and collision-resistance assumptions in the protocol are exercised for
-    real rather than stubbed. *)
+    real rather than stubbed.
+
+    The compressor is an in-repo C stub ([sha256_stubs.c]). At startup it
+    picks the x86 SHA extensions when cpuid reports them, and portable C
+    otherwise; both give the same digests, and {!backend} names the one
+    in use. The one-shot functions ({!digest_string}, {!digest_pair_into},
+    {!hmac}) are one C call each. *)
+
+val backend : string
+(** ["sha-ni"] or ["portable"]: the compressor chosen at startup. *)
 
 type ctx
 (** Streaming hash context. *)
@@ -28,9 +37,7 @@ val digest_pair_into : src:bytes -> src_off:int -> dst:bytes -> dst_off:int -> u
     concatenated 32-byte digests), written to [dst.(dst_off..+31)]
     without allocating in steady state — the Merkle inner-node
     primitive. Equal to [digest_string (Bytes.sub_string src src_off
-    64)]. Uses domain-local scratch state: safe to call from multiple
-    domains, but not from signal handlers or effect handlers that could
-    interrupt another call on the same domain. *)
+    64)]. Safe to call from any domain. *)
 
 val hmac : key:string -> string -> string
 (** HMAC-SHA256 (RFC 2104); the primitive under the simulated signature
@@ -38,3 +45,17 @@ val hmac : key:string -> string -> string
 
 val to_hex : string -> string
 (** Lowercase hex rendering of a raw digest. *)
+
+(** Test-only access to each compressor, whatever {!backend} is. *)
+module For_testing : sig
+  type backend = Portable | Sha_ni
+
+  val sha_ni_available : bool
+  (** Whether this CPU reports the SHA extensions; [Sha_ni] calls raise
+      [Invalid_argument] when it does not. *)
+
+  val digest_string : backend -> string -> string
+
+  val digest_pair_into :
+    backend -> src:bytes -> src_off:int -> dst:bytes -> dst_off:int -> unit
+end

@@ -26,6 +26,8 @@ type t = {
   done_q : task Queue.t;
   notify_r : Unix.file_descr;
   notify_w : Unix.file_descr;
+  armed : bool Atomic.t; (* a byte may be in the pipe; set before each write *)
+  drain_buf : bytes; (* owner-only scratch for emptying the pipe *)
   mutable closed : bool;
   (* stats (under [m] except [drained]/[busy_ns], under [dm]) *)
   mutable tasks : int;
@@ -113,6 +115,8 @@ let create ?obs ?domains ?budget () =
       done_q = Queue.create ();
       notify_r;
       notify_w;
+      armed = Atomic.make false;
+      drain_buf = Bytes.create 64;
       closed = false;
       tasks = 0;
       batches = 0;
@@ -167,9 +171,10 @@ let create ?obs ?domains ?budget () =
 
 let size t = Array.length t.domains
 
-(* Completion-queue side. The empty->nonempty transition writes one
-   byte; losing the write to a full pipe is fine (the pipe is already
-   readable), losing it to a closed pipe means shutdown already ran. *)
+(* Completion-queue side. The empty->nonempty transition arms the flag
+   and then writes one byte; losing the write to a full pipe is fine (the
+   pipe is already readable), losing it to a closed pipe means shutdown
+   already ran. *)
 let push_done t thunk =
   let was_empty =
     Mutex.protect t.dm (fun () ->
@@ -177,30 +182,41 @@ let push_done t thunk =
         Queue.push thunk t.done_q;
         e)
   in
-  if was_empty then
+  if was_empty then begin
+    Atomic.set t.armed true;
     try ignore (Unix.write t.notify_w (Bytes.make 1 '\001') 0 1)
     with
     | Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EPIPE | EBADF), _, _) -> ()
+  end
 
+(* An unarmed pool has nothing to deliver yet: its completion queue is
+   empty, or the push that filled it has not armed the flag, and will
+   then write a byte that wakes the owner for the next drain. So the idle
+   case is one atomic read, with no syscall and no allocation. Only the
+   owner disarms, so read-then-clear needs no exchange. *)
 let drain t =
-  (* Clear the pipe first, then swap the queue: a push that lands after
-     the swap writes a fresh byte (the queue it saw was empty again), so
-     no wakeup is ever lost. *)
-  let buf = Bytes.create 64 in
-  let rec clear () =
-    match Unix.read t.notify_r buf 0 64 with
-    | 64 -> clear ()
-    | _ -> ()
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EBADF), _, _) -> ()
-  in
-  clear ();
-  let pending = Queue.create () in
-  Mutex.protect t.dm (fun () ->
-      Queue.transfer t.done_q pending;
-      t.drained <- t.drained + Queue.length pending);
-  let n = Queue.length pending in
-  Queue.iter (fun k -> k ()) pending;
-  n
+  if not (Atomic.get t.armed) then 0
+  else begin
+    Atomic.set t.armed false;
+    (* Disarm and clear the pipe first, then swap the queue: a push that
+       lands after the swap re-arms and writes a fresh byte (the queue it
+       saw was empty again), so no wakeup is ever lost. *)
+    let buf = t.drain_buf in
+    let rec clear () =
+      match Unix.read t.notify_r buf 0 64 with
+      | 64 -> clear ()
+      | _ -> ()
+      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EBADF), _, _) -> ()
+    in
+    clear ();
+    let pending = Queue.create () in
+    Mutex.protect t.dm (fun () ->
+        Queue.transfer t.done_q pending;
+        t.drained <- t.drained + Queue.length pending);
+    let n = Queue.length pending in
+    Queue.iter (fun k -> k ()) pending;
+    n
+  end
 
 let notify_fd t = t.notify_r
 

@@ -80,10 +80,16 @@ val async_all : t -> (unit -> 'a) list -> ('a list -> unit) -> unit
     {!drain}. *)
 
 val drain : t -> int
-(** Runs every completion callback whose task has finished, on the
-    calling thread, and returns how many were delivered. The owner must
-    call this regularly (tick hook) and/or when {!notify_fd} becomes
-    readable. Never blocks. *)
+(** Runs every completion callback whose task has finished and whose
+    wakeup has been signalled, on the calling thread, and returns how
+    many were delivered. The owner must call this regularly (tick hook)
+    and/or when {!notify_fd} becomes readable; a completion signalled
+    after a drain began is delivered by the next one, and the fd is
+    readable until then. Never blocks. With nothing signalled it is one
+    atomic read: no syscall, no allocation.
+
+    [Core.Verify.pooled] sends only jobs above its cost cut here; cheap
+    checks cost less than the round trip and run on the owner. *)
 
 val notify_fd : t -> Unix.file_descr
 (** Read end of a self-pipe: becomes readable when the completion queue

@@ -53,9 +53,10 @@ val create :
     see {!Core.Driver} for the policy).
 
     [verify_domains] sizes the shared verification pool: crypto checks
-    run on worker domains ({!Core.Verify.pooled}) and completions are
-    drained by a loop tick plus the pool's notify fd, so [read(2)] and
-    [write(2)] never wait on crypto. Default: on, with
+    above {!Core.Verify.pooled}'s cost cut run on worker domains and
+    their completions are drained by a loop tick plus the pool's notify
+    fd, so [read(2)] and [write(2)] never wait on a costly check; cheaper
+    checks run inline, costing less than the hand-off. Default: on, with
     [min 4 (recommended_domain_count - 1)] workers (at least 1);
     [Some 0] verifies inline on the loop thread (the pre-pool
     behaviour).

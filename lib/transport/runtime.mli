@@ -25,9 +25,9 @@ val node :
   unit ->
   node
 (** [verify] defaults to {!Core.Verify.inline}; the cluster harness
-    passes {!Core.Verify.pooled} so crypto checks run on worker domains
-    and their continuations are delivered by a loop tick draining the
-    pool (see {!Cluster.create}). [store] defaults to {!Core.Store.null};
+    passes {!Core.Verify.pooled} so costly crypto checks run on worker
+    domains and their continuations are delivered by a loop tick
+    draining the pool (see {!Cluster.create}). [store] defaults to {!Core.Store.null};
     the cluster harness passes a per-node file-backed sink so replicas
     survive process restarts. *)
 

@@ -1,0 +1,112 @@
+#!/usr/bin/env bash
+# Paired A/B runs of one tcpbench workload: a git revision against the
+# working tree.
+#
+#   scripts/tcpbench_pairs.sh <rev> <workload> <seconds> <seed>...
+#   scripts/tcpbench_pairs.sh HEAD leader-crash-n7 40 5001 5002 5003 5004 5005
+#
+# <rev> is built in a temporary git worktree, the working tree in place;
+# neither has anything under tcpbench/ changed. For each seed both sides
+# run `python3 tcpbench/run.py --workload W --seed S --seconds T --trace 0`
+# once, in turn; which side goes first alternates from seed to seed, so a
+# slow spell of a shared host lands on both. One row per seed gives each
+# side's host CPU steal and cpu_us_per_req, and the change's delta. The
+# summary gives, for every end-to-end metric of BENCHMARK.json, each
+# side's median and quartiles, the change in the medians, and the pairs
+# the working tree won in the metric's better direction. The worktree
+# and the raw results (kept under ${TMPDIR:-/tmp} while it runs) are
+# removed on exit. A run that fails its correctness check stops the
+# script.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+if [ $# -lt 4 ]; then
+  sed -n '4,5p' "$0" | sed 's/^# *//' >&2
+  exit 2
+fi
+rev="$1" workload="$2" seconds="$3"
+shift 3
+
+tmp="$(mktemp -d "${TMPDIR:-/tmp}/tcpbench_pairs.XXXXXX")"
+base="$tmp/base"
+cleanup() {
+  git worktree remove --force "$base" >/dev/null 2>&1 || true
+  git worktree prune >/dev/null 2>&1 || true
+  rm -rf "$tmp"
+}
+trap cleanup EXIT
+git worktree add --quiet --detach "$base" "$rev"
+
+# run SIDE DIR SEED: one run in DIR; its whole output goes to
+# $tmp/SIDE.SEED, and a failed run stops the script with that output.
+run() {
+  local side="$1" dir="$2" seed="$3" out="$tmp/$1.$3"
+  if ! (cd "$dir" && python3 tcpbench/run.py --workload "$workload" --seed "$seed" \
+          --seconds "$seconds" --trace 0) >"$out" 2>"$out.err"; then
+    echo "tcpbench_pairs: $side seed $seed failed:" >&2
+    tail -n 20 "$out" "$out.err" >&2
+    exit 1
+  fi
+}
+
+i=0
+for seed in "$@"; do
+  if [ $((i % 2)) -eq 0 ]; then
+    run rev "$base" "$seed"
+    run wt . "$seed"
+  else
+    run wt . "$seed"
+    run rev "$base" "$seed"
+  fi
+  i=$((i + 1))
+done
+
+python3 - "$tmp" "$rev" "$workload" "$@" <<'EOF'
+import json, re, statistics, sys
+
+tmp, rev, workload, seeds = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4:]
+bench = json.load(open("BENCHMARK.json"))
+metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
+
+
+def load(side, seed):
+    lines = open("%s/%s.%s" % (tmp, side, seed)).read().splitlines()
+    steal = next((float(m.group(1)) for l in lines
+                  for m in [re.search(r"host_steal=([0-9.]+)%", l)] if m), float("nan"))
+    res = json.loads(lines[-1])
+    return steal, {k: v["value"] for k, v in res["metrics"].items()}
+
+
+runs = {s: (load("rev", s), load("wt", s)) for s in seeds}
+key = "cpu_us_per_req"
+print("%s, %d pairs of runs: %s (rev) against the working tree (wt)"
+      % (workload, len(seeds), rev))
+print("%-8s %-6s %9s %9s %11s %11s %8s" % ("seed", "first", "steal rev", "steal wt",
+                                           key + " rev", "wt", "delta"))
+for i, s in enumerate(seeds):
+    (sr, mr), (sw, mw) = runs[s]
+    print("%-8s %-6s %8.1f%% %8.1f%% %11.1f %11.1f %+7.1f%%"
+          % (s, "rev" if i % 2 == 0 else "wt", sr, sw, mr[key], mw[key],
+             100 * (mw[key] / mr[key] - 1) if mr[key] else float("nan")))
+
+
+def quartiles(xs):
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+print()
+print("%-16s %-34s %-34s %9s %6s" % ("metric", "rev median [q1, q3]", "wt median [q1, q3]",
+                                      "delta", "wins"))
+for name, better in metrics:
+    a = [runs[s][0][1][name] for s in seeds]
+    b = [runs[s][1][1][name] for s in seeds]
+    (a1, am, a3), (b1, bm, b3) = quartiles(a), quartiles(b)
+    wins = sum(1 for x, y in zip(a, b) if (y < x if better == "lower" else y > x))
+    delta = "%+8.1f%%" % (100 * (bm / am - 1)) if am else "%9s" % "-"
+    print("%-16s %-34s %-34s %s %3d/%d"
+          % (name, "%.4g [%.4g, %.4g]" % (am, a1, a3), "%.4g [%.4g, %.4g]" % (bm, b1, b3),
+             delta, wins, len(seeds)))
+EOF

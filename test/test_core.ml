@@ -501,6 +501,43 @@ let test_sf_workloads () =
   Alcotest.(check (float 1e-9)) "measured SF" 2.0
     (Core.Scaling_factor.measured_sf ~lambda_bytes_per_sec:10. ~replica_bytes_per_sec:[ 5.; 20.; 10. ])
 
+(* -- Hash inputs: byte-identical to the Printf formats they replaced ---- *)
+
+(* Edge values first, so the boundaries are always tried. *)
+let int_edge =
+  QCheck.make ~print:string_of_int
+    QCheck.Gen.(
+      frequency
+        [ (1, oneofl [ 0; 1; -1; 9; 10; -10; 99; 100; min_int; max_int; min_int + 1 ]);
+          (3, int);
+          (3, int_range (-1000) 1000) ])
+
+let int64_edge =
+  QCheck.make ~print:Int64.to_string
+    QCheck.Gen.(
+      frequency
+        [ (1, oneofl [ 0L; -1L; Int64.min_int; Int64.max_int; Int64.of_int max_int; Int64.of_int min_int;
+                       Int64.succ (Int64.of_int max_int); Int64.pred (Int64.of_int min_int) ]);
+          (3, map Int64.of_int int);
+          (3, ui64) ])
+
+let prop_request_encode_matches_printf =
+  QCheck.Test.make ~name:"Request.encode = the batch:%d:%d:%d:%Ld:%b format" ~count:2000
+    QCheck.(quad int_edge int_edge (pair int_edge int64_edge) bool)
+    (fun (id, count, (size_each, born), resend) ->
+      let r = { Workload.Request.id; count; size_each; born; resend; confirmed = ref false } in
+      String.equal (Workload.Request.encode r)
+        (Printf.sprintf "batch:%d:%d:%d:%Ld:%b" id count size_each born resend))
+
+let prop_header_encoding_matches_printf =
+  QCheck.Test.make ~name:"Datablock.header_encoding = the dbhdr:%d:%d:%s format" ~count:2000
+    QCheck.(triple int_edge int_edge string)
+    (fun (creator, counter, seed) ->
+      let digest = Crypto.Hash.of_string seed in
+      String.equal
+        (Core.Datablock.header_encoding { Core.Datablock.creator; counter; digest })
+        (Printf.sprintf "dbhdr:%d:%d:%s" creator counter (Crypto.Hash.raw digest)))
+
 let () =
   Alcotest.run "core-units"
     [ ( "config",
@@ -513,6 +550,9 @@ let () =
           Alcotest.test_case "wrong key" `Quick test_datablock_wrong_key_rejected;
           Alcotest.test_case "bad digest" `Quick test_datablock_bad_digest_rejected;
           Alcotest.test_case "hash binds content" `Quick test_datablock_hash_binds_content ] );
+      ( "hash inputs",
+        List.map (QCheck_alcotest.to_alcotest ~long:false)
+          [ prop_request_encode_matches_printf; prop_header_encoding_matches_printf ] );
       ( "bftblock",
         [ Alcotest.test_case "view-independent hash" `Quick test_bftblock_hash_view_independent;
           Alcotest.test_case "hash binds links/sn" `Quick test_bftblock_hash_binds_links;

@@ -87,7 +87,83 @@ let test_hmac_rfc4231 () =
   (* RFC 4231 test case 1: 20-byte 0x0b key. *)
   let tag1 = Crypto.Sha256.hmac ~key:(String.make 20 '\x0b') "Hi There" in
   checks "hmac tc1" "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-    (Crypto.Sha256.to_hex tag1)
+    (Crypto.Sha256.to_hex tag1);
+  (* RFC 4231 test case 6: a 131-byte key, hashed before use. *)
+  let tag6 =
+    Crypto.Sha256.hmac ~key:(String.make 131 '\xaa')
+      "Test Using Larger Than Block-Size Key - Hash Key First"
+  in
+  checks "hmac tc6" "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+    (Crypto.Sha256.to_hex tag6)
+
+(* -- The two C compressors agree ------------------------------------------ *)
+
+module B = Crypto.Sha256.For_testing
+
+(* Runs [f] when this CPU has SHA-NI; otherwise says why it did not. *)
+let with_sha_ni f =
+  if B.sha_ni_available then f ()
+  else print_endline "SKIP: cpuid reports no SHA extensions; only the portable path runs"
+
+let agree label s =
+  let p = B.digest_string B.Portable s and n = B.digest_string B.Sha_ni s in
+  if not (String.equal p n) then
+    Alcotest.failf "%s: portable %s <> sha-ni %s" label (Crypto.Sha256.to_hex p)
+      (Crypto.Sha256.to_hex n);
+  checkb (label ^ " = selected backend") true (String.equal p (Crypto.Sha256.digest_string s))
+
+let test_backends_every_short_length () =
+  with_sha_ni (fun () ->
+      for len = 0 to 300 do
+        agree (Printf.sprintf "len %d" len) (String.init len (fun i -> Char.chr ((i * 13 + len) land 0xff)))
+      done)
+
+let test_backends_random_lengths () =
+  with_sha_ni (fun () ->
+      let rng = Random.State.make [| 19 |] in
+      for _ = 1 to 40 do
+        let len = Random.State.int rng 65537 in
+        agree (Printf.sprintf "len %d" len)
+          (String.init len (fun _ -> Char.chr (Random.State.int rng 256)))
+      done)
+
+let test_backends_pair () =
+  with_sha_ni (fun () ->
+      let rng = Random.State.make [| 23 |] in
+      for _ = 1 to 200 do
+        let src = Bytes.init 96 (fun _ -> Char.chr (Random.State.int rng 256)) in
+        let off = Random.State.int rng 33 in
+        let dp = Bytes.create 40 and dn = Bytes.create 40 in
+        B.digest_pair_into B.Portable ~src ~src_off:off ~dst:dp ~dst_off:8;
+        B.digest_pair_into B.Sha_ni ~src ~src_off:off ~dst:dn ~dst_off:8;
+        let expect = Crypto.Sha256.digest_string (Bytes.sub_string src off 64) in
+        checks "portable pair" expect (Bytes.sub_string dp 8 32);
+        checks "sha-ni pair" expect (Bytes.sub_string dn 8 32)
+      done)
+
+let test_backends_vectors () =
+  let vectors =
+    [ ("", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+      ("abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+      ( "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1" );
+      (String.make 1_000_000 'a', "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+      ( String.concat "" (List.init (1_048_576 / 8) (fun _ -> "abcdefgh")),
+        "fbe8fc990d4770b55fcedfa0bf160fc168c322cb214e4786c173de06aecbd875" ) ]
+  in
+  let backends = B.Portable :: (if B.sha_ni_available then [ B.Sha_ni ] else []) in
+  with_sha_ni ignore;
+  List.iter
+    (fun b ->
+      List.iter
+        (fun (s, hex) ->
+          checks
+            (Printf.sprintf "%s len %d" (if b = B.Portable then "portable" else "sha-ni")
+               (String.length s))
+            hex
+            (Crypto.Sha256.to_hex (B.digest_string b s)))
+        vectors)
+    backends
 
 (* -- Hash wrapper --------------------------------------------------------- *)
 
@@ -316,7 +392,11 @@ let () =
           Alcotest.test_case "million a's" `Slow test_sha256_million_a;
           Alcotest.test_case "1MiB pattern" `Slow test_sha256_1mib_pattern;
           Alcotest.test_case "chunked feeds" `Quick test_sha256_chunked_feeds;
-          Alcotest.test_case "hmac RFC 4231" `Quick test_hmac_rfc4231 ]
+          Alcotest.test_case "hmac RFC 4231" `Quick test_hmac_rfc4231;
+          Alcotest.test_case "backends agree 0..300" `Quick test_backends_every_short_length;
+          Alcotest.test_case "backends agree random lengths" `Quick test_backends_random_lengths;
+          Alcotest.test_case "backends agree on pairs" `Quick test_backends_pair;
+          Alcotest.test_case "backends FIPS/1M/1MiB vectors" `Slow test_backends_vectors ]
         @ qsuite [ prop_sha256_split_invariance ] );
       ( "hash",
         [ Alcotest.test_case "basics" `Quick test_hash_basic;

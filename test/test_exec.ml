@@ -129,19 +129,70 @@ let test_shutdown_idempotent () =
   checki "pending future fulfilled" 1 (Exec.Pool.await fut);
   Exec.Pool.shutdown p (* second call is a no-op *)
 
+(* Two worker domains complete 100k async tasks; the owner sleeps only
+   in select(2) on the notify fd and drains when it is readable. Every
+   completion must arrive: a drain that skipped the pipe while a byte
+   was due would strand the rest. *)
+let test_drain_hammer_notify_fd_only () =
+  let p = Exec.Pool.create ~domains:2 ~budget:256 () in
+  Fun.protect
+    ~finally:(fun () -> Exec.Pool.shutdown p)
+    (fun () ->
+      let total = 100_000 in
+      let delivered = ref 0 and submitted = ref 0 in
+      let fd = Exec.Pool.notify_fd p in
+      let deadline = Unix.gettimeofday () +. 60. in
+      while !delivered < total && Unix.gettimeofday () < deadline do
+        (* keep up to 128 in flight, under the budget, so none run inline *)
+        while !submitted < total && !submitted - !delivered < 128 do
+          Exec.Pool.async p (fun () -> ()) (fun () -> incr delivered);
+          incr submitted
+        done;
+        match Unix.select [ fd ] [] [] 5.0 with
+        | [], _, _ -> Alcotest.failf "notify fd silent with %d undelivered" (!submitted - !delivered)
+        | _ -> ignore (Exec.Pool.drain p : int)
+      done;
+      checki "all delivered" total !delivered;
+      checki "none ran inline" 0 (Exec.Pool.stats p).Exec.Pool.inline_runs)
+
+let test_empty_drain_allocates_nothing () =
+  let p = Exec.Pool.create ~domains:1 () in
+  Fun.protect
+    ~finally:(fun () -> Exec.Pool.shutdown p)
+    (fun () ->
+      (* one delivery first, so the pipe has been used and cleared *)
+      let got = ref false in
+      Exec.Pool.async p (fun () -> ()) (fun () -> got := true);
+      while not !got do
+        ignore (Unix.select [ Exec.Pool.notify_fd p ] [] [] 5.0);
+        ignore (Exec.Pool.drain p : int)
+      done;
+      let before = Gc.minor_words () in
+      let n = ref 0 in
+      for _ = 1 to 1000 do
+        n := !n + Exec.Pool.drain p
+      done;
+      let words = Gc.minor_words () -. before in
+      checki "nothing to deliver" 0 !n;
+      Alcotest.(check (float 0.)) "minor words for 1000 empty drains" 0. words)
+
 (* -- parallel crypto verification --------------------------------------- *)
 
 let mk_batches () =
   List.init 8 (fun i ->
       Workload.Request.make ~id:i ~count:4 ~size_each:64 ~born:0L ())
 
-let mk_db () =
+let mk_db_key () =
   let rng = Sim.Rng.create 7L in
   let pk, sk = Crypto.Signature.keygen rng in
   let db =
     Core.Datablock.create ~sk ~creator:0 ~counter:1 ~now:Sim.Sim_time.zero (mk_batches ())
   in
-  ([| pk |], db)
+  ([| pk |], sk, db)
+
+let mk_db () =
+  let pks, _, db = mk_db_key () in
+  (pks, db)
 
 let test_corrupted_block_rejected_from_every_domain () =
   let pks, db = mk_db () in
@@ -206,7 +257,7 @@ let test_threshold_verdicts_agree_across_domains () =
       List.iter (fun f -> checkb "share verdict" true (Exec.Pool.await f)) share_oks)
 
 let test_verify_facade_dispatchers_agree () =
-  let pks, db = mk_db () in
+  let pks, sk, db = mk_db_key () in
   let rng = Sim.Rng.create 23L in
   let setup, keys = Crypto.Threshold.keygen rng ~threshold:2 ~parties:4 in
   let msg = "facade payload" in
@@ -239,9 +290,27 @@ let test_verify_facade_dispatchers_agree () =
       let got = ref None in
       Core.Verify.blocking p bad_job (fun ok -> got := Some ok);
       checkb "blocking bad" (Some false = !got) true;
+      (* pooled: a job under the inline cut completes on the spot ... *)
+      let share = List.hd shares in
       let got = ref None in
-      Core.Verify.pooled p job (fun ok -> got := Some ok);
-      checkb "pooled never synchronous" (None = !got) true;
+      Core.Verify.pooled p (Core.Verify.Share_check { setup; share; msg }) (fun ok -> got := Some ok);
+      checkb "pooled cheap share check is synchronous" (Some true = !got) true;
+      let got = ref None in
+      Core.Verify.pooled p
+        (Core.Verify.Share_check { setup; share; msg = "another payload" })
+        (fun ok -> got := Some ok);
+      checkb "pooled cheap bad share is synchronous and false" (Some false = !got) true;
+      (* ... and one above it goes to a worker and completes only at drain *)
+      let big =
+        Core.Datablock.create ~sk ~creator:0 ~counter:2 ~now:Sim.Sim_time.zero
+          (List.init 64 (fun i -> Workload.Request.make ~id:i ~count:1 ~size_each:64 ~born:0L ()))
+      in
+      let big_job = Core.Verify.Datablock_check { pks; db = big } in
+      checkb "64-batch check is above the cut" true
+        (Core.Verify.cost big_job >= Core.Verify.inline_below);
+      let got = ref None in
+      Core.Verify.pooled p big_job (fun ok -> got := Some ok);
+      checkb "pooled large job never synchronous" (None = !got) true;
       let rec drain_until deadline =
         ignore (Exec.Pool.drain p : int);
         if !got = None && Unix.gettimeofday () < deadline then begin
@@ -264,7 +333,10 @@ let () =
           Alcotest.test_case "backpressure inline fallback" `Quick
             test_backpressure_runs_inline;
           Alcotest.test_case "stats" `Quick test_stats_sanity;
-          Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent ] );
+          Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;
+          Alcotest.test_case "drain hammer via notify fd" `Quick test_drain_hammer_notify_fd_only;
+          Alcotest.test_case "empty drain allocates nothing" `Quick
+            test_empty_drain_allocates_nothing ] );
       ( "parallel verification",
         [ Alcotest.test_case "corrupted block rejected everywhere" `Quick
             test_corrupted_block_rejected_from_every_domain;
