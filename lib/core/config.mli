@@ -20,7 +20,12 @@ type t = {
           mempool (0 disables partial packing) *)
   proposal_timeout : Sim.Sim_time.span;
       (** leader's short-timer (§6.2.1): propose with fewer than BFTsize
-          pending datablocks after this delay (0 disables) *)
+          pending datablocks after this delay (0 disables). With
+          [datablock_timeout] also positive it is the cycle of the
+          proposal clock: a non-leader that votes for a fresh partial
+          proposal packs once more, timed to land a guard
+          ([proposal_timeout / 8]) before the leader's next short-timer
+          proposal (see {!Replica}) *)
   view_timeout : Sim.Sim_time.span;   (** progress timer for view changes *)
   fetch_grace : Sim.Sim_time.span;
       (** how long a replica waits for a proposal's missing datablocks to

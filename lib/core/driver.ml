@@ -37,6 +37,7 @@ type t = {
   obs_confirm : (Obs.Histogram.t * Obs.Counter.t) option;
   mutable confirmed : int;
   mutable executed_blocks : int;
+  mutable pack_age_max : Sim_time.span;
   (* Unconfirmed batches ordered by next re-send deadline (ns key, batch
      id as tiebreak; the value carries the attempt count for the
      backoff). A scan pops only the due entries; confirmed batches are
@@ -53,6 +54,7 @@ let replicas t = t.replicas
 let is_byzantine t id = Byzantine.is_byzantine t.strategies.(id)
 let confirmed t = t.confirmed
 let executed_blocks t = t.executed_blocks
+let pack_age_max t = t.pack_age_max
 let latency t = t.latency
 let resends t = t.resends
 let view_changes t = t.max_view_entered - 1
@@ -86,6 +88,13 @@ let on_f1_execution t ~proposed_at dbs =
             let lat = Sim_time.(now - b.Workload.Request.born) in
             t.confirmed <- t.confirmed + count;
             Stats.Histogram.add t.latency lat;
+            (* A re-sent copy keeps its original birth; a Byzantine
+               creator packs on rules of its own. *)
+            if not (b.Workload.Request.resend || is_byzantine t db.Datablock.header.creator)
+            then begin
+              let age = Sim_time.(db.Datablock.created_at - b.Workload.Request.born) in
+              if Sim_time.compare age t.pack_age_max > 0 then t.pack_age_max <- age
+            end;
             (match t.obs_confirm with
              | Some (h, c) ->
                Obs.Histogram.record h (Int64.to_int lat);
@@ -172,6 +181,7 @@ let create ~cfg ~key_rng ~platform ~now ~schedule ~deliver ~byzantine ~resend ~t
           obs;
       confirmed = 0;
       executed_blocks = 0;
+      pack_age_max = 0L;
       resend;
       resend_queue = Heap.create ();
       resends = 0;

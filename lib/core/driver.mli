@@ -63,6 +63,12 @@ val confirmed : t -> int
 val executed_blocks : t -> int
 (** Serials executed by at least f+1 replicas. *)
 
+val pack_age_max : t -> Sim.Sim_time.span
+(** The oldest a request was when an honest replica packed it: the
+    largest datablock creation instant minus batch birth over the
+    counted batches, leaving out re-sent copies (they keep the
+    original birth) and datablocks of Byzantine creators. *)
+
 val latency : t -> Stats.Histogram.t
 (** Birth-to-confirmation latency of every confirmed batch. *)
 

@@ -36,6 +36,7 @@ type instance = {
   mutable voted_prepare : bool;
   mutable voted_hash : Hash.t option;      (* hash our prepare share covers *)
   mutable voted_commit : bool;
+  mutable voted_at : Sim_time.t option;    (* our fresh prepare vote, until σ¹ lands *)
   mutable notarization : Ts.aggregate option;
   mutable notarized_view : int;            (* view in which notarized *)
   mutable confirmation : Ts.aggregate option;
@@ -55,6 +56,7 @@ type instance = {
 type metrics = {
   commits : Obs.Counter.t;
   datablocks : Obs.Counter.t;
+  clock_packs : Obs.Counter.t;
   views : Obs.Counter.t;
   vc_triggers : Obs.Counter.t;
   equivocations : Obs.Counter.t;
@@ -114,6 +116,12 @@ type t = {
   mutable recovering : bool;
   mutable last_partial_pack : Sim_time.t;
   mutable last_partial_propose : Sim_time.t;
+  (* the proposal clock: bumping [pack_clock] disarms the pending clock
+     pack; [timer_packing] holds from an age-rule pack to the next α-full
+     one; [vote_rtt] is the last prepare-vote -> notarization time *)
+  mutable pack_clock : int;
+  mutable timer_packing : bool;
+  mutable vote_rtt : Sim_time.span option;
   punished : (Net.Node_id.t, unit) Hashtbl.t;  (* kicked-out equivocators *)
   (* overload accounting (plain ints: readable without a registry) *)
   mutable submits_rejected : int;   (* requests refused at admission *)
@@ -205,6 +213,7 @@ let instance_of t sn =
         voted_prepare = false;
         voted_hash = None;
         voted_commit = false;
+        voted_at = None;
         notarization = None;
         notarized_view = 0;
         confirmation = None;
@@ -224,6 +233,7 @@ let refresh_instance_view t inst =
     inst.voted_prepare <- false;
     inst.voted_hash <- None;
     inst.voted_commit <- false;
+    inst.voted_at <- None;
     inst.prepare_quorum <- None;
     inst.commit_quorum <- None
   end
@@ -336,9 +346,15 @@ let equivocate_datablocks t batches_a batches_b =
    so default-config runs never consult the platform. *)
 let paced t = t.cfg.pace_on_pressure && t.platform.Platform.pressure () >= 1.0
 
+let may_pack t =
+  active t && ((not (is_leader t)) || t.cfg.leader_generates_datablocks) && not (paced t)
+
+(* A clock pack fires only if [pack_clock] still holds the value it was
+   armed with (see the proposal clock below). *)
+let disarm_pack_clock t = t.pack_clock <- t.pack_clock + 1
+
 let maybe_pack t =
-  if active t && ((not (is_leader t)) || t.cfg.leader_generates_datablocks) && not (paced t)
-  then
+  if may_pack t then
     match t.strategy with
     | Byzantine.Censor -> () (* holds requests back; clients must re-send *)
     | Byzantine.Equivocate_datablocks ->
@@ -356,14 +372,72 @@ let maybe_pack t =
             | Some age -> Sim_time.compare age t.cfg.datablock_timeout >= 0
             | None -> false)
       in
-      if full then
+      if full then begin
+        (* α fills within a cycle: a clock pack would only split the next
+           full datablock, so the clock stops until the age rule packs. *)
+        t.timer_packing <- false;
+        disarm_pack_clock t;
         let batches = Mempool.take t.mempool ~target:t.cfg.alpha in
-        (if batches <> [] then sign_and_send_datablock t batches)
+        if batches <> [] then sign_and_send_datablock t batches
+      end
       else if stale && Sim_time.compare (now t) t.last_partial_pack > 0 then begin
+        t.timer_packing <- true;
         t.last_partial_pack <- Sim_time.( + ) (now t) t.cfg.datablock_timeout;
         let batches = Mempool.take t.mempool ~target:max_int in
         if batches <> [] then sign_and_send_datablock t batches
       end
+
+(* ----------------------------------------------------------------- *)
+(* The proposal clock (both batching timers positive)                 *)
+(* ----------------------------------------------------------------- *)
+
+(* Below its BFTsize the leader proposes on its short timer, once per
+   [proposal_timeout]. A datablock packed by the age rule lands at a
+   random phase of that cycle and waits half a cycle on average for the
+   next proposal. So each non-leader also packs on the leader's clock:
+   the vote for a fresh partial proposal arms one pack, aimed to land a
+   guard before the leader's next short-timer proposal. The α-full and
+   age rules are untouched, so the clock only ever packs earlier. *)
+let clocked t =
+  Int64.compare t.cfg.datablock_timeout 0L > 0 && Int64.compare t.cfg.proposal_timeout 0L > 0
+
+(* guard = proposal_timeout / 8. A datablock that misses the proposal it
+   was aimed at waits a whole cycle, so the guard must cover the aim's
+   error: the spread of sign + multicast + verify between the pack and
+   the leader's pool, beyond the rtt term below. That is under a
+   millisecond on the simulated links and a few loop rounds on loopback,
+   against 2.5 ms at tcpbench's 20 ms cycle. The guard is also the wait
+   left at the leader: one eighth of a cycle in place of one half. *)
+let clock_guard_fraction = 8L
+
+let clock_pack t =
+  if may_pack t then
+    match t.strategy with
+    | Byzantine.Censor | Byzantine.Equivocate_datablocks -> ()
+    | Byzantine.Honest | Byzantine.Silent | Byzantine.Crash_at _ ->
+      let batches = Mempool.take t.mempool ~target:t.cfg.alpha in
+      if batches <> [] then begin
+        bump t (fun m -> m.clock_packs);
+        sign_and_send_datablock t batches
+      end
+
+(* Called at the vote instant, about one one-way delay after the leader
+   proposed. The leader's next proposal is [proposal_timeout] after its
+   last one; our datablock needs about one one-way delay to reach it, and
+   the vote -> notarization [rtt] (two one-way delays plus the leader's
+   quorum wait) over-covers both, so a slow link aims earlier. No rtt
+   measured yet, or no time left in the cycle: arm nothing. *)
+let arm_pack_clock t =
+  match t.vote_rtt with
+  | Some rtt when t.timer_packing ->
+    let p = t.cfg.proposal_timeout in
+    let delay = Int64.(sub (sub p (div p clock_guard_fraction)) rtt) in
+    if Int64.compare delay 0L > 0 then begin
+      disarm_pack_clock t;
+      let armed = t.pack_clock in
+      schedule t ~delay (fun () -> if t.pack_clock = armed then clock_pack t)
+    end
+  | Some _ | None -> ()
 
 (* ----------------------------------------------------------------- *)
 (* Normal case, leader side (Algorithm 2: pre-prepare / notarize /
@@ -418,7 +492,19 @@ let rec maybe_propose t =
       let links = List.map Datablock.hash dbs in
       let block = Bftblock.create ~view:t.view ~sn:t.next_sn ~links in
       t.next_sn <- t.next_sn + 1;
-      propose_block t block None
+      propose_block t block None;
+      (* The proposal clock: the next partial proposal leaves the moment
+         the rate limit opens, onto the datablocks the non-leaders aimed
+         at it, not at the next datablock arrival or pack tick. A
+         proposal in between can only be a full one (the rate limit
+         holds back partial ones): the BFTsize rule is proposing, and,
+         as at the voters, a full proposal stops the clock. *)
+      if clocked t then begin
+        let sn = t.next_sn in
+        t.platform.Platform.schedule_at
+          ~at:(Sim_time.( + ) t.last_partial_propose 1L)
+          (fun () -> if t.next_sn = sn then maybe_propose t)
+      end
     end
   end
 
@@ -728,6 +814,13 @@ let try_vote_prepare t (msg : Msg.t) =
           let vote = Msg.Prepare_vote { view = t.view; sn; block_hash = bh; share } in
           log_store t (Store.Logged_msg vote);
           send t ~dst:(leader_of t t.view) vote;
+          inst.voted_at <- Some (now t);
+          (* Only partial proposals set the clock: under load the leader
+             proposes on BFTsize, and clock packs would only split
+             datablocks that the α rule fills. *)
+          if clocked t && justification = None then
+            if List.length block.Bftblock.links < t.cfg.bft_size then arm_pack_clock t
+            else disarm_pack_clock t;
           tracef t "vote.prepare" "sn%d" sn;
           (* A confirmation that overtook the proposal can complete now. *)
           replay_stashed_confirmation t inst;
@@ -1326,6 +1419,11 @@ let on_notarization t ~view ~sn ~block_hash ~proof =
                     | None -> true
                   in
                   if block_matches then begin
+                    (match inst.voted_at with
+                     | Some at ->
+                       inst.voted_at <- None;
+                       t.vote_rtt <- Some (Sim_time.( - ) (now t) at)
+                     | None -> ());
                     (* The commit vote about to be cast binds us to this
                        σ¹; keep the proof so a restarted replica can
                        rebuild the binding. *)
@@ -1495,6 +1593,9 @@ let create ~platform ~cfg ~id ~sk ~pks ~tsetup ~tkey ?obs ?(strategy = Byzantine
         let c name help = Obs.Registry.counter reg ~help ~labels name in
         { commits = c "leopard_replica_commits_total" "blocks executed";
           datablocks = c "leopard_replica_datablocks_total" "datablocks created";
+          clock_packs =
+            c "leopard_replica_clock_packs_total"
+              "datablocks packed by the proposal clock (counted in datablocks too)";
           views = c "leopard_replica_views_entered_total" "views entered via new-view";
           vc_triggers = c "leopard_replica_vc_triggers_total" "view changes triggered";
           equivocations =
@@ -1550,6 +1651,9 @@ let create ~platform ~cfg ~id ~sk ~pks ~tsetup ~tkey ?obs ?(strategy = Byzantine
       recovering = false;
       last_partial_pack = Sim_time.zero;
       last_partial_propose = Sim_time.zero;
+      pack_clock = 0;
+      timer_packing = true;
+      vote_rtt = None;
       punished = Hashtbl.create 4;
       submits_rejected = 0;
       mempool_evictions = 0 }

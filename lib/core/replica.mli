@@ -10,7 +10,24 @@
     {!Net.Cpu} according to the configured cost model.
 
     Byzantine strategies ({!Byzantine.t}) run the same machine with
-    adversarial deviations. *)
+    adversarial deviations.
+
+    Batching: a non-leader packs a datablock at α requests or, with a
+    positive [datablock_timeout], once its oldest request is that old;
+    the leader proposes at BFTsize datablocks or, with a positive
+    [proposal_timeout], at most once per [proposal_timeout] with fewer.
+    With both timeouts positive the replica also runs the proposal
+    clock (DESIGN.md §1): the leader re-tries its short-timer proposal
+    the instant the rate limit opens, and a non-leader that votes for a
+    fresh partial proposal (no justification, fewer than BFTsize links)
+    packs up to α requests at [vote + proposal_timeout - guard - rtt],
+    where the guard is [proposal_timeout / 8] and [rtt] its last
+    prepare-vote → notarization time, so its datablock lands just before
+    the leader's next partial proposal. A full proposal stops the clock
+    at the leader and at the voters, and so does a voter's own α-full
+    pack. The clock only adds packs, never
+    delays one; [leopard_replica_clock_packs_total] counts them. With
+    both timeouts at 0 (the Algorithm-1 default) none of this runs. *)
 
 type t
 

@@ -14,6 +14,7 @@ type outcome = {
   final_view : int;
   view_changes : int;
   equivocations : int;
+  pack_age_max : Sim.Sim_time.span;
   wall_sec : float;
   trace : string;
 }
@@ -88,6 +89,7 @@ let judge ~scenario ~plane ~seed ~confirmed_at_heal ~wall_sec ~trace driver =
     final_view = Core.Driver.final_view driver;
     view_changes = Core.Driver.view_changes driver;
     equivocations = Core.Driver.equivocations driver;
+    pack_age_max = Core.Driver.pack_age_max driver;
     wall_sec;
     trace = render_trace trace }
 

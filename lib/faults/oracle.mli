@@ -33,6 +33,9 @@ type outcome = {
   final_view : int;
   view_changes : int;
   equivocations : int;
+  pack_age_max : Sim.Sim_time.span;
+      (** {!Core.Driver.pack_age_max}: the oldest request an honest
+          replica packed *)
   wall_sec : float;
   trace : string;
 }

@@ -2,7 +2,7 @@ open Sim
 
 let default_load n = if n >= 64 then 1200. else if n >= 16 then 800. else 400.
 
-let cfg_of (sc : Scenario.t) =
+let config (sc : Scenario.t) =
   Core.Config.make ~n:sc.Scenario.n ~alpha:10 ~bft_size:2 ~k:16
     ?checkpoint_interval:sc.Scenario.checkpoint_interval ~payload:64
     ~datablock_timeout:(Sim_time.ms 200) ~proposal_timeout:(Sim_time.ms 300)
@@ -13,7 +13,7 @@ let cfg_of (sc : Scenario.t) =
 
 let run ?(seed = 42L) ?load (sc : Scenario.t) =
   let t0 = Unix.gettimeofday () in
-  let cfg = cfg_of sc in
+  let cfg = config sc in
   let n = sc.Scenario.n in
   let load =
     match load with Some l -> l | None -> Option.value sc.Scenario.load ~default:(default_load n)

@@ -7,6 +7,11 @@
     instants) — re-running the same [(seed, scenario)] yields a
     byte-identical string. *)
 
+val config : Scenario.t -> Core.Config.t
+(** The protocol configuration {!run} builds the cluster with: α = 10,
+    BFTsize 2, 200 ms datablock and 300 ms proposal timeouts, the
+    scenario's tweaks applied. *)
+
 val run : ?seed:int64 -> ?load:float -> Scenario.t -> Oracle.outcome
 (** Builds a [Core.Runner] cluster sized by the scenario, installs the
     injector as the network's fault hook, schedules the scenario's

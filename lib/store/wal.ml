@@ -43,6 +43,11 @@ type t = {
   mutable last_sync_ns : int;
   mutable closed : bool;
   mutable appended : int;
+  (* Numbers of the segments and snapshots on disk, seeded by the scan
+     [create] does and kept up by [rotate] and [save_snapshot], so a
+     checkpoint deletes without listing the directory. *)
+  mutable live_segments : int list;
+  mutable live_snapshots : int list;
 }
 
 let magic = "LWAL"
@@ -56,8 +61,16 @@ let kind_snapshot = 2
    it. *)
 let max_payload = 64 * 1024 * 1024
 
-let segment_name seq = Printf.sprintf "wal-%08d.log" seq
-let snapshot_name seq = Printf.sprintf "snap-%08d.dat" seq
+(* [prefix ^ Printf.sprintf "%08d" seq ^ suffix] for [seq >= 0], without
+   the format interpreter: a checkpoint builds several of these on the
+   event loop. *)
+let numbered prefix seq suffix =
+  let digits = string_of_int seq in
+  let pad = max 0 (8 - String.length digits) in
+  String.concat "" [ prefix; String.make pad '0'; digits; suffix ]
+
+let segment_name seq = numbered "wal-" seq ".log"
+let snapshot_name seq = numbered "snap-" seq ".dat"
 let segment_seq name = Scanf.sscanf_opt name "wal-%d.log%!" (fun s -> s)
 let snapshot_seq name = Scanf.sscanf_opt name "snap-%d.dat%!" (fun s -> s)
 
@@ -152,9 +165,8 @@ let create ?obs ?(segment_bytes = 4 * 1024 * 1024) ?(fsync = Never)
   (* Always start a fresh segment: the previous process may have died
      mid-write, and appending after a torn tail would hide it from the
      recovery scanner. *)
-  let seq =
-    1 + List.fold_left max (-1) (List.rev_append (segments dir) (snapshots dir))
-  in
+  let segs = segments dir and snaps = snapshots dir in
+  let seq = 1 + List.fold_left max (-1) (List.rev_append segs snaps) in
   { dir;
     segment_bytes;
     fsync;
@@ -167,7 +179,9 @@ let create ?obs ?(segment_bytes = 4 * 1024 * 1024) ?(fsync = Never)
     dirty = false;
     last_sync_ns = now_ns ();
     closed = false;
-    appended = 0 }
+    appended = 0;
+    live_segments = seq :: segs;
+    live_snapshots = snaps }
 
 let dir t = t.dir
 let appended t = t.appended
@@ -219,6 +233,7 @@ let rotate t =
   Unix.close t.fd;
   t.seq <- t.seq + 1;
   t.fd <- open_segment t.dir t.seq;
+  t.live_segments <- t.seq :: t.live_segments;
   t.seg_size <- 0;
   t.dirty <- false;
   match t.ms with Some m -> Obs.Counter.incr m.rotations | None -> ()
@@ -268,16 +283,15 @@ let save_snapshot t payload =
       Obs.Counter.incr m.snapshots;
       Obs.Gauge.set m.snapshot_bytes (String.length payload)
     | None -> ());
-    List.iter
-      (fun seq ->
-        if seq < snap_seq then
-          try Sys.remove (Filename.concat t.dir (segment_name seq)) with Sys_error _ -> ())
-      (segments t.dir);
-    List.iter
-      (fun seq ->
-        if seq < snap_seq then
-          try Sys.remove (Filename.concat t.dir (snapshot_name seq)) with Sys_error _ -> ())
-      (snapshots t.dir)
+    let prune name live =
+      let dead, kept = List.partition (fun seq -> seq < snap_seq) live in
+      List.iter
+        (fun seq -> try Sys.remove (Filename.concat t.dir (name seq)) with Sys_error _ -> ())
+        dead;
+      kept
+    in
+    t.live_segments <- prune segment_name t.live_segments;
+    t.live_snapshots <- snap_seq :: prune snapshot_name t.live_snapshots
   end
 
 let crash t =

@@ -2,40 +2,52 @@
 # Paired A/B runs of one tcpbench workload: a git revision against the
 # working tree.
 #
-#   scripts/tcpbench_pairs.sh <rev> <workload> <seconds> <seed>...
-#   scripts/tcpbench_pairs.sh HEAD leader-crash-n7 40 5001 5002 5003 5004 5005
+#   scripts/tcpbench_pairs.sh [--metric NAME] <rev> <workload> <seconds> <seed>...
+#   scripts/tcpbench_pairs.sh --metric confirm_p50_ms HEAD leader-crash-n7 40 7001 7002
 #
-# <rev> is built in a temporary git worktree, the working tree in place;
-# neither has anything under tcpbench/ changed. For each seed both sides
-# run `python3 tcpbench/run.py --workload W --seed S --seconds T --trace 0`
+# <rev> is built in a temporary export of that revision (git archive),
+# the working tree in place; neither has anything under tcpbench/
+# changed. For each seed both sides run
+# `python3 tcpbench/run.py --workload W --seed S --seconds T --trace 0`
 # once, in turn; which side goes first alternates from seed to seed, so a
 # slow spell of a shared host lands on both. One row per seed gives each
-# side's host CPU steal and cpu_us_per_req, and the change's delta. The
-# summary gives, for every end-to-end metric of BENCHMARK.json, each
-# side's median and quartiles, the change in the medians, and the pairs
-# the working tree won in the metric's better direction. The worktree
-# and the raw results (kept under ${TMPDIR:-/tmp} while it runs) are
-# removed on exit. A run that fails its correctness check stops the
-# script.
+# side's host CPU steal and the value of one metric (--metric, one of the
+# end_to_end names in BENCHMARK.json; default cpu_us_per_req), and the
+# change's delta. The summary gives, for every end-to-end metric of
+# BENCHMARK.json, each side's median and quartiles, the change in the
+# medians, and the pairs the working tree won in the metric's better
+# direction. The export and the raw results (kept under ${TMPDIR:-/tmp}
+# while it runs) are removed on exit. A run that fails its correctness
+# check stops the script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-if [ $# -lt 4 ]; then
-  sed -n '4,5p' "$0" | sed 's/^# *//' >&2
+usage() {
+  sed -n '5,6p' "$0" | sed 's/^# *//' >&2
   exit 2
+}
+metric=cpu_us_per_req
+if [ "${1:-}" = --metric ]; then
+  [ $# -ge 2 ] || usage
+  metric="$2"
+  shift 2
+  python3 - "$metric" <<'EOF' || exit 2
+import json, sys
+names = [m["name"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]]
+if sys.argv[1] not in names:
+    sys.exit("tcpbench_pairs: --metric %s is not an end_to_end metric of BENCHMARK.json (%s)"
+             % (sys.argv[1], ", ".join(names)))
+EOF
 fi
+[ $# -ge 4 ] || usage
 rev="$1" workload="$2" seconds="$3"
 shift 3
 
 tmp="$(mktemp -d "${TMPDIR:-/tmp}/tcpbench_pairs.XXXXXX")"
 base="$tmp/base"
-cleanup() {
-  git worktree remove --force "$base" >/dev/null 2>&1 || true
-  git worktree prune >/dev/null 2>&1 || true
-  rm -rf "$tmp"
-}
-trap cleanup EXIT
-git worktree add --quiet --detach "$base" "$rev"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$base"
+git archive "$rev" | tar -x -C "$base"
 
 # run SIDE DIR SEED: one run in DIR; its whole output goes to
 # $tmp/SIDE.SEED, and a failed run stops the script with that output.
@@ -61,10 +73,10 @@ for seed in "$@"; do
   i=$((i + 1))
 done
 
-python3 - "$tmp" "$rev" "$workload" "$@" <<'EOF'
+python3 - "$tmp" "$rev" "$workload" "$metric" "$@" <<'EOF'
 import json, re, statistics, sys
 
-tmp, rev, workload, seeds = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4:]
+tmp, rev, workload, key, seeds = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4], sys.argv[5:]
 bench = json.load(open("BENCHMARK.json"))
 metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
 
@@ -78,7 +90,6 @@ def load(side, seed):
 
 
 runs = {s: (load("rev", s), load("wt", s)) for s in seeds}
-key = "cpu_us_per_req"
 print("%s, %d pairs of runs: %s (rev) against the working tree (wt)"
       % (workload, len(seeds), rev))
 print("%-8s %-6s %9s %9s %11s %11s %8s" % ("seed", "first", "steal rev", "steal wt",

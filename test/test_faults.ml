@@ -90,6 +90,25 @@ let run_sim ?(seed = 42L) build ~n =
 let test_sim_corpus_n4 () =
   List.iter (fun build -> ignore (run_sim build ~n:4 : Oracle.outcome)) Corpus.all
 
+(* The proposal clock only ever packs earlier: in every scenario no
+   honest datablock carries a request older than the datablock timeout
+   plus one pack tick (the age rule is polled at min(datablock timeout,
+   proposal timeout), so it packs at most one tick past the deadline). *)
+let test_sim_corpus_pack_age () =
+  List.iter
+    (fun build ->
+      let sc = build ~n:4 in
+      let cfg = Sim_plane.config sc in
+      let timeout = cfg.Core.Config.datablock_timeout in
+      let bound =
+        Sim.Sim_time.(timeout + Sim.Sim_time.min timeout cfg.Core.Config.proposal_timeout)
+      in
+      let o = run_sim build ~n:4 in
+      if Sim.Sim_time.compare o.Oracle.pack_age_max bound > 0 then
+        Alcotest.failf "%s: a request was packed %Ld ns after its birth (bound %Ld)"
+          sc.Scenario.name o.Oracle.pack_age_max bound)
+    Corpus.all
+
 let test_sim_corpus_n16_spot () =
   ignore (run_sim Corpus.leader_crash ~n:16 : Oracle.outcome);
   ignore (run_sim Corpus.partition_quorum ~n:16 : Oracle.outcome)
@@ -112,16 +131,16 @@ let test_replay_is_byte_identical () =
    from an earlier build. Unlike the replay test above (two runs of the
    same binary) these catch a refactor that changes simulated behaviour. *)
 let golden_trace_md5 =
-  [ ("leader-crash", "27189e20e396c5e512a3e9640668578d");
-    ("leader-crash-checkpoint", "a29f27e36dce2adebc4ddc2171181035");
-    ("f-crashes", "87f3d5f3a3808ed3480a486d1db75278");
+  [ ("leader-crash", "8e378da6bede856e22cc9b77a7776ca3");
+    ("leader-crash-checkpoint", "5c6551aa70825121d1323be195bd4757");
+    ("f-crashes", "740d40926992d12b9d50be97f05faf24");
     ("partition-quorum", "258e3e31e328c897bca2a93471ac398c");
     ("slow-leader", "432a2cf286d9edfa745ff7a4e4b819c9");
     ("silence-leader", "4049ffbb189f54d4e00c7c699a19d874");
     ("equivocating-leader", "b9d98489bacbe72424c90e93eed5c610");
     ("lagging-replica", "24f2f01d8af091625a7f5a535b0adf42");
-    ("duplicate-storm", "13e72080a9cc1408617dad56f87f88f8");
-    ("leader-restart", "2623e013e00d9ead05a7610d21dc23ae");
+    ("duplicate-storm", "b9d460245e4307728f9a07349d16cd9a");
+    ("leader-restart", "34e22342c68208073b17601a6d8eb08c");
     ("restart-checkpoint", "6b2cb3b0db12642f04d8b68b8c6ba940");
     ("restart-torn-tail", "3762eec24e4de6dbcba7de2e8e390910");
     ("restart-storm", "ba1f5fa24a34b8b10b73aa8549e64a91");
@@ -358,6 +377,7 @@ let () =
             test_probabilistic_rule_is_deterministic ] );
       ( "sim corpus",
         [ Alcotest.test_case "all scenarios pass at n=4" `Quick test_sim_corpus_n4;
+          Alcotest.test_case "pack age within the timeout" `Quick test_sim_corpus_pack_age;
           Alcotest.test_case "spot checks at n=16" `Slow test_sim_corpus_n16_spot;
           Alcotest.test_case "replay is byte-identical" `Quick
             test_replay_is_byte_identical;

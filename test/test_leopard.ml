@@ -763,6 +763,111 @@ let test_bookkeeping_bounded () =
   checkb "view-change messages bounded" true (peak "vc_msgs" <= 3);
   checkb "safety" true (Core.Driver.ledgers_agree (Core.Runner.driver t))
 
+(* -- the proposal clock -------------------------------------------------- *)
+
+(* tcpbench's batching at n = 4: α = 100, BFTsize 10, both timers 20 ms.
+   The client ticks every 1 ms, so arrivals spread over the batching
+   cycle as a Poisson client's do (the runner's 20 ms client tick would
+   lock them to one phase of it). *)
+type clock_run = {
+  propose_wait_p50 : float;  (* seconds, submit -> first proposal *)
+  confirm_p50 : float;       (* seconds, submit -> f+1 confirmation *)
+  offered : int;
+  confirmed : int;
+  datablocks : int;
+  clock_packs : int;
+}
+
+let proposal_timeout = Sim_time.ms 20
+
+let clock_run ?(link = Net.Network.default_link) ~load () =
+  let cfg =
+    Core.Config.make ~n:4 ~alpha:100 ~bft_size:10 ~k:32 ~payload:64
+      ~datablock_timeout:(Sim_time.ms 20) ~proposal_timeout ~cost:Crypto.Cost_model.free ()
+  in
+  let engine = Engine.create ~seed:5L () in
+  let network = Net.Network.create engine ~n:4 ~meta:Core.Msg.meta ~link in
+  let reg = Obs.Registry.create () in
+  let waits = ref [] in
+  let inject ~dst ~size k = Net.Network.inject network ~dst ~size ~category:"client-req" k in
+  let driver =
+    Core.Driver.create ~cfg ~key_rng:(Rng.split (Engine.rng engine))
+      ~platform:(fun id ->
+        Core.Platform.of_sim ~engine ~network ~id ~cores:cfg.Core.Config.cores ())
+      ~now:(fun () -> Engine.now engine)
+      ~schedule:(fun ~delay f -> ignore (Engine.schedule engine ~delay f))
+      ~deliver:inject ~byzantine:[] ~resend:None ~trace:(Trace.create ~enabled:false ())
+      ~obs:reg
+      ~on_confirm:(fun ~now:_ ~proposed_at _ b ->
+        Option.iter
+          (fun p -> waits := Sim_time.to_sec Sim_time.(p - b.Workload.Request.born) :: !waits)
+          proposed_at)
+      ()
+  in
+  let replicas = Core.Driver.replicas driver in
+  let gen =
+    Workload.Generator.start engine ~rate:load ~payload:64 ~targets:[ 0; 2; 3 ] ~inject
+      ~submit:(fun ~target b ->
+        ignore (Core.Replica.submit replicas.(target) b : Core.Replica.admission))
+      ~on_batch:(Core.Driver.offer driver) ~tick:(Sim_time.ms 1) ~until:(Sim_time.s 6) ()
+  in
+  Engine.run ~until:(Sim_time.s 7) engine;
+  let waits = Array.of_list !waits in
+  Array.sort compare waits;
+  let counter id =
+    Obs.Counter.value
+      (Obs.Registry.counter reg ~labels:[ ("replica", string_of_int id) ]
+         "leopard_replica_clock_packs_total")
+  in
+  { propose_wait_p50 = waits.(Array.length waits / 2);
+    confirm_p50 = Stats.Histogram.quantile (Core.Driver.latency driver) 0.5;
+    offered = Workload.Generator.offered gen;
+    confirmed = Core.Driver.confirmed driver;
+    datablocks = Array.fold_left (fun a r -> a + Core.Replica.datablocks_created r) 0 replicas;
+    clock_packs = List.fold_left (fun a id -> a + counter id) 0 [ 0; 1; 2; 3 ] }
+
+(* At 1000 req/s the age rule packs at a random phase of the leader's
+   20 ms short-timer cycle and the datablock waits there for the next
+   proposal: the median submit -> propose is 31.0 ms (1.55 cycles) before
+   the clock. The clock drains the mempool once a cycle and lands a guard
+   (1/8 cycle) before the proposal, so the median is half a cycle plus
+   the guard plus the 1 ms link: 14.1 ms. *)
+let test_clock_low_load_wait () =
+  let r = clock_run ~load:1000. () in
+  checki "all confirmed" r.offered r.confirmed;
+  let p = Sim_time.to_sec proposal_timeout in
+  if r.propose_wait_p50 >= 0.75 *. p then
+    Alcotest.failf "submit -> propose p50 %.2f ms, want < 0.75 x %.0f ms"
+      (r.propose_wait_p50 *. 1e3) (p *. 1e3);
+  checkb "the clock packs" true (r.clock_packs > 0)
+
+(* The capacity hazard: where α fills within a cycle, a clock pack would
+   split datablocks the α rule fills. Datablocks per request must stay
+   at the figures recorded before the clock (1200 for 120000 requests
+   with partial proposals; 3600 for 360000 with full ones). *)
+let test_clock_keeps_alpha_batches () =
+  List.iter
+    (fun (load, offered_before, datablocks_before) ->
+      let r = clock_run ~load () in
+      checki "all confirmed" r.offered r.confirmed;
+      checki (Printf.sprintf "no clock pack at %.0f req/s" load) 0 r.clock_packs;
+      if r.datablocks * offered_before > datablocks_before * r.offered then
+        Alcotest.failf "%.0f req/s: %d datablocks for %d requests, %d for %d before" load
+          r.datablocks r.offered datablocks_before offered_before)
+    [ (20_000., 120_000, 1200); (60_000., 360_000, 3600) ]
+
+(* A 10 ms one-way link makes the vote -> notarization time at least
+   20 ms, past 7/8 of the cycle: there is no time left to aim at, so no
+   clock pack is armed, and neither median may exceed what it was before
+   the clock (40.04 ms to propose, 88.75 ms to confirm). *)
+let test_clock_off_on_slow_link () =
+  let link = { Net.Network.default_link with prop_delay = Sim_time.ms 10 } in
+  let r = clock_run ~link ~load:1000. () in
+  checki "all confirmed" r.offered r.confirmed;
+  checki "no clock pack" 0 r.clock_packs;
+  checkb "propose p50 not above 40.04 ms" true (r.propose_wait_p50 <= 0.040041);
+  checkb "confirm p50 not above 88.75 ms" true (r.confirm_p50 <= 0.088754)
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -826,4 +931,8 @@ let () =
           Alcotest.test_case "state hash agreement" `Quick test_state_hash_agreement;
           Alcotest.test_case "notar cache bounded" `Quick test_notar_cache_bounded;
           Alcotest.test_case "leader excluded from datablocks" `Quick
-            test_datablock_generation_excludes_leader ] ) ]
+            test_datablock_generation_excludes_leader ] );
+      ( "proposal clock",
+        [ Alcotest.test_case "low-load wait under 3/4 cycle" `Quick test_clock_low_load_wait;
+          Alcotest.test_case "alpha batches kept" `Quick test_clock_keeps_alpha_batches;
+          Alcotest.test_case "off on a slow link" `Quick test_clock_off_on_slow_link ] ) ]

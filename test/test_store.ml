@@ -202,6 +202,43 @@ let test_reopen_starts_fresh_segment () =
       checkb "no corruption" true (corruption = None);
       checki "both incarnations replayed" 10 (List.length got))
 
+(* Checkpoint saves delete from the WAL's own list of live files, not a
+   directory listing: segments and a snapshot left by an earlier process
+   (seeded by the reopen's scan) must still go at the first save, and
+   after many saves exactly one snapshot and the segments at or above
+   it remain. *)
+let test_saves_prune_earlier_files () =
+  with_dir (fun dir ->
+      let w1 = Wal.create ~segment_bytes:256 ~dir () in
+      List.iter (Wal.append w1) (records 40);
+      Wal.save_snapshot w1 "first-process";
+      List.iter (Wal.append w1) (records 20);
+      Wal.close w1;
+      let w2 = Wal.create ~segment_bytes:256 ~dir () in
+      let files () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+      let number f = Scanf.sscanf f "%_[a-z]-%d.%_s" Fun.id in
+      let check_layout label =
+        let snaps = List.filter (fun f -> Filename.check_suffix f ".dat") (files ()) in
+        let segs = List.filter (fun f -> Filename.check_suffix f ".log") (files ()) in
+        checki (label ^ ": one snapshot") 1 (List.length snaps);
+        checki (label ^ ": nothing else") (List.length (files ()))
+          (List.length snaps + List.length segs);
+        let snap = number (List.hd snaps) in
+        checkb (label ^ ": segments at or above the snapshot") true
+          (List.for_all (fun f -> number f >= snap) segs)
+      in
+      for i = 1 to 12 do
+        List.iter (Wal.append w2) (List.init (i mod 5) (fun j -> record (100 * i + j)));
+        Wal.save_snapshot w2 (Printf.sprintf "state-%d" i);
+        check_layout (Printf.sprintf "save %d" i)
+      done;
+      List.iter (Wal.append w2) (records 3);
+      Wal.close w2;
+      let snap, got, corruption = Wal.load ~dir in
+      checkb "last snapshot recovered" true (snap = Some "state-12");
+      checkb "no corruption" true (corruption = None);
+      checkb "records after it replayed" true (got = records 3))
+
 (* ------------------------------------------------------------------ *)
 (* Recovery fuzz: the scanner must be total and prefix-clean           *)
 (* ------------------------------------------------------------------ *)
@@ -385,7 +422,9 @@ let () =
             test_reopen_starts_fresh_segment;
           Alcotest.test_case "snapshot fsync follows policy" `Quick
             test_snapshot_fsync_policy;
-          Alcotest.test_case "snapshot bytes gauge" `Quick test_snapshot_bytes_gauge ] );
+          Alcotest.test_case "snapshot bytes gauge" `Quick test_snapshot_bytes_gauge;
+          Alcotest.test_case "saves prune an earlier process's files" `Quick
+            test_saves_prune_earlier_files ] );
       ( "recovery fuzz",
         [ Alcotest.test_case "bit flips" `Quick test_fuzz_bit_flips;
           Alcotest.test_case "random mutations" `Quick test_fuzz_random_mutations;
