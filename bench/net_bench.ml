@@ -15,7 +15,12 @@
        flushing, reading and in-place decoding, encode included once per
        multicast. With pooled buffers and ring queues the transport
        itself allocates nothing per frame; what remains is the shared
-       encode (amortized over n-1 peers) and the decoded message.
+       encode (amortized over n-1 peers) and the decoded message,
+     - pooled bytes per connection after warm-up: the buffers the n
+       nodes hold from the pool, over the n-1 connections. Transport
+       buffers are per node (a read scratch and a gather buffer each),
+       so this stays near 2 x 64 KiB x n/(n-1); a per-connection buffer
+       would add its size at every n.
 
    A star, not a full mesh: n=64 needs 63 connections (~130 fds), while a
    mesh would need ~8000. That was past FD_SETSIZE for a select(2) loop;
@@ -29,7 +34,7 @@
    The run writes [BENCH_net.json]; with [--check-regressions] it
    compares against the checked-in baseline and exits nonzero when any n
    got more than 2x worse: slower (frames/s), more syscalls per frame,
-   or more allocation per frame. *)
+   more allocation per frame, or more pooled bytes per connection. *)
 
 type row = {
   n : int;
@@ -39,6 +44,7 @@ type row = {
   writes_per_frame : float;
   reads_per_frame : float;
   minor_words_per_frame : float;
+  pool_bytes_per_conn : float;
 }
 
 (* The overload leg: sustained bursts past the sender's HWM, bulk
@@ -102,6 +108,9 @@ let run_one ~fast n =
   for _ = 1 to 4 do
     batch ()
   done;
+  let pool_bytes_per_conn =
+    float_of_int (Transport.Pool.stats pool).Transport.Pool.held_bytes /. float_of_int (n - 1)
+  in
   let window = if fast then 0.3 else 1.0 in
   let stats0 =
     let s = Transport.Conn.stats sender in
@@ -143,7 +152,8 @@ let run_one ~fast n =
     frames_per_s = (if wall_s <= 0. then 0. else float_of_int frames /. wall_s);
     writes_per_frame = per writes;
     reads_per_frame = per reads;
-    minor_words_per_frame = (if frames = 0 then 0. else minor /. float_of_int frames) }
+    minor_words_per_frame = (if frames = 0 then 0. else minor /. float_of_int frames);
+    pool_bytes_per_conn }
 
 let ns = [ 4; 16; 64 ]
 
@@ -252,7 +262,8 @@ let schema =
       float 0 "frames_per_s" ~gate:Higher_is_better (fun r -> r.frames_per_s);
       float 4 "writes_per_frame" ~gate:Lower_is_better (fun r -> r.writes_per_frame);
       float 4 "reads_per_frame" ~gate:Lower_is_better (fun r -> r.reads_per_frame);
-      float 1 "minor_words_per_frame" ~gate:Lower_is_better (fun r -> r.minor_words_per_frame) ]
+      float 1 "minor_words_per_frame" ~gate:Lower_is_better (fun r -> r.minor_words_per_frame);
+      float 0 "pool_bytes_per_conn" ~gate:Lower_is_better (fun r -> r.pool_bytes_per_conn) ]
 
 (* The overload gate is two-headed: delivered consensus throughput gates
    against the baseline like the other legs, and any consensus-kind

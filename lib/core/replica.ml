@@ -611,9 +611,9 @@ let apply_checkpoint_cert t (cert : Msg.checkpoint_cert) =
       Hashtbl.filter_map_inplace
         (fun sn q -> if sn > lw then Some q else None)
         t.checkpoint_quorums;
-      Hashtbl.iter
-        (fun sn _ -> if sn <= lw then Hashtbl.remove t.waiting_propose sn)
-        (Hashtbl.copy t.waiting_propose);
+      Hashtbl.filter_map_inplace
+        (fun sn m -> if sn > lw then Some m else None)
+        t.waiting_propose;
       let stale = Hashtbl.fold (fun sn _ acc -> if sn <= lw then sn :: acc else acc) t.instances [] in
       List.iter (Hashtbl.remove t.instances) stale;
       tracef t "checkpoint.applied" "lw=%d" t.lw;

@@ -35,7 +35,8 @@ type t = {
   fsync : fsync_policy;
   now_ns : unit -> int;
   ms : metrics option;
-  buf : Buffer.t;
+  mutable buf : Bytes.t; (* group-commit buffer: frames not yet written *)
+  mutable buf_len : int;
   mutable fd : Unix.file_descr;
   mutable seq : int;
   mutable seg_size : int; (* written + buffered bytes of the current segment *)
@@ -74,15 +75,15 @@ let snapshot_name seq = numbered "snap-" seq ".dat"
 let segment_seq name = Scanf.sscanf_opt name "wal-%d.log%!" (fun s -> s)
 let snapshot_seq name = Scanf.sscanf_opt name "snap-%d.dat%!" (fun s -> s)
 
-let frame ~kind payload =
-  let len = String.length payload in
-  let b = Bytes.create (header_bytes + len) in
+(* The frame header for [payload]; the payload follows it as is, so a
+   frame is written as two pieces and never copied into one. *)
+let header ~kind payload =
+  let b = Bytes.create header_bytes in
   Bytes.blit_string magic 0 b 0 4;
   Bytes.set b 4 (Char.chr version);
   Bytes.set b 5 (Char.chr kind);
-  Bytes.set_int32_le b 6 (Int32.of_int len);
+  Bytes.set_int32_le b 6 (Int32.of_int (String.length payload));
   Bytes.set_int32_le b 10 (Int32.of_int (Crc32.string payload));
-  Bytes.blit_string payload 0 b header_bytes len;
   Bytes.unsafe_to_string b
 
 (* Scans [data] as a sequence of frames of one expected [kind], calling
@@ -172,7 +173,8 @@ let create ?obs ?(segment_bytes = 4 * 1024 * 1024) ?(fsync = Never)
     fsync;
     now_ns;
     ms = Option.map metrics_of obs;
-    buf = Buffer.create 4096;
+    buf = Bytes.create 4096;
+    buf_len = 0;
     fd = open_segment dir seq;
     seq;
     seg_size = 0;
@@ -186,15 +188,27 @@ let create ?obs ?(segment_bytes = 4 * 1024 * 1024) ?(fsync = Never)
 let dir t = t.dir
 let appended t = t.appended
 
+(* The first [len] bytes of [s]. *)
+let write_all fd s len =
+  let pos = ref 0 in
+  while !pos < len do
+    pos := !pos + Unix.write_substring fd s !pos (len - !pos)
+  done
+
+let buffer_add t s =
+  let len = String.length s in
+  if t.buf_len + len > Bytes.length t.buf then begin
+    let bigger = Bytes.create (max (t.buf_len + len) (2 * Bytes.length t.buf)) in
+    Bytes.blit t.buf 0 bigger 0 t.buf_len;
+    t.buf <- bigger
+  end;
+  Bytes.blit_string s 0 t.buf t.buf_len len;
+  t.buf_len <- t.buf_len + len
+
 let write_buffer t =
-  if Buffer.length t.buf > 0 then begin
-    let data = Buffer.contents t.buf in
-    Buffer.clear t.buf;
-    let len = String.length data in
-    let pos = ref 0 in
-    while !pos < len do
-      pos := !pos + Unix.write_substring t.fd data !pos (len - !pos)
-    done;
+  if t.buf_len > 0 then begin
+    write_all t.fd (Bytes.unsafe_to_string t.buf) t.buf_len;
+    t.buf_len <- 0;
     t.dirty <- true
   end
 
@@ -241,10 +255,11 @@ let rotate t =
 let append t payload =
   if not t.closed then begin
     let t0 = match t.ms with Some _ -> t.now_ns () | None -> 0 in
-    let fr = frame ~kind:kind_record payload in
-    if t.seg_size > 0 && t.seg_size + String.length fr > t.segment_bytes then rotate t;
-    Buffer.add_string t.buf fr;
-    t.seg_size <- t.seg_size + String.length fr;
+    let size = header_bytes + String.length payload in
+    if t.seg_size > 0 && t.seg_size + size > t.segment_bytes then rotate t;
+    buffer_add t (header ~kind:kind_record payload);
+    buffer_add t payload;
+    t.seg_size <- t.seg_size + size;
     t.appended <- t.appended + 1;
     if t.fsync = Always then begin
       write_buffer t;
@@ -267,12 +282,8 @@ let save_snapshot t payload =
     Fun.protect
       ~finally:(fun () -> Unix.close fd)
       (fun () ->
-        let data = frame ~kind:kind_snapshot payload in
-        let len = String.length data in
-        let pos = ref 0 in
-        while !pos < len do
-          pos := !pos + Unix.write_substring fd data !pos (len - !pos)
-        done;
+        write_all fd (header ~kind:kind_snapshot payload) header_bytes;
+        write_all fd payload (String.length payload);
         (* [Never] leaves durability to the page cache here too: a
            process crash keeps the renamed file, an OS crash may not. *)
         match t.fsync with Never -> () | Always | Interval _ -> timed_fsync t fd);
@@ -297,7 +308,7 @@ let save_snapshot t payload =
 let crash t =
   if not t.closed then begin
     t.closed <- true;
-    Buffer.clear t.buf;
+    t.buf_len <- 0;
     try Unix.close t.fd with Unix.Unix_error _ -> ()
   end
 

@@ -86,7 +86,6 @@ type out_conn = {
   mutable waited_ns : int;
   mutable up_at_ns : int;
   mutable flush_queued : bool; (* already on the loop-tick flush list *)
-  wbuf : Bytes.t; (* pooled gather buffer for coalesced writes *)
 }
 
 (* An incoming (accepted) connection; [src] is unknown until the hello. *)
@@ -140,7 +139,14 @@ type t = {
   mutable tick : Loop.tick_handle option; (* flush hook; removed on close *)
   rng : Random.State.t;
   pool : Pool.t;
-  scratch : Bytes.t; (* drain buffer for dialed-connection reads *)
+  (* The node's two transport buffers, pooled for its lifetime and shared
+     by all its connections: every read lands in [scratch], every gather
+     write is packed in [wbuf]. They must stay distinct: frame callbacks
+     run while [Frame.feed] is still parsing [scratch], and a hello can
+     run [dial_now] -> [on_connected] -> [try_flush] inline. For the
+     same reason no frame callback may read a socket inline. *)
+  scratch : Bytes.t;
+  wbuf : Bytes.t;
   stats : stats;
 }
 
@@ -231,20 +237,20 @@ let queue_advance t oc n =
     end
   done
 
-(* Pack frames from the queue head into [oc.wbuf] (starting at the head
+(* Pack frames from the queue head into [t.wbuf] (starting at the head
    frame's unwritten tail) until the buffer is full or the queue runs
    out; returns the fill. Bytes packed but not accepted by the kernel are
    simply re-packed next round — [queue_advance] only trusts write(2)'s
    return. *)
-let gather oc =
-  let cap = Bytes.length oc.wbuf in
+let gather t oc =
+  let cap = Bytes.length t.wbuf in
   let filled = ref 0 in
   let i = ref 0 in
   let off = ref oc.head_off in
   while !filled < cap && !i < Ring.length oc.q do
     let fr = Ring.get oc.q !i in
     let take = min (cap - !filled) (String.length fr - !off) in
-    Bytes.blit_string fr !off oc.wbuf !filled take;
+    Bytes.blit_string fr !off t.wbuf !filled take;
     filled := !filled + take;
     off := 0;
     incr i
@@ -305,7 +311,7 @@ and try_flush t oc =
        [max_single_write]): the hello tail, then either the head frame
        written directly from its own string — zero copy, when it is large
        or alone — or a gather of many small frames coalesced through
-       [oc.wbuf] so one syscall drains them all. A short write means the
+       [t.wbuf] so one syscall drains them all. A short write means the
        kernel buffer is full: stop and wait for writability. *)
     (try
        while !progress && not !blocked do
@@ -322,7 +328,7 @@ and try_flush t oc =
          else if Ring.length oc.q > 0 then begin
            let head = Ring.peek oc.q in
            let head_rem = String.length head - oc.head_off in
-           if head_rem >= Bytes.length oc.wbuf || Ring.length oc.q = 1 then begin
+           if head_rem >= Bytes.length t.wbuf || Ring.length oc.q = 1 then begin
              let want = min (min head_rem t.max_write) max_single_write in
              let n = Unix.single_write_substring fd head oc.head_off want in
              t.stats.write_syscalls <- t.stats.write_syscalls + 1;
@@ -331,9 +337,9 @@ and try_flush t oc =
              if n < want then blocked := true
            end
            else begin
-             let filled = gather oc in
+             let filled = gather t oc in
              let want = min (min filled t.max_write) max_single_write in
-             let n = Unix.single_write fd oc.wbuf 0 want in
+             let n = Unix.single_write fd t.wbuf 0 want in
              t.stats.write_syscalls <- t.stats.write_syscalls + 1;
              t.stats.bytes_sent <- t.stats.bytes_sent + n;
              queue_advance t oc n;
@@ -429,6 +435,7 @@ let create ~loop ~id ?obs ?(max_frame = Frame.default_max_frame)
       rng = Random.State.make [| 0x1e09a4d; id |];
       pool;
       scratch = Pool.acquire pool read_chunk;
+      wbuf = Pool.acquire pool gather_bytes;
       stats =
         { write_syscalls = 0;
           read_syscalls = 0;
@@ -477,6 +484,7 @@ let create ~loop ~id ?obs ?(max_frame = Frame.default_max_frame)
       let coalesce =
         g "leopard_transport_coalesce_ratio_x1000" "write syscalls per frame sent, x1000"
       in
+      let queued = g "leopard_transport_queued_bytes" "frame bytes queued to all peers" in
       Obs.Registry.on_collect reg (fun () ->
           let s = t.stats in
           Obs.Counter.mirror frames_sent s.frames_sent;
@@ -497,6 +505,7 @@ let create ~loop ~id ?obs ?(max_frame = Frame.default_max_frame)
               t.outs 0
           in
           Obs.Gauge.set live (outs_live + Hashtbl.length t.ins);
+          Obs.Gauge.set queued (Hashtbl.fold (fun _ oc acc -> acc + oc.q_bytes) t.outs 0);
           if s.frames_sent > 0 then
             Obs.Gauge.set coalesce (s.write_syscalls * 1000 / s.frames_sent)));
   t
@@ -516,8 +525,7 @@ let out_conn t dst =
         backoff_ns = backoff_base_ns;
         waited_ns = 0;
         up_at_ns = 0;
-        flush_queued = false;
-        wbuf = Pool.acquire t.pool gather_bytes }
+        flush_queued = false }
     in
     Hashtbl.add t.outs dst oc;
     oc
@@ -646,20 +654,16 @@ let handle_frame t ic frame =
   | Some src, Frame.Msg m -> if not t.down then t.on_msg ~src m
   | None, Frame.Msg _ | Some _, Frame.Hello _ -> raise Protocol_violation
 
-(* read(2) lands directly in the reader's buffer (reserve/commit), so a
-   frame's bytes are touched once on the way in: kernel -> reader ->
-   in-place decode. *)
+(* read(2) lands in the node's scratch and complete frames decode in
+   place from it; only a frame cut by the read's end is copied, into a
+   buffer its reader holds until the frame completes. *)
 let read_in t ic =
-  Frame.reserve ic.reader read_chunk;
-  match
-    Unix.read ic.in_fd (Frame.fill_buf ic.reader) (Frame.fill_off ic.reader)
-      (Frame.fill_capacity ic.reader)
-  with
+  match Unix.read ic.in_fd t.scratch 0 (Bytes.length t.scratch) with
   | 0 -> close_in t ic
   | n -> (
     t.stats.read_syscalls <- t.stats.read_syscalls + 1;
     t.stats.bytes_recvd <- t.stats.bytes_recvd + n;
-    match Frame.commit ic.reader n (handle_frame t ic) with
+    match Frame.feed ic.reader t.scratch ~off:0 ~len:n (handle_frame t ic) with
     | Ok () -> ()
     | Error _ -> close_in t ic
     | exception Protocol_violation -> close_in t ic)
@@ -746,11 +750,7 @@ let close t =
       close_fd t ic.in_fd)
     t.ins;
   Hashtbl.reset t.ins;
-  Hashtbl.iter
-    (fun _ oc ->
-      reset_out t oc;
-      Pool.release t.pool oc.wbuf)
-    t.outs;
+  Hashtbl.iter (fun _ oc -> reset_out t oc) t.outs;
   Hashtbl.reset t.outs;
   (match t.listener with
   | Some lfd ->
@@ -758,4 +758,5 @@ let close t =
     t.listener <- None
   | None -> ());
   Pool.release t.pool t.scratch;
+  Pool.release t.pool t.wbuf;
   t.down <- true

@@ -31,9 +31,14 @@
     frame once and queues the same immutable string to every peer
     (per-peer write offsets make partial writes safe on shared frames);
     small queued frames are coalesced into one [write(2)] through a
-    pooled gather buffer; reads land directly in the frame reader's
-    buffer and payloads decode in place. Steady-state sends and receives
-    allocate nothing beyond the frame itself and the decoded message. *)
+    pooled gather buffer; reads land in a pooled scratch buffer and
+    payloads decode in place from it. Steady-state sends and receives
+    allocate nothing beyond the frame itself and the decoded message.
+
+    Transport memory is per node, not per connection: one 64 KiB read
+    scratch and one 64 KiB gather buffer, shared by all of the node's
+    connections, plus a buffer for each frame a read left incomplete,
+    held only until that frame's last byte arrives. *)
 
 type t
 
@@ -48,11 +53,13 @@ val create :
   unit ->
   t
 (** [outbuf_hwm] is the per-peer queued-bytes bound (default 4 MiB).
-    [pool] supplies reader/scratch/gather buffers (default: a private
-    pool; pass one explicitly to share across nodes or to enable debug
-    poisoning). [?obs] registers a scrape-time collect hook that mirrors
-    this node's {!stats}, drop/fault counters, live-connection count and
-    write-coalescing ratio as [leopard_transport_*] metrics labeled
+    [pool] supplies the scratch, gather and partial-frame buffers
+    (default: a private pool; pass one explicitly to share across nodes
+    or to enable debug poisoning). [?obs] registers a scrape-time collect
+    hook that mirrors this node's {!stats}, drop/fault counters,
+    live-connection count, write-coalescing ratio and the frame bytes
+    queued to all peers ([leopard_transport_queued_bytes]) as
+    [leopard_transport_*] metrics labeled
     [node="<id>"] — the send/receive hot paths are untouched. Drops are
     split by cause ([leopard_transport_dropped_total{reason=...}] with
     [backpressure]/[no_addr]/[disconnected]) and backpressure drops
@@ -160,7 +167,8 @@ val stats : t -> stats
     vs [frames_sent] is the coalescing ratio the net benchmark gates. *)
 
 val pool : t -> Pool.t
-(** The buffer pool behind this node's readers and scratch. *)
+(** The buffer pool behind this node's scratch, gather and partial-frame
+    buffers. *)
 
 val set_max_write : t -> int -> unit
 (** Debug clamp: offer at most [n] bytes per [write(2)] ([n <= 0]

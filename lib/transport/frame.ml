@@ -61,20 +61,24 @@ let encode_msg = encode_shared
 
 (* -- incremental decoding ----------------------------------------------- *)
 
-(* The reader accumulates into one growable bytes buffer with a consumed
-   prefix; complete frames are parsed out and the tail compacted to the
-   front. Simpler than a ring and plenty for per-connection rates — the
-   buffer holds at most one partial frame plus whatever one read(2)
-   appended. Buffers come from the connection's [Pool] when one is given,
-   so redial churn recycles them. *)
+(* A reader owns a buffer only while a frame is incomplete. [feed]
+   parses and decodes every complete frame in place from the caller's
+   bytes; an incomplete tail is copied into a buffer sized to its frame
+   (to the header until the header is in), which goes back to the pool
+   the moment that frame completes. An idle reader holds nothing, so a
+   connection costs no buffer memory between frames. *)
 type reader = {
   max_frame : int;
   pool : Pool.t option;
-  mutable buf : Bytes.t;
-  mutable start : int;    (* first unconsumed byte *)
-  mutable stop : int;     (* one past the last valid byte *)
+  mutable tail : Bytes.t; (* the incomplete frame; [Bytes.empty] when idle *)
+  mutable fill : int;     (* bytes of it received so far *)
   mutable poisoned : error option;
 }
+
+exception Malformed of error
+
+let reader ?(max_frame = default_max_frame) ?pool () =
+  { max_frame; pool; tail = Bytes.empty; fill = 0; poisoned = None }
 
 let alloc r n =
   match r.pool with
@@ -86,135 +90,103 @@ let free_buf r b =
   | Some p -> Pool.release p b
   | None -> ()
 
-let reader ?(max_frame = default_max_frame) ?pool () =
-  let buf =
-    match pool with
-    | Some p -> Pool.acquire p 4096
-    | None -> Bytes.create 4096
-  in
-  { max_frame; pool; buf; start = 0; stop = 0; poisoned = None }
+let drop_tail r =
+  if r.tail != Bytes.empty then free_buf r r.tail;
+  r.tail <- Bytes.empty;
+  r.fill <- 0
 
 let release r =
-  free_buf r r.buf;
-  (* Leave the reader unusable rather than aliasing a recycled buffer. *)
-  r.buf <- Bytes.empty;
-  r.start <- 0;
-  r.stop <- 0;
+  drop_tail r;
   if r.poisoned = None then r.poisoned <- Some Short_read
 
-let buffered r = r.stop - r.start
+let buffered r = r.fill
 
-let ensure_room r extra =
-  let live = buffered r in
-  if r.start > 0 && (live = 0 || Bytes.length r.buf - r.stop < extra) then begin
-    (* compact: slide the live region to offset 0 *)
-    Bytes.blit r.buf r.start r.buf 0 live;
-    r.start <- 0;
-    r.stop <- live
-  end;
-  if Bytes.length r.buf - r.stop < extra then begin
-    let need = live + extra in
-    let cap = ref (Bytes.length r.buf * 2) in
-    while !cap < need do
-      cap := !cap * 2
-    done;
-    let bigger = alloc r !cap in
-    Bytes.blit r.buf r.start bigger 0 live;
-    free_buf r r.buf;
-    r.buf <- bigger;
-    r.start <- 0;
-    r.stop <- live
-  end
+(* The size, header included, of the frame whose header starts at
+   [pos]; raises [Malformed] on a bad header. *)
+let frame_bytes r s pos =
+  if not (s.[pos] = 'L' && s.[pos + 1] = 'P' && s.[pos + 2] = 'R' && s.[pos + 3] = 'D')
+  then raise (Malformed Bad_magic);
+  let v = String.get_uint16_le s (pos + 4) in
+  if v <> version then raise (Malformed (Bad_version v));
+  let len = Int32.to_int (String.get_int32_le s (pos + 7)) land 0xFFFFFFFF in
+  if len > r.max_frame then raise (Malformed (Oversized len));
+  header_bytes + len
 
-(* Parse one frame at [r.start] if fully buffered. *)
-let parse_one r k =
-  let live = buffered r in
-  if live < header_bytes then `Need_more
-  else begin
-    let base = r.start in
-    let magic_ok =
-      Bytes.get r.buf base = 'L'
-      && Bytes.get r.buf (base + 1) = 'P'
-      && Bytes.get r.buf (base + 2) = 'R'
-      && Bytes.get r.buf (base + 3) = 'D'
-    in
-    if not magic_ok then `Error Bad_magic
-    else
-      let v = Bytes.get_uint16_le r.buf (base + 4) in
-      if v <> version then `Error (Bad_version v)
-      else
-        let kind = Bytes.get_uint8 r.buf (base + 6) in
-        let len = Int32.to_int (Bytes.get_int32_le r.buf (base + 7)) land 0xFFFFFFFF in
-        if len > r.max_frame then `Error (Oversized len)
-        else if live < header_bytes + len then `Need_more
-        else begin
-          let pbase = base + header_bytes in
-          r.start <- pbase + len;
-          if kind = kind_hello then
-            if len = 4 then begin
-              let id = Int32.to_int (Bytes.get_int32_le r.buf pbase) land 0xFFFFFFFF in
-              k (Hello id);
-              `Parsed
-            end
-            else `Error Decode_failed
-          else if kind = kind_msg then (
-            (* Decode the payload where it sits instead of [Bytes.sub_string]
-               first. The string view of [r.buf] is only read inside
-               [decode_msg_sub], which returns before the buffer can be
-               compacted, grown or refilled, and everything the decoded
-               message keeps is copied out by the codec. *)
-            match
-              Core.Codec.decode_msg_sub (Bytes.unsafe_to_string r.buf) ~off:pbase ~len
-            with
-            | Some msg ->
-              k (Msg msg);
-              `Parsed
-            | None -> `Error Decode_failed)
-          else `Error Decode_failed
-        end
-  end
+(* The complete frame of [total] bytes at [pos]. The payload is decoded
+   where it sits; the codec copies out everything the message keeps, so
+   [s] is free for reuse once this returns. *)
+let decode s pos total =
+  let pbase = pos + header_bytes and len = total - header_bytes in
+  let kind = String.get_uint8 s (pos + 6) in
+  if kind = kind_hello && len = 4 then
+    Hello (Int32.to_int (String.get_int32_le s pbase) land 0xFFFFFFFF)
+  else if kind = kind_msg then
+    match Core.Codec.decode_msg_sub s ~off:pbase ~len with
+    | Some msg -> Msg msg
+    | None -> raise (Malformed Decode_failed)
+  else raise (Malformed Decode_failed)
 
-let drain r k =
-  let rec go () =
-    match parse_one r k with
-    | `Parsed -> go ()
-    | `Need_more -> Ok ()
-    | `Error e ->
-      r.poisoned <- Some e;
-      Error e
+(* Copy bytes from [buf] into the held tail until its frame completes,
+   deliver it and return the tail to the pool; the result is the offset
+   of the first byte not taken. *)
+let finish_tail r buf off stop k =
+  let pos = ref off in
+  let take upto =
+    let m = min (upto - r.fill) (stop - !pos) in
+    Bytes.blit buf !pos r.tail r.fill m;
+    pos := !pos + m;
+    r.fill <- r.fill + m
   in
-  go ()
+  if r.fill < header_bytes then take header_bytes;
+  if r.fill >= header_bytes then begin
+    let total = frame_bytes r (Bytes.unsafe_to_string r.tail) 0 in
+    if Bytes.length r.tail < total then begin
+      let bigger = alloc r total in
+      Bytes.blit r.tail 0 bigger 0 r.fill;
+      free_buf r r.tail;
+      r.tail <- bigger
+    end;
+    take total;
+    if r.fill = total then begin
+      let f = decode (Bytes.unsafe_to_string r.tail) 0 total in
+      drop_tail r;
+      k f
+    end
+  end;
+  !pos
+
+(* Deliver every complete frame in [buf] from [pos], then keep the
+   incomplete rest. Stops if a callback released the reader. *)
+let rec parse r buf pos stop k =
+  let avail = stop - pos in
+  if avail > 0 && r.poisoned = None then begin
+    let total =
+      if avail < header_bytes then header_bytes
+      else frame_bytes r (Bytes.unsafe_to_string buf) pos
+    in
+    if avail < total then begin
+      r.tail <- alloc r total;
+      Bytes.blit buf pos r.tail 0 avail;
+      r.fill <- avail
+    end
+    else begin
+      k (decode (Bytes.unsafe_to_string buf) pos total);
+      parse r buf (pos + total) stop k
+    end
+  end
 
 let feed r buf ~off ~len k =
   match r.poisoned with
   | Some e -> Error e
-  | None ->
-    ensure_room r len;
-    Bytes.blit buf off r.buf r.stop len;
-    r.stop <- r.stop + len;
-    drain r k
-
-(* -- zero-copy fill: read(2) straight into the reader ------------------- *)
-
-let reserve r n =
-  (match r.poisoned with
-  | Some _ -> ()
-  | None -> ensure_room r n);
-  ()
-
-let fill_buf r = r.buf
-let fill_off r = r.stop
-let fill_capacity r = Bytes.length r.buf - r.stop
-
-let commit r n k =
-  match r.poisoned with
-  | Some e -> Error e
-  | None ->
-    if n < 0 || n > fill_capacity r then invalid_arg "Frame.commit";
-    r.stop <- r.stop + n;
-    drain r k
+  | None -> (
+    let stop = off + len in
+    match parse r buf (if r.fill > 0 then finish_tail r buf off stop k else off) stop k with
+    | () -> Ok ()
+    | exception Malformed e ->
+      r.poisoned <- Some e;
+      Error e)
 
 let check_eof r =
   match r.poisoned with
   | Some e -> Error e
-  | None -> if buffered r = 0 then Ok () else Error Short_read
+  | None -> if r.fill = 0 then Ok () else Error Short_read

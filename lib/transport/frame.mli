@@ -73,57 +73,41 @@ val encode_count : unit -> int
     to assert the encode-once property: one frame to [k] peers bumps
     this by exactly 1. *)
 
-(** {2 Incremental decoding} *)
+(** {2 Incremental decoding}
+
+    A reader holds memory only while a frame is incomplete. {!feed}
+    parses and decodes every complete frame in place from the caller's
+    bytes (the payload through {!Core.Codec.decode_msg_sub}, no copy).
+    Only an incomplete tail is copied, into a buffer sized to its frame
+    (at most [header_bytes + max_frame]); the buffer is returned to the
+    pool the moment that frame completes. So an idle reader owns no
+    buffer, and a connection's cost between frames is the reader record
+    alone: the bytes a read lands in belong to the caller (one scratch
+    per node in {!Conn}). *)
 
 type reader
 
 val reader : ?max_frame:int -> ?pool:Pool.t -> unit -> reader
-(** A fresh stream decoder (one per connection direction). With [pool],
-    the accumulation buffer is acquired from it (and returned on
-    {!release} or growth), so connection churn recycles buffers. *)
+(** A fresh stream decoder (one per connection direction). It holds no
+    buffer until a read ends inside a frame. With [pool], the buffer for
+    such a partial frame is acquired from it and released when the frame
+    completes (or on {!release}). *)
 
 val release : reader -> unit
-(** Returns the reader's buffer to its pool (if any) and poisons the
+(** Returns a partial frame's buffer (if any) to its pool and poisons the
     reader. Call exactly once when the connection dies; the reader must
-    not be fed afterwards. *)
+    not be fed afterwards. Releasing from inside a {!feed} callback is
+    allowed: that feed delivers no further frame. *)
 
 val feed :
   reader -> bytes -> off:int -> len:int -> (frame -> unit) -> (unit, error) result
 (** [feed r buf ~off ~len k] appends the slice to the stream and calls
-    [k] on every frame completed by it, in order. On error the reader is
-    poisoned: subsequent feeds return the same error (the connection
-    must be dropped — after a framing error resynchronization is
-    impossible). *)
-
-(** {3 Zero-copy fill}
-
-    [feed] copies from the caller's scratch into the reader; the
-    reserve/commit triple lets [read(2)] land bytes {e directly} in the
-    reader's buffer instead:
-
-    {[
-      Frame.reserve r 65536;
-      let n = Unix.read fd (Frame.fill_buf r) (Frame.fill_off r)
-                (Frame.fill_capacity r) in
-      Frame.commit r n k
-    ]}
-
-    [fill_buf]/[fill_off]/[fill_capacity] are only valid until the next
-    reader operation ([reserve] and [commit] both may move or replace
-    the buffer). *)
-
-val reserve : reader -> int -> unit
-(** Make at least [n] bytes of writable tail available (compacting or
-    growing as needed). No-op on a poisoned reader. *)
-
-val fill_buf : reader -> Bytes.t
-val fill_off : reader -> int
-val fill_capacity : reader -> int
-
-val commit : reader -> int -> (frame -> unit) -> (unit, error) result
-(** [commit r n k] declares [n] bytes written at [fill_off] and parses
-    any completed frames, exactly as {!feed} would. Raises
-    [Invalid_argument] if [n] exceeds [fill_capacity]. *)
+    [k] on every frame completed by it, in order. Complete frames are
+    decoded straight out of [buf], so [k] must not overwrite the rest of
+    the slice (in {!Conn}: no callback reads a socket inline). On error
+    the reader is poisoned: subsequent feeds return the same error (the
+    connection must be dropped — after a framing error resynchronization
+    is impossible). *)
 
 val check_eof : reader -> (unit, error) result
 (** Call when the peer closes: [Error Short_read] if the stream ended

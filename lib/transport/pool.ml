@@ -1,11 +1,12 @@
 (* Size-classed buffer pool for the transport data plane.
 
-   Frame readers, read scratch and write-coalescing buffers all want
-   kilobyte-scale [Bytes.t] values with connection lifetime but bursty
-   turnover (a redialed peer tears its buffers down and builds them back
-   up). Recycling them through a free list keeps the steady state free of
-   major-heap churn and, with [debug], catches use-after-release and
-   double-release bugs by poisoning.
+   Two lifetimes draw from it. Each node's read scratch and gather buffer
+   (64 KiB each) live as long as the node's [Conn]. A frame reader's
+   partial-frame buffer lives only from the read that cut a frame to the
+   read that completes it, so it turns over at frame rate; nothing is held
+   per connection. Recycling both through a free list keeps the steady
+   state free of major-heap churn and, with [debug], catches
+   use-after-release and double-release bugs by poisoning.
 
    Classes are powers of two from [min_class] to [max_class]; a request
    above [max_class] falls back to a plain allocation that [release]
@@ -21,6 +22,7 @@ type stats = {
   mutable hits : int; (* acquires served from a free list *)
   mutable releases : int;
   mutable dropped : int; (* releases of off-class buffers, not pooled *)
+  mutable held_bytes : int; (* bytes handed out and not yet released *)
 }
 
 type t = {
@@ -36,7 +38,7 @@ let class_count =
 let create ?(debug = false) () =
   { classes = Array.init class_count (fun _ -> ref []);
     debug;
-    stats = { acquires = 0; hits = 0; releases = 0; dropped = 0 } }
+    stats = { acquires = 0; hits = 0; releases = 0; dropped = 0; held_bytes = 0 } }
 
 let debug_enabled t = t.debug
 let stats t = t.stats
@@ -57,16 +59,20 @@ let class_size idx = min_class lsl idx
 
 let acquire t n =
   t.stats.acquires <- t.stats.acquires + 1;
-  match class_of n with
-  | None -> Bytes.create n
-  | Some idx -> (
-    let free = t.classes.(idx) in
-    match !free with
-    | [] -> Bytes.create (class_size idx)
-    | b :: rest ->
-      free := rest;
-      t.stats.hits <- t.stats.hits + 1;
-      b)
+  let b =
+    match class_of n with
+    | None -> Bytes.create n
+    | Some idx -> (
+      let free = t.classes.(idx) in
+      match !free with
+      | [] -> Bytes.create (class_size idx)
+      | b :: rest ->
+        free := rest;
+        t.stats.hits <- t.stats.hits + 1;
+        b)
+  in
+  t.stats.held_bytes <- t.stats.held_bytes + Bytes.length b;
+  b
 
 let release t b =
   let len = Bytes.length b in
@@ -81,9 +87,11 @@ let release t b =
       Bytes.fill b 0 len poison_byte
     end;
     t.stats.releases <- t.stats.releases + 1;
+    t.stats.held_bytes <- t.stats.held_bytes - len;
     free := b :: !free
   | Some _ | None ->
     (* Off-class size: not one of ours (or an oversized fallback). *)
-    t.stats.dropped <- t.stats.dropped + 1
+    t.stats.dropped <- t.stats.dropped + 1;
+    t.stats.held_bytes <- t.stats.held_bytes - len
 
 let free_buffers t = Array.fold_left (fun acc l -> acc + List.length !l) 0 t.classes

@@ -1,8 +1,12 @@
 (** Size-classed [Bytes.t] pool for transport buffers.
 
-    Reader accumulation buffers, read scratch and write-coalescing
-    buffers are acquired here and released on connection teardown, so
-    redial churn recycles buffers instead of re-allocating them. Classes
+    Each node's read scratch and write-coalescing buffer are acquired
+    here when its {!Conn} is created and released when it closes. A
+    {!Frame.reader} acquires a buffer only when a read ends inside a
+    frame, sized to that frame, and releases it as soon as the frame
+    completes; an idle connection holds none. Recycling both turns
+    partial frames and node restarts into free-list hits instead of
+    major-heap allocations. Classes
     are powers of two from 4 KiB to 4 MiB; requests above the largest
     class degrade to plain allocations that {!release} quietly drops.
 
@@ -17,6 +21,8 @@ type stats = {
   mutable hits : int;      (** acquires served by recycling *)
   mutable releases : int;
   mutable dropped : int;   (** off-class releases, not pooled *)
+  mutable held_bytes : int;
+      (** bytes handed out by {!acquire} minus bytes given to {!release} *)
 }
 
 val create : ?debug:bool -> unit -> t

@@ -531,6 +531,165 @@ let test_multicast_delivery_and_stats () =
   Transport.Conn.close a;
   Transport.Conn.close b
 
+(* -- transport memory per node -------------------------------------------- *)
+
+(* Buffers the pool has handed out and not had back. *)
+let pool_held p =
+  let s = Transport.Pool.stats p in
+  s.Transport.Pool.acquires - s.Transport.Pool.releases - s.Transport.Pool.dropped
+
+let raw_dial port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.set_nonblock fd;
+  fd
+
+(* Write all of [s] to the nonblocking [fd], running [loop] in between so
+   the receiving [Conn] drains the socket. *)
+let push loop fd s =
+  let off = ref 0 in
+  while !off < String.length s do
+    (match Unix.single_write_substring fd s !off (String.length s - !off) with
+    | n -> off := !off + n
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+    Transport.Loop.run_for loop ~span:(Sim.Sim_time.ms 1)
+  done
+
+(* A datablock message of [reqs] requests: about 21 wire bytes each. *)
+let datablock_msg ~counter reqs =
+  let _pk, sk = Crypto.Signature.keygen (Sim.Rng.create 11L) in
+  Core.Msg.Datablock_msg
+    (Core.Datablock.create ~sk ~creator:0 ~counter ~now:0L
+       (List.init reqs (fun i -> Workload.Request.make ~id:i ~count:1 ~size_each:64 ~born:0L ())))
+
+let test_memory_per_node_not_per_connection () =
+  (* k accepted peers, one frame each: the readers hold nothing between
+     frames, so the node holds its scratch and gather buffer and no more. *)
+  let k = 32 in
+  let loop = Transport.Loop.create () in
+  let pool = Transport.Pool.create () in
+  let got = ref 0 in
+  let conn = Transport.Conn.create ~loop ~id:0 ~pool ~on_msg:(fun ~src:_ _ -> incr got) () in
+  let port = Transport.Conn.listen conn () in
+  let frame = Transport.Frame.encode_msg (Core.Msg.Fetch { hash = Crypto.Hash.of_string "m" }) in
+  let fds =
+    List.init k (fun i ->
+        let fd = raw_dial port in
+        push loop fd (Transport.Frame.encode_hello (i + 1) ^ frame);
+        fd)
+  in
+  checkb "every peer's frame delivered" true (spin loop (fun () -> !got = k));
+  checki "k accepted connections" k (Transport.Conn.live_connections conn);
+  let held = pool_held pool in
+  checkb (Printf.sprintf "at most 2 pool buffers held with %d peers (%d)" k held) true (held <= 2);
+  List.iter Unix.close fds;
+  Transport.Conn.close conn;
+  checki "every buffer back after close" 0 (pool_held pool)
+
+let test_partial_frames_over_sockets () =
+  (* A frame sixteen reads long and a frame whose header is split across
+     two reads: both arrive intact, and each partial-frame buffer goes
+     back to the pool once its frame completes. *)
+  let loop = Transport.Loop.create () in
+  let pool = Transport.Pool.create () in
+  let got = ref [] in
+  let conn =
+    Transport.Conn.create ~loop ~id:0 ~pool ~on_msg:(fun ~src:_ m -> got := m :: !got) ()
+  in
+  let port = Transport.Conn.listen conn () in
+  let fd = raw_dial port in
+  let big = datablock_msg ~counter:1 52_000 in
+  let big_frame = Transport.Frame.encode_msg big in
+  checkb "the large frame is over 1 MiB" true (String.length big_frame > 1 lsl 20);
+  push loop fd (Transport.Frame.encode_hello 1 ^ big_frame);
+  checkb "large frame delivered" true (spin loop (fun () -> List.length !got = 1));
+  checki "its buffer is back" 2 (pool_held pool);
+  let small = Core.Msg.Fetch { hash = Crypto.Hash.of_string "split" } in
+  let frame = Transport.Frame.encode_msg small in
+  let recvd () = (Transport.Conn.stats conn).Transport.Conn.bytes_recvd in
+  let before = recvd () in
+  push loop fd (String.sub frame 0 5);
+  checkb "first 5 header bytes read" true (spin loop (fun () -> recvd () = before + 5));
+  checki "a partial header holds one buffer" 3 (pool_held pool);
+  push loop fd (String.sub frame 5 (String.length frame - 5));
+  checkb "split-header frame delivered" true (spin loop (fun () -> List.length !got = 2));
+  (match List.rev !got with
+  | [ b; s ] ->
+    checkb "large frame decodes equal" true (Core.Codec.msg_equal b big);
+    checkb "split frame decodes equal" true (Core.Codec.msg_equal s small)
+  | _ -> Alcotest.fail "wrong deliveries");
+  checki "partial-frame buffers back in the pool" 2 (pool_held pool);
+  Unix.close fd;
+  Transport.Conn.close conn;
+  checki "every buffer back after close" 0 (pool_held pool)
+
+let test_multicast_burst_debug_pool () =
+  (* Frames of many sizes, well past one 64 KiB read, so reads cut frames
+     everywhere. The debug pool poisons every released buffer: a read of
+     the scratch or of a partial-frame buffer after its release would
+     decode poison, not the message. *)
+  let k = 3 in
+  let loop = Transport.Loop.create () in
+  let pool = Transport.Pool.create ~debug:true () in
+  let sender = Transport.Conn.create ~loop ~id:0 ~pool ~on_msg:(fun ~src:_ _ -> ()) () in
+  let got = Array.make (k + 1) [] in
+  let receivers =
+    Array.init k (fun i ->
+        Transport.Conn.create ~loop ~id:(i + 1) ~pool
+          ~on_msg:(fun ~src:_ m -> got.(i + 1) <- m :: got.(i + 1))
+          ())
+  in
+  Array.iteri
+    (fun i r ->
+      let port = Transport.Conn.listen r () in
+      Transport.Conn.set_peer_addr sender (i + 1)
+        (Unix.ADDR_INET (Unix.inet_addr_loopback, port)))
+    receivers;
+  let msgs =
+    List.init 40 (fun i ->
+        if i mod 3 = 0 then Core.Msg.Fetch { hash = Crypto.Hash.of_string (string_of_int i) }
+        else datablock_msg ~counter:i (1 + (i * 397 mod 4000)))
+  in
+  List.iter (fun m -> Transport.Conn.multicast sender ~n:(k + 1) m) msgs;
+  let n = List.length msgs in
+  checkb "burst delivered to every peer" true
+    (spin loop (fun () -> Array.for_all (fun l -> List.length l = n) (Array.sub got 1 k)));
+  let expected = List.map Transport.Frame.encode_msg msgs in
+  for i = 1 to k do
+    checkb
+      (Printf.sprintf "peer %d decodes byte-identically" i)
+      true
+      (List.map Transport.Frame.encode_msg (List.rev got.(i)) = expected)
+  done;
+  Transport.Conn.close sender;
+  Array.iter Transport.Conn.close receivers;
+  checki "every buffer back after close" 0 (pool_held pool)
+
+let test_queued_bytes_gauge () =
+  (* Frames queued to a peer that refuses connections stay queued; the
+     gauge reports their sum over all peers. *)
+  let loop = Transport.Loop.create () in
+  let reg = Obs.Registry.create () in
+  let conn = Transport.Conn.create ~loop ~id:0 ~obs:reg ~on_msg:(fun ~src:_ _ -> ()) () in
+  let lfd, port = raw_listener () in
+  Unix.close lfd;
+  List.iter
+    (fun dst ->
+      Transport.Conn.set_peer_addr conn dst (Unix.ADDR_INET (Unix.inet_addr_loopback, port)))
+    [ 1; 2 ];
+  let msgs = some_msgs () in
+  List.iter (fun m -> Transport.Conn.send conn ~dst:1 m) msgs;
+  Transport.Conn.send conn ~dst:2 (List.hd msgs);
+  Transport.Loop.run_for loop ~span:(Sim.Sim_time.ms 5);
+  let frame_bytes m = String.length (Transport.Frame.encode_msg m) in
+  let expected = List.fold_left (fun acc m -> acc + frame_bytes m) 0 msgs + frame_bytes (List.hd msgs) in
+  ignore (Obs.Registry.expose reg : string);
+  let g =
+    Obs.Registry.gauge reg ~labels:[ ("node", "0") ] "leopard_transport_queued_bytes"
+  in
+  checki "gauge = bytes queued to all peers" expected (Obs.Gauge.value g);
+  Transport.Conn.close conn
+
 (* A downed host's listener accepts and closes at once. Resetting the
    backoff on every completed connect redialed it every 25-50 ms; the
    backoff must keep doubling instead (about 7 redials in 3 s). *)
@@ -715,7 +874,14 @@ let () =
           Alcotest.test_case "redial backoff grows on accept-and-close" `Quick
             test_redial_backoff_grows_on_accept_and_close;
           Alcotest.test_case "multicast: delivery & recv counters" `Quick
-            test_multicast_delivery_and_stats ] );
+            test_multicast_delivery_and_stats;
+          Alcotest.test_case "memory: per node, not per connection" `Quick
+            test_memory_per_node_not_per_connection;
+          Alcotest.test_case "memory: partial frames over sockets" `Quick
+            test_partial_frames_over_sockets;
+          Alcotest.test_case "memory: multicast burst, debug pool" `Quick
+            test_multicast_burst_debug_pool;
+          Alcotest.test_case "queued-bytes gauge" `Quick test_queued_bytes_gauge ] );
       ( "tcp cluster",
         [ Alcotest.test_case "commits & state-hash agreement" `Quick
             test_tcp_cluster_commits_and_converges;
