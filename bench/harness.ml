@@ -105,6 +105,6 @@ let mbps_str bps = Printf.sprintf "%.1f" (bps /. 1e6)
 let gbps_str bps = Printf.sprintf "%.2f" (bps /. 1e9)
 let seconds v = if Float.is_nan v then "-" else Printf.sprintf "%.2f" v
 
-let latency_p50 h =
-  let v = Stats.Histogram.quantile h 0.5 in
-  if Float.is_nan v then "-" else Printf.sprintf "%.2f" v
+(* A run report's median latency in seconds ([nan] when empty). *)
+let p50_s h = Obs.Histogram.Snapshot.quantile h 0.5 /. 1e9
+let latency_p50 h = seconds (p50_s h)

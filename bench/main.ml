@@ -128,7 +128,7 @@ let fig8 () =
       let r = run_leopard ~alpha ~bft_size:100 64 in
       Stats.Series.add t1 ~x:(float_of_int alpha) ~y:(r.Core.Runner.throughput /. 1e3);
       Stats.Series.add l1 ~x:(float_of_int alpha)
-        ~y:(Stats.Histogram.quantile r.Core.Runner.latency 0.5))
+        ~y:(p50_s r.Core.Runner.latency))
     alphas;
   say "-- varying datablock size (BFTsize = 100) --";
   say "%s" (Stats.Series.render_table ~x_label:"alpha" [ t1; l1 ]);
@@ -140,7 +140,7 @@ let fig8 () =
       let r = run_leopard ~alpha:2000 ~bft_size 64 in
       Stats.Series.add t2 ~x:(float_of_int bft_size) ~y:(r.Core.Runner.throughput /. 1e3);
       Stats.Series.add l2 ~x:(float_of_int bft_size)
-        ~y:(Stats.Histogram.quantile r.Core.Runner.latency 0.5))
+        ~y:(p50_s r.Core.Runner.latency))
     bfts;
   say "";
   say "-- varying BFTsize (alpha = 2000) --";
@@ -188,7 +188,7 @@ let fig9 () =
       let r = run_leopard n in
       Stats.Series.add lt ~x:(float_of_int n) ~y:(r.Core.Runner.throughput /. 1e3);
       Stats.Series.add ll ~x:(float_of_int n)
-        ~y:(Stats.Histogram.quantile r.Core.Runner.latency 0.5))
+        ~y:(p50_s r.Core.Runner.latency))
     (leopard_ns ());
   let ht = Stats.Series.create ~name:"HotStuff tput (kops/s)" in
   let hl = Stats.Series.create ~name:"HotStuff lat p50 (s)" in
@@ -197,7 +197,7 @@ let fig9 () =
       let r = run_hotstuff n in
       Stats.Series.add ht ~x:(float_of_int n) ~y:(r.Hotstuff.Hs_runner.throughput /. 1e3);
       Stats.Series.add hl ~x:(float_of_int n)
-        ~y:(Stats.Histogram.quantile r.Hotstuff.Hs_runner.latency 0.5))
+        ~y:(p50_s r.Hotstuff.Hs_runner.latency))
     (hotstuff_ns ());
   say "%s" (Stats.Series.render_table ~x_label:"n" [ lt; ht; ll; hl ]);
   (match (Stats.Series.y_at lt ~x:256., Stats.Series.y_at ht ~x:256.) with
@@ -553,7 +553,7 @@ let latency_model () =
       Stats.Series.add modeled ~x:(float_of_int n) ~y:m.Analysis.Latency_model.total;
       let r = run_leopard n in
       Stats.Series.add meas ~x:(float_of_int n)
-        ~y:(Stats.Histogram.quantile r.Core.Runner.latency 0.5))
+        ~y:(p50_s r.Core.Runner.latency))
     (leopard_ns ());
   say "%s" (Stats.Series.render_table ~x_label:"n" [ modeled; meas ]);
   say "";

@@ -69,8 +69,6 @@ let bench_one ~fast ?(bytes_per_op = 0) name f =
 (* The benchmark set                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let sha_chunk = 64
-
 (* One [Transport.Loop] round with [fds] watched for reading, both ends
    of [fds / 2] idle socketpairs, one of which holds an undrained byte,
    so every round dispatches once and never blocks. 30 and 92 are the
@@ -133,17 +131,6 @@ let run_all ~fast =
   let s64 = String.make 64 'x' in
   let s1k = String.init 1024 (fun i -> Char.chr (i land 0xff)) in
   let s64k = String.init 65536 (fun i -> Char.chr ((i * 7) land 0xff)) in
-  let stream s () =
-    let ctx = Crypto.Sha256.init () in
-    let n = String.length s in
-    let b = Bytes.unsafe_of_string s in
-    let pos = ref 0 in
-    while !pos < n do
-      Crypto.Sha256.feed_bytes ctx ~off:!pos ~len:(min sha_chunk (n - !pos)) b;
-      pos := !pos + sha_chunk
-    done;
-    Crypto.Sha256.finalize ctx
-  in
   let rng = Sim.Rng.create 7L in
   let pk, sk = Crypto.Signature.keygen rng in
   let tsetup, tkeys = Crypto.Threshold.keygen rng ~threshold:20 ~parties:31 in
@@ -173,7 +160,6 @@ let run_all ~fast =
   [ bench "sha256/64B" ~bytes_per_op:64 (fun () -> Crypto.Sha256.digest_string s64);
     bench "sha256/1KiB" ~bytes_per_op:1024 (fun () -> Crypto.Sha256.digest_string s1k);
     bench "sha256/64KiB" ~bytes_per_op:65536 (fun () -> Crypto.Sha256.digest_string s64k);
-    bench "sha256/1KiB-stream64" ~bytes_per_op:1024 (stream s1k);
     bench "codec/encode-vote" ~bytes_per_op:(String.length vote_wire) (fun () ->
         Core.Codec.encode_msg vote);
     bench "codec/decode-vote" ~bytes_per_op:(String.length vote_wire) (fun () ->

@@ -14,6 +14,9 @@ open Cmdliner
 
 let span_of_sec s = Sim.Sim_time.of_sec s
 
+(* A report's latency snapshot (ns), printed in seconds. *)
+let pp_latency = Obs.Histogram.Snapshot.pp_summary ~unit:(1e9, "s")
+
 (* Shared by `run` and `local-cluster`: dump a recorded protocol trace
    as one line per entry. *)
 let dump_trace trace file =
@@ -76,7 +79,7 @@ let leopard_run n load duration warmup alpha bft_size payload mempool_cap silent
   Format.printf "throughput:       %.0f req/s@." r.Core.Runner.throughput;
   Format.printf "goodput:          %.1f Mbps@." (r.Core.Runner.goodput_bps /. 1e6);
   Format.printf "offered/confirmed %d/%d@." r.Core.Runner.offered r.Core.Runner.confirmed;
-  Format.printf "latency:          %a@." Stats.Histogram.pp_summary r.Core.Runner.latency;
+  Format.printf "latency:          %a@." pp_latency r.Core.Runner.latency;
   Format.printf "leader traffic:   %.1f Mbps@." (r.Core.Runner.leader_bps /. 1e6);
   Format.printf "executed blocks:  %d@." r.Core.Runner.executed_blocks;
   Format.printf "final view:       %d (view changes: %d)@." r.Core.Runner.final_view
@@ -243,7 +246,7 @@ let hotstuff_run n load duration warmup batch payload seed bandwidth_mbps =
   Format.printf "throughput:       %.0f req/s@." r.Hotstuff.Hs_runner.throughput;
   Format.printf "offered/confirmed %d/%d@." r.Hotstuff.Hs_runner.offered
     r.Hotstuff.Hs_runner.confirmed;
-  Format.printf "latency:          %a@." Stats.Histogram.pp_summary r.Hotstuff.Hs_runner.latency;
+  Format.printf "latency:          %a@." pp_latency r.Hotstuff.Hs_runner.latency;
   Format.printf "leader traffic:   %.2f Gbps@." (r.Hotstuff.Hs_runner.leader_bps /. 1e9);
   Format.printf "committed blocks: %d@." r.Hotstuff.Hs_runner.committed_heights;
   Format.printf "safety:           %b@." r.Hotstuff.Hs_runner.safety_ok;
@@ -260,7 +263,7 @@ let pbft_run n load duration warmup batch payload seed =
   let r = Pbft.run spec in
   Format.printf "throughput:       %.0f req/s@." r.Pbft.throughput;
   Format.printf "offered/confirmed %d/%d@." r.Pbft.offered r.Pbft.confirmed;
-  Format.printf "latency:          %a@." Stats.Histogram.pp_summary r.Pbft.latency;
+  Format.printf "latency:          %a@." pp_latency r.Pbft.latency;
   Format.printf "leader traffic:   %.2f Gbps@." (r.Pbft.leader_bps /. 1e9);
   Format.printf "safety:           %b@." r.Pbft.safety_ok;
   if r.Pbft.safety_ok then `Ok () else `Error (false, "safety violated")

@@ -24,7 +24,7 @@ let () =
   let r = Core.Runner.report t in
   Format.printf "payments offered %d, confirmed %d, p50 latency %.0f ms@." r.Core.Runner.offered
     r.Core.Runner.confirmed
-    (1000. *. Stats.Histogram.quantile r.Core.Runner.latency 0.5);
+    (Obs.Histogram.Snapshot.quantile r.Core.Runner.latency 0.5 /. 1e6);
 
   (* Build a receipt for one confirmed payment from any honest replica's
      state: find an executed BFTblock, a datablock it links, and a batch

@@ -40,14 +40,16 @@ let run ~geo =
 let () =
   let local = run ~geo:false in
   let geo = run ~geo:true in
-  let p50 (r : Core.Runner.report) = Stats.Histogram.quantile r.Core.Runner.latency 0.5 in
+  let p50_ms (r : Core.Runner.report) =
+    Obs.Histogram.Snapshot.quantile r.Core.Runner.latency 0.5 /. 1e6
+  in
   Format.printf "single region:   throughput %.0f req/s, p50 latency %4.0f ms, safety %b@."
     local.Core.Runner.throughput
-    (1000. *. p50 local)
+    (p50_ms local)
     local.Core.Runner.safety_ok;
   Format.printf "three regions:   throughput %.0f req/s, p50 latency %4.0f ms, safety %b@."
     geo.Core.Runner.throughput
-    (1000. *. p50 geo)
+    (p50_ms geo)
     geo.Core.Runner.safety_ok;
   Format.printf
     "@.the wide-area deployment pays RTTs in datablock delivery and voting,@.\

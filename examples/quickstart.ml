@@ -30,7 +30,9 @@ let () =
   Format.printf "offered requests:    %d@." r.Core.Runner.offered;
   Format.printf "confirmed requests:  %d@." r.Core.Runner.confirmed;
   Format.printf "throughput:          %.0f req/s@." r.Core.Runner.throughput;
-  Format.printf "latency:             %a@." Stats.Histogram.pp_summary r.Core.Runner.latency;
+  Format.printf "latency:             %a@."
+    (Obs.Histogram.Snapshot.pp_summary ~unit:(1e9, "s"))
+    r.Core.Runner.latency;
   Format.printf "leader bandwidth:    %.1f Mbps (of 4900 available)@."
     (r.Core.Runner.leader_bps /. 1e6);
   Format.printf "BFTblocks executed:  %d@." r.Core.Runner.executed_blocks;

@@ -40,6 +40,8 @@ let () =
   in
   let r = Core.Runner.run spec in
   Format.printf "  committee throughput: %.0f req/s@." r.Core.Runner.throughput;
-  Format.printf "  committee latency:    %a@." Stats.Histogram.pp_summary r.Core.Runner.latency;
+  Format.printf "  committee latency:    %a@."
+    (Obs.Histogram.Snapshot.pp_summary ~unit:(1e9, "s"))
+    r.Core.Runner.latency;
   Format.printf "  safety: %b@." r.Core.Runner.safety_ok;
   if not r.Core.Runner.safety_ok then exit 1

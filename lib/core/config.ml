@@ -15,7 +15,6 @@ type t = {
   fetch_grace : Sim_time.span;
   cost : Crypto.Cost_model.t;
   cores : int;
-  verify_shares_eagerly : bool;
   priority_channels : bool;
   leader_generates_datablocks : bool;
   punish_equivocators : bool;
@@ -34,7 +33,7 @@ let make ~n ?alpha ?bft_size ?(k = 32) ?checkpoint_interval ?(payload = 128) ?(s
     ?(datablock_timeout = 0L) ?(proposal_timeout = 0L)
     ?(view_timeout = Sim_time.s 4) ?(fetch_grace = Sim_time.s 1)
     ?(cost = Crypto.Cost_model.paper) ?(cores = 4)
-    ?(verify_shares_eagerly = false) ?(priority_channels = true)
+    ?(priority_channels = true)
     ?(leader_generates_datablocks = false) ?(punish_equivocators = false)
     ?(mempool_cap = 0) ?(mempool_max_age = 0L) ?(pace_on_pressure = false) () =
   if n < 4 then invalid_arg "Config.make: n must be at least 4";
@@ -64,7 +63,6 @@ let make ~n ?alpha ?bft_size ?(k = 32) ?checkpoint_interval ?(payload = 128) ?(s
     fetch_grace;
     cost;
     cores;
-    verify_shares_eagerly;
     priority_channels;
     leader_generates_datablocks;
     punish_equivocators;

@@ -35,8 +35,6 @@ type t = {
           with fetches for data that is already in flight *)
   cost : Crypto.Cost_model.t;
   cores : int;            (** CPU cores per replica (c5.xlarge: 4) *)
-  verify_shares_eagerly : bool;
-      (** verify each vote share on arrival instead of at aggregation *)
   priority_channels : bool;
       (** §6.1's two-channel design: consensus messages (channel ①)
           overtake queued datablocks (channel ②). Disable for the
@@ -75,7 +73,6 @@ val make :
   ?fetch_grace:Sim.Sim_time.span ->
   ?cost:Crypto.Cost_model.t ->
   ?cores:int ->
-  ?verify_shares_eagerly:bool ->
   ?priority_channels:bool ->
   ?leader_generates_datablocks:bool ->
   ?punish_equivocators:bool ->

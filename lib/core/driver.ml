@@ -33,7 +33,7 @@ type t = {
   serials : (int, serial) Hashtbl.t;
   mutable pruned_below : int;
   outstanding : (int, unit) Hashtbl.t;
-  latency : Stats.Histogram.t;
+  latency : Obs.Histogram.t;
   obs_confirm : (Obs.Histogram.t * Obs.Counter.t) option;
   mutable confirmed : int;
   mutable executed_blocks : int;
@@ -55,7 +55,7 @@ let is_byzantine t id = Byzantine.is_byzantine t.strategies.(id)
 let confirmed t = t.confirmed
 let executed_blocks t = t.executed_blocks
 let pack_age_max t = t.pack_age_max
-let latency t = t.latency
+let latency t = Obs.Histogram.snapshot t.latency
 let resends t = t.resends
 let view_changes t = t.max_view_entered - 1
 
@@ -87,7 +87,7 @@ let on_f1_execution t ~proposed_at dbs =
             let count = b.Workload.Request.count in
             let lat = Sim_time.(now - b.Workload.Request.born) in
             t.confirmed <- t.confirmed + count;
-            Stats.Histogram.add t.latency lat;
+            Obs.Histogram.record t.latency (Int64.to_int lat);
             (* A re-sent copy keeps its original birth; a Byzantine
                creator packs on rules of its own. *)
             if not (b.Workload.Request.resend || is_byzantine t db.Datablock.header.creator)
@@ -170,7 +170,7 @@ let create ~cfg ~key_rng ~platform ~now ~schedule ~deliver ~byzantine ~resend ~t
       serials = Hashtbl.create 1024;
       pruned_below = 0;
       outstanding = Hashtbl.create 1024;
-      latency = Stats.Histogram.create ();
+      latency = Obs.Histogram.create ();
       obs_confirm =
         Option.map
           (fun reg ->

@@ -69,8 +69,10 @@ val pack_age_max : t -> Sim.Sim_time.span
     counted batches, leaving out re-sent copies (they keep the
     original birth) and datablocks of Byzantine creators. *)
 
-val latency : t -> Stats.Histogram.t
-(** Birth-to-confirmation latency of every confirmed batch. *)
+val latency : t -> Obs.Histogram.snapshot
+(** Birth-to-confirmation latency (ns) of every confirmed batch so far.
+    The driver keeps this histogram for its own run; the registry's
+    [leopard_confirm_latency_ns] may outlive the run. *)
 
 val resends : t -> int
 (** Re-sent copies handed to [deliver] so far. *)

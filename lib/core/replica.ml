@@ -1322,14 +1322,14 @@ let on_datablock t (db : Datablock.t) ~is_fetch_reply =
 
 let on_prepare_vote t ~view ~sn ~block_hash ~share =
   if view = t.view && is_leader t && not t.in_view_change then begin
-    let verify_cost = if t.cfg.verify_shares_eagerly then t.cfg.cost.tvrf_share else 0L in
-    with_cpu t verify_cost (fun () ->
+    (* The zero-cost hop orders the share check behind queued CPU work;
+       dropping it would move the simulator's traces. *)
+    with_cpu t 0L (fun () ->
         if active t && not t.in_view_change && view = t.view then begin
           let inst = instance_of t sn in
           (* Only valid shares enter the quorum (the CPU cost of the
-             check is charged lazily at aggregation unless
-             [verify_shares_eagerly]); a Byzantine voter cannot poison
-             the aggregate. *)
+             check is charged at aggregation); a Byzantine voter cannot
+             poison the aggregate. *)
           if inst.iview = view then
             verify_via t
               (Verify.Share_check
@@ -1356,8 +1356,8 @@ let on_prepare_vote t ~view ~sn ~block_hash ~share =
 
 let on_commit_vote t ~view ~sn ~notar_digest ~share =
   if view = t.view && is_leader t && not t.in_view_change then begin
-    let verify_cost = if t.cfg.verify_shares_eagerly then t.cfg.cost.tvrf_share else 0L in
-    with_cpu t verify_cost (fun () ->
+    (* Zero-cost hop: see [on_prepare_vote]. *)
+    with_cpu t 0L (fun () ->
         if active t && not t.in_view_change && view = t.view then begin
           let inst = instance_of t sn in
           if inst.iview = view then

@@ -63,7 +63,7 @@ type report = {
   confirmed : int;
   throughput : float;
   goodput_bps : float;
-  latency : Stats.Histogram.t;
+  latency : Obs.Histogram.snapshot;
   stage_seconds : (string * float) list;
   leader : bandwidth_view;
   non_leader : bandwidth_view;

@@ -85,7 +85,7 @@ type report = {
   confirmed : int;               (** requests confirmed (f+1 executions) *)
   throughput : float;            (** confirmed req/s over the window *)
   goodput_bps : float;           (** confirmed payload bits/s over the window *)
-  latency : Stats.Histogram.t;   (** client-perceived confirmation latency *)
+  latency : Obs.Histogram.snapshot;  (** client-perceived confirmation latency, ns *)
   stage_seconds : (string * float) list;
       (** request-weighted latency decomposition (Table 3 components) *)
   leader : bandwidth_view;       (** initial leader's post-warmup traffic *)

@@ -15,16 +15,6 @@
 val backend : string
 (** ["sha-ni"] or ["portable"]: the compressor chosen at startup. *)
 
-type ctx
-(** Streaming hash context. *)
-
-val init : unit -> ctx
-val feed_bytes : ctx -> ?off:int -> ?len:int -> bytes -> unit
-val feed_string : ctx -> string -> unit
-
-val finalize : ctx -> string
-(** The 32-byte digest. The context must not be reused afterwards. *)
-
 val digest_string : string -> string
 (** [digest_string s] is the 32-byte SHA-256 digest of [s]. *)
 

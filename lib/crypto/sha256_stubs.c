@@ -7,10 +7,7 @@
    portable path is in force, so every call is correct whatever the
    order. The one-shot entry points (digest, Merkle pair, HMAC) run
    wholly here, so a digest costs one crossing from OCaml, not one per
-   block.
-
-   The chaining state is 8 native-endian uint32 words; in the streaming
-   API it lives in a 32-byte OCaml [bytes] the caller owns. */
+   block. */
 
 #include <caml/mlvalues.h>
 #include <caml/alloc.h>
@@ -236,21 +233,6 @@ value leopard_sha256_has_sha_ni(value unit)
 {
   (void)unit;
   return Val_bool(cpu_has_sha_ni());
-}
-
-/* [st] is the 32-byte state; [nblocks] blocks from [src] at [off]. The
-   OCaml side has checked the bounds. */
-value leopard_sha256_compress(value v_st, value v_src, value v_off, value v_nblocks)
-{
-  compress((uint32_t *)Bytes_val(v_st), Bytes_val(v_src) + Long_val(v_off),
-           (size_t)Long_val(v_nblocks));
-  return Val_unit;
-}
-
-value leopard_sha256_init_state(value v_st)
-{
-  memcpy(Bytes_val(v_st), IV, 32);
-  return Val_unit;
 }
 
 value leopard_sha256_digest(value v_s)

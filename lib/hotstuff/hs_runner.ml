@@ -26,7 +26,7 @@ type report = {
   confirmed : int;
   throughput : float;
   goodput_bps : float;
-  latency : Stats.Histogram.t;
+  latency : Obs.Histogram.snapshot;
   leader_sent_bytes : int;
   leader_received_bytes : int;
   leader_bps : float;
@@ -51,7 +51,7 @@ let run sp =
   let counted : (int, unit) Hashtbl.t = Hashtbl.create 65536 in
   let confirm_meter = Stats.Meter.create () in
   let goodput_meter = Stats.Meter.create () in
-  let latency = Stats.Histogram.create () in
+  let latency = Obs.Histogram.create () in
   let confirmed = ref 0 in
   let committed_heights = ref 0 in
   let fp1 = cfg.Hs_config.f + 1 in
@@ -77,7 +77,8 @@ let run sp =
                   confirmed := !confirmed + b.Workload.Request.count;
                   Stats.Meter.add confirm_meter ~at b.Workload.Request.count;
                   Stats.Meter.add goodput_meter ~at (Workload.Request.payload_bytes b);
-                  Stats.Histogram.add latency Sim_time.(at - b.Workload.Request.born)
+                  Obs.Histogram.record latency
+                    (Int64.to_int Sim_time.(at - b.Workload.Request.born))
                 end)
               block.Hs_types.batch
           end)
@@ -141,7 +142,7 @@ let run sp =
     confirmed = !confirmed;
     throughput = Stats.Meter.rate confirm_meter ~from_:sp.warmup ~until:sp.duration;
     goodput_bps = 8. *. Stats.Meter.rate goodput_meter ~from_:sp.warmup ~until:sp.duration;
-    latency;
+    latency = Obs.Histogram.snapshot latency;
     leader_sent_bytes = sent;
     leader_received_bytes = received;
     leader_bps =

@@ -30,7 +30,7 @@ type report = {
   confirmed : int;
   throughput : float;
   goodput_bps : float;
-  latency : Stats.Histogram.t;
+  latency : Obs.Histogram.snapshot;
   leader_sent_bytes : int;
   leader_received_bytes : int;
   leader_bps : float;

@@ -362,7 +362,7 @@ type report = {
   offered : int;
   confirmed : int;
   throughput : float;
-  latency : Stats.Histogram.t;
+  latency : Obs.Histogram.snapshot;
   leader_bps : float;
   committed_heights : int;
   safety_ok : bool;
@@ -383,7 +383,7 @@ let run (sp : spec) =
   let counted : (int, unit) Hashtbl.t = Hashtbl.create 65536 in
   let commit_hashes : (int, Hash.t) Hashtbl.t = Hashtbl.create 1024 in
   let confirm_meter = Stats.Meter.create () in
-  let latency = Stats.Histogram.create () in
+  let latency = Obs.Histogram.create () in
   let confirmed = ref 0 in
   let committed_heights = ref 0 in
   let safety_ok = ref true in
@@ -412,7 +412,8 @@ let run (sp : spec) =
                 Hashtbl.add counted b.Workload.Request.id ();
                 confirmed := !confirmed + b.Workload.Request.count;
                 Stats.Meter.add confirm_meter ~at b.Workload.Request.count;
-                Stats.Histogram.add latency Sim_time.(at - b.Workload.Request.born)
+                Obs.Histogram.record latency
+                  (Int64.to_int Sim_time.(at - b.Workload.Request.born))
               end)
             db.Core.Datablock.batches)
         dbs
@@ -475,7 +476,7 @@ let run (sp : spec) =
     offered = Workload.Generator.offered gen;
     confirmed = !confirmed;
     throughput = Stats.Meter.rate confirm_meter ~from_:sp.warmup ~until:sp.duration;
-    latency;
+    latency = Obs.Histogram.snapshot latency;
     leader_bps = (if window_sec <= 0. then 0. else 8. *. float_of_int bytes /. window_sec);
     committed_heights = !committed_heights;
     safety_ok = !safety_ok }

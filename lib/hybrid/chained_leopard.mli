@@ -73,7 +73,7 @@ type report = {
   offered : int;
   confirmed : int;
   throughput : float;
-  latency : Stats.Histogram.t;
+  latency : Obs.Histogram.snapshot;
   leader_bps : float;
   committed_heights : int;
   safety_ok : bool;

@@ -28,10 +28,8 @@ module Gauge = struct
 end
 
 module Histogram = struct
-  (* floor(log2 v) in a handful of branchless steps; v=0 lands in
-     bucket 0 with v=1 (a sub-2ns latency is indistinguishable from
-     1ns at this resolution). *)
-  let bucket_of v =
+  (* floor(log2 v) in six halving steps; v=0 answers 0 like v=1. *)
+  let[@inline] msb v =
     if v <= 1 then 0
     else begin
       let b = ref 0 in
@@ -45,12 +43,34 @@ module Histogram = struct
       !b
     end
 
+  (* Log-linear slots (HdrHistogram's layout with 32 sub-buckets): a
+     value below 32 has a slot of its own; above, each power of two
+     [2^m, 2^(m+1)) splits into 32 equal sub-buckets of width 2^(m-5),
+     at most 1/32 of their lower edge. m is at most 61 (max_int is
+     2^62 - 1), so the last slot is ((61 - 4) lsl 5) + 31 = 1855. *)
+  let nslots = 1856
+
+  let[@inline] slot_of v =
+    if v < 32 then v
+    else
+      let m = msb v in
+      ((m - 4) lsl 5) + ((v lsr (m - 5)) land 31)
+
+  (* The smallest value of slot [i] and the slot's width. *)
+  let slot_low i = if i < 32 then i else (32 + (i land 31)) lsl ((i lsr 5) - 1)
+  let slot_width i = if i < 32 then 1 else 1 lsl ((i lsr 5) - 1)
+
+  (* The exposition's power-of-two buckets: log2 bucket [b] holds
+     [\[2^b, 2^(b+1))], with 0 and 1 together in bucket 0. *)
   let nbuckets = 63
+  let bucket_of_slot i = if i < 32 then msb i else (i lsr 5) + 4
 
   type shard = {
     counts : int array;
     mutable sum : int;
     mutable n : int;
+    mutable min : int;
+    mutable max : int;
   }
 
   (* The DLS key's init closure runs in whichever domain first records,
@@ -64,13 +84,13 @@ module Histogram = struct
     key : shard Domain.DLS.key;
   }
 
-  let make () =
+  let create () =
     let mu = Mutex.create () in
     let shards = ref [] in
     let t_ref = ref None in
     let key =
       Domain.DLS.new_key (fun () ->
-          let s = { counts = Array.make nbuckets 0; sum = 0; n = 0 } in
+          let s = { counts = Array.make nslots 0; sum = 0; n = 0; min = max_int; max = 0 } in
           (match !t_ref with
           | Some t ->
             Mutex.protect mu (fun () -> t.shards <- s :: t.shards)
@@ -84,40 +104,89 @@ module Histogram = struct
   let record t v =
     let v = if v < 0 then 0 else v in
     let s = Domain.DLS.get t.key in
-    let b = bucket_of v in
-    Array.unsafe_set s.counts b (Array.unsafe_get s.counts b + 1);
+    let i = slot_of v in
+    Array.unsafe_set s.counts i (Array.unsafe_get s.counts i + 1);
     s.sum <- s.sum + v;
-    s.n <- s.n + 1
+    s.n <- s.n + 1;
+    if v < s.min then s.min <- v;
+    if v > s.max then s.max <- v
+
+  type snapshot = {
+    slots : int array;
+    n : int;
+    sum : int;
+    lo : int; (* max_int while empty *)
+    hi : int;
+  }
 
   (* Scrape-time merge: shard fields are read without synchronizing with
-     concurrent recorders — a metrics snapshot may be a few observations
-     behind a racing domain, which is inherent to scraping and harmless
-     (counts only grow). *)
-  let merged t =
+     concurrent recorders — a snapshot may be a few observations behind
+     a racing domain, which is inherent to scraping and harmless (counts
+     only grow). *)
+  let snapshot t =
     let shards = Mutex.protect t.mu (fun () -> t.shards) in
-    let counts = Array.make nbuckets 0 in
-    let sum = ref 0 and n = ref 0 in
-    List.iter
-      (fun s ->
-        for i = 0 to nbuckets - 1 do
-          counts.(i) <- counts.(i) + s.counts.(i)
+    let slots = Array.make nslots 0 in
+    List.fold_left
+      (fun (acc : snapshot) (s : shard) ->
+        for i = 0 to nslots - 1 do
+          slots.(i) <- slots.(i) + s.counts.(i)
         done;
-        sum := !sum + s.sum;
-        n := !n + s.n)
-      shards;
-    (counts, !sum, !n)
+        { acc with
+          n = acc.n + s.n;
+          sum = acc.sum + s.sum;
+          lo = Int.min acc.lo s.min;
+          hi = Int.max acc.hi s.max })
+      { slots; n = 0; sum = 0; lo = max_int; hi = 0 }
+      shards
 
-  let count t =
-    let _, _, n = merged t in
-    n
+  let buckets_of (s : snapshot) =
+    let b = Array.make nbuckets 0 in
+    Array.iteri
+      (fun i c -> if c > 0 then b.(bucket_of_slot i) <- b.(bucket_of_slot i) + c)
+      s.slots;
+    b
 
-  let sum t =
-    let _, s, _ = merged t in
-    s
+  let count t = (snapshot t).n
+  let sum t = (snapshot t).sum
+  let buckets t = buckets_of (snapshot t)
 
-  let buckets t =
-    let c, _, _ = merged t in
-    c
+  module Snapshot = struct
+    type t = snapshot
+
+    let count (s : t) = s.n
+    let sum (s : t) = s.sum
+    let mean (s : t) = if s.n = 0 then nan else float_of_int s.sum /. float_of_int s.n
+    let min (s : t) = if s.n = 0 then nan else float_of_int s.lo
+    let max (s : t) = if s.n = 0 then nan else float_of_int s.hi
+
+    (* Nearest rank: the slot holding the ceil(q n)-th smallest value,
+       estimated by the midpoint of its integer range and clamped into
+       the observed [lo, hi]. *)
+    let quantile (s : t) q =
+      if not (0. <= q && q <= 1.) then invalid_arg "Obs.Histogram.Snapshot.quantile";
+      if s.n = 0 then nan
+      else begin
+        let rank = Int.max 1 (int_of_float (Float.ceil (q *. float_of_int s.n))) in
+        let rec walk i acc =
+          let acc = acc + s.slots.(i) in
+          if acc >= rank || i = nslots - 1 then i else walk (i + 1) acc
+        in
+        let i = walk 0 0 in
+        let mid = float_of_int (slot_low i) +. (float_of_int (slot_width i - 1) /. 2.) in
+        Float.min (float_of_int s.hi) (Float.max (float_of_int s.lo) mid)
+      end
+
+    let pp_summary ~unit fmt (s : t) =
+      let scale, suffix = unit in
+      if s.n = 0 then Format.fprintf fmt "n=0"
+      else
+        let v x = x /. scale in
+        Format.fprintf fmt "n=%d mean=%.4f%s p50=%.4f%s p99=%.4f%s max=%.4f%s" s.n
+          (v (mean s)) suffix
+          (v (quantile s 0.5)) suffix
+          (v (quantile s 0.99)) suffix
+          (v (max s)) suffix
+  end
 end
 
 module Registry = struct
@@ -185,7 +254,7 @@ module Registry = struct
     | _ -> assert false
 
   let histogram t ?help ?(labels = []) name =
-    match register t ~name ~labels ~help (fun () -> Histogram (Histogram.make ())) with
+    match register t ~name ~labels ~help (fun () -> Histogram (Histogram.create ())) with
     | Histogram h -> h
     | _ -> assert false
 
@@ -219,7 +288,9 @@ module Registry = struct
   let bucket_le b = (1 lsl (b + 1)) - 1
 
   let emit_histogram buf name labels h =
-    let counts, sum, n = Histogram.merged h in
+    let snap = Histogram.snapshot h in
+    let counts = Histogram.buckets_of snap in
+    let sum = Histogram.Snapshot.sum snap and n = Histogram.Snapshot.count snap in
     let hi = ref (-1) in
     Array.iteri (fun i c -> if c > 0 then hi := i) counts;
     let cum = ref 0 in

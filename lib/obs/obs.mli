@@ -1,6 +1,7 @@
 (** Unified metrics layer: a domain-safe, allocation-disciplined registry
-    of monotonic counters, gauges and log-2-bucketed latency histograms,
-    with a Prometheus-style text exposition format.
+    of monotonic counters, gauges and log-linear latency histograms, with
+    a Prometheus-style text exposition format. The same histogram, made
+    outside a registry, backs every run report's latency quantiles.
 
     Every subsystem (consensus, transport, verify pool, store) registers
     its instruments against a {!Registry.t} at construction time and
@@ -12,7 +13,7 @@
     - a {!Histogram.record} updates a {e per-domain} shard reached
       through [Domain.DLS], so worker domains (the verify pool) record
       without contending with the event loop; shards are merged only at
-      scrape time;
+      scrape or {!Histogram.snapshot} time;
     - scraping ({!Registry.expose}) is read-only and idempotent —
       instruments are cumulative, the scraper never resets them.
 
@@ -47,10 +48,17 @@ end
 module Histogram : sig
   type t
 
+  val create : unit -> t
+  (** A histogram outside any registry (a run's own report, say); the
+      registry's are made by {!Registry.histogram}. *)
+
   val record : t -> int -> unit
   (** [record h v] adds one observation (a nanosecond latency, a queue
-      length…) to the calling domain's shard. Negative values clamp to
-      zero. Bucket [b] holds values in [\[2^b, 2^{b+1})]. *)
+      length…) to the calling domain's shard: a few int operations, no
+      allocation. Negative values clamp to zero. A value below 32 is
+      kept exactly; a larger one lands in one of 32 linear sub-buckets
+      of its power of two, at most 1/32 of the value wide. Each shard
+      also keeps the exact count, sum, min and max. *)
 
   val count : t -> int
   (** Observations across all shards. *)
@@ -58,7 +66,43 @@ module Histogram : sig
   val sum : t -> int
 
   val buckets : t -> int array
-  (** Merged per-bucket (non-cumulative) counts, index = floor(log2 v). *)
+  (** Merged per-bucket (non-cumulative) counts, index = floor(log2 v):
+      the sub-buckets folded back into powers of two. Bucket [b] holds
+      values in [\[2^b, 2^{b+1})]; 0 and 1 share bucket 0. *)
+
+  type snapshot
+  (** All shards merged at one instant: plain ints and an int array,
+      immutable and safe to [Marshal] or compare with [=]. *)
+
+  val snapshot : t -> snapshot
+  (** Merges the shards. A domain recording meanwhile may be a few
+      observations ahead of what the snapshot holds. *)
+
+  (** Statistics of a snapshot, in the unit that was recorded. *)
+  module Snapshot : sig
+    type t = snapshot
+
+    val count : t -> int
+    val sum : t -> int
+
+    val mean : t -> float
+    (** [nan] when empty; so are {!min}, {!max} and {!quantile}. *)
+
+    val min : t -> float
+    val max : t -> float
+
+    val quantile : t -> float -> float
+    (** [quantile s q] for [q] in [\[0, 1\]]: the nearest-rank quantile
+        (the ceil(q n)-th smallest value, the smallest for q = 0),
+        estimated by the midpoint of its sub-bucket and clamped to
+        [\[min, max\]] — within 1/64 (1.6%) of the exact value. Raises
+        [Invalid_argument] for [q] outside [\[0, 1\]]. *)
+
+    val pp_summary : unit:float * string -> Format.formatter -> t -> unit
+    (** ["n=… mean=… p50=… p99=… max=…"], each value divided by the
+        [unit]'s scale and followed by its suffix: [~unit:(1e9, "s")]
+        prints nanoseconds as seconds. *)
+  end
 end
 
 module Registry : sig
@@ -92,7 +136,9 @@ module Registry : sig
       label sets in sorted order — deterministic, so two scrapes of an
       idle registry are byte-identical. Histograms render cumulative
       [_bucket{le="..."}] lines (one per power-of-two bucket up to the
-      highest occupied, then [le="+Inf"]), plus [_sum] and [_count]. *)
+      highest occupied, then [le="+Inf"]), plus [_sum] and [_count]; the
+      sub-buckets are folded into their power of two here, so only
+      {!Histogram.Snapshot.quantile} sees the finer resolution. *)
 
   val dump_file : t -> string -> unit
   (** Writes {!expose} to a file atomically (temp file + rename), so a

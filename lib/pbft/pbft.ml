@@ -262,7 +262,7 @@ type report = {
   offered : int;
   confirmed : int;
   throughput : float;
-  latency : Stats.Histogram.t;
+  latency : Obs.Histogram.snapshot;
   leader_bps : float;
   safety_ok : bool;
 }
@@ -280,7 +280,7 @@ let run (sp : spec) =
   let exec_counts : (int, int ref) Hashtbl.t = Hashtbl.create 1024 in
   let counted : (int, unit) Hashtbl.t = Hashtbl.create 65536 in
   let confirm_meter = Stats.Meter.create () in
-  let latency = Stats.Histogram.create () in
+  let latency = Obs.Histogram.create () in
   let confirmed = ref 0 in
   let fp1 = cfg.f + 1 in
   let executed_digests : (int, Hash.t) Hashtbl.t = Hashtbl.create 1024 in
@@ -306,7 +306,8 @@ let run (sp : spec) =
             Hashtbl.add counted b.Workload.Request.id ();
             confirmed := !confirmed + b.Workload.Request.count;
             Stats.Meter.add confirm_meter ~at b.Workload.Request.count;
-            Stats.Histogram.add latency Sim_time.(at - b.Workload.Request.born)
+            Obs.Histogram.record latency
+              (Int64.to_int Sim_time.(at - b.Workload.Request.born))
           end)
         block.batch
     end
@@ -362,6 +363,6 @@ let run (sp : spec) =
     offered = Workload.Generator.offered gen;
     confirmed = !confirmed;
     throughput = Stats.Meter.rate confirm_meter ~from_:sp.warmup ~until:sp.duration;
-    latency;
+    latency = Obs.Histogram.snapshot latency;
     leader_bps = (if window_sec <= 0. then 0. else 8. *. float_of_int bytes /. window_sec);
     safety_ok = !safety_ok }

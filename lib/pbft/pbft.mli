@@ -57,7 +57,7 @@ type report = {
   offered : int;
   confirmed : int;
   throughput : float;
-  latency : Stats.Histogram.t;
+  latency : Obs.Histogram.snapshot;
   leader_bps : float;
   safety_ok : bool;
 }

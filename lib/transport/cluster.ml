@@ -446,7 +446,7 @@ type report = {
   confirmed : int;
   rejected : int;
   throughput : float;
-  latency : Stats.Histogram.t;
+  latency : Obs.Histogram.snapshot;
   executed_blocks : int;
   wall_sec : float;
   dropped_frames : int;
@@ -474,8 +474,8 @@ let pp_report fmt r =
      converged      %b@,\
      ledgers agree  %b@]"
     r.n r.offered r.confirmed r.rejected r.throughput
-    (Stats.Histogram.quantile r.latency 0.50 *. 1e3)
-    (Stats.Histogram.quantile r.latency 0.99 *. 1e3)
+    (Obs.Histogram.Snapshot.quantile r.latency 0.50 /. 1e6)
+    (Obs.Histogram.Snapshot.quantile r.latency 0.99 /. 1e6)
     r.executed_blocks r.wall_sec r.dropped_frames r.transport.Conn.frames_sent
     (let f = r.transport.Conn.frames_sent in
      if f = 0 then 0.

@@ -135,7 +135,7 @@ type report = {
   confirmed : int;
   rejected : int;            (** admission rejections seen by the client *)
   throughput : float;        (** confirmed req/s over the load window *)
-  latency : Stats.Histogram.t;   (** client-perceived confirmation latency *)
+  latency : Obs.Histogram.snapshot;  (** client-perceived confirmation latency, ns *)
   executed_blocks : int;
   wall_sec : float;          (** load window, wall-clock seconds *)
   dropped_frames : int;      (** {!Conn.dropped}, summed over nodes *)

@@ -56,6 +56,15 @@ run_step bench-macro dune exec bench/main.exe -- --only macro --fast --check-reg
 run_step bench-net dune exec bench/main.exe -- --only net --fast --check-regressions
 run_step bench-verify dune exec bench/main.exe -- --only verify --fast --check-regressions
 run_step bench-store dune exec bench/main.exe -- --only store --fast --check-regressions
+# the five examples print through the report API and nothing else runs
+# them; together they take about half a second
+run_examples() {
+  local e
+  for e in quickstart fast_payments byzantine_leader shard_sizing geo_cluster; do
+    dune exec "examples/$e.exe" || return 1
+  done
+}
+run_step examples run_examples
 run_step tcp-smoke dune exec bin/leopard_cli.exe -- local-cluster -n 4 --load 2000 \
   --duration 3 --min-confirmed 1000 --drain 10 --metrics-out _ci_logs/tcp-smoke.prom
 # the corpus on each plane at n=4, one step per plane: the sim run takes

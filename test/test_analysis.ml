@@ -132,7 +132,7 @@ let test_latency_model_matches_simulation () =
     Core.Runner.spec ~cfg ~load ~duration:(Sim.Sim_time.s 15) ~warmup:(Sim.Sim_time.s 3) ()
   in
   let r = Core.Runner.run sp in
-  let measured = Stats.Histogram.quantile r.Core.Runner.latency 0.5 in
+  let measured = Obs.Histogram.Snapshot.quantile r.Core.Runner.latency 0.5 /. 1e9 in
   let modeled =
     (Analysis.Latency_model.leopard ~n ~load ~alpha ~bft_size ~delta:0.001)
       .Analysis.Latency_model.total

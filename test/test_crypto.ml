@@ -23,13 +23,8 @@ let test_sha256_vectors () =
               ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu")
 
 let test_sha256_million_a () =
-  let ctx = Crypto.Sha256.init () in
-  let chunk = Bytes.make 1000 'a' in
-  for _ = 1 to 1000 do
-    Crypto.Sha256.feed_bytes ctx chunk
-  done;
   checks "1M a's" "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-    (Crypto.Sha256.to_hex (Crypto.Sha256.finalize ctx))
+    (sha_hex (String.make 1_000_000 'a'))
 
 let test_sha256_1mib_pattern () =
   (* 1 MiB of a repeating 8-byte pattern, exercising the multi-block
@@ -39,45 +34,6 @@ let test_sha256_1mib_pattern () =
   let data = String.concat "" (List.init (1_048_576 / 8) (fun _ -> pattern)) in
   checks "1MiB abcdefgh"
     "fbe8fc990d4770b55fcedfa0bf160fc168c322cb214e4786c173de06aecbd875" (sha_hex data)
-
-let test_sha256_chunked_feeds () =
-  (* Adversarial chunk sizes around the 64-byte block boundary must agree
-     with the one-shot digest for every message length near the padding
-     boundaries. *)
-  let digest_chunked chunk s =
-    let ctx = Crypto.Sha256.init () in
-    let n = String.length s in
-    let b = Bytes.unsafe_of_string s in
-    let pos = ref 0 in
-    while !pos < n do
-      let len = min chunk (n - !pos) in
-      Crypto.Sha256.feed_bytes ctx ~off:!pos ~len b;
-      pos := !pos + len
-    done;
-    Crypto.Sha256.finalize ctx
-  in
-  List.iter
-    (fun len ->
-      let s = String.init len (fun i -> Char.chr ((i * 31 + len) land 0xff)) in
-      let expect = Crypto.Sha256.digest_string s in
-      List.iter
-        (fun chunk ->
-          checkb
-            (Printf.sprintf "len %d chunk %d" len chunk)
-            true
-            (String.equal expect (digest_chunked chunk s)))
-        [ 1; 63; 64; 65 ])
-    [ 0; 1; 55; 56; 63; 64; 65; 119; 127; 128; 129; 200 ]
-
-let prop_sha256_split_invariance =
-  QCheck.Test.make ~name:"streaming = one-shot under any split" ~count:200
-    QCheck.(pair (string_of_size Gen.(0 -- 300)) small_nat)
-    (fun (s, cut) ->
-      let cut = if String.length s = 0 then 0 else cut mod (String.length s + 1) in
-      let ctx = Crypto.Sha256.init () in
-      Crypto.Sha256.feed_string ctx (String.sub s 0 cut);
-      Crypto.Sha256.feed_string ctx (String.sub s cut (String.length s - cut));
-      String.equal (Crypto.Sha256.finalize ctx) (Crypto.Sha256.digest_string s))
 
 let test_hmac_rfc4231 () =
   (* RFC 4231 test case 2. *)
@@ -391,13 +347,11 @@ let () =
         [ Alcotest.test_case "FIPS vectors" `Quick test_sha256_vectors;
           Alcotest.test_case "million a's" `Slow test_sha256_million_a;
           Alcotest.test_case "1MiB pattern" `Slow test_sha256_1mib_pattern;
-          Alcotest.test_case "chunked feeds" `Quick test_sha256_chunked_feeds;
           Alcotest.test_case "hmac RFC 4231" `Quick test_hmac_rfc4231;
           Alcotest.test_case "backends agree 0..300" `Quick test_backends_every_short_length;
           Alcotest.test_case "backends agree random lengths" `Quick test_backends_random_lengths;
           Alcotest.test_case "backends agree on pairs" `Quick test_backends_pair;
-          Alcotest.test_case "backends FIPS/1M/1MiB vectors" `Slow test_backends_vectors ]
-        @ qsuite [ prop_sha256_split_invariance ] );
+          Alcotest.test_case "backends FIPS/1M/1MiB vectors" `Slow test_backends_vectors ] );
       ( "hash",
         [ Alcotest.test_case "basics" `Quick test_hash_basic;
           Alcotest.test_case "combine order" `Quick test_hash_combine_order_matters ] );

@@ -29,7 +29,7 @@ let test_commit_progress () =
   checkb "safety" true r.Hotstuff.Hs_runner.safety_ok;
   checkb "most offered confirmed" true
     (r.Hotstuff.Hs_runner.confirmed > r.Hotstuff.Hs_runner.offered * 8 / 10);
-  checkb "latency recorded" true (Stats.Histogram.count r.Hotstuff.Hs_runner.latency > 0)
+  checkb "latency recorded" true (Obs.Histogram.Snapshot.count r.Hotstuff.Hs_runner.latency > 0)
 
 let test_silent_f_live () =
   let c = cfg ~n:7 () in

@@ -20,7 +20,7 @@ let test_progress_and_safety () =
   checkb "safety" true r.Hybrid.Chained_leopard.safety_ok;
   checkb "most confirmed" true
     (r.Hybrid.Chained_leopard.confirmed > r.Hybrid.Chained_leopard.offered * 7 / 10);
-  checkb "latency recorded" true (Stats.Histogram.count r.Hybrid.Chained_leopard.latency > 0)
+  checkb "latency recorded" true (Obs.Histogram.Snapshot.count r.Hybrid.Chained_leopard.latency > 0)
 
 let test_silent_f () =
   let r = Hybrid.Chained_leopard.run (spec (cfg ~n:7 ())) in

@@ -32,7 +32,7 @@ let test_honest_liveness_and_safety () =
   checkb "throughput positive" true (r.Core.Runner.throughput > 0.);
   checkb "blocks executed" true (r.Core.Runner.executed_blocks > 0);
   checki "no view change" 1 r.Core.Runner.final_view;
-  checkb "latency recorded" true (Stats.Histogram.count r.Core.Runner.latency > 0)
+  checkb "latency recorded" true (Obs.Histogram.Snapshot.count r.Core.Runner.latency > 0)
 
 let test_honest_larger_cluster () =
   let r = Core.Runner.run (run_spec ~load:2000. (small_cfg ~n:13 ())) in
@@ -69,21 +69,33 @@ let render_summary (r : Core.Runner.report) =
     "offered=%d confirmed=%d blocks=%d leader_sent=%d p50=%.6f p99=%.6f vc=%d stages=%s"
     r.Core.Runner.offered r.Core.Runner.confirmed r.Core.Runner.executed_blocks
     r.Core.Runner.leader.Core.Runner.sent_bytes
-    (Stats.Histogram.quantile r.Core.Runner.latency 0.50)
-    (Stats.Histogram.quantile r.Core.Runner.latency 0.99)
+    (Obs.Histogram.Snapshot.quantile r.Core.Runner.latency 0.50 /. 1e9)
+    (Obs.Histogram.Snapshot.quantile r.Core.Runner.latency 0.99 /. 1e9)
     r.Core.Runner.view_changes
     (String.concat ","
        (List.map (fun (name, v) -> Printf.sprintf "%s:%.9f" name v) r.Core.Runner.stage_seconds))
 
 let golden_seed13_summary =
-  "offered=2397 confirmed=2397 blocks=122 leader_sent=120675 p50=0.047386 p99=0.146709 vc=0 \
+  "offered=2397 confirmed=2397 blocks=122 leader_sent=120675 p50=0.046662 p99=0.144703 vc=0 \
    stages=Datablock Generation:71.820798552,Datablock Delivery:34.231366922,\
    Agreement:13.072086208,Response to Client:2.397000000"
 
+(* The same run's exact nearest-rank quantiles (s), from its 900 raw
+   confirmation latencies: a probe build that also logged each latency
+   the driver records, sorted, read at rank ceil(q * 900). *)
+let exact_seed13_p50 = 0.046548617
+let exact_seed13_p99 = 0.146547964
+
 let test_golden_seed13_summary () =
   let spec = run_spec ~seed:13L ~client_resend_timeout:(Sim_time.s 1) (small_cfg ()) in
-  Alcotest.(check string) "seed-13 summary" golden_seed13_summary
-    (render_summary (Core.Runner.run spec))
+  let r = Core.Runner.run spec in
+  Alcotest.(check string) "seed-13 summary" golden_seed13_summary (render_summary r);
+  List.iter
+    (fun (name, q, exact) ->
+      let est = Obs.Histogram.Snapshot.quantile r.Core.Runner.latency q /. 1e9 in
+      if Float.abs (est -. exact) > exact /. 64. then
+        Alcotest.failf "%s %.6f s is not within 1/64 of the exact %.6f s" name est exact)
+    [ ("p50", 0.50, exact_seed13_p50); ("p99", 0.99, exact_seed13_p99) ]
 
 (* Metrics are observation-only: attaching a registry must not perturb
    the simulation in any way — the report stays byte-for-byte what the
@@ -430,7 +442,7 @@ let test_optimistic_responsiveness () =
     in
     let r = Core.Runner.run sp in
     checkb "safety" true r.Core.Runner.safety_ok;
-    Stats.Histogram.quantile r.Core.Runner.latency 0.5
+    Obs.Histogram.Snapshot.quantile r.Core.Runner.latency 0.5 /. 1e9
   in
   let lat10 = run 10 and lat40 = run 40 in
   checkb "latency is a few delta (10ms)" true (lat10 > 0.03 && lat10 < 0.1);
@@ -820,7 +832,7 @@ let clock_run ?(link = Net.Network.default_link) ~load () =
          "leopard_replica_clock_packs_total")
   in
   { propose_wait_p50 = waits.(Array.length waits / 2);
-    confirm_p50 = Stats.Histogram.quantile (Core.Driver.latency driver) 0.5;
+    confirm_p50 = Obs.Histogram.Snapshot.quantile (Core.Driver.latency driver) 0.5 /. 1e9;
     offered = Workload.Generator.offered gen;
     confirmed = Core.Driver.confirmed driver;
     datablocks = Array.fold_left (fun a r -> a + Core.Replica.datablocks_created r) 0 replicas;

@@ -67,6 +67,78 @@ let test_histogram_multidomain () =
   checki "merged buckets total" (5 * per_domain)
     (Array.fold_left ( + ) 0 (Obs.Histogram.buckets h))
 
+(* -- snapshots and quantiles ---------------------------------------------- *)
+
+let checkf eps = Alcotest.(check (float eps))
+
+let snap_of vs =
+  let h = Obs.Histogram.create () in
+  List.iter (Obs.Histogram.record h) vs;
+  Obs.Histogram.snapshot h
+
+module S = Obs.Histogram.Snapshot
+
+let test_snapshot_empty () =
+  let s = Obs.Histogram.snapshot (Obs.Histogram.create ()) in
+  checki "count" 0 (S.count s);
+  checkb "mean nan" true (Float.is_nan (S.mean s));
+  checkb "min nan" true (Float.is_nan (S.min s));
+  checkb "quantile nan" true (Float.is_nan (S.quantile s 0.5))
+
+let test_snapshot_exact_stats () =
+  let s = snap_of (List.map (fun ms -> ms * 1_000_000) [ 10; 20; 30; 40 ]) in
+  checki "count" 4 (S.count s);
+  checkf 1e-3 "mean" 25e6 (S.mean s);
+  checkf 1e-3 "min" 10e6 (S.min s);
+  checkf 1e-3 "max" 40e6 (S.max s)
+
+let test_snapshot_negative_clamped () =
+  let s = snap_of [ -5 ] in
+  checkf 1e-9 "clamped to 0" 0. (S.mean s);
+  checkf 1e-9 "quantile of the clamped value" 0. (S.quantile s 0.5)
+
+(* Values log-uniform over [0, 2^40]: below 32 (exact slots), sub-µs and
+   up to ~18 minutes of nanoseconds. The estimate must sit within 1/64
+   of the exact nearest-rank order statistic's neighbour window. *)
+let prop_quantile_error =
+  let value = QCheck.Gen.(int_range 0 40 >>= fun e -> int_range 0 (1 lsl e)) in
+  QCheck.Test.make ~name:"quantile within 1/64 of exact nearest rank" ~count:300
+    QCheck.(make Gen.(list_size (int_range 1 400) value))
+    (fun vs ->
+      let s = snap_of vs in
+      let sorted = Array.of_list (List.sort compare vs) in
+      let n = Array.length sorted in
+      List.for_all
+        (fun q ->
+          let rank = max 1 (int_of_float (Float.ceil (q *. float_of_int n))) in
+          let lo = float_of_int sorted.(max 0 (rank - 2)) in
+          let hi = float_of_int sorted.(min (n - 1) rank) in
+          let est = S.quantile s q in
+          est >= lo -. (lo /. 64.) && est <= hi +. (hi /. 64.))
+        [ 0.; 0.01; 0.25; 0.5; 0.9; 0.99; 0.999; 1. ])
+
+let test_snapshot_marshal () =
+  let s = snap_of [ 0; 7; 31; 32; 1_000; 47_386_000; 1 lsl 40 ] in
+  let s' : Obs.Histogram.snapshot = Marshal.from_string (Marshal.to_string s []) 0 in
+  checkb "round-trip equal" true (s = s');
+  checkf 0. "p99 unchanged" (S.quantile s 0.99) (S.quantile s' 0.99)
+
+(* Each of 5 domains records its own values into one histogram; the
+   merged snapshot must equal one single-domain histogram fed all of
+   them: the same slots, count, sum, min and max. *)
+let test_snapshot_multidomain () =
+  let h = Obs.Histogram.create () in
+  let values k = List.init 20_000 (fun i -> ((i * 7919) + k) mod (1 lsl (20 + k))) in
+  let ds =
+    Array.init 4 (fun k ->
+        Domain.spawn (fun () -> List.iter (Obs.Histogram.record h) (values (k + 1))))
+  in
+  List.iter (Obs.Histogram.record h) (values 0);
+  Array.iter Domain.join ds;
+  let whole = snap_of (List.concat_map values [ 0; 1; 2; 3; 4 ]) in
+  checkb "snapshot = sum of shards" true (Obs.Histogram.snapshot h = whole);
+  checki "count" 100_000 (S.count whole)
+
 (* -- registry ----------------------------------------------------------- *)
 
 let test_idempotent_registration () =
@@ -165,6 +237,13 @@ let () =
           Alcotest.test_case "gauge" `Quick test_gauge;
           Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
           Alcotest.test_case "histogram 5-domain hammer" `Quick test_histogram_multidomain ] );
+      ( "histogram",
+        [ Alcotest.test_case "empty" `Quick test_snapshot_empty;
+          Alcotest.test_case "exact stats" `Quick test_snapshot_exact_stats;
+          Alcotest.test_case "negative clamped" `Quick test_snapshot_negative_clamped;
+          Alcotest.test_case "snapshot Marshal round-trip" `Quick test_snapshot_marshal;
+          Alcotest.test_case "snapshot of 5 domains" `Quick test_snapshot_multidomain;
+          QCheck_alcotest.to_alcotest ~long:false prop_quantile_error ] );
       ( "registry",
         [ Alcotest.test_case "idempotent registration" `Quick test_idempotent_registration;
           Alcotest.test_case "collect hook" `Quick test_collect_hook ] );

@@ -6,54 +6,6 @@ let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let checkf eps = Alcotest.(check (float eps))
 
-(* -- Histogram -------------------------------------------------------------- *)
-
-let test_histogram_empty () =
-  let h = Stats.Histogram.create () in
-  checki "count" 0 (Stats.Histogram.count h);
-  checkb "mean nan" true (Float.is_nan (Stats.Histogram.mean h));
-  checkb "quantile nan" true (Float.is_nan (Stats.Histogram.quantile h 0.5))
-
-let test_histogram_exact_stats () =
-  let h = Stats.Histogram.create () in
-  List.iter (fun ms -> Stats.Histogram.add h (Sim_time.ms ms)) [ 10; 20; 30; 40 ];
-  checki "count" 4 (Stats.Histogram.count h);
-  checkf 1e-9 "mean" 0.025 (Stats.Histogram.mean h);
-  checkf 1e-9 "min" 0.010 (Stats.Histogram.min_value h);
-  checkf 1e-9 "max" 0.040 (Stats.Histogram.max_value h)
-
-let prop_histogram_quantile_error =
-  QCheck.Test.make ~name:"quantile within ~4% of exact" ~count:50
-    QCheck.(pair int64 (int_range 10 500))
-    (fun (seed, n) ->
-      let rng = Rng.create seed in
-      let h = Stats.Histogram.create () in
-      let samples = Array.init n (fun _ -> 1_000 + Rng.int rng 10_000_000) in
-      Array.iter (fun us -> Stats.Histogram.add h (Sim_time.us us)) samples;
-      Array.sort compare samples;
-      let q = 0.9 in
-      (* Rank conventions differ by up to one order statistic; accept the
-         estimate between the neighbours of the exact rank, with the
-         bucket's ~4% relative slack. *)
-      let idx = max 0 (int_of_float (q *. float_of_int n) - 1) in
-      let lower = float_of_int samples.(max 0 (idx - 1)) /. 1e6 in
-      let upper = float_of_int samples.(min (n - 1) (idx + 1)) /. 1e6 in
-      let est = Stats.Histogram.quantile h q in
-      est >= lower *. 0.95 && est <= upper *. 1.05)
-
-let test_histogram_merge () =
-  let a = Stats.Histogram.create () and b = Stats.Histogram.create () in
-  Stats.Histogram.add a (Sim_time.ms 10);
-  Stats.Histogram.add b (Sim_time.ms 30);
-  let m = Stats.Histogram.merge a b in
-  checki "merged count" 2 (Stats.Histogram.count m);
-  checkf 1e-9 "merged mean" 0.020 (Stats.Histogram.mean m)
-
-let test_histogram_negative_clamped () =
-  let h = Stats.Histogram.create () in
-  Stats.Histogram.add h (-5L);
-  checkf 1e-9 "clamped to 0" 0. (Stats.Histogram.mean h)
-
 (* -- Meter ------------------------------------------------------------------ *)
 
 let test_meter_rate () =
@@ -146,17 +98,9 @@ let test_text_table_kv () =
   let out = Stats.Text_table.render_kv [ ("alpha", "2000"); ("k", "32") ] in
   checkb "two lines" true (List.length (String.split_on_char '\n' out) = 2)
 
-let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
-
 let () =
   Alcotest.run "stats"
-    [ ( "histogram",
-        [ Alcotest.test_case "empty" `Quick test_histogram_empty;
-          Alcotest.test_case "exact stats" `Quick test_histogram_exact_stats;
-          Alcotest.test_case "merge" `Quick test_histogram_merge;
-          Alcotest.test_case "negative clamped" `Quick test_histogram_negative_clamped ]
-        @ qsuite [ prop_histogram_quantile_error ] );
-      ( "meter",
+    [ ( "meter",
         [ Alcotest.test_case "rate" `Quick test_meter_rate;
           Alcotest.test_case "empty window" `Quick test_meter_empty_window;
           Alcotest.test_case "first event" `Quick test_meter_first_event ] );
