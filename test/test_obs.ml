@@ -102,7 +102,7 @@ let test_snapshot_negative_clamped () =
    of the exact nearest-rank order statistic's neighbour window. *)
 let prop_quantile_error =
   let value = QCheck.Gen.(int_range 0 40 >>= fun e -> int_range 0 (1 lsl e)) in
-  QCheck.Test.make ~name:"quantile within 1/64 of exact nearest rank" ~count:300
+  QCheck.Test.make ~name:"quantile within 1/64 of exact" ~count:300
     QCheck.(make Gen.(list_size (int_range 1 400) value))
     (fun vs ->
       let s = snap_of vs in
