@@ -31,6 +31,30 @@ let test_commit_progress () =
     (r.Hotstuff.Hs_runner.confirmed > r.Hotstuff.Hs_runner.offered * 8 / 10);
   checkb "latency recorded" true (Obs.Histogram.Snapshot.count r.Hotstuff.Hs_runner.latency > 0)
 
+(* A fixed run pinned field by field: the shared baseline harness must
+   keep what each protocol simulates, so these numbers only move when the
+   HotStuff state machine itself changes. *)
+let render_summary (r : Hotstuff.Hs_runner.report) =
+  Printf.sprintf
+    "offered=%d confirmed=%d heights=%d leader_sent=%d leader_received=%d leader_bps=%.0f \
+     goodput_bps=%.0f p50=%.6f p99=%.6f safety=%b"
+    r.Hotstuff.Hs_runner.offered r.Hotstuff.Hs_runner.confirmed
+    r.Hotstuff.Hs_runner.committed_heights r.Hotstuff.Hs_runner.leader_sent_bytes
+    r.Hotstuff.Hs_runner.leader_received_bytes r.Hotstuff.Hs_runner.leader_bps
+    r.Hotstuff.Hs_runner.goodput_bps
+    (Obs.Histogram.Snapshot.quantile r.Hotstuff.Hs_runner.latency 0.50 /. 1e9)
+    (Obs.Histogram.Snapshot.quantile r.Hotstuff.Hs_runner.latency 0.99 /. 1e9)
+    r.Hotstuff.Hs_runner.safety_ok
+
+let golden_seed13_summary =
+  "offered=16000 confirmed=15840 heights=396 leader_sent=4791600 leader_received=1610400 \
+   leader_bps=8536000 goodput_bps=2048000 p50=0.072352 p99=0.080740 safety=true"
+
+let test_golden_seed13_summary () =
+  let sp = { (spec ~silent:1 (cfg ())) with Hotstuff.Hs_runner.seed = 13L } in
+  Alcotest.(check string) "seed-13 summary" golden_seed13_summary
+    (render_summary (Hotstuff.Hs_runner.run sp))
+
 let test_silent_f_live () =
   let c = cfg ~n:7 () in
   let r = Hotstuff.Hs_runner.run (spec ~silent:c.Hotstuff.Hs_config.f (cfg ~n:7 ())) in
@@ -67,5 +91,6 @@ let () =
         [ Alcotest.test_case "types" `Quick test_types;
           Alcotest.test_case "commit progress" `Quick test_commit_progress;
           Alcotest.test_case "f silent live" `Quick test_silent_f_live;
+          Alcotest.test_case "golden seed-13 summary" `Quick test_golden_seed13_summary;
           Alcotest.test_case "leader bottleneck shape" `Slow test_leader_bottleneck_shape;
           Alcotest.test_case "batching amortizes" `Slow test_batch_size_amortizes ] ) ]

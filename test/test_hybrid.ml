@@ -22,6 +22,26 @@ let test_progress_and_safety () =
     (r.Hybrid.Chained_leopard.confirmed > r.Hybrid.Chained_leopard.offered * 7 / 10);
   checkb "latency recorded" true (Obs.Histogram.Snapshot.count r.Hybrid.Chained_leopard.latency > 0)
 
+(* A fixed run pinned field by field: the shared baseline harness must
+   keep what chained Leopard simulates, so these numbers only move when
+   its state machine itself changes. *)
+let render_summary (r : Hybrid.Chained_leopard.report) =
+  Printf.sprintf "offered=%d confirmed=%d heights=%d leader_bps=%.0f p50=%.6f p99=%.6f safety=%b"
+    r.Hybrid.Chained_leopard.offered r.Hybrid.Chained_leopard.confirmed
+    r.Hybrid.Chained_leopard.committed_heights r.Hybrid.Chained_leopard.leader_bps
+    (Obs.Histogram.Snapshot.quantile r.Hybrid.Chained_leopard.latency 0.50 /. 1e9)
+    (Obs.Histogram.Snapshot.quantile r.Hybrid.Chained_leopard.latency 0.99 /. 1e9)
+    r.Hybrid.Chained_leopard.safety_ok
+
+let golden_seed13_summary =
+  "offered=16000 confirmed=15792 heights=329 leader_bps=2776000 p50=0.101712 p99=0.161481 \
+   safety=true"
+
+let test_golden_seed13_summary () =
+  let sp = { (spec ~silent:1 (cfg ~n:7 ())) with Hybrid.Chained_leopard.seed = 13L } in
+  Alcotest.(check string) "seed-13 summary" golden_seed13_summary
+    (render_summary (Hybrid.Chained_leopard.run sp))
+
 let test_silent_f () =
   let r = Hybrid.Chained_leopard.run (spec (cfg ~n:7 ())) in
   checkb "live with f silent" true (r.Hybrid.Chained_leopard.committed_heights > 0);
@@ -72,6 +92,7 @@ let () =
     [ ( "chained leopard",
         [ Alcotest.test_case "progress & safety" `Quick test_progress_and_safety;
           Alcotest.test_case "f silent" `Quick test_silent_f;
+          Alcotest.test_case "golden seed-13 summary" `Quick test_golden_seed13_summary;
           Alcotest.test_case "leader stays light" `Slow test_leader_stays_light;
           Alcotest.test_case "deterministic" `Quick test_deterministic ]
         @ List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_safety_random_seeds ] ) ]

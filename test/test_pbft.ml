@@ -18,6 +18,23 @@ let test_progress_and_safety () =
   checkb "safety" true r.Pbft.safety_ok;
   checkb "most confirmed" true (r.Pbft.confirmed > r.Pbft.offered * 8 / 10)
 
+(* A fixed run pinned field by field: the shared baseline harness must
+   keep what PBFT simulates, so these numbers only move when the PBFT
+   state machine itself changes. *)
+let render_summary (r : Pbft.report) =
+  Printf.sprintf "offered=%d confirmed=%d leader_bps=%.0f p50=%.6f p99=%.6f safety=%b"
+    r.Pbft.offered r.Pbft.confirmed r.Pbft.leader_bps
+    (Obs.Histogram.Snapshot.quantile r.Pbft.latency 0.50 /. 1e9)
+    (Obs.Histogram.Snapshot.quantile r.Pbft.latency 0.99 /. 1e9)
+    r.Pbft.safety_ok
+
+let golden_seed13_summary =
+  "offered=16000 confirmed=15968 leader_bps=8697600 p50=0.015335 p99=0.019550 safety=true"
+
+let test_golden_seed13_summary () =
+  let sp = { (spec ~silent:1 (cfg ())) with Pbft.seed = 13L } in
+  Alcotest.(check string) "seed-13 summary" golden_seed13_summary (render_summary (Pbft.run sp))
+
 let test_silent_f () =
   let c = cfg ~n:7 () in
   let r = Pbft.run (spec ~silent:c.Pbft.f (cfg ~n:7 ())) in
@@ -44,4 +61,5 @@ let () =
     [ ( "pbft",
         [ Alcotest.test_case "progress & safety" `Quick test_progress_and_safety;
           Alcotest.test_case "f silent" `Quick test_silent_f;
+          Alcotest.test_case "golden seed-13 summary" `Quick test_golden_seed13_summary;
           Alcotest.test_case "scale degradation" `Slow test_quadratic_votes_show_in_traffic ] ) ]
