@@ -73,7 +73,7 @@ let run_leopard ?(load = leopard_load) ?link ?alpha ?bft_size ?(payload = 128)
     Hashtbl.add leopard_cache key r;
     r
 
-let hotstuff_cache : (string, Hotstuff.Hs_runner.report) Hashtbl.t = Hashtbl.create 16
+let hotstuff_cache : (string, Baseline.report) Hashtbl.t = Hashtbl.create 16
 
 let run_hotstuff ?(load = hotstuff_load) ?link ?(batch = 800) ?(payload = 128) n =
   let key =
@@ -86,8 +86,8 @@ let run_hotstuff ?(load = hotstuff_load) ?link ?(batch = 800) ?(payload = 128) n
   | None ->
     let cfg = Hotstuff.Hs_config.make ~n ~batch_size:batch ~payload () in
     let duration, warmup = hotstuff_durations n in
-    let sp = Hotstuff.Hs_runner.spec ~cfg ?link ~load ~duration ~warmup () in
-    let r = Hotstuff.Hs_runner.run sp in
+    let sp = Hotstuff.Hs_replica.spec ~cfg ?link ~load ~duration ~warmup () in
+    let r = Hotstuff.Hs_replica.run sp in
     Hashtbl.add hotstuff_cache key r;
     r
 

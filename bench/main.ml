@@ -49,13 +49,13 @@ let fig1 () =
     List.iter
       (fun n ->
         let r = run_hotstuff ~payload n in
-        Stats.Series.add hs ~x:(float_of_int n) ~y:(r.Hotstuff.Hs_runner.throughput /. 1e3))
+        Stats.Series.add hs ~x:(float_of_int n) ~y:(r.Baseline.throughput /. 1e3))
       ns_hotstuff;
     let pb = Stats.Series.create ~name:(Printf.sprintf "PBFT %dB (kops/s)" payload) in
     List.iter
       (fun n ->
         let r = run_pbft ~payload n in
-        Stats.Series.add pb ~x:(float_of_int n) ~y:(r.Pbft.throughput /. 1e3))
+        Stats.Series.add pb ~x:(float_of_int n) ~y:(r.Baseline.throughput /. 1e3))
       ns_pbft;
     [ hs; pb ]
   in
@@ -78,8 +78,8 @@ let fig2 () =
   List.iter
     (fun n ->
       let r = run_hotstuff n in
-      Stats.Series.add tput ~x:(float_of_int n) ~y:(r.Hotstuff.Hs_runner.throughput /. 1e3);
-      Stats.Series.add bw ~x:(float_of_int n) ~y:(r.Hotstuff.Hs_runner.leader_bps /. 1e9))
+      Stats.Series.add tput ~x:(float_of_int n) ~y:(r.Baseline.throughput /. 1e3);
+      Stats.Series.add bw ~x:(float_of_int n) ~y:(r.Baseline.leader_bps /. 1e9))
     ns;
   say "%s" (Stats.Series.render_table ~x_label:"n" [ tput; bw ]);
   say "";
@@ -102,8 +102,7 @@ let fig7 () =
         List.iter
           (fun batch ->
             let r = run_hotstuff ~batch n in
-            Stats.Series.add s ~x:(float_of_int batch)
-              ~y:(r.Hotstuff.Hs_runner.throughput /. 1e3))
+            Stats.Series.add s ~x:(float_of_int batch) ~y:(r.Baseline.throughput /. 1e3))
           batches;
         s)
       ns
@@ -195,9 +194,8 @@ let fig9 () =
   List.iter
     (fun n ->
       let r = run_hotstuff n in
-      Stats.Series.add ht ~x:(float_of_int n) ~y:(r.Hotstuff.Hs_runner.throughput /. 1e3);
-      Stats.Series.add hl ~x:(float_of_int n)
-        ~y:(p50_s r.Hotstuff.Hs_runner.latency))
+      Stats.Series.add ht ~x:(float_of_int n) ~y:(r.Baseline.throughput /. 1e3);
+      Stats.Series.add hl ~x:(float_of_int n) ~y:(p50_s r.Baseline.latency))
     (hotstuff_ns ());
   say "%s" (Stats.Series.render_table ~x_label:"n" [ lt; ht; ll; hl ]);
   (match (Stats.Series.y_at lt ~x:256., Stats.Series.y_at ht ~x:256.) with
@@ -249,7 +247,7 @@ let fig10 () =
   List.iter
     (fun n ->
       let r = run_hotstuff n in
-      Stats.Series.add hs ~x:(float_of_int n) ~y:(r.Hotstuff.Hs_runner.leader_bps /. 1e9))
+      Stats.Series.add hs ~x:(float_of_int n) ~y:(r.Baseline.leader_bps /. 1e9))
     (hotstuff_ns ());
   say "%s" (Stats.Series.render_table ~x_label:"n" [ ls; hs ]);
   say "";
@@ -303,7 +301,7 @@ let fig11 () =
             let rl = run_leopard ~link:(throttled mb) ~load:1e5 ~alpha:500 ~bft_size:50 n in
             Stats.Series.add l ~x:mb ~y:(rl.Core.Runner.throughput /. 1e3);
             let rh = run_hotstuff ~link:(throttled mb) ~load:1e5 n in
-            Stats.Series.add h ~x:mb ~y:(rh.Hotstuff.Hs_runner.throughput /. 1e3))
+            Stats.Series.add h ~x:mb ~y:(rh.Baseline.throughput /. 1e3))
           mbs;
         [ l; h ])
       ns
@@ -328,7 +326,7 @@ let fig12 () =
     (fun n ->
       let lo = run_hotstuff ~link:(throttled 20.) ~load:1e5 n in
       let hi = run_hotstuff ~link:(throttled 200.) ~load:1e5 n in
-      let d_goodput = hi.Hotstuff.Hs_runner.goodput_bps -. lo.Hotstuff.Hs_runner.goodput_bps in
+      let d_goodput = hi.Baseline.goodput_bps -. lo.Baseline.goodput_bps in
       let d_bw = Net.Network.mbps 180. in
       Stats.Series.add measured ~x:(float_of_int n) ~y:(d_goodput /. d_bw);
       Stats.Series.add theory ~x:(float_of_int n)
@@ -610,15 +608,12 @@ let extension_chained () =
           ~warmup:(Sim.Sim_time.s 7) ()
       in
       let r = Hybrid.Chained_leopard.run sp in
-      Stats.Series.add hybrid ~x:(float_of_int n)
-        ~y:(r.Hybrid.Chained_leopard.throughput /. 1e3);
-      Stats.Series.add hybrid_bw ~x:(float_of_int n)
-        ~y:(r.Hybrid.Chained_leopard.leader_bps /. 1e9);
+      Stats.Series.add hybrid ~x:(float_of_int n) ~y:(r.Baseline.throughput /. 1e3);
+      Stats.Series.add hybrid_bw ~x:(float_of_int n) ~y:(r.Baseline.leader_bps /. 1e9);
       if n <= 300 then begin
         let h = run_hotstuff n in
-        Stats.Series.add hotstuff ~x:(float_of_int n) ~y:(h.Hotstuff.Hs_runner.throughput /. 1e3);
-        Stats.Series.add hotstuff_bw ~x:(float_of_int n)
-          ~y:(h.Hotstuff.Hs_runner.leader_bps /. 1e9)
+        Stats.Series.add hotstuff ~x:(float_of_int n) ~y:(h.Baseline.throughput /. 1e3);
+        Stats.Series.add hotstuff_bw ~x:(float_of_int n) ~y:(h.Baseline.leader_bps /. 1e9)
       end)
     ns;
   say "%s" (Stats.Series.render_table ~x_label:"n" [ hybrid; hotstuff; hybrid_bw; hotstuff_bw ]);

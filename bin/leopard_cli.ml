@@ -228,6 +228,17 @@ let chaos_run list_only scenario plane sim_ns tcp_n seed trace_dir keep_traces m
       if List.for_all Faults.Oracle.outcome_ok outcomes then `Ok ()
       else `Error (false, "chaos scenario failed its oracle")
 
+(* ---------------- baselines ---------------- *)
+
+let report_baseline (r : Baseline.report) =
+  Format.printf "throughput:       %.0f req/s@." r.throughput;
+  Format.printf "offered/confirmed %d/%d@." r.offered r.confirmed;
+  Format.printf "latency:          %a@." pp_latency r.latency;
+  Format.printf "leader traffic:   %.2f Gbps@." (r.leader_bps /. 1e9);
+  Format.printf "committed blocks: %d@." r.committed_heights;
+  Format.printf "safety:           %b@." r.safety_ok;
+  if r.safety_ok then `Ok () else `Error (false, "safety violated")
+
 (* ---------------- hotstuff ---------------- *)
 
 let hotstuff_run n load duration warmup batch payload seed bandwidth_mbps =
@@ -238,19 +249,11 @@ let hotstuff_run n load duration warmup batch payload seed bandwidth_mbps =
     | None -> Net.Network.default_link
   in
   let spec =
-    Hotstuff.Hs_runner.spec ~cfg ~link ~seed ~load ~duration:(span_of_sec duration)
+    Hotstuff.Hs_replica.spec ~cfg ~link ~seed ~load ~duration:(span_of_sec duration)
       ~warmup:(span_of_sec warmup) ()
   in
   Format.printf "running HotStuff: n=%d batch=%d, load %.0f req/s, %.0fs@." n batch load duration;
-  let r = Hotstuff.Hs_runner.run spec in
-  Format.printf "throughput:       %.0f req/s@." r.Hotstuff.Hs_runner.throughput;
-  Format.printf "offered/confirmed %d/%d@." r.Hotstuff.Hs_runner.offered
-    r.Hotstuff.Hs_runner.confirmed;
-  Format.printf "latency:          %a@." pp_latency r.Hotstuff.Hs_runner.latency;
-  Format.printf "leader traffic:   %.2f Gbps@." (r.Hotstuff.Hs_runner.leader_bps /. 1e9);
-  Format.printf "committed blocks: %d@." r.Hotstuff.Hs_runner.committed_heights;
-  Format.printf "safety:           %b@." r.Hotstuff.Hs_runner.safety_ok;
-  if r.Hotstuff.Hs_runner.safety_ok then `Ok () else `Error (false, "safety violated")
+  report_baseline (Hotstuff.Hs_replica.run spec)
 
 (* ---------------- pbft ---------------- *)
 
@@ -260,13 +263,7 @@ let pbft_run n load duration warmup batch payload seed =
     Pbft.spec ~cfg ~seed ~load ~duration:(span_of_sec duration) ~warmup:(span_of_sec warmup) ()
   in
   Format.printf "running PBFT: n=%d batch=%d, load %.0f req/s, %.0fs@." n batch load duration;
-  let r = Pbft.run spec in
-  Format.printf "throughput:       %.0f req/s@." r.Pbft.throughput;
-  Format.printf "offered/confirmed %d/%d@." r.Pbft.offered r.Pbft.confirmed;
-  Format.printf "latency:          %a@." pp_latency r.Pbft.latency;
-  Format.printf "leader traffic:   %.2f Gbps@." (r.Pbft.leader_bps /. 1e9);
-  Format.printf "safety:           %b@." r.Pbft.safety_ok;
-  if r.Pbft.safety_ok then `Ok () else `Error (false, "safety violated")
+  report_baseline (Pbft.run spec)
 
 (* ---------------- shard ---------------- *)
 

@@ -2,10 +2,6 @@ open Workload
 
 type reject_reason = Mempool_full | Inactive
 
-let reject_reason_name = function
-  | Mempool_full -> "mempool_full"
-  | Inactive -> "inactive"
-
 type admission = Admitted | Rejected of reject_reason
 
 type t = {

@@ -15,9 +15,6 @@ type reject_reason =
   | Mempool_full  (** the admission bound would be exceeded *)
   | Inactive      (** the replica is crashed or silent *)
 
-val reject_reason_name : reject_reason -> string
-(** Stable lower-snake label for metrics and logs. *)
-
 type admission = Admitted | Rejected of reject_reason
 (** Verdict rendered to the submitting client. *)
 

@@ -203,8 +203,6 @@ let all_kinds =
     K_confirmation; K_checkpoint_vote; K_checkpoint_cert; K_timeout;
     K_view_change; K_new_view; K_fetch; K_fetch_reply ]
 
-let kind_of_name name = List.find_opt (fun k -> kind_name k = name) all_kinds
-
 let num_kinds = List.length all_kinds
 
 (* Dense index into per-kind counter arrays (transport drop accounting);

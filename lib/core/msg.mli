@@ -116,7 +116,6 @@ val kind_name : kind -> string
 (** Stable lowercase name (["prepare-vote"], ["new-view"], …), used in
     traces and the chaos CLI. *)
 
-val kind_of_name : string -> kind option
 val all_kinds : kind list
 
 val num_kinds : int

@@ -88,7 +88,6 @@ type t = {
   mutable state_hash : Hash.t;
   mutable latest_checkpoint : Msg.checkpoint_cert option;
   checkpoint_quorums : (int, Hash.t * Quorum.t) Hashtbl.t;
-  mutable executed_payload : int;
   (* datablocks executed in serials (lw, executed_up_to]: the checkpoint
      that covers their serial prunes them from the pool and from here
      (the pool's executed floors remember their slots) *)
@@ -125,7 +124,6 @@ type t = {
   punished : (Net.Node_id.t, unit) Hashtbl.t;  (* kicked-out equivocators *)
   (* overload accounting (plain ints: readable without a registry) *)
   mutable submits_rejected : int;   (* requests refused at admission *)
-  mutable mempool_evictions : int;  (* requests shed by age eviction *)
 }
 
 let bump t sel = match t.ms with Some m -> Obs.Counter.incr (sel m) | None -> ()
@@ -138,25 +136,10 @@ let ledger t = t.ledger
 let state_hash t = t.state_hash
 let mempool_pending t = Mempool.pending_requests t.mempool
 let submits_rejected t = t.submits_rejected
-let mempool_evictions t = t.mempool_evictions
 let pool t = t.pool
 let datablocks_created t = t.db_counter - 1
-let in_view_change t = t.in_view_change
-let executed_payload_bytes t = t.executed_payload
 
 let punished t = Hashtbl.fold (fun id () acc -> id :: acc) t.punished []
-
-let instance_debug t sn =
-  match Hashtbl.find_opt t.instances sn with
-  | None -> "no instance"
-  | Some i ->
-    Printf.sprintf
-      "iview=%d block=%b voted_prep=%b voted_commit=%b notarized=%b confirmed=%b stash=%b \
-       waiting=%b"
-      i.iview (i.block <> None) i.voted_prepare i.voted_commit (i.notarization <> None)
-      (i.confirmation <> None)
-      (i.stashed_confirmation <> None)
-      (Hashtbl.mem t.waiting_propose sn)
 
 let leader_of t v = Config.leader_of_view t.cfg v
 let is_leader_of t v = Net.Node_id.equal (leader_of t v) t.id
@@ -553,7 +536,6 @@ and try_execute t =
       List.iter
         (fun (db : Datablock.t) ->
           Hash.Table.replace t.executed_links (Datablock.hash db) sn;
-          t.executed_payload <- t.executed_payload + db.Datablock.payload_bytes;
           List.iter
             (fun b ->
               Workload.Request.mark_confirmed b;
@@ -1549,7 +1531,6 @@ let rec pack_tick t =
     (if Int64.compare t.cfg.mempool_max_age 0L > 0 then
        let evicted = Mempool.evict_expired t.mempool ~now:(now t) in
        if evicted > 0 then begin
-         t.mempool_evictions <- t.mempool_evictions + evicted;
          bump_by t (fun m -> m.mempool_evicted) evicted;
          tracef t "mempool.evicted" "%d requests past max age" evicted
        end);
@@ -1633,7 +1614,6 @@ let create ~platform ~cfg ~id ~sk ~pks ~tsetup ~tkey ?obs ?(strategy = Byzantine
       state_hash = Hash.of_string "genesis";
       latest_checkpoint = None;
       checkpoint_quorums = Hashtbl.create 16;
-      executed_payload = 0;
       executed_links = Hash.Table.create 256;
       waiting_propose = Hashtbl.create 16;
       fetch_inflight = Hash.Set.empty;
@@ -1655,8 +1635,7 @@ let create ~platform ~cfg ~id ~sk ~pks ~tsetup ~tkey ?obs ?(strategy = Byzantine
       timer_packing = true;
       vote_rtt = None;
       punished = Hashtbl.create 4;
-      submits_rejected = 0;
-      mempool_evictions = 0 }
+      submits_rejected = 0 }
   in
   platform.Platform.set_handler (fun ~src msg -> handle t ~src msg);
   t

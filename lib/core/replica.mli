@@ -140,23 +140,12 @@ val submits_rejected : t -> int
 (** Requests refused at mempool admission since this replica was built
     (mirrored to [leopard_replica_submit_rejected_total]). *)
 
-val mempool_evictions : t -> int
-(** Requests shed by age-based mempool eviction (mirrored to
-    [leopard_replica_mempool_evicted_total]). *)
-
 val pool : t -> Datablock_pool.t
 val datablocks_created : t -> int
-val in_view_change : t -> bool
-val executed_payload_bytes : t -> int
-(** Total request payload bytes this replica has executed. *)
 
 val punished : t -> Net.Node_id.t list
 (** Replicas this one has kicked out for equivocation (with
     [punish_equivocators] on). *)
-
-val instance_debug : t -> int -> string
-(** One-line description of the agreement instance at a serial number
-    (for tests and debugging). *)
 
 val notar_cache_cap : int
 (** Capacity bound of the verified-notarization memo: when the cache

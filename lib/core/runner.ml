@@ -89,10 +89,7 @@ type t = {
   confirm_meter : Stats.Meter.t;
   goodput_meter : Stats.Meter.t; (* payload bytes confirmed *)
   (* Table-3 stage accumulators (request-weighted seconds), indexed by
-     [stage_*] below. A float array keeps the per-confirmed-batch hot path
-     free of the boxed-float stores and string-hashtable lookups a
-     {!Stats.Breakdown} would cost; the report materializes the named
-     list. *)
+     [stage_*] below; the report materializes the named list. *)
   stage_acc : float array;
   (* One pool shared by every simulated replica when [spec.verify_domains]
      asks for one: workers only evaluate pure crypto, so sharing changes

@@ -33,5 +33,3 @@ let pow x e =
   assert (e >= 0);
   if x = 0 then (if e = 0 then 1 else 0)
   else exp.(log_.(x) * e mod 255)
-
-let exp_table i = exp.(((i mod 255) + 255) mod 255)

@@ -20,6 +20,3 @@ val div : t -> t -> t
 
 val pow : t -> int -> t
 (** [pow x e] for [e >= 0]. *)
-
-val exp_table : int -> t
-(** [exp_table i] is the generator 0x03 raised to [i mod 255]. *)

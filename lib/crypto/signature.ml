@@ -3,7 +3,6 @@ type private_key = string (* 32 random bytes *)
 type t = string (* HMAC tag *)
 
 let size_bytes = 64
-let public_key_size_bytes = 33
 
 (* Verification oracle: pk -> sk. Private to this module, so protocol code
    (honest or Byzantine) can only produce valid tags through [sign]. The
@@ -33,9 +32,6 @@ let verify pk tag msg =
   match Mutex.protect registry_mu (fun () -> Hashtbl.find_opt registry pk) with
   | None -> false
   | Some sk -> String.equal tag (Sha256.hmac ~key:sk msg)
-
-let public_key_equal = String.equal
-let pp_public_key fmt pk = Format.pp_print_string fmt (String.sub (Sha256.to_hex pk) 0 8)
 
 let to_raw t = t
 

@@ -17,17 +17,11 @@ type t
 val size_bytes : int
 (** Wire size of a signature (64, as ECDSA). *)
 
-val public_key_size_bytes : int
-(** Wire size of a public key (33, compressed point). *)
-
 val keygen : Sim.Rng.t -> public_key * private_key
 (** A fresh key pair, registered for verification. *)
 
 val sign : private_key -> string -> t
 val verify : public_key -> t -> string -> bool
-
-val public_key_equal : public_key -> public_key -> bool
-val pp_public_key : Format.formatter -> public_key -> unit
 
 (** {2 Raw access (persistence/wire codecs)}
 

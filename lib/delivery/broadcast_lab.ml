@@ -148,11 +148,3 @@ let run ?(seed = 7L) ?(link = Net.Network.default_link) ~n ~payload ~byzantine s
     max_replica_egress;
     total_bytes = List.fold_left (fun acc id -> acc + egress id) 0 (List.init n Fun.id);
     decode_failures = !decode_failures }
-
-let pp_result fmt r =
-  Format.fprintf fmt "delivered %d/%d honest%s, source egress %dB, max replica egress %dB, total %dB"
-    r.delivered r.honest
-    (match r.completion with
-     | Some t -> Printf.sprintf " in %.4fs" (Sim_time.to_sec t)
-     | None -> " (incomplete)")
-    r.source_egress r.max_replica_egress r.total_bytes

@@ -47,5 +47,3 @@ val run :
     replica 0 (always honest). Byzantine replicas receive but never
     forward. Requires [n >= 2], non-empty payload, and for
     [Erasure { k }]: [1 <= k <= n - 1]. *)
-
-val pp_result : Format.formatter -> result -> unit

@@ -2,10 +2,6 @@ open Sim
 module Ts = Crypto.Threshold
 open Hs_types
 
-type hooks = { on_commit : id:Net.Node_id.t -> height:int -> Hs_types.block -> unit }
-
-let no_hooks = { on_commit = (fun ~id:_ ~height:_ _ -> ()) }
-
 (* Minimal share collector (votes dedup by member index). *)
 type collector = { mutable shares : Ts.share list; mutable indices : int list; mutable fired : bool }
 
@@ -20,7 +16,7 @@ type t = {
   tsetup : Ts.setup;
   tkey : Ts.member_key;
   silent : bool;
-  hooks : hooks;
+  on_commit : height:int -> block -> unit;
   cpu : Net.Cpu.t;
   mempool : Workload.Request.t Queue.t;
   mutable pending_reqs : int;
@@ -33,10 +29,6 @@ type t = {
   mutable last_proposal : Sim_time.t;
 }
 
-let id t = t.id
-let committed_up_to t = t.committed_up_to
-let committed_block t h = Hashtbl.find_opt t.blocks h
-let mempool_pending t = t.pending_reqs
 let is_leader t = Net.Node_id.equal t.id t.leader
 let active t = not t.silent
 let now t = Engine.now t.engine
@@ -60,7 +52,7 @@ let commit_through t target =
         if !batches > 0 then
           Net.Network.charge_egress t.network ~src:t.id ~size:(ack_wire_bytes * !batches)
             ~category:"ack";
-        t.hooks.on_commit ~id:t.id ~height:h block;
+        t.on_commit ~height:h block;
         go (h + 1))
   in
   go (t.committed_up_to + 1)
@@ -215,7 +207,7 @@ let rec partial_tick t =
 
 let start t = if is_leader t then partial_tick t
 
-let create ~engine ~network ~cfg ~id ~leader ~tsetup ~tkey ?(silent = false) ?(hooks = no_hooks) () =
+let create ~engine ~network ~cfg ~id ~leader ~tsetup ~tkey ~silent ~on_commit =
   let t =
     { engine;
       network;
@@ -225,7 +217,7 @@ let create ~engine ~network ~cfg ~id ~leader ~tsetup ~tkey ?(silent = false) ?(h
       tsetup;
       tkey;
       silent;
-      hooks;
+      on_commit;
       cpu = Net.Cpu.create engine ~cores:cfg.Hs_config.cores;
       mempool = Queue.create ();
       pending_reqs = 0;
@@ -239,3 +231,25 @@ let create ~engine ~network ~cfg ~id ~leader ~tsetup ~tkey ?(silent = false) ?(h
   in
   Net.Network.set_handler network id (fun ~src m -> handle t ~src m);
   t
+
+let spec ~cfg = Baseline.spec ~cfg ~f:cfg.Hs_config.f
+
+let run (sp : Hs_config.t Baseline.spec) =
+  let cfg = sp.cfg in
+  let n = cfg.Hs_config.n in
+  Baseline.run sp ~n ~f:cfg.Hs_config.f ~payload:cfg.Hs_config.payload ~meta
+    (fun (ctx : msg Baseline.ctx) ->
+      let tsetup, tkeys =
+        Crypto.Threshold.keygen ctx.key_rng ~threshold:(2 * cfg.Hs_config.f) ~parties:n
+      in
+      let on_commit ~height block =
+        ctx.commit ~height ~digest:(block_hash block) block.batch
+      in
+      let replicas =
+        Array.init n (fun id ->
+            create ~engine:ctx.engine ~network:ctx.network ~cfg ~id ~leader:ctx.leader ~tsetup
+              ~tkey:tkeys.(id) ~silent:(ctx.is_silent id) ~on_commit)
+      in
+      Array.iter start replicas;
+      (* libhotstuff clients send individual commands to the leader. *)
+      { targets = [ ctx.leader ]; submit = (fun ~target b -> submit replicas.(target) b) })

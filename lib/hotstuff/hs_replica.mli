@@ -4,15 +4,10 @@
     block whenever the previous height's QC forms, and aggregates votes
     into QCs. A block commits when it heads a three-chain of consecutive
     QCs. This is the state machine whose leader egress grows as
-    Λ × (n − 1), the bottleneck the paper's Figures 1, 2, 9–12 chart. *)
+    Λ × (n − 1), the bottleneck the paper's Figures 1, 2, 9–12 chart.
+    {!run} drives a cluster of them through {!Baseline.run}. *)
 
 type t
-
-type hooks = {
-  on_commit : id:Net.Node_id.t -> height:int -> Hs_types.block -> unit;
-}
-
-val no_hooks : hooks
 
 val create :
   engine:Sim.Engine.t ->
@@ -22,16 +17,16 @@ val create :
   leader:Net.Node_id.t ->
   tsetup:Crypto.Threshold.setup ->
   tkey:Crypto.Threshold.member_key ->
-  ?silent:bool ->
-  ?hooks:hooks ->
-  unit ->
+  silent:bool ->
+  on_commit:(height:int -> Hs_types.block -> unit) ->
   t
 
 val start : t -> unit
 val submit : t -> Workload.Request.t -> unit
 (** Client request arrival (clients submit to the leader in libhotstuff). *)
 
-val id : t -> Net.Node_id.t
-val committed_up_to : t -> int
-val committed_block : t -> int -> Hs_types.block option
-val mempool_pending : t -> int
+val spec : cfg:Hs_config.t -> Hs_config.t Baseline.options
+(** {!Baseline.spec} with [f] from [cfg]. *)
+
+val run : Hs_config.t Baseline.spec -> Baseline.report
+(** One HotStuff cluster, leader 0, clients submitting to the leader. *)

@@ -108,7 +108,7 @@ type replica = {
   mutable last_partial_pack : Sim_time.t;
   waiting : (int, block * qc option) Hashtbl.t;  (* proposals awaiting datablocks *)
   mutable fetch_inflight : Hash.Set.t;
-  on_commit : id:Net.Node_id.t -> height:int -> block -> Core.Datablock.t list -> unit;
+  on_commit : height:int -> block -> Core.Datablock.t list -> unit;
 }
 
 let is_leader r = Net.Node_id.equal r.id r.leader
@@ -168,7 +168,7 @@ let commit_through r target =
             (fun (db : Core.Datablock.t) ->
               List.iter Workload.Request.mark_confirmed db.Core.Datablock.batches)
             dbs;
-          r.on_commit ~id:r.id ~height:h block dbs;
+          r.on_commit ~height:h block dbs;
           go (h + 1)
         end)
   in
@@ -343,140 +343,58 @@ let rec tick r =
 
 (* ------------------------------------------------------------------- *)
 
-type spec = {
-  cfg : cfg;
-  link : Net.Network.link;
-  seed : int64;
-  load : float;
-  duration : Sim_time.span;
-  warmup : Sim_time.span;
-  silent : int;
-}
+let spec ~cfg = Baseline.spec ~cfg ~f:cfg.f
 
-let spec ~cfg ?(link = Net.Network.default_link) ?(seed = 42L) ?(load = 1e5)
-    ?(duration = Sim_time.s 20) ?(warmup = Sim_time.s 5) ?silent () =
-  { cfg; link; seed; load; duration; warmup; silent = Option.value silent ~default:cfg.f }
-
-type report = {
-  n : int;
-  offered : int;
-  confirmed : int;
-  throughput : float;
-  latency : Obs.Histogram.snapshot;
-  leader_bps : float;
-  committed_heights : int;
-  safety_ok : bool;
-}
-
-let run (sp : spec) =
+let run (sp : cfg Baseline.spec) =
   let cfg = sp.cfg in
   let n = cfg.n in
-  let engine = Engine.create ~seed:sp.seed () in
-  let network = Net.Network.create engine ~n ~meta ~link:sp.link in
-  let key_rng = Rng.split (Engine.rng engine) in
-  let keys = Array.init n (fun _ -> Crypto.Signature.keygen key_rng) in
-  let pks = Array.map fst keys in
-  let tsetup, tkeys = Ts.keygen key_rng ~threshold:(2 * cfg.f) ~parties:n in
-  let leader = 0 in
-  let silent_set = List.init sp.silent (fun i -> n - 1 - i) in
-  let commit_counts : (int, int ref) Hashtbl.t = Hashtbl.create 1024 in
-  let counted : (int, unit) Hashtbl.t = Hashtbl.create 65536 in
-  let commit_hashes : (int, Hash.t) Hashtbl.t = Hashtbl.create 1024 in
-  let confirm_meter = Stats.Meter.create () in
-  let latency = Obs.Histogram.create () in
-  let confirmed = ref 0 in
-  let committed_heights = ref 0 in
-  let safety_ok = ref true in
-  let fp1 = cfg.f + 1 in
-  let on_commit ~id:_ ~height block dbs =
-    (match Hashtbl.find_opt commit_hashes height with
-     | Some h -> if not (Hash.equal h (block_hash block)) then safety_ok := false
-     | None -> Hashtbl.add commit_hashes height (block_hash block));
-    let c =
-      match Hashtbl.find_opt commit_counts height with
-      | Some c -> c
-      | None ->
-        let c = ref 0 in
-        Hashtbl.add commit_counts height c;
-        c
-    in
-    incr c;
-    if !c = fp1 then begin
-      incr committed_heights;
-      let at = Engine.now engine in
-      List.iter
-        (fun (db : Core.Datablock.t) ->
-          List.iter
-            (fun (b : Workload.Request.t) ->
-              if not (Hashtbl.mem counted b.Workload.Request.id) then begin
-                Hashtbl.add counted b.Workload.Request.id ();
-                confirmed := !confirmed + b.Workload.Request.count;
-                Stats.Meter.add confirm_meter ~at b.Workload.Request.count;
-                Obs.Histogram.record latency
-                  (Int64.to_int Sim_time.(at - b.Workload.Request.born))
-              end)
-            db.Core.Datablock.batches)
-        dbs
-    end
-  in
-  let replicas =
-    Array.init n (fun id ->
-        let r =
-          { engine;
-            network;
-            cfg;
-            id;
-            leader;
-            sk = snd keys.(id);
-            tsetup;
-            tkey = tkeys.(id);
-            silent = List.mem id silent_set;
-            cpu = Net.Cpu.create engine ~cores:cfg.cores;
-            mempool = Core.Mempool.create ();
-            pool = Core.Datablock_pool.create ();
-            pks;
-            blocks = Hashtbl.create 256;
-            voted_up_to = 0;
-            votes = Hashtbl.create 64;
-            high_qc = None;
-            next_height = 1;
-            committed_up_to = 0;
-            commit_target = 0;
-            db_counter = 1;
-            last_proposal = Sim_time.zero;
-            last_partial_pack = Sim_time.zero;
-            waiting = Hashtbl.create 16;
-            fetch_inflight = Hash.Set.empty;
-            on_commit }
-        in
-        Net.Network.set_handler network id (fun ~src m -> handle r ~src m);
-        r)
-  in
-  Array.iter (fun r -> if active r then tick r) replicas;
-  let targets =
-    List.filter
-      (fun id -> (not (Net.Node_id.equal id leader)) && not (List.mem id silent_set))
-      (List.init n Fun.id)
-  in
-  let gen =
-    let tick_span = if n >= 128 then Sim_time.ms 100 else Sim_time.ms 20 in
-    Workload.Generator.start engine ~rate:sp.load ~payload:cfg.payload ~targets ~tick:tick_span
-      ~inject:(fun ~dst ~size cb -> Net.Network.inject network ~dst ~size ~category:"client-req" cb)
-      ~submit:(fun ~target b -> submit replicas.(target) b)
-      ~until:sp.duration ()
-  in
-  ignore (Engine.schedule_at engine ~at:sp.warmup (fun () -> Net.Network.reset_stats network));
-  Engine.run ~until:sp.duration engine;
-  let window_sec = Sim_time.to_sec Sim_time.(sp.duration - sp.warmup) in
-  let acct = Net.Network.stats network leader in
-  let bytes =
-    Net.Bandwidth.total acct Net.Bandwidth.Sent + Net.Bandwidth.total acct Net.Bandwidth.Received
-  in
-  { n;
-    offered = Workload.Generator.offered gen;
-    confirmed = !confirmed;
-    throughput = Stats.Meter.rate confirm_meter ~from_:sp.warmup ~until:sp.duration;
-    latency = Obs.Histogram.snapshot latency;
-    leader_bps = (if window_sec <= 0. then 0. else 8. *. float_of_int bytes /. window_sec);
-    committed_heights = !committed_heights;
-    safety_ok = !safety_ok }
+  let client_tick = if n >= 128 then Sim_time.ms 100 else Sim_time.ms 20 in
+  Baseline.run sp ~n ~f:cfg.f ~payload:cfg.payload ~meta ~tick:client_tick (fun (ctx : msg Baseline.ctx) ->
+      let keys = Array.init n (fun _ -> Crypto.Signature.keygen ctx.key_rng) in
+      let pks = Array.map fst keys in
+      let tsetup, tkeys = Ts.keygen ctx.key_rng ~threshold:(2 * cfg.f) ~parties:n in
+      let on_commit ~height block dbs =
+        ctx.commit ~height ~digest:(block_hash block)
+          (List.concat_map (fun (db : Core.Datablock.t) -> db.batches) dbs)
+      in
+      let replicas =
+        Array.init n (fun id ->
+            let r =
+              { engine = ctx.engine;
+                network = ctx.network;
+                cfg;
+                id;
+                leader = ctx.leader;
+                sk = snd keys.(id);
+                tsetup;
+                tkey = tkeys.(id);
+                silent = ctx.is_silent id;
+                cpu = Net.Cpu.create ctx.engine ~cores:cfg.cores;
+                mempool = Core.Mempool.create ();
+                pool = Core.Datablock_pool.create ();
+                pks;
+                blocks = Hashtbl.create 256;
+                voted_up_to = 0;
+                votes = Hashtbl.create 64;
+                high_qc = None;
+                next_height = 1;
+                committed_up_to = 0;
+                commit_target = 0;
+                db_counter = 1;
+                last_proposal = Sim_time.zero;
+                last_partial_pack = Sim_time.zero;
+                waiting = Hashtbl.create 16;
+                fetch_inflight = Hash.Set.empty;
+                on_commit }
+            in
+            Net.Network.set_handler ctx.network id (fun ~src m -> handle r ~src m);
+            r)
+      in
+      Array.iter (fun r -> if active r then tick r) replicas;
+      (* Clients submit to the non-leader replicas, which pack datablocks. *)
+      let targets =
+        List.filter
+          (fun id -> (not (Net.Node_id.equal id ctx.leader)) && not (ctx.is_silent id))
+          (List.init n Fun.id)
+      in
+      { targets; submit = (fun ~target b -> submit replicas.(target) b) })

@@ -47,36 +47,9 @@ val make_cfg :
     BFTsize/4 links per block (chain blocks are smaller since they are
     sequential); timers at 500 ms. *)
 
-type spec = {
-  cfg : cfg;
-  link : Net.Network.link;
-  seed : int64;
-  load : float;
-  duration : Sim.Sim_time.span;
-  warmup : Sim.Sim_time.span;
-  silent : int;
-}
+val spec : cfg:cfg -> cfg Baseline.options
+(** {!Baseline.spec} with [f] from [cfg]. *)
 
-val spec :
-  cfg:cfg ->
-  ?link:Net.Network.link ->
-  ?seed:int64 ->
-  ?load:float ->
-  ?duration:Sim.Sim_time.span ->
-  ?warmup:Sim.Sim_time.span ->
-  ?silent:int ->
-  unit ->
-  spec
-
-type report = {
-  n : int;
-  offered : int;
-  confirmed : int;
-  throughput : float;
-  latency : Obs.Histogram.snapshot;
-  leader_bps : float;
-  committed_heights : int;
-  safety_ok : bool;
-}
-
-val run : spec -> report
+val run : cfg Baseline.spec -> Baseline.report
+(** One chained-Leopard cluster, leader 0, clients submitting to the
+    honest non-leaders. *)

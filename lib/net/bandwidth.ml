@@ -34,4 +34,3 @@ let reset t =
   Hashtbl.reset t.sent;
   Hashtbl.reset t.received
 
-let merge_totals ts dir = List.fold_left (fun acc t -> acc + total t dir) 0 ts

@@ -25,5 +25,3 @@ val category_total : t -> direction -> string -> int
 val reset : t -> unit
 (** Zeroes all counters (used at the end of the warmup window). *)
 
-val merge_totals : t list -> direction -> int
-(** Sum of totals over several accounts. *)

@@ -7,12 +7,11 @@ type t = {
   engine : Engine.t;
   cores : int array;               (* ns instant each core becomes free *)
   mutable busy_ns : int;
-  mutable depth : int;
 }
 
 let create engine ~cores =
   assert (cores >= 1);
-  { engine; cores = Array.make cores 0; busy_ns = 0; depth = 0 }
+  { engine; cores = Array.make cores 0; busy_ns = 0 }
 
 let earliest_core t =
   let best = ref 0 in
@@ -28,13 +27,8 @@ let submit_ns t ~cost_ns f =
   let finish = start + cost_ns in
   t.cores.(core) <- finish;
   t.busy_ns <- t.busy_ns + cost_ns;
-  t.depth <- t.depth + 1;
-  ignore
-    (Engine.schedule_ns t.engine ~delay_ns:(finish - now_ns) (fun () ->
-         t.depth <- t.depth - 1;
-         f ()))
+  ignore (Engine.schedule_ns t.engine ~delay_ns:(finish - now_ns) f)
 
 let submit t ~cost f = submit_ns t ~cost_ns:(Int64.to_int cost) f
 
 let busy_span t = Int64.of_int t.busy_ns
-let queue_depth t = t.depth

@@ -23,6 +23,3 @@ val submit_ns : t -> cost_ns:int -> (unit -> unit) -> unit
 
 val busy_span : t -> Sim.Sim_time.span
 (** Total core-busy time accumulated (for utilization metrics). *)
-
-val queue_depth : t -> int
-(** Number of tasks submitted but not yet completed. *)

@@ -22,7 +22,6 @@ let default_link =
     lanes = 1 }
 
 let mbps x = x *. 1e6
-let gbps x = x *. 1e9
 
 (* What travels through NICs: protocol messages, client injections, and
    external egress (client acks), each with enough context to finish the
@@ -238,4 +237,3 @@ let set_rates t ~out_bps ~in_bps =
 
 let stats t id = t.nodes.(id).account
 let reset_stats t = Array.iter (fun node -> Bandwidth.reset node.account) t.nodes
-let egress_queue_depth t id = Nic.queue_depth t.nodes.(id).egress

@@ -36,8 +36,6 @@ val default_link : link
 val mbps : float -> float
 (** [mbps x] is [x] megabits per second, for throttling sweeps. *)
 
-val gbps : float -> float
-
 type 'msg t
 
 val create : Sim.Engine.t -> n:int -> meta:'msg meta -> link:link -> 'msg t
@@ -111,5 +109,3 @@ val stats : 'msg t -> Node_id.t -> Bandwidth.t
 val reset_stats : 'msg t -> unit
 (** Zeroes all bandwidth accounts (end of warmup). *)
 
-val egress_queue_depth : 'msg t -> Node_id.t -> int
-(** Pending egress items; saturation indicator in tests and benches. *)

@@ -23,7 +23,6 @@ type 'a t = {
   low : item Queue.t;
   mutable in_flight : int;        (* lanes currently transmitting *)
   mutable busy_ns : int;
-  mutable depth : int;
 }
 
 let create ?(lanes = 1) engine ~rate_bps ~on_done =
@@ -35,8 +34,7 @@ let create ?(lanes = 1) engine ~rate_bps ~on_done =
     high = Queue.create ();
     low = Queue.create ();
     in_flight = 0;
-    busy_ns = 0;
-    depth = 0 }
+    busy_ns = 0 }
 
 (* Same rounding as [Sim_time.of_sec], kept in immediate ints. *)
 let tx_ns ~rate_bps ~size =
@@ -68,19 +66,16 @@ let rec start_next t =
 let submit_many t ~priority ~size ~copies payload =
   if copies >= 1 then begin
     let finish () =
-      t.depth <- t.depth - 1;
       t.in_flight <- t.in_flight - 1;
       t.on_done payload;
       start_next t
     in
     let q = match priority with High -> t.high | Low -> t.low in
     Queue.push { size; remaining = copies; finish } q;
-    t.depth <- t.depth + copies;
     start_next t
   end
 
 let submit t ~priority ~size payload = submit_many t ~priority ~size ~copies:1 payload
 
 let busy_span t = Int64.of_int t.busy_ns
-let queue_depth t = t.depth
 let set_rate t rate = t.rate_bps <- rate

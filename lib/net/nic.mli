@@ -37,9 +37,6 @@ val submit_many : 'a t -> priority:priority -> size:int -> copies:int -> 'a -> u
 val busy_span : 'a t -> Sim.Sim_time.span
 (** Accumulated transmission time (for utilization). *)
 
-val queue_depth : 'a t -> int
-(** Items queued or in flight. *)
-
 val set_rate : 'a t -> float -> unit
 (** Changes the line rate for subsequently started transmissions. *)
 

@@ -2,6 +2,4 @@ type t = int
 
 let equal = Int.equal
 let compare = Int.compare
-let to_member i = i + 1
-let of_member m = m - 1
 let pp fmt i = Format.fprintf fmt "r%d" i

@@ -1,16 +1,10 @@
 (** Replica identities.
 
-    Replicas are indexed [0 .. n-1]; the paper's 1-based member index for
-    threshold shares is [to_member]. *)
+    Replicas are indexed [0 .. n-1]. *)
 
 type t = int
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-
-val to_member : t -> int
-(** 1-based index used by the threshold signature scheme. *)
-
-val of_member : int -> t
 
 val pp : Format.formatter -> t -> unit

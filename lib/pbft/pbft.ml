@@ -18,20 +18,6 @@ let make_cfg ~n ?(batch_size = 400) ?(payload = 128) ?(window = 8)
   if n < 4 then invalid_arg "Pbft.make_cfg: n must be at least 4";
   { n; f = (n - 1) / 3; batch_size; payload; window; propose_timeout; cost; cores }
 
-type spec = {
-  cfg : cfg;
-  link : Net.Network.link;
-  seed : int64;
-  load : float;
-  duration : Sim_time.span;
-  warmup : Sim_time.span;
-  silent : int;
-}
-
-let spec ~cfg ?(link = Net.Network.default_link) ?(seed = 42L) ?(load = 1e5)
-    ?(duration = Sim_time.s 20) ?(warmup = Sim_time.s 5) ?silent () =
-  { cfg; link; seed; load; duration; warmup; silent = Option.value silent ~default:cfg.f }
-
 type block = {
   seq : int;
   batch : Workload.Request.t list;
@@ -97,7 +83,7 @@ type replica = {
   mutable next_seq : int;          (* leader *)
   mutable executed_up_to : int;    (* highest contiguous executed seq *)
   mutable last_proposal : Sim_time.t;
-  on_execute : id:Net.Node_id.t -> seq:int -> block -> unit;
+  on_execute : seq:int -> block -> unit;
 }
 
 let inst_of r seq =
@@ -129,7 +115,7 @@ let try_execute r =
          i.executed <- true;
          r.executed_up_to <- next;
          List.iter Workload.Request.mark_confirmed block.batch;
-         r.on_execute ~id:r.id ~seq:next block;
+         r.on_execute ~seq:next block;
          go ()
        | None -> ())
     | Some _ | None -> ()
@@ -257,112 +243,41 @@ let submit r b =
     if is_leader r then maybe_propose r
   end
 
-type report = {
-  n : int;
-  offered : int;
-  confirmed : int;
-  throughput : float;
-  latency : Obs.Histogram.snapshot;
-  leader_bps : float;
-  safety_ok : bool;
-}
+let spec ~cfg = Baseline.spec ~cfg ~f:cfg.f
 
-let run (sp : spec) =
+let run (sp : cfg Baseline.spec) =
   let cfg = sp.cfg in
   let n = cfg.n in
-  let engine = Engine.create ~seed:sp.seed () in
-  let network = Net.Network.create engine ~n ~meta ~link:sp.link in
-  let key_rng = Rng.split (Engine.rng engine) in
-  let keys = Array.init n (fun _ -> Sig.keygen key_rng) in
-  let pks = Array.map fst keys in
-  let leader = 0 in
-  let silent_set = List.init sp.silent (fun i -> n - 1 - i) in
-  let exec_counts : (int, int ref) Hashtbl.t = Hashtbl.create 1024 in
-  let counted : (int, unit) Hashtbl.t = Hashtbl.create 65536 in
-  let confirm_meter = Stats.Meter.create () in
-  let latency = Obs.Histogram.create () in
-  let confirmed = ref 0 in
-  let fp1 = cfg.f + 1 in
-  let executed_digests : (int, Hash.t) Hashtbl.t = Hashtbl.create 1024 in
-  let safety_ok = ref true in
-  let on_execute ~id:_ ~seq block =
-    (match Hashtbl.find_opt executed_digests seq with
-     | Some d -> if not (Hash.equal d (block_digest block)) then safety_ok := false
-     | None -> Hashtbl.add executed_digests seq (block_digest block));
-    let c =
-      match Hashtbl.find_opt exec_counts seq with
-      | Some c -> c
-      | None ->
-        let c = ref 0 in
-        Hashtbl.add exec_counts seq c;
-        c
-    in
-    incr c;
-    if !c = fp1 then begin
-      let at = Engine.now engine in
-      List.iter
-        (fun (b : Workload.Request.t) ->
-          if not (Hashtbl.mem counted b.Workload.Request.id) then begin
-            Hashtbl.add counted b.Workload.Request.id ();
-            confirmed := !confirmed + b.Workload.Request.count;
-            Stats.Meter.add confirm_meter ~at b.Workload.Request.count;
-            Obs.Histogram.record latency
-              (Int64.to_int Sim_time.(at - b.Workload.Request.born))
-          end)
-        block.batch
-    end
-  in
-  let replicas =
-    Array.init n (fun id ->
-        let r =
-          { engine;
-            network;
-            cfg;
-            id;
-            leader;
-            sk = snd keys.(id);
-            pks;
-            silent = List.mem id silent_set;
-            cpu = Net.Cpu.create engine ~cores:cfg.cores;
-            mempool = Queue.create ();
-            pending_reqs = 0;
-            instances = Hashtbl.create 64;
-            next_seq = 1;
-            executed_up_to = 0;
-            last_proposal = Sim_time.zero;
-            on_execute }
-        in
-        Net.Network.set_handler network id (fun ~src m -> handle r ~src m);
-        r)
-  in
-  let rec leader_tick () =
-    maybe_propose replicas.(leader);
-    ignore (Engine.schedule engine ~delay:cfg.propose_timeout (fun () -> leader_tick ()))
-  in
-  leader_tick ();
-  let gen =
-    let tick =
-      if sp.load <= 0. then Sim_time.ms 20
-      else
-        Sim_time.max (Sim_time.us 100)
-          (Sim_time.min (Sim_time.ms 20) (Sim_time.of_sec (32. /. sp.load)))
-    in
-    Workload.Generator.start engine ~rate:sp.load ~payload:cfg.payload ~targets:[ leader ] ~tick
-      ~inject:(fun ~dst ~size cb -> Net.Network.inject network ~dst ~size ~category:"client-req" cb)
-      ~submit:(fun ~target b -> submit replicas.(target) b)
-      ~until:sp.duration ()
-  in
-  ignore (Engine.schedule_at engine ~at:sp.warmup (fun () -> Net.Network.reset_stats network));
-  Engine.run ~until:sp.duration engine;
-  let window_sec = Sim_time.to_sec Sim_time.(sp.duration - sp.warmup) in
-  let acct = Net.Network.stats network leader in
-  let bytes =
-    Net.Bandwidth.total acct Net.Bandwidth.Sent + Net.Bandwidth.total acct Net.Bandwidth.Received
-  in
-  { n;
-    offered = Workload.Generator.offered gen;
-    confirmed = !confirmed;
-    throughput = Stats.Meter.rate confirm_meter ~from_:sp.warmup ~until:sp.duration;
-    latency = Obs.Histogram.snapshot latency;
-    leader_bps = (if window_sec <= 0. then 0. else 8. *. float_of_int bytes /. window_sec);
-    safety_ok = !safety_ok }
+  Baseline.run sp ~n ~f:cfg.f ~payload:cfg.payload ~meta (fun (ctx : msg Baseline.ctx) ->
+      let keys = Array.init n (fun _ -> Sig.keygen ctx.key_rng) in
+      let pks = Array.map fst keys in
+      let on_execute ~seq block = ctx.commit ~height:seq ~digest:(block_digest block) block.batch in
+      let replicas =
+        Array.init n (fun id ->
+            let r =
+              { engine = ctx.engine;
+                network = ctx.network;
+                cfg;
+                id;
+                leader = ctx.leader;
+                sk = snd keys.(id);
+                pks;
+                silent = ctx.is_silent id;
+                cpu = Net.Cpu.create ctx.engine ~cores:cfg.cores;
+                mempool = Queue.create ();
+                pending_reqs = 0;
+                instances = Hashtbl.create 64;
+                next_seq = 1;
+                executed_up_to = 0;
+                last_proposal = Sim_time.zero;
+                on_execute }
+            in
+            Net.Network.set_handler ctx.network id (fun ~src m -> handle r ~src m);
+            r)
+      in
+      let rec leader_tick () =
+        maybe_propose replicas.(ctx.leader);
+        ignore (Engine.schedule ctx.engine ~delay:cfg.propose_timeout (fun () -> leader_tick ()))
+      in
+      leader_tick ();
+      { targets = [ ctx.leader ]; submit = (fun ~target b -> submit replicas.(target) b) })

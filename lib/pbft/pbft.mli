@@ -31,35 +31,8 @@ val make_cfg :
   unit ->
   cfg
 
-type spec = {
-  cfg : cfg;
-  link : Net.Network.link;
-  seed : int64;
-  load : float;
-  duration : Sim.Sim_time.span;
-  warmup : Sim.Sim_time.span;
-  silent : int;
-}
+val spec : cfg:cfg -> cfg Baseline.options
+(** {!Baseline.spec} with [f] from [cfg]. *)
 
-val spec :
-  cfg:cfg ->
-  ?link:Net.Network.link ->
-  ?seed:int64 ->
-  ?load:float ->
-  ?duration:Sim.Sim_time.span ->
-  ?warmup:Sim.Sim_time.span ->
-  ?silent:int ->
-  unit ->
-  spec
-
-type report = {
-  n : int;
-  offered : int;
-  confirmed : int;
-  throughput : float;
-  latency : Obs.Histogram.snapshot;
-  leader_bps : float;
-  safety_ok : bool;
-}
-
-val run : spec -> report
+val run : cfg Baseline.spec -> Baseline.report
+(** One PBFT cluster, leader 0, clients submitting to the leader. *)

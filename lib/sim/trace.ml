@@ -2,7 +2,7 @@ type entry = { at : Sim_time.t; tag : string; detail : string }
 
 type t = {
   capacity : int;
-  mutable enabled : bool;
+  enabled : bool;
   buffer : entry Queue.t;
 }
 
@@ -10,7 +10,6 @@ let create ?(capacity = 65536) ?(enabled = true) () =
   { capacity; enabled; buffer = Queue.create () }
 
 let enabled t = t.enabled
-let set_enabled t v = t.enabled <- v
 
 let record t ~at ~tag detail =
   if t.enabled then begin

@@ -19,7 +19,6 @@ val create : ?capacity:int -> ?enabled:bool -> unit -> t
     entries (default 65536; oldest entries are dropped first). *)
 
 val enabled : t -> bool
-val set_enabled : t -> bool -> unit
 
 val record : t -> at:Sim_time.t -> tag:string -> string -> unit
 (** [record t ~at ~tag detail] appends an entry when the trace is enabled. *)

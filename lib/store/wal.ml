@@ -18,9 +18,6 @@ type fsync_policy = Always | Interval of int | Never
 
 type corruption = { segment : string; off : int; reason : string }
 
-let pp_corruption fmt c =
-  Format.fprintf fmt "%s at byte %d of %s" c.reason c.off c.segment
-
 type metrics = {
   append_lat : Obs.Histogram.t;
   fsync_lat : Obs.Histogram.t;

@@ -19,8 +19,6 @@ type corruption = { segment : string; off : int; reason : string }
 (** Where a recovery scan stopped: byte offset of the first bad frame in
     [segment], and which header check failed. *)
 
-val pp_corruption : Format.formatter -> corruption -> unit
-
 type t
 
 val create :

@@ -167,15 +167,7 @@ let pressure t =
       (fun _ oc acc -> Float.max acc (float_of_int oc.q_bytes /. float_of_int t.hwm))
       t.outs 0.
 
-let peer_pressure t dst =
-  if t.hwm <= 0 then 0.
-  else
-    match Hashtbl.find_opt t.outs dst with
-    | None -> 0.
-    | Some oc -> float_of_int oc.q_bytes /. float_of_int t.hwm
-
 let set_fault t f = t.fault <- f
-let faulted t = t.faulted
 let stats t = t.stats
 let pool t = t.pool
 let set_max_write t n = t.max_write <- (if n <= 0 then max_int else n)

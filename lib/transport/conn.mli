@@ -94,8 +94,9 @@ val multicast : t -> n:int -> Core.Msg.t -> unit
     faulty {e link}: installed by the chaos harness, it is consulted for
     every outbound message before framing (self-sends excluded) and can
     drop the message, hold it back for a span, or send it twice. Dropped,
-    delayed and duplicated messages are counted in {!faulted}
-    (separately from {!dropped}, which counts capacity losses). *)
+    delayed and duplicated messages are counted in the
+    [leopard_transport_faulted_total] metric (separately from
+    {!dropped}, which counts capacity losses). *)
 
 type fault_verdict =
   | Pass
@@ -105,9 +106,6 @@ type fault_verdict =
 
 val set_fault : t -> (dst:Net.Node_id.t -> Core.Msg.t -> fault_verdict) option -> unit
 (** Installs (or with [None] removes) the outbound fault filter. *)
-
-val faulted : t -> int
-(** Messages the fault filter dropped, delayed or duplicated so far. *)
 
 val set_down : t -> bool -> unit
 (** See above. Listener stays bound while down (the port remains
@@ -143,9 +141,6 @@ val pressure : t -> float
     the HWM. [0.] = idle; [>= 1.] = at or beyond the bulk-frame drop
     threshold. Drives the replica's pacing and the cluster client's
     throttling. *)
-
-val peer_pressure : t -> Net.Node_id.t -> float
-(** Per-peer variant of {!pressure} ([0.] for a peer never sent to). *)
 
 val live_connections : t -> int
 (** Established connections, both directions (diagnostics / tests). *)

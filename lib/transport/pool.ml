@@ -40,7 +40,6 @@ let create ?(debug = false) () =
     debug;
     stats = { acquires = 0; hits = 0; releases = 0; dropped = 0; held_bytes = 0 } }
 
-let debug_enabled t = t.debug
 let stats t = t.stats
 
 (* Smallest class index whose size is >= n, or None above max_class. *)
@@ -94,4 +93,3 @@ let release t b =
     t.stats.dropped <- t.stats.dropped + 1;
     t.stats.held_bytes <- t.stats.held_bytes - len
 
-let free_buffers t = Array.fold_left (fun acc l -> acc + List.length !l) 0 t.classes

@@ -46,7 +46,4 @@ val max_class : int
 val poison_byte : char
 (** [0xDE]. *)
 
-val debug_enabled : t -> bool
 val stats : t -> stats
-val free_buffers : t -> int
-(** Buffers currently sitting in free lists (diagnostics / tests). *)

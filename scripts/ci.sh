@@ -65,6 +65,13 @@ run_examples() {
   done
 }
 run_step examples run_examples
+# the HotStuff and PBFT baselines at n=4; each exits non-zero when its
+# commit-time safety check fails, and together they take under a second
+run_baselines() {
+  dune exec bin/leopard_cli.exe -- hotstuff -n 4 --duration 3 --warmup 1 &&
+    dune exec bin/leopard_cli.exe -- pbft -n 4 --duration 3 --warmup 1
+}
+run_step baselines run_baselines
 run_step tcp-smoke dune exec bin/leopard_cli.exe -- local-cluster -n 4 --load 2000 \
   --duration 3 --min-confirmed 1000 --drain 10 --metrics-out _ci_logs/tcp-smoke.prom
 # the corpus on each plane at n=4, one step per plane: the sim run takes

@@ -14,32 +14,36 @@ let spec ?(load = 2000.) ?silent cfg =
 
 let test_progress_and_safety () =
   let r = Pbft.run (spec (cfg ())) in
-  checkb "confirms requests" true (r.Pbft.confirmed > 0);
-  checkb "safety" true r.Pbft.safety_ok;
-  checkb "most confirmed" true (r.Pbft.confirmed > r.Pbft.offered * 8 / 10)
+  checkb "confirms requests" true (r.Baseline.confirmed > 0);
+  checkb "safety" true r.Baseline.safety_ok;
+  checkb "most confirmed" true (r.Baseline.confirmed > r.Baseline.offered * 8 / 10);
+  checkb "heights committed" true (r.Baseline.committed_heights > 0);
+  (* Every request carries the default 128-byte payload. *)
+  Alcotest.(check (float 1e-6)) "goodput is 128 B per confirmed request"
+    (8. *. 128. *. r.Baseline.throughput) r.Baseline.goodput_bps
 
 (* A fixed run pinned field by field: the shared baseline harness must
    keep what PBFT simulates, so these numbers only move when the PBFT
    state machine itself changes. *)
-let render_summary (r : Pbft.report) =
+let render_summary (r : Baseline.report) =
   Printf.sprintf "offered=%d confirmed=%d leader_bps=%.0f p50=%.6f p99=%.6f safety=%b"
-    r.Pbft.offered r.Pbft.confirmed r.Pbft.leader_bps
-    (Obs.Histogram.Snapshot.quantile r.Pbft.latency 0.50 /. 1e9)
-    (Obs.Histogram.Snapshot.quantile r.Pbft.latency 0.99 /. 1e9)
-    r.Pbft.safety_ok
+    r.Baseline.offered r.Baseline.confirmed r.Baseline.leader_bps
+    (Obs.Histogram.Snapshot.quantile r.Baseline.latency 0.50 /. 1e9)
+    (Obs.Histogram.Snapshot.quantile r.Baseline.latency 0.99 /. 1e9)
+    r.Baseline.safety_ok
 
 let golden_seed13_summary =
   "offered=16000 confirmed=15968 leader_bps=8697600 p50=0.015335 p99=0.019550 safety=true"
 
 let test_golden_seed13_summary () =
-  let sp = { (spec ~silent:1 (cfg ())) with Pbft.seed = 13L } in
+  let sp = { (spec ~silent:1 (cfg ())) with Baseline.seed = 13L } in
   Alcotest.(check string) "seed-13 summary" golden_seed13_summary (render_summary (Pbft.run sp))
 
 let test_silent_f () =
   let c = cfg ~n:7 () in
   let r = Pbft.run (spec ~silent:c.Pbft.f (cfg ~n:7 ())) in
-  checkb "live with f silent" true (r.Pbft.confirmed > 0);
-  checkb "safety" true r.Pbft.safety_ok
+  checkb "live with f silent" true (r.Baseline.confirmed > 0);
+  checkb "safety" true r.Baseline.safety_ok
 
 let test_quadratic_votes_show_in_traffic () =
   (* All-to-all voting: total vote traffic grows ~n^2, visible already in
@@ -53,8 +57,8 @@ let test_quadratic_votes_show_in_traffic () =
          ~link:slow ~load:20_000. ~duration:(Sim_time.s 10) ~warmup:(Sim_time.s 3) ~silent:0 ())
   in
   let r4 = run 4 and r10 = run 10 in
-  checkb "n=10 slower than n=4" true (r10.Pbft.throughput < r4.Pbft.throughput);
-  checkb "n=10 still progresses" true (r10.Pbft.confirmed > 0)
+  checkb "n=10 slower than n=4" true (r10.Baseline.throughput < r4.Baseline.throughput);
+  checkb "n=10 still progresses" true (r10.Baseline.confirmed > 0)
 
 let () =
   Alcotest.run "pbft"

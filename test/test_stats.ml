@@ -55,33 +55,6 @@ let test_series_render () =
   checkb "missing rendered as dash" true
     (List.exists (fun l -> String.length l > 0 && l.[0] = '2' && String.contains l '-') lines)
 
-(* -- Breakdown ----------------------------------------------------------------- *)
-
-let test_breakdown () =
-  let b = Stats.Breakdown.create () in
-  Stats.Breakdown.add b "x" 1.;
-  Stats.Breakdown.add b "y" 3.;
-  Stats.Breakdown.add b "x" 1.;
-  checkf 1e-9 "value" 2. (Stats.Breakdown.value b "x");
-  checkf 1e-9 "total" 5. (Stats.Breakdown.total b);
-  checkf 1e-9 "share" 0.4 (Stats.Breakdown.share b "x");
-  checkb "unknown zero" true (Stats.Breakdown.value b "zzz" = 0.);
-  Alcotest.(check (list (pair string (float 1e-9))))
-    "insertion order" [ ("x", 2.); ("y", 3.) ] (Stats.Breakdown.components b)
-
-let contains_substring hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
-let test_breakdown_render () =
-  let b = Stats.Breakdown.create () in
-  Stats.Breakdown.add b "gen" 1.;
-  Stats.Breakdown.add b "net" 3.;
-  let out = Stats.Breakdown.render_percent ~grouping:[ ("Prep", [ "gen"; "net" ]) ] b in
-  checkb "renders SUM" true (contains_substring out "SUM");
-  checkb "renders 75%" true (contains_substring out "75.00%")
-
 (* -- Text table ------------------------------------------------------------------ *)
 
 let test_text_table () =
@@ -107,9 +80,6 @@ let () =
       ( "series",
         [ Alcotest.test_case "points" `Quick test_series;
           Alcotest.test_case "render" `Quick test_series_render ] );
-      ( "breakdown",
-        [ Alcotest.test_case "accumulate" `Quick test_breakdown;
-          Alcotest.test_case "render percent" `Quick test_breakdown_render ] );
       ( "text table",
         [ Alcotest.test_case "render" `Quick test_text_table;
           Alcotest.test_case "kv" `Quick test_text_table_kv ] ) ]
