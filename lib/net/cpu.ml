@@ -1,8 +1,8 @@
 open Sim
 
 (* Core-free instants and the busy accumulator are nanosecond ints so the
-   per-message [submit] path allocates nothing but its completion closure
-   (int64 spans would box on every compare/add without flambda). *)
+   per-message [submit] path allocates nothing beyond the engine event
+   that runs the caller's callback (int64 spans would box on every compare/add without flambda). *)
 type t = {
   engine : Engine.t;
   cores : int array;               (* ns instant each core becomes free *)
