@@ -115,6 +115,7 @@ type t = {
   mutable recovering : bool;
   mutable last_partial_pack : Sim_time.t;
   mutable last_partial_propose : Sim_time.t;
+  mutable propose_queued : bool;  (* a round-batched proposal task is queued *)
   (* the proposal clock: bumping [pack_clock] disarms the pending clock
      pack; [timer_packing] holds from an age-rule pack to the next α-full
      one; [vote_rtt] is the last prepare-vote -> notarization time *)
@@ -490,6 +491,30 @@ let rec maybe_propose t =
       end
     end
   end
+
+(* Round-batched idle proposals. A datablock that finds the short timer
+   open and the pool under BFTsize would be proposed alone, and the ones
+   that land microseconds after it would wait a whole [proposal_timeout].
+   So the arrival queues one zero-cost task instead: on the socket
+   runtime it runs after every fd ready in this loop round has been
+   dispatched, so the one proposal links every datablock of the round;
+   on the sim plane it runs at the same instant. The flag coalesces a
+   round's arrivals into one task. The BFTsize rule stays inline. *)
+let propose_on_arrival t =
+  if
+    is_leader t && (not t.in_view_change)
+    && Int64.compare t.cfg.proposal_timeout 0L > 0
+    && Sim_time.compare (now t) t.last_partial_propose > 0
+    && Datablock_pool.pending t.pool < t.cfg.bft_size
+  then begin
+    if not t.propose_queued then begin
+      t.propose_queued <- true;
+      with_cpu t 0L (fun () ->
+          t.propose_queued <- false;
+          maybe_propose t)
+    end
+  end
+  else maybe_propose t
 
 (* ----------------------------------------------------------------- *)
 (* Execution, acknowledgments and checkpoints (Algorithm 3)           *)
@@ -1264,7 +1289,7 @@ let on_datablock_verified t (db : Datablock.t) ~is_fetch_reply =
       db.Datablock.batches;
     retry_waiting_proposals t;
     try_execute t;
-    maybe_propose t
+    propose_on_arrival t
   | Datablock_pool.Duplicate -> ()
   | Datablock_pool.Executed ->
     tracef t "datablock.refused" "executed slot %a" Datablock.pp db
@@ -1631,6 +1656,7 @@ let create ~platform ~cfg ~id ~sk ~pks ~tsetup ~tkey ?obs ?(strategy = Byzantine
       recovering = false;
       last_partial_pack = Sim_time.zero;
       last_partial_propose = Sim_time.zero;
+      propose_queued = false;
       pack_clock = 0;
       timer_packing = true;
       vote_rtt = None;

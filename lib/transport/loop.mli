@@ -49,7 +49,13 @@ val now_ns : t -> int
 val schedule : t -> delay:Sim.Sim_time.span -> (unit -> unit) -> handle
 (** [schedule t ~delay f] runs [f] once [delay] has elapsed (negative
     delays clamp to zero). Timers due at the same instant fire in
-    schedule order. *)
+    schedule order.
+
+    A zero-delay timer set during fd dispatch runs in the same round:
+    after every fd that was ready in that round has been dispatched, and
+    before the loop can block again. So work a round's callbacks defer
+    this way sees everything that round read ([Core.Replica] batches a
+    round's datablocks into one proposal on this). *)
 
 val schedule_at : t -> at:Sim.Sim_time.t -> (unit -> unit) -> handle
 

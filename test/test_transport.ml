@@ -237,6 +237,38 @@ let test_loop_fd_write_readiness loop =
   checki "the read side stays watched" 1 !readable;
   close_pair loop p
 
+(* The contract round-batched proposals rest on: a zero-delay timer set
+   by the first of two ready fds runs after the second is dispatched, in
+   the same round. *)
+let test_loop_zero_delay_after_dispatch loop =
+  let a1, b1 = pair () and a2, b2 = pair () in
+  ignore (Unix.write_substring b1 "x" 0 1 : int);
+  ignore (Unix.write_substring b2 "x" 0 1 : int);
+  let round = ref 0 and events = ref [] in
+  let note what = events := (what, !round) :: !events in
+  let cb fd () =
+    ignore (Unix.read fd (Bytes.create 1) 0 1 : int);
+    note "read";
+    if List.length !events = 1 then
+      ignore
+        (Transport.Loop.schedule loop ~delay:0L (fun () -> note "task")
+          : Transport.Loop.handle)
+  in
+  Transport.Loop.watch_read loop a1 (cb a1);
+  Transport.Loop.watch_read loop a2 (cb a2);
+  (* [run_while] checks its predicate once per round *)
+  Transport.Loop.run_while loop (fun () ->
+      incr round;
+      !round <= 3);
+  (match List.rev !events with
+   | [ ("read", r1); ("read", r2); ("task", r3) ] ->
+     checkb "both reads and the task in one round" true (r1 = r2 && r2 = r3)
+   | evs ->
+     Alcotest.failf "want read, read, task; got %s"
+       (String.concat ", " (List.map (fun (w, r) -> Printf.sprintf "%s@%d" w r) evs)));
+  close_pair loop (a1, b1);
+  close_pair loop (a2, b2)
+
 (* /proc/self/limits' soft "Max open files"; [None] when unreadable. *)
 let soft_fd_limit () =
   match open_in "/proc/self/limits" with
@@ -286,7 +318,9 @@ let loop_fd_cases =
         Alcotest.test_case ("unwatch in callback stops dispatch, " ^ name) `Quick
           (with_loop ~epoll mk test_loop_fd_unwatch_in_callback);
         Alcotest.test_case ("write readiness and unwatch_write, " ^ name) `Quick
-          (with_loop ~epoll mk test_loop_fd_write_readiness) ])
+          (with_loop ~epoll mk test_loop_fd_write_readiness);
+        Alcotest.test_case ("zero-delay timer ends round, " ^ name) `Quick
+          (with_loop ~epoll mk test_loop_zero_delay_after_dispatch) ])
     pollers
   @ [ Alcotest.test_case "fd above 1024, epoll" `Quick test_loop_fd_above_1024 ]
 
@@ -791,6 +825,47 @@ let test_tcp_cluster_survives_fault_and_reconnects () =
     (Core.Driver.ledgers_agree (Transport.Cluster.driver cluster));
   Transport.Cluster.close cluster
 
+(* An idle view-1 leader that receives one datablock from each
+   non-leader in one loop round proposes them together: the first
+   BFTblock links all n-1, not the first arrival alone while the rest
+   wait a whole [proposal_timeout]. alpha = 1 packs each request on
+   submit, and BFTsize 8 keeps the full-block rule out of play. *)
+let test_tcp_first_proposal_links_round () =
+  let cfg =
+    Core.Config.make ~n:4 ~alpha:1 ~bft_size:8 ~k:16 ~payload:64
+      ~datablock_timeout:(Sim.Sim_time.ms 20) ~proposal_timeout:(Sim.Sim_time.ms 20)
+      ~view_timeout:(Sim.Sim_time.s 120) ~fetch_grace:(Sim.Sim_time.ms 200)
+      ~cost:Crypto.Cost_model.free ()
+  in
+  let cluster = Transport.Cluster.create ~cfg ~verify_domains:0 () in
+  let loop = Transport.Cluster.loop cluster in
+  let replicas = Transport.Cluster.replicas cluster in
+  let leader = Core.Config.leader_of_view cfg 1 in
+  Array.iteri
+    (fun id r ->
+      if id <> leader then
+        let b =
+          Workload.Request.make ~id ~count:1 ~size_each:64 ~born:(Transport.Loop.now loop) ()
+        in
+        match Core.Replica.submit r b with
+        | Core.Replica.Admitted -> ()
+        | Core.Replica.Rejected _ -> Alcotest.failf "replica %d refused the request" id)
+    replicas;
+  let ledger = Core.Replica.ledger replicas.(leader) in
+  let ok =
+    run_until_or_deadline cluster
+      ~deadline_ns:(Transport.Loop.now_ns loop + 10_000_000_000)
+      (fun _ -> Core.Ledger.is_confirmed ledger 1)
+  in
+  checkb "the leader confirmed serial 1" true ok;
+  let links =
+    match Core.Ledger.get ledger 1 with
+    | Some b -> List.length b.Core.Bftblock.links
+    | None -> 0
+  in
+  checki "the first proposal links every non-leader's datablock" 3 links;
+  Transport.Cluster.close cluster
+
 (* The full four-layer metrics surface on the real stack: one short TCP
    run with a registry attached must leave series from the consensus
    layer (per-replica counters, a NON-empty confirm-latency histogram),
@@ -887,5 +962,7 @@ let () =
             test_tcp_cluster_commits_and_converges;
           Alcotest.test_case "metrics cover all four layers" `Quick
             test_tcp_cluster_metrics_all_layers;
+          Alcotest.test_case "first proposal links the round" `Quick
+            test_tcp_first_proposal_links_round;
           Alcotest.test_case "fault: kill, survive, reconnect" `Quick
             test_tcp_cluster_survives_fault_and_reconnects ] ) ]
