@@ -38,7 +38,8 @@ type t = {
 
 let header_overhead_bytes = 48 (* creator + counter + digest *)
 
-let digest_of_batches batches = Crypto.Merkle.root (List.map Workload.Request.hash batches)
+let digest_of_batches batches =
+  Crypto.Merkle.root_with ~leaf:Workload.Request.hash_into batches
 
 (* The bytes of [Printf.sprintf "dbhdr:%d:%d:%s"], built without Printf. *)
 let header_encoding h =

@@ -6,12 +6,12 @@ let parent l r = Hash.combine [ l; r ]
 (* [root] is the hot path: it runs once per datablock creation and once
    per receiver-side verification, over alpha leaves. The list-based
    [level_up] allocates a fresh list per level (~33 words per inner node);
-   instead the levels are computed into two ping-pong scratch buffers with
-   [Sha256.digest_pair_into], so a root costs exactly one 32-byte string
-   allocation (the result) regardless of width. The scratch grows to the
-   widest leaf set seen and is reused; it lives in domain-local storage so
-   concurrent [root] calls from different domains each get their own and
-   cannot corrupt one another. *)
+   instead the leaves are written into, and the levels computed in, two
+   ping-pong scratch buffers with [Sha256.digest_pair_into], so a root
+   costs exactly one 32-byte string allocation (the result) regardless of
+   width. The scratch grows to the widest leaf set seen and is reused; it
+   lives in domain-local storage so concurrent [root] calls from different
+   domains each get their own and cannot corrupt one another. *)
 type scratch = { mutable a : Bytes.t; mutable b : Bytes.t }
 
 let scratch_key =
@@ -29,15 +29,20 @@ let ensure_scratch s need =
     s.b <- Bytes.create !cap
   end
 
-let root = function
+let rec fill leaf dst i = function
+  | [] -> ()
+  | x :: rest ->
+    leaf x dst (i * Hash.size_bytes);
+    fill leaf dst (i + 1) rest
+
+let root_with ~leaf = function
   | [] -> Hash.of_string ""
-  | [ x ] -> x
-  | leaves ->
-    let n = List.length leaves in
+  | xs ->
+    let n = List.length xs in
     let s = Domain.DLS.get scratch_key in
     ensure_scratch s (n * Hash.size_bytes);
+    fill leaf s.a 0 xs;
     let src = ref s.a and dst = ref s.b in
-    List.iteri (fun i h -> Bytes.blit_string (Hash.raw h) 0 !src (i * Hash.size_bytes) Hash.size_bytes) leaves;
     let width = ref n in
     while !width > 1 do
       let pairs = !width / 2 in
@@ -57,6 +62,10 @@ let root = function
       dst := t
     done;
     Hash.of_raw (Bytes.sub_string !src 0 Hash.size_bytes)
+
+let blit_leaf h dst off = Bytes.blit_string (Hash.raw h) 0 dst off Hash.size_bytes
+
+let root = function [ x ] -> x | leaves -> root_with ~leaf:blit_leaf leaves
 
 let prove leaves i =
   let n = List.length leaves in

@@ -15,6 +15,12 @@ val root : Hash.t list -> Hash.t
     digest: intermediate levels are computed in domain-local scratch, so
     concurrent calls from different domains are safe. *)
 
+val root_with : leaf:('a -> bytes -> int -> unit) -> 'a list -> Hash.t
+(** [root_with ~leaf xs] is the root over the leaf digests of [xs], where
+    [leaf x dst off] writes the 32-byte digest of [x] at [dst.(off..+31)].
+    Equal to [root] of those digests, without a list or a string per
+    leaf. *)
+
 val prove : Hash.t list -> int -> proof option
 (** [prove leaves i] is the inclusion proof of leaf [i], or [None] when
     [i] is out of range. *)

@@ -10,6 +10,12 @@ external digest_string : string -> string = "leopard_sha256_digest"
 external pair_into : bytes -> int -> bytes -> int -> unit = "leopard_sha256_pair" [@@noalloc]
 external hmac_c : string -> string -> string = "leopard_sha256_hmac"
 
+external digest_into : bytes -> int -> int -> bytes -> int -> unit = "leopard_sha256_digest_into"
+[@@noalloc]
+
+external hmac_key_c : string -> string = "leopard_sha256_hmac_key"
+external hmac_check : string -> string -> string -> bool = "leopard_sha256_hmac_check" [@@noalloc]
+
 let backend = if select_sha_ni () then "sha-ni" else "portable"
 
 let digest_strings parts = digest_string (String.concat "" parts)
@@ -20,7 +26,18 @@ let digest_pair_into ~src ~src_off ~dst ~dst_off =
   then invalid_arg "Sha256.digest_pair_into";
   pair_into src src_off dst dst_off
 
+let digest_bytes_into ~src ~src_off ~len ~dst ~dst_off =
+  if src_off < 0 || len < 0 || src_off + len > Bytes.length src || dst_off < 0
+     || dst_off + 32 > Bytes.length dst
+  then invalid_arg "Sha256.digest_bytes_into";
+  digest_into src src_off len dst dst_off
+
 let hmac ~key msg = hmac_c key msg
+
+type hmac_key = string
+
+let hmac_key key = hmac_key_c key
+let hmac_verify key msg ~tag = hmac_check key msg tag
 
 let hex_chars = "0123456789abcdef"
 

@@ -10,7 +10,7 @@
     picks the x86 SHA extensions when cpuid reports them, and portable C
     otherwise; both give the same digests, and {!backend} names the one
     in use. The one-shot functions ({!digest_string}, {!digest_pair_into},
-    {!hmac}) are one C call each. *)
+    {!digest_bytes_into}, {!hmac}, {!hmac_verify}) are one C call each. *)
 
 val backend : string
 (** ["sha-ni"] or ["portable"]: the compressor chosen at startup. *)
@@ -29,9 +29,26 @@ val digest_pair_into : src:bytes -> src_off:int -> dst:bytes -> dst_off:int -> u
     primitive. Equal to [digest_string (Bytes.sub_string src src_off
     64)]. Safe to call from any domain. *)
 
+val digest_bytes_into : src:bytes -> src_off:int -> len:int -> dst:bytes -> dst_off:int -> unit
+(** Digest of the [len] bytes at [src_off] in [src], written to
+    [dst.(dst_off..+31)] without allocating. Equal to [digest_string
+    (Bytes.sub_string src src_off len)]. Safe to call from any domain. *)
+
 val hmac : key:string -> string -> string
 (** HMAC-SHA256 (RFC 2104); the primitive under the simulated signature
     schemes. *)
+
+type hmac_key
+(** An HMAC key schedule: the two SHA-256 states after the key's ipad
+    and opad blocks. *)
+
+val hmac_key : string -> hmac_key
+(** The schedule of a key, computed once so that each check under it
+    skips the two key-block compressions. *)
+
+val hmac_verify : hmac_key -> string -> tag:string -> bool
+(** [hmac_verify (hmac_key k) msg ~tag] is [String.equal tag (hmac ~key:k
+    msg)], without allocating. *)
 
 val to_hex : string -> string
 (** Lowercase hex rendering of a raw digest. *)

@@ -249,31 +249,80 @@ value leopard_sha256_pair(value v_src, value v_src_off, value v_dst, value v_dst
   return Val_unit;
 }
 
-/* HMAC-SHA256 (RFC 2104): the key is hashed first when longer than a
-   block; both passes run over the padded key block without copying the
-   message. */
-value leopard_sha256_hmac(value v_key, value v_msg)
+/* Digest of [len] bytes at [src_off] in [src], written to [dst] at
+   [dst_off]; allocates nothing. Bounds are checked by the caller. */
+value leopard_sha256_digest_into(value v_src, value v_src_off, value v_len, value v_dst,
+                                 value v_dst_off)
 {
-  const uint8_t *key = (const uint8_t *)String_val(v_key);
-  size_t klen = caml_string_length(v_key);
-  uint8_t kd[32], block[64], inner[32], tag[32];
+  digest(compress, Bytes_val(v_src) + Long_val(v_src_off), Long_val(v_len),
+         Bytes_val(v_dst) + Long_val(v_dst_off));
+  return Val_unit;
+}
+
+/* HMAC-SHA256 (RFC 2104) in two halves. The key schedule is the pair of
+   states after the ipad and opad blocks (the key is hashed first when
+   longer than a block); a tag is those states finished over the message
+   and over the inner digest. Both passes run over the padded key block
+   without copying the message. */
+static void hmac_schedule(const uint8_t *key, size_t klen, uint32_t ist[8], uint32_t ost[8])
+{
+  uint8_t kd[32], block[64];
   if (klen > 64) {
     digest(compress, key, klen, kd);
     key = kd;
     klen = 32;
   }
-  uint32_t st[8];
   memset(block, 0x36, 64);
   for (size_t i = 0; i < klen; i++) block[i] ^= key[i];
-  memcpy(st, IV, sizeof st);
-  compress(st, block, 1);
-  finish(compress, st, 64, (const uint8_t *)String_val(v_msg), caml_string_length(v_msg), inner);
+  memcpy(ist, IV, 8 * sizeof(uint32_t));
+  compress(ist, block, 1);
   memset(block, 0x5c, 64);
   for (size_t i = 0; i < klen; i++) block[i] ^= key[i];
-  memcpy(st, IV, sizeof st);
-  compress(st, block, 1);
+  memcpy(ost, IV, 8 * sizeof(uint32_t));
+  compress(ost, block, 1);
+}
+
+static void hmac_tag(const uint32_t ist[8], const uint32_t ost[8], const uint8_t *msg,
+                     size_t len, uint8_t tag[32])
+{
+  uint32_t st[8];
+  uint8_t inner[32];
+  memcpy(st, ist, sizeof st);
+  finish(compress, st, 64, msg, len, inner);
+  memcpy(st, ost, sizeof st);
   finish(compress, st, 64, inner, 32, tag);
+}
+
+value leopard_sha256_hmac(value v_key, value v_msg)
+{
+  uint32_t ist[8], ost[8];
+  uint8_t tag[32];
+  hmac_schedule((const uint8_t *)String_val(v_key), caml_string_length(v_key), ist, ost);
+  hmac_tag(ist, ost, (const uint8_t *)String_val(v_msg), caml_string_length(v_msg), tag);
   return string_of_digest(tag);
+}
+
+/* The key schedule as a 64-byte string: the two states in host word
+   order, opaque to OCaml and never leaving the process. */
+value leopard_sha256_hmac_key(value v_key)
+{
+  uint32_t st[16];
+  hmac_schedule((const uint8_t *)String_val(v_key), caml_string_length(v_key), st, st + 8);
+  value s = caml_alloc_string(sizeof st);
+  memcpy(Bytes_val(s), st, sizeof st);
+  return s;
+}
+
+/* Whether [v_tag] is the HMAC of [v_msg] under a schedule from
+   [leopard_sha256_hmac_key]; allocates nothing. */
+value leopard_sha256_hmac_check(value v_sched, value v_msg, value v_tag)
+{
+  uint32_t st[16];
+  uint8_t tag[32];
+  if (caml_string_length(v_tag) != 32) return Val_false;
+  memcpy(st, String_val(v_sched), sizeof st);
+  hmac_tag(st, st + 8, (const uint8_t *)String_val(v_msg), caml_string_length(v_msg), tag);
+  return Val_bool(memcmp(tag, String_val(v_tag), 32) == 0);
 }
 
 /* Test-only: one backend by name (0 portable, 1 SHA-NI), whatever

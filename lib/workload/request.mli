@@ -42,3 +42,8 @@ val encode : t -> string
 (** Deterministic encoding used for hashing into datablock digests. *)
 
 val hash : t -> Crypto.Hash.t
+
+val hash_into : t -> bytes -> int -> unit
+(** [hash_into t dst off] writes the 32 bytes of [hash t] at
+    [dst.(off..+31)], encoding in domain-local scratch: no allocation
+    (the datablock-digest leaf, via [Crypto.Merkle.root_with]). *)

@@ -529,6 +529,15 @@ let prop_request_encode_matches_printf =
       String.equal (Workload.Request.encode r)
         (Printf.sprintf "batch:%d:%d:%d:%Ld:%b" id count size_each born resend))
 
+let prop_request_hash_into =
+  QCheck.Test.make ~name:"Request.hash_into = Request.hash" ~count:2000
+    QCheck.(quad int_edge int_edge (pair int_edge int64_edge) bool)
+    (fun (id, count, (size_each, born), resend) ->
+      let r = { Workload.Request.id; count; size_each; born; resend; confirmed = ref false } in
+      let dst = Bytes.make 40 '\000' in
+      Workload.Request.hash_into r dst 3;
+      String.equal (Bytes.sub_string dst 3 32) (Crypto.Hash.raw (Workload.Request.hash r)))
+
 let prop_header_encoding_matches_printf =
   QCheck.Test.make ~name:"Datablock.header_encoding = the dbhdr:%d:%d:%s format" ~count:2000
     QCheck.(triple int_edge int_edge string)
@@ -552,7 +561,8 @@ let () =
           Alcotest.test_case "hash binds content" `Quick test_datablock_hash_binds_content ] );
       ( "hash inputs",
         List.map (QCheck_alcotest.to_alcotest ~long:false)
-          [ prop_request_encode_matches_printf; prop_header_encoding_matches_printf ] );
+          [ prop_request_encode_matches_printf; prop_request_hash_into;
+            prop_header_encoding_matches_printf ] );
       ( "bftblock",
         [ Alcotest.test_case "view-independent hash" `Quick test_bftblock_hash_view_independent;
           Alcotest.test_case "hash binds links/sn" `Quick test_bftblock_hash_binds_links;

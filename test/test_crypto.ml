@@ -52,6 +52,31 @@ let test_hmac_rfc4231 () =
   checks "hmac tc6" "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
     (Crypto.Sha256.to_hex tag6)
 
+(* The precomputed schedule gives the one-shot tag, short and hashed
+   (over 64-byte) keys alike, and rejects any other tag. *)
+let prop_hmac_verify =
+  QCheck.Test.make ~name:"hmac_verify accepts only the tag" ~count:300
+    QCheck.(pair (string_of_size (Gen.int_bound 150)) (string_of_size (Gen.int_bound 200)))
+    (fun (key, msg) ->
+      let sched = Crypto.Sha256.hmac_key key in
+      let tag = Crypto.Sha256.hmac ~key msg in
+      let flipped = Bytes.of_string tag in
+      Bytes.set flipped 31 (Char.chr (Char.code tag.[31] lxor 1));
+      Crypto.Sha256.hmac_verify sched msg ~tag
+      && (not (Crypto.Sha256.hmac_verify sched msg ~tag:(Bytes.to_string flipped)))
+      && not (Crypto.Sha256.hmac_verify sched msg ~tag:(String.sub tag 0 31)))
+
+let prop_digest_bytes_into =
+  QCheck.Test.make ~name:"digest_bytes_into = digest_string" ~count:300
+    QCheck.(triple (string_of_size (Gen.int_bound 300)) small_nat small_nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let off = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - off = 0 then 0 else b mod (n - off + 1) in
+      let dst = Bytes.make 40 '\000' in
+      Crypto.Sha256.digest_bytes_into ~src:(Bytes.of_string s) ~src_off:off ~len ~dst ~dst_off:5;
+      String.equal (Bytes.sub_string dst 5 32) (Crypto.Sha256.digest_string (String.sub s off len)))
+
 (* -- The two C compressors agree ------------------------------------------ *)
 
 module B = Crypto.Sha256.For_testing
@@ -318,6 +343,14 @@ let prop_merkle_proofs =
           | None -> false)
         (List.init n Fun.id))
 
+let prop_merkle_root_with =
+  QCheck.Test.make ~name:"root_with = root of the leaf digests" ~count:50
+    QCheck.(int_range 0 33)
+    (fun n ->
+      let ls = leaves n in
+      let leaf h dst off = Bytes.blit_string (H.raw h) 0 dst off H.size_bytes in
+      H.equal (Crypto.Merkle.root_with ~leaf ls) (Crypto.Merkle.root ls))
+
 let test_merkle_proof_wrong_leaf () =
   let ls = leaves 8 in
   let root = Crypto.Merkle.root ls in
@@ -351,7 +384,8 @@ let () =
           Alcotest.test_case "backends agree 0..300" `Quick test_backends_every_short_length;
           Alcotest.test_case "backends agree random lengths" `Quick test_backends_random_lengths;
           Alcotest.test_case "backends agree on pairs" `Quick test_backends_pair;
-          Alcotest.test_case "backends FIPS/1M/1MiB vectors" `Slow test_backends_vectors ] );
+          Alcotest.test_case "backends FIPS/1M/1MiB vectors" `Slow test_backends_vectors ]
+        @ qsuite [ prop_hmac_verify; prop_digest_bytes_into ] );
       ( "hash",
         [ Alcotest.test_case "basics" `Quick test_hash_basic;
           Alcotest.test_case "combine order" `Quick test_hash_combine_order_matters ] );
@@ -376,5 +410,5 @@ let () =
         [ Alcotest.test_case "determinism" `Quick test_merkle_root_determinism;
           Alcotest.test_case "singleton" `Quick test_merkle_singleton;
           Alcotest.test_case "wrong leaf" `Quick test_merkle_proof_wrong_leaf ]
-        @ qsuite [ prop_merkle_proofs ] );
+        @ qsuite [ prop_merkle_proofs; prop_merkle_root_with ] );
       ("cost model", [ Alcotest.test_case "profiles" `Quick test_cost_model ]) ]
