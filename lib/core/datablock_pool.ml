@@ -22,6 +22,7 @@ type t = {
   by_hash : entry Crypto.Hash.Table.t;
   by_slot : (int * int, Crypto.Hash.t) Hashtbl.t; (* (creator, counter) -> hash *)
   pending : Crypto.Hash.t Queue.t;                (* arrival order, lazily cleaned *)
+  mutable unlinked : int;                         (* entries with [linked = false] *)
   mutable evidence : (Net.Node_id.t * Datablock.t * Datablock.t) list;
   floors : (Net.Node_id.t, creator_floor) Hashtbl.t;
 }
@@ -32,8 +33,20 @@ let create () =
   { by_hash = Crypto.Hash.Table.create 256;
     by_slot = Hashtbl.create 256;
     pending = Queue.create ();
+    unlinked = 0;
     evidence = [];
     floors = Hashtbl.create 16 }
+
+(* Every flip of an entry's [linked] goes through [link] or [unlink], so
+   [unlinked] counts the entries [take_pending] can still hand out. *)
+let link t e =
+  e.linked <- true;
+  t.unlinked <- t.unlinked - 1
+
+let unlink t h e =
+  e.linked <- false;
+  t.unlinked <- t.unlinked + 1;
+  Queue.push h t.pending
 
 let executed_slot t ~creator ~counter =
   match Hashtbl.find_opt t.floors creator with
@@ -100,8 +113,15 @@ let add ?(requested = false) t db =
   | None when (not requested) && executed_slot t ~creator ~counter -> Executed
   | None ->
     Hashtbl.add t.by_slot slot h;
-    Crypto.Hash.Table.add t.by_hash h { db; linked = false };
-    Queue.push h t.pending;
+    (match Crypto.Hash.Table.find_opt t.by_hash h with
+     | Some e ->
+       (* a stored equivocation variant whose rival was pruned: one
+          entry per hash, so [take_pending] can reach every unlinked one *)
+       if e.linked then unlink t h e
+     | None ->
+       let e = { db; linked = true } in
+       Crypto.Hash.Table.add t.by_hash h e;
+       unlink t h e);
     Accepted
 
 let missing_links t links = List.filter (fun h -> not (mem t h)) links
@@ -120,16 +140,7 @@ let rec drop_linked_head t =
        drop_linked_head t)
   | None -> ()
 
-let pending t =
-  (* The queue may hold hashes already linked via [mark_linked]; count
-     precisely (the queue is small: unlinked backlog plus stragglers). *)
-  drop_linked_head t;
-  Queue.fold
-    (fun acc h ->
-      match Crypto.Hash.Table.find_opt t.by_hash h with
-      | Some e when not e.linked -> acc + 1
-      | Some _ | None -> acc)
-    0 t.pending
+let pending t = t.unlinked
 
 let take_pending t ~max =
   let rec go acc n =
@@ -141,7 +152,7 @@ let take_pending t ~max =
       | h ->
         (match Crypto.Hash.Table.find_opt t.by_hash h with
          | Some e when not e.linked ->
-           e.linked <- true;
+           link t e;
            go (e.db :: acc) (n - 1)
          | Some _ | None -> go acc n)
     end
@@ -150,16 +161,14 @@ let take_pending t ~max =
 
 let mark_linked t h =
   match Crypto.Hash.Table.find_opt t.by_hash h with
-  | Some e -> e.linked <- true
-  | None -> ()
+  | Some e when not e.linked -> link t e
+  | Some _ | None -> ()
 
 let relink_pending t ~keep_linked ~also_executed =
   Crypto.Hash.Table.iter
     (fun h e ->
-      if e.linked && (not (Crypto.Hash.Set.mem h keep_linked)) && not (also_executed h) then begin
-        e.linked <- false;
-        Queue.push h t.pending
-      end)
+      if e.linked && (not (Crypto.Hash.Set.mem h keep_linked)) && not (also_executed h) then
+        unlink t h e)
     t.by_hash
 
 let fold t ~init ~f =
@@ -171,7 +180,11 @@ let size t = Crypto.Hash.Table.length t.by_hash
 let prune t ~keep =
   let victims = ref [] in
   Crypto.Hash.Table.iter
-    (fun h e -> if not (keep e.db) then victims := (h, e.db) :: !victims)
+    (fun h e ->
+      if not (keep e.db) then begin
+        victims := (h, e.db) :: !victims;
+        if not e.linked then t.unlinked <- t.unlinked - 1
+      end)
     t.by_hash;
   List.iter
     (fun (h, db) ->

@@ -50,7 +50,8 @@ val has_all_links : t -> Crypto.Hash.t list -> bool
     arrival, the hottest path in the replica at large n. *)
 
 val pending : t -> int
-(** Number of unlinked datablocks (leader's proposal trigger). *)
+(** Number of unlinked datablocks (leader's proposal trigger), in O(1):
+    a count kept by every call that links or unlinks one. *)
 
 val take_pending : t -> max:int -> Datablock.t list
 (** Removes up to [max] unlinked datablocks, oldest first, marking them

@@ -293,6 +293,80 @@ let test_pool_floor_window () =
   checkb "restored floors refuse the same slots" true
     (Core.Datablock_pool.add fresh (mk_db ~counter:5 sk) = Core.Datablock_pool.Executed)
 
+(* [pending] is a counter kept by every operation that links or unlinks
+   an entry; the reference counts the stored unlinked entries. A universe
+   of 3 creators x 3 counters x 2 variants gives duplicates,
+   equivocations, executed slots and requested fetch replies. *)
+type pool_op =
+  | Add of int * bool  (* universe index, requested *)
+  | Mark of int
+  | Take of int
+  | Relink of int * int  (* keep-linked and also-executed masks over the universe *)
+  | Prune of int  (* keep mask *)
+
+let pool_universe =
+  let _, sk = keypair () in
+  Array.init 18 (fun i ->
+      mk_db ~creator:(i / 6) ~counter:(1 + (i / 2 mod 3))
+        ~batches:[ batch ~count:(1 + (i mod 2)) () ] sk)
+
+(* The universe index of a datablock, back from its slot and variant. *)
+let in_mask mask (db : Core.Datablock.t) =
+  let i = (db.header.creator * 6) + ((db.header.counter - 1) * 2) + db.req_count - 1 in
+  (mask lsr i) land 1 = 1
+
+let hashes_in mask =
+  List.filter_map
+    (fun db -> if in_mask mask db then Some (Core.Datablock.hash db) else None)
+    (Array.to_list pool_universe)
+
+let pool_op_gen =
+  let n = Array.length pool_universe in
+  let mask = QCheck.Gen.int_bound ((1 lsl n) - 1) in
+  QCheck.Gen.(
+    frequency
+      [ (6, map2 (fun i r -> Add (i, r)) (int_bound (n - 1)) (frequencyl [ (4, false); (1, true) ]));
+        (2, map (fun i -> Mark i) (int_bound (n - 1)));
+        (2, map (fun k -> Take k) (int_bound 3));
+        (1, map2 (fun a b -> Relink (a, b)) mask mask);
+        (1, map (fun m -> Prune m) mask) ])
+
+let pp_pool_op = function
+  | Add (i, r) -> Printf.sprintf "add %d%s" i (if r then " requested" else "")
+  | Mark i -> Printf.sprintf "mark %d" i
+  | Take k -> Printf.sprintf "take %d" k
+  | Relink (a, b) -> Printf.sprintf "relink keep=%x exec=%x" a b
+  | Prune m -> Printf.sprintf "prune keep=%x" m
+
+let prop_pool_pending_count =
+  QCheck.Test.make ~name:"pending = stored unlinked count" ~count:2000
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_pool_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) pool_op_gen))
+    (fun ops ->
+      let module P = Core.Datablock_pool in
+      let pool = P.create () in
+      let hash_of i = Core.Datablock.hash pool_universe.(i) in
+      let unlinked () = P.fold pool ~init:0 ~f:(fun acc _ ~linked -> if linked then acc else acc + 1) in
+      List.for_all
+        (fun op ->
+          (match op with
+           | Add (i, requested) -> ignore (P.add ~requested pool pool_universe.(i) : P.verdict)
+           | Mark i -> P.mark_linked pool (hash_of i)
+           | Take k ->
+             let before = P.pending pool in
+             let got = List.length (P.take_pending pool ~max:k) in
+             if got <> min k before then
+               QCheck.Test.fail_reportf "took %d of %d pending (max %d)" got before k
+           | Relink (keep, exec) ->
+             let executed = hashes_in exec in
+             P.relink_pending pool
+               ~keep_linked:(Crypto.Hash.Set.of_list (hashes_in keep))
+               ~also_executed:(fun h -> List.exists (Crypto.Hash.equal h) executed)
+           | Prune keep -> P.prune pool ~keep:(in_mask keep));
+          P.pending pool = unlinked ())
+        ops)
+
 (* -- Quorum ----------------------------------------------------------------------- *)
 
 let _tsetup, tkeys = Crypto.Threshold.keygen rng ~threshold:2 ~parties:5
@@ -581,7 +655,8 @@ let () =
           Alcotest.test_case "prune" `Quick test_pool_prune;
           Alcotest.test_case "refuses executed slot" `Quick test_pool_refuses_executed_slot;
           Alcotest.test_case "floor is contiguous" `Quick test_pool_floor_contiguous;
-          Alcotest.test_case "floor window" `Quick test_pool_floor_window ] );
+          Alcotest.test_case "floor window" `Quick test_pool_floor_window;
+          QCheck_alcotest.to_alcotest ~long:false prop_pool_pending_count ] );
       ("quorum", [ Alcotest.test_case "ready once" `Quick test_quorum_ready_once ]);
       ( "ledger",
         [ Alcotest.test_case "sequential execution" `Quick test_ledger_sequential_execution;
