@@ -16,7 +16,9 @@
 # change's delta. The summary gives, for every end-to-end metric of
 # BENCHMARK.json, each side's median and quartiles, the change in the
 # medians, and the pairs the working tree won in the metric's better
-# direction. The export and the raw results (kept under ${TMPDIR:-/tmp}
+# direction. A last line gives the verdict on --metric: a gain holds when
+# the working tree wins at least 9/10 of the pairs and its median beats
+# rev's by more than rev's q3 - q1. The export and the raw results (kept under ${TMPDIR:-/tmp}
 # while it runs) are removed on exit. A run that fails its correctness
 # check stops the script.
 set -euo pipefail
@@ -96,7 +98,7 @@ print("%-8s %-6s %9s %9s %11s %11s %8s" % ("seed", "first", "steal rev", "steal 
                                            key + " rev", "wt", "delta"))
 for i, s in enumerate(seeds):
     (sr, mr), (sw, mw) = runs[s]
-    print("%-8s %-6s %8.1f%% %8.1f%% %11.1f %11.1f %+7.1f%%"
+    print("%-8s %-6s %8.1f%% %8.1f%% %11.4g %11.4g %+7.1f%%"
           % (s, "rev" if i % 2 == 0 else "wt", sr, sw, mr[key], mw[key],
              100 * (mw[key] / mr[key] - 1) if mr[key] else float("nan")))
 
@@ -120,4 +122,15 @@ for name, better in metrics:
     print("%-16s %-34s %-34s %s %3d/%d"
           % (name, "%.4g [%.4g, %.4g]" % (am, a1, a3), "%.4g [%.4g, %.4g]" % (bm, b1, b3),
              delta, wins, len(seeds)))
+    if name == key:
+        verdict = (wins, (am - bm if better == "lower" else bm - am), a3 - a1)
+
+# A gain in --metric is claimed when the working tree wins at least 9 of
+# every 10 pairs and its median beats rev's by more than rev's q3 - q1.
+wins, gap, spread = verdict
+holds = 10 * wins >= 9 * len(seeds) and gap > spread
+print()
+print("verdict %s: %s (wt wins %d/%d, needs 9/10; median gain %.4g %s rev q3-q1 %.4g)"
+      % (key, "gain holds" if holds else "no gain", wins, len(seeds), gap,
+         ">" if gap > spread else "<=", spread))
 EOF
