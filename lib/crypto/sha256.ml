@@ -13,7 +13,7 @@ external hmac_c : string -> string -> string = "leopard_sha256_hmac"
 external digest_into : bytes -> int -> int -> bytes -> int -> unit = "leopard_sha256_digest_into"
 [@@noalloc]
 
-external hmac_key_c : string -> string = "leopard_sha256_hmac_key"
+external hmac_key : string -> string = "leopard_sha256_hmac_key"
 external hmac_check : string -> string -> string -> bool = "leopard_sha256_hmac_check" [@@noalloc]
 
 let backend = if select_sha_ni () then "sha-ni" else "portable"
@@ -36,7 +36,6 @@ let hmac ~key msg = hmac_c key msg
 
 type hmac_key = string
 
-let hmac_key key = hmac_key_c key
 let hmac_verify key msg ~tag = hmac_check key msg tag
 
 let hex_chars = "0123456789abcdef"
