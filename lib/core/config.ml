@@ -19,7 +19,6 @@ type t = {
   leader_generates_datablocks : bool;
   punish_equivocators : bool;
   mempool_cap : int;
-  mempool_max_age : Sim_time.span;
   pace_on_pressure : bool;
 }
 
@@ -35,11 +34,9 @@ let make ~n ?alpha ?bft_size ?(k = 32) ?checkpoint_interval ?(payload = 128) ?(s
     ?(cost = Crypto.Cost_model.paper) ?(cores = 4)
     ?(priority_channels = true)
     ?(leader_generates_datablocks = false) ?(punish_equivocators = false)
-    ?(mempool_cap = 0) ?(mempool_max_age = 0L) ?(pace_on_pressure = false) () =
+    ?(mempool_cap = 0) ?(pace_on_pressure = false) () =
   if n < 4 then invalid_arg "Config.make: n must be at least 4";
   if mempool_cap < 0 then invalid_arg "Config.make: mempool_cap must be >= 0";
-  if Int64.compare mempool_max_age 0L < 0 then
-    invalid_arg "Config.make: mempool_max_age must be >= 0";
   let default_alpha, default_bft = paper_batch_sizes ~n in
   let alpha = Option.value alpha ~default:default_alpha in
   let bft_size = Option.value bft_size ~default:default_bft in
@@ -67,7 +64,6 @@ let make ~n ?alpha ?bft_size ?(k = 32) ?checkpoint_interval ?(payload = 128) ?(s
     leader_generates_datablocks;
     punish_equivocators;
     mempool_cap;
-    mempool_max_age;
     pace_on_pressure }
 
 let quorum t = (2 * t.f) + 1

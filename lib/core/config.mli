@@ -50,9 +50,6 @@ type t = {
       (** admission bound on pending mempool requests; submissions past
           it are rejected with an explicit verdict (0 = unbounded, the
           seed behaviour) *)
-  mempool_max_age : Sim.Sim_time.span;
-      (** evict unconfirmed batches older than this from the mempool —
-          a stalled consumer cannot pin memory forever (0 disables) *)
   pace_on_pressure : bool;
       (** leader/packer pacing: defer datablock production while the
           transport's egress queues sit at or above their high-water
@@ -77,7 +74,6 @@ val make :
   ?leader_generates_datablocks:bool ->
   ?punish_equivocators:bool ->
   ?mempool_cap:int ->
-  ?mempool_max_age:Sim.Sim_time.span ->
   ?pace_on_pressure:bool ->
   unit ->
   t
@@ -85,7 +81,7 @@ val make :
     every [k/2], 128-byte payload, [s = 1], partial-pack and short-timer
     disabled (pure Algorithm 1: datablocks carry exactly ≥ α requests),
     4 s view timeout, paper cost model, 4 cores. All overload controls
-    ([mempool_cap], [mempool_max_age], [pace_on_pressure]) default to
+    ([mempool_cap], [pace_on_pressure]) default to
     off, preserving the unbounded open-loop seed behaviour.
     Requires [n >= 4]. Raises [Invalid_argument] otherwise. *)
 

@@ -4,7 +4,13 @@ type verdict =
   | Executed
   | Equivocation of Datablock.t
 
-type entry = { db : Datablock.t; mutable linked : bool }
+type state =
+  | Pending
+  | Linked
+  | Executed_in of int  (* the serial that executed it *)
+  | Rival
+
+type entry = { db : Datablock.t; mutable state : state }
 
 module Int_set = Set.Make (Int)
 
@@ -22,7 +28,7 @@ type t = {
   by_hash : entry Crypto.Hash.Table.t;
   by_slot : (int * int, Crypto.Hash.t) Hashtbl.t; (* (creator, counter) -> hash *)
   pending : Crypto.Hash.t Queue.t;                (* arrival order, lazily cleaned *)
-  mutable unlinked : int;                         (* entries with [linked = false] *)
+  mutable pending_count : int;                    (* entries in state [Pending] *)
   mutable evidence : (Net.Node_id.t * Datablock.t * Datablock.t) list;
   floors : (Net.Node_id.t, creator_floor) Hashtbl.t;
 }
@@ -33,20 +39,34 @@ let create () =
   { by_hash = Crypto.Hash.Table.create 256;
     by_slot = Hashtbl.create 256;
     pending = Queue.create ();
-    unlinked = 0;
+    pending_count = 0;
     evidence = [];
     floors = Hashtbl.create 16 }
 
-(* Every flip of an entry's [linked] goes through [link] or [unlink], so
-   [unlinked] counts the entries [take_pending] can still hand out. *)
-let link t e =
-  e.linked <- true;
-  t.unlinked <- t.unlinked - 1
-
-let unlink t h e =
-  e.linked <- false;
-  t.unlinked <- t.unlinked + 1;
+(* Every state change goes through [set] (a new entry through
+   [enqueue]), so [pending_count] counts the entries [take_pending] can
+   still hand out and the queue holds each of them. *)
+let enqueue t h =
+  t.pending_count <- t.pending_count + 1;
   Queue.push h t.pending
+
+let set t h e state =
+  (match e.state with Pending -> t.pending_count <- t.pending_count - 1 | _ -> ());
+  (match state with Pending -> enqueue t h | _ -> ());
+  e.state <- state
+
+(* A proposal that links a rival, or a block that executes it, chose it
+   for its slot (§4.3 remark): the variant this replica accepted there,
+   the one [by_slot] names, becomes a rival too, so it is never offered
+   or relinked. *)
+let demote_owner t rival =
+  let header = rival.db.Datablock.header in
+  match Hashtbl.find_opt t.by_slot (header.creator, header.counter) with
+  | Some h0 ->
+    (match Crypto.Hash.Table.find_opt t.by_hash h0 with
+     | Some ({ state = Pending | Linked; _ } as e) -> set t h0 e Rival
+     | Some _ | None -> ())
+  | None -> ()
 
 let executed_slot t ~creator ~counter =
   match Hashtbl.find_opt t.floors creator with
@@ -93,36 +113,27 @@ let mem t h = Crypto.Hash.Table.mem t.by_hash h
 let add ?(requested = false) t db =
   let h = Datablock.hash db in
   let creator = db.Datablock.header.creator and counter = db.Datablock.header.counter in
-  let slot = (creator, counter) in
-  match Hashtbl.find_opt t.by_slot slot with
-  | Some h0 when Crypto.Hash.equal h0 h -> Duplicate
-  | Some h0 ->
-    let first =
-      match Crypto.Hash.Table.find_opt t.by_hash h0 with
-      | Some e -> e.db
-      | None -> db (* first copy pruned *)
-    in
-    t.evidence <- (db.Datablock.header.creator, first, db) :: t.evidence;
-    (* Store the conflicting variant too — as punishable evidence and so
-       that a BFTblock linking it (the leader confirms whichever variant
-       it received, §4.3 remark) can still be resolved — but never expose
-       it to this replica's own proposal path. *)
-    if not (Crypto.Hash.Table.mem t.by_hash h) then
-      Crypto.Hash.Table.add t.by_hash h { db; linked = true };
-    Equivocation first
-  | None when (not requested) && executed_slot t ~creator ~counter -> Executed
-  | None ->
-    Hashtbl.add t.by_slot slot h;
-    (match Crypto.Hash.Table.find_opt t.by_hash h with
-     | Some e ->
-       (* a stored equivocation variant whose rival was pruned: one
-          entry per hash, so [take_pending] can reach every unlinked one *)
-       if e.linked then unlink t h e
-     | None ->
-       let e = { db; linked = true } in
-       Crypto.Hash.Table.add t.by_hash h e;
-       unlink t h e);
-    Accepted
+  if mem t h then Duplicate
+  else
+    match Hashtbl.find_opt t.by_slot (creator, counter) with
+    | Some h0 ->
+      let first =
+        match Crypto.Hash.Table.find_opt t.by_hash h0 with
+        | Some e -> e.db
+        | None -> db (* first copy pruned *)
+      in
+      t.evidence <- (creator, first, db) :: t.evidence;
+      (* Stored as punishable evidence and so that a BFTblock linking it
+         (the leader confirms whichever variant it received, §4.3 remark)
+         can still be resolved, but never offered or relinked here. *)
+      Crypto.Hash.Table.add t.by_hash h { db; state = Rival };
+      Equivocation first
+    | None when (not requested) && executed_slot t ~creator ~counter -> Executed
+    | None ->
+      Hashtbl.add t.by_slot (creator, counter) h;
+      Crypto.Hash.Table.add t.by_hash h { db; state = Pending };
+      enqueue t h;
+      Accepted
 
 let missing_links t links = List.filter (fun h -> not (mem t h)) links
 
@@ -130,69 +141,67 @@ let rec has_all_links t = function
   | [] -> true
   | h :: rest -> mem t h && has_all_links t rest
 
-let rec drop_linked_head t =
-  match Queue.peek_opt t.pending with
-  | Some h ->
-    (match Crypto.Hash.Table.find_opt t.by_hash h with
-     | Some e when not e.linked -> ()
-     | Some _ | None ->
-       ignore (Queue.pop t.pending);
-       drop_linked_head t)
-  | None -> ()
-
-let pending t = t.unlinked
+let pending t = t.pending_count
 
 let take_pending t ~max =
   let rec go acc n =
     if n = 0 then List.rev acc
-    else begin
-      drop_linked_head t;
-      match Queue.pop t.pending with
-      | exception Queue.Empty -> List.rev acc
-      | h ->
+    else
+      match Queue.take_opt t.pending with
+      | None -> List.rev acc
+      | Some h ->
         (match Crypto.Hash.Table.find_opt t.by_hash h with
-         | Some e when not e.linked ->
-           link t e;
+         | Some ({ state = Pending; _ } as e) ->
+           set t h e Linked;
            go (e.db :: acc) (n - 1)
          | Some _ | None -> go acc n)
-    end
   in
   go [] max
 
 let mark_linked t h =
   match Crypto.Hash.Table.find_opt t.by_hash h with
-  | Some e when not e.linked -> link t e
+  | Some ({ state = Pending; _ } as e) -> set t h e Linked
+  | Some ({ state = Rival; _ } as e) -> demote_owner t e
   | Some _ | None -> ()
 
-let relink_pending t ~keep_linked ~also_executed =
+let mark_executed t h ~sn =
+  match Crypto.Hash.Table.find_opt t.by_hash h with
+  | Some e ->
+    (match e.state with Rival -> demote_owner t e | _ -> ());
+    set t h e (Executed_in sn)
+  | None -> ()
+
+let relink_pending t ~keep_linked =
   Crypto.Hash.Table.iter
     (fun h e ->
-      if e.linked && (not (Crypto.Hash.Set.mem h keep_linked)) && not (also_executed h) then
-        unlink t h e)
+      match e.state with
+      | Linked when not (Crypto.Hash.Set.mem h keep_linked) -> set t h e Pending
+      | Pending when Crypto.Hash.Set.mem h keep_linked -> set t h e Linked
+      | Pending | Linked | Executed_in _ | Rival -> ())
     t.by_hash
 
 let fold t ~init ~f =
-  Crypto.Hash.Table.fold (fun _ e acc -> f acc e.db ~linked:e.linked) t.by_hash init
+  Crypto.Hash.Table.fold
+    (fun _ e acc -> f acc e.db ~linked:(e.state <> Pending))
+    t.by_hash init
 
 let equivocations t = List.rev t.evidence
 let size t = Crypto.Hash.Table.length t.by_hash
 
-let prune t ~keep =
-  let victims = ref [] in
-  Crypto.Hash.Table.iter
-    (fun h e ->
-      if not (keep e.db) then begin
-        victims := (h, e.db) :: !victims;
-        if not e.linked then t.unlinked <- t.unlinked - 1
-      end)
-    t.by_hash;
-  List.iter
-    (fun (h, db) ->
-      let creator = db.Datablock.header.creator and counter = db.Datablock.header.counter in
-      Crypto.Hash.Table.remove t.by_hash h;
-      Hashtbl.remove t.by_slot (creator, counter);
-      record_executed t ~creator ~counter)
-    !victims
+let executed t =
+  Crypto.Hash.Table.fold
+    (fun _ e n -> match e.state with Executed_in _ -> n + 1 | _ -> n)
+    t.by_hash 0
+
+let prune t ~lw =
+  Crypto.Hash.Table.fold
+    (fun h e acc -> match e.state with Executed_in sn when sn <= lw -> (h, e.db) :: acc | _ -> acc)
+    t.by_hash []
+  |> List.iter (fun (h, db) ->
+         let creator = db.Datablock.header.creator and counter = db.Datablock.header.counter in
+         Crypto.Hash.Table.remove t.by_hash h;
+         Hashtbl.remove t.by_slot (creator, counter);
+         record_executed t ~creator ~counter)
 
 let floors t =
   Hashtbl.fold

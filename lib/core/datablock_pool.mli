@@ -2,19 +2,36 @@
 
     Indexed by hash for BFTblock link resolution and by (creator,
     counter) for the duplicate/equivocation check of Algorithm 1 line 18.
-    The leader additionally tracks which datablocks are not yet linked by
-    any proposed BFTblock ("pending").
 
-    Checkpoint garbage collection forgets executed datablocks but keeps
-    their [(creator, counter)] slots as a per-creator executed-counter
-    {!floor}, so a late copy or a replay of an executed datablock is
-    refused on arrival instead of re-entering the pending set. *)
+    The pool is the one record of where each stored datablock is in its
+    life. Every entry is in one state:
+
+    {v
+    state        offered by take_pending   entered by
+    Pending      yes                       add (Accepted), relink_pending
+    Linked       no                        take_pending, mark_linked, relink_pending
+    Executed sn  no                        mark_executed (from any state)
+    Rival        no                        add (Equivocation); the accepted
+                                           variant, once its rival is
+                                           marked linked or executed
+    v}
+
+    [relink_pending] moves Linked entries back to Pending unless kept,
+    and kept Pending ones to Linked; Executed and Rival entries never
+    move. A Rival (a second variant of a (creator, counter) slot)
+    resolves by hash like any entry, so a BFTblock that links it can be
+    backed and executed, but this replica never offers it. Checkpoint
+    garbage collection ({!prune}) forgets Executed entries at or below
+    the watermark but keeps their slots as a per-creator
+    executed-counter {!floor}, so a late copy or a replay of an executed
+    datablock is refused on arrival instead of re-entering the pending
+    set. *)
 
 type t
 
 type verdict =
   | Accepted
-  | Duplicate              (** same (creator, counter, hash) seen before *)
+  | Duplicate              (** this datablock (same hash) is already stored *)
   | Executed
       (** the (creator, counter) slot was executed and pruned here: the
           datablock is not stored *)
@@ -22,8 +39,8 @@ type verdict =
       (** a *different* datablock with the same (creator, counter) was
           already received — the payload is the earlier one, usable as
           punishable evidence (§4.3 remark). The new variant is stored
-          (the leader's choice of variant must remain resolvable) but is
-          never offered to this replica's proposal path. *)
+          as a Rival: the leader's choice of variant must remain
+          resolvable, but this replica never offers it. *)
 
 val create : unit -> t
 
@@ -50,27 +67,33 @@ val has_all_links : t -> Crypto.Hash.t list -> bool
     arrival, the hottest path in the replica at large n. *)
 
 val pending : t -> int
-(** Number of unlinked datablocks (leader's proposal trigger), in O(1):
-    a count kept by every call that links or unlinks one. *)
+(** Number of Pending datablocks (leader's proposal trigger), in O(1):
+    a count kept by every state change. *)
 
 val take_pending : t -> max:int -> Datablock.t list
-(** Removes up to [max] unlinked datablocks, oldest first, marking them
-    linked. *)
+(** Removes up to [max] Pending datablocks, oldest first, making them
+    Linked. *)
 
 val mark_linked : t -> Crypto.Hash.t -> unit
-(** Marks a datablock linked (followers learn this from proposals, so
-    after a view change they do not expect it re-linked). *)
+(** Makes a Pending datablock Linked (followers learn this from
+    proposals, so after a view change they do not expect it re-linked).
+    On a Rival it makes the slot's accepted variant a Rival instead: the
+    proposal chose the other one. *)
 
-val relink_pending :
-  t -> keep_linked:Crypto.Hash.Set.t -> also_executed:(Crypto.Hash.t -> bool) -> unit
+val mark_executed : t -> Crypto.Hash.t -> sn:int -> unit
+(** Makes a stored datablock Executed by serial [sn], whatever its
+    state; {!prune} forgets it once a checkpoint covers [sn]. On a Rival
+    it also makes the slot's accepted variant a Rival. *)
+
+val relink_pending : t -> keep_linked:Crypto.Hash.Set.t -> unit
 (** View-change recovery at the new leader: datablocks that were linked
-    by proposals which never survived into the new view become pending
-    again, so their requests are re-proposed instead of lost. Keeps
-    linked those in [keep_linked] (redo and still-confirmed blocks) and
-    those for which [also_executed] holds. *)
+    by proposals which never survived into the new view become Pending
+    again, so their requests are re-proposed instead of lost. Those in
+    [keep_linked] (the redo blocks' links) become or stay Linked.
+    Executed and Rival entries never move. *)
 
 val fold : t -> init:'a -> f:('a -> Datablock.t -> linked:bool -> 'a) -> 'a
-(** Folds over every stored datablock with its linked flag, in
+(** Folds over every stored datablock with [linked] = "not Pending", in
     unspecified order (snapshot building; sort by (creator, counter) for
     a deterministic serialization). *)
 
@@ -80,10 +103,13 @@ val equivocations : t -> (Net.Node_id.t * Datablock.t * Datablock.t) list
 val size : t -> int
 (** Stored datablocks. *)
 
-val prune : t -> keep:(Datablock.t -> bool) -> unit
-(** Garbage collection after a checkpoint: drops every datablock failing
-    [keep] (the caller passes the executed ones) and records its
-    (creator, counter) slot in the creator's floor. *)
+val executed : t -> int
+(** Stored Executed datablocks, in O(size) (introspection). *)
+
+val prune : t -> lw:int -> unit
+(** Garbage collection after a checkpoint at [lw]: drops every
+    datablock Executed by a serial [<= lw] and records its (creator,
+    counter) slot in the creator's floor. *)
 
 type floor = {
   creator : Net.Node_id.t;

@@ -62,7 +62,6 @@ type metrics = {
   equivocations : Obs.Counter.t;
   checkpoints : Obs.Counter.t;
   submit_rejected : Obs.Counter.t;
-  mempool_evicted : Obs.Counter.t;
 }
 
 type t = {
@@ -88,10 +87,6 @@ type t = {
   mutable state_hash : Hash.t;
   mutable latest_checkpoint : Msg.checkpoint_cert option;
   checkpoint_quorums : (int, Hash.t * Quorum.t) Hashtbl.t;
-  (* datablocks executed in serials (lw, executed_up_to]: the checkpoint
-     that covers their serial prunes them from the pool and from here
-     (the pool's executed floors remember their slots) *)
-  executed_links : int Hash.Table.t;       (* datablock hash -> executing sn *)
   (* proposals waiting for datablock availability *)
   waiting_propose : (int, Msg.t) Hashtbl.t;
   mutable fetch_inflight : Hash.Set.t;
@@ -229,8 +224,9 @@ let refresh_instance_view t inst =
 (* A serializable image of everything [recover] needs: the confirmed
    ledger above the watermark, the live agreement instances, the
    datablock index backing them and the pool's executed floors. Its size
-   is O(k * bft_size + n), whatever the run length: [executed_links] is
-   not carried ([recover] re-derives it from the executed blocks).
+   is O(k * bft_size + n), whatever the run length. The pool's Executed
+   states are not carried ([recover] re-derives them from the executed
+   blocks).
    Collections are sorted so the same replica state always serializes
    to the same bytes. *)
 let snapshot_of t : Store.snapshot =
@@ -560,7 +556,7 @@ and try_execute t =
       let batch_count = ref 0 in
       List.iter
         (fun (db : Datablock.t) ->
-          Hash.Table.replace t.executed_links (Datablock.hash db) sn;
+          Datablock_pool.mark_executed t.pool (Datablock.hash db) ~sn;
           List.iter
             (fun b ->
               Workload.Request.mark_confirmed b;
@@ -608,13 +604,7 @@ let apply_checkpoint_cert t (cert : Msg.checkpoint_cert) =
       (* Garbage collection below the watermark. *)
       Ledger.prune_below t.ledger t.lw;
       let lw = t.lw in
-      Datablock_pool.prune t.pool ~keep:(fun db ->
-          match Hash.Table.find_opt t.executed_links (Datablock.hash db) with
-          | Some sn -> sn > lw
-          | None -> true);
-      Hash.Table.filter_map_inplace
-        (fun _ sn -> if sn > lw then Some sn else None)
-        t.executed_links;
+      Datablock_pool.prune t.pool ~lw;
       Hashtbl.filter_map_inplace
         (fun sn q -> if sn > lw then Some q else None)
         t.checkpoint_quorums;
@@ -852,20 +842,22 @@ let try_vote_prepare t (msg : Msg.t) =
        attacker-reachable panic is a one-message crash fault). *)
     tracef t "vote.unexpected" "%s" (Msg.kind_name (Msg.kind msg))
 
-(* Would [retry_waiting_proposals] act on this entry right now? Must stay
-   in lockstep with the retry body below; pulled out so the hot no-op scan
-   can run without building the snapshot list. *)
-let waiting_actionable t (m : Msg.t) =
+(* What [retry_waiting_proposals] does with a waiting entry right now:
+   vote on it, drop it (below the watermark), or leave it. *)
+type waiting = Ready | Stale | Wait
+
+let classify_waiting t (m : Msg.t) =
   match m with
   | Msg.Propose { block; justification; _ } ->
     let sn = block.Bftblock.sn in
-    let in_window = t.lw < sn && sn <= t.lw + t.cfg.k in
-    let view_ready = block.Bftblock.view <= t.view && not t.in_view_change in
-    let data_ready =
-      justification <> None || Datablock_pool.has_all_links t.pool block.Bftblock.links
-    in
-    (in_window && view_ready && data_ready) || sn <= t.lw
-  | _ -> false
+    if
+      t.lw < sn && sn <= t.lw + t.cfg.k
+      && block.Bftblock.view <= t.view && (not t.in_view_change)
+      && (justification <> None || Datablock_pool.has_all_links t.pool block.Bftblock.links)
+    then Ready
+    else if sn <= t.lw then Stale
+    else Wait
+  | _ -> Wait
 
 let retry_waiting_proposals t =
   (* This runs once per receiver of every datablock multicast. The common
@@ -875,29 +867,20 @@ let retry_waiting_proposals t =
      actually ready to retry or drop. *)
   if
     Hashtbl.length t.waiting_propose > 0
-    && Hashtbl.fold (fun _ m any -> any || waiting_actionable t m) t.waiting_propose false
+    && Hashtbl.fold (fun _ m any -> any || classify_waiting t m <> Wait) t.waiting_propose false
   then begin
-    let pending = Hashtbl.fold (fun _ m acc -> m :: acc) t.waiting_propose [] in
+    let pending = Hashtbl.fold (fun sn m acc -> (sn, m) :: acc) t.waiting_propose [] in
     List.iter
-      (fun m ->
-        match m with
-        | Msg.Propose { block; justification; _ } ->
-          let sn = block.Bftblock.sn in
-          let in_window = t.lw < sn && sn <= t.lw + t.cfg.k in
-          let view_ready = block.Bftblock.view <= t.view && not t.in_view_change in
-          let data_ready =
-            justification <> None
-            || Datablock_pool.has_all_links t.pool block.Bftblock.links
-          in
-          if in_window && view_ready && data_ready then begin
-            (* Re-run validation now that the prerequisite is met; the
-               entry is cleared on a successful vote or re-deferred. *)
-            Hashtbl.remove t.waiting_propose sn;
-            let cost = t.cfg.cost.tsig_share in
-            with_cpu t cost (fun () -> if active t then try_vote_prepare t m)
-          end
-          else if sn <= t.lw then Hashtbl.remove t.waiting_propose sn
-        | _ -> ())
+      (fun (sn, m) ->
+        match classify_waiting t m with
+        | Ready ->
+          (* Re-run validation now that the prerequisite is met; the
+             entry is cleared on a successful vote or re-deferred. *)
+          Hashtbl.remove t.waiting_propose sn;
+          let cost = t.cfg.cost.tsig_share in
+          with_cpu t cost (fun () -> if active t then try_vote_prepare t m)
+        | Stale -> Hashtbl.remove t.waiting_propose sn
+        | Wait -> ())
       pending
   end
 
@@ -1088,7 +1071,8 @@ let enter_view t ~nv_view ~vcs =
     end;
     t.next_sn <- max t.next_sn (max_sn + 1);
     (* Unlink datablocks linked by abandoned (never-notarized) proposals
-       so their requests are re-proposed rather than lost. *)
+       so their requests are re-proposed rather than lost; the redo
+       blocks keep theirs (executed datablocks never return to pending). *)
     let keep =
       List.fold_left
         (fun acc entry ->
@@ -1098,15 +1082,7 @@ let enter_view t ~nv_view ~vcs =
           | `Dummy _ -> acc)
         Hash.Set.empty plan
     in
-    let keep =
-      List.fold_left
-        (fun acc (_, (block : Bftblock.t)) ->
-          List.fold_left (fun acc h -> Hash.Set.add h acc) acc block.Bftblock.links)
-        keep
-        (Ledger.executed_range t.ledger ~from_:t.lw)
-    in
-    Datablock_pool.relink_pending t.pool ~keep_linked:keep
-      ~also_executed:(fun h -> Hash.Table.mem t.executed_links h);
+    Datablock_pool.relink_pending t.pool ~keep_linked:keep;
     List.iter
       (fun entry ->
         match entry with
@@ -1129,7 +1105,7 @@ let notar_cache_cap = 8192
 let notar_cache_len t = Notar_table.length t.verified_notarizations
 
 let bookkeeping_sizes t =
-  [ ("executed_links", Hash.Table.length t.executed_links);
+  [ ("executed_links", Datablock_pool.executed t.pool);
     ("checkpoint_quorums", Hashtbl.length t.checkpoint_quorums);
     ("timeout_votes", Hashtbl.length t.timeout_votes);
     ("vc_msgs", Hashtbl.length t.vc_msgs) ]
@@ -1553,12 +1529,6 @@ let submit t batch =
 
 let rec pack_tick t =
   if active t then begin
-    (if Int64.compare t.cfg.mempool_max_age 0L > 0 then
-       let evicted = Mempool.evict_expired t.mempool ~now:(now t) in
-       if evicted > 0 then begin
-         bump_by t (fun m -> m.mempool_evicted) evicted;
-         tracef t "mempool.evicted" "%d requests past max age" evicted
-       end);
     maybe_pack t;
     watchdog_check t;
     (* The leader's short-timer (partial proposals) also needs a periodic
@@ -1609,10 +1579,7 @@ let create ~platform ~cfg ~id ~sk ~pks ~tsetup ~tkey ?obs ?(strategy = Byzantine
           checkpoints = c "leopard_replica_checkpoints_total" "checkpoint certs advanced lw";
           submit_rejected =
             c "leopard_replica_submit_rejected_total"
-              "client requests refused at mempool admission";
-          mempool_evicted =
-            c "leopard_replica_mempool_evicted_total"
-              "mempool requests shed by age eviction" })
+              "client requests refused at mempool admission" })
       obs
   in
   let t =
@@ -1627,8 +1594,7 @@ let create ~platform ~cfg ~id ~sk ~pks ~tsetup ~tkey ?obs ?(strategy = Byzantine
       strategy;
       hooks;
       trace;
-      mempool =
-        Mempool.create ~cap:cfg.Config.mempool_cap ~max_age:cfg.Config.mempool_max_age ();
+      mempool = Mempool.create ~cap:cfg.Config.mempool_cap ();
       pool = Datablock_pool.create ();
       instances = Hashtbl.create 64;
       ledger = Ledger.create ();
@@ -1639,7 +1605,6 @@ let create ~platform ~cfg ~id ~sk ~pks ~tsetup ~tkey ?obs ?(strategy = Byzantine
       state_hash = Hash.of_string "genesis";
       latest_checkpoint = None;
       checkpoint_quorums = Hashtbl.create 16;
-      executed_links = Hash.Table.create 256;
       waiting_propose = Hashtbl.create 16;
       fetch_inflight = Hash.Set.empty;
       in_view_change = false;
@@ -1764,7 +1729,7 @@ let recover ~platform ~cfg ~id ~sk ~pks ~tsetup ~tkey ?obs ?strategy ?hooks ?tra
        Ledger.fast_forward t.ledger s.Store.snap_executed_up_to;
        List.iter
          (fun (sn, (block : Bftblock.t)) ->
-           List.iter (fun h -> Hash.Table.replace t.executed_links h sn) block.Bftblock.links)
+           List.iter (fun h -> Datablock_pool.mark_executed t.pool h ~sn) block.Bftblock.links)
          (Ledger.executed_range t.ledger ~from_:t.lw);
        List.iter
          (fun (i : Store.inst_snap) ->

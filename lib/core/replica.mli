@@ -160,6 +160,7 @@ val notar_cache_len : t -> int
 
 val bookkeeping_sizes : t -> (string * int) list
 (** Entry counts of the tables a checkpoint or a view change prunes:
-    [executed_links] (serials in [(lw, executed_up_to]]),
+    [executed_links] (the pool's Executed datablocks, serials in
+    [(lw, executed_up_to]]),
     [checkpoint_quorums] (above [lw]), [timeout_votes] and [vc_msgs]
     (from the current view up) — introspection for the bound test. *)

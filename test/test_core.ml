@@ -192,29 +192,78 @@ let test_pool_mark_linked_and_missing () =
   checki "linked removed from pending" 0 (Core.Datablock_pool.pending pool)
 
 let test_pool_relink_pending () =
+  let module P = Core.Datablock_pool in
   let _, sk = keypair () in
-  let pool = Core.Datablock_pool.create () in
-  let db1 = mk_db ~counter:1 sk and db2 = mk_db ~counter:2 sk in
-  ignore (Core.Datablock_pool.add pool db1);
-  ignore (Core.Datablock_pool.add pool db2);
-  Core.Datablock_pool.mark_linked pool (Core.Datablock.hash db1);
-  Core.Datablock_pool.mark_linked pool (Core.Datablock.hash db2);
-  checki "none pending" 0 (Core.Datablock_pool.pending pool);
-  (* db1 stays linked (kept), db2 returns to pending *)
-  Core.Datablock_pool.relink_pending pool
-    ~keep_linked:(Crypto.Hash.Set.singleton (Core.Datablock.hash db1))
-    ~also_executed:(fun _ -> false);
-  checki "db2 pending again" 1 (Core.Datablock_pool.pending pool)
+  let pool = P.create () in
+  let db1 = mk_db ~counter:1 sk and db2 = mk_db ~counter:2 sk and db3 = mk_db ~counter:3 sk in
+  let db4 = mk_db ~counter:4 sk in
+  List.iter (fun db -> ignore (P.add pool db)) [ db1; db2; db3; db4 ];
+  P.mark_linked pool (Core.Datablock.hash db1);
+  P.mark_linked pool (Core.Datablock.hash db2);
+  P.mark_executed pool (Core.Datablock.hash db3) ~sn:1;
+  checki "db4 pending" 1 (P.pending pool);
+  (* db1 stays linked (kept), db2 returns to pending, db3 stays
+     executed, db4 (kept: a redo block links it) becomes linked *)
+  P.relink_pending pool
+    ~keep_linked:(Crypto.Hash.Set.of_list (List.map Core.Datablock.hash [ db1; db4 ]));
+  Alcotest.(check (list int))
+    "only db2 offered" [ 2 ]
+    (List.map (fun (db : Core.Datablock.t) -> db.header.counter) (P.take_pending pool ~max:10))
+
+(* A rival variant is never relinked: after a view change the new leader
+   offers the variant it accepted, not both. *)
+let test_pool_relink_skips_rival () =
+  let module P = Core.Datablock_pool in
+  let _, sk = keypair () in
+  let pool = P.create () in
+  let a = mk_db sk and a' = mk_db ~batches:[ batch (); batch () ] sk in
+  ignore (P.add pool a);
+  ignore (P.add pool a');
+  P.relink_pending pool ~keep_linked:Crypto.Hash.Set.empty;
+  Alcotest.(check (list string))
+    "take_pending returns [a]"
+    [ Crypto.Hash.to_hex (Core.Datablock.hash a) ]
+    (List.map (fun db -> Crypto.Hash.to_hex (Core.Datablock.hash db)) (P.take_pending pool ~max:10))
+
+(* Linking or executing a rival decides its slot: the variant this pool
+   accepted there is offered no more, and a view change does not bring
+   it back. *)
+let test_pool_linked_rival_demotes_variant () =
+  let module P = Core.Datablock_pool in
+  let _, sk = keypair () in
+  List.iter
+    (fun (name, decide) ->
+      let pool = P.create () in
+      let a = mk_db sk and a' = mk_db ~batches:[ batch (); batch () ] sk in
+      ignore (P.add pool a);
+      ignore (P.add pool a');
+      decide pool (Core.Datablock.hash a');
+      checki (name ^ ": nothing pending") 0 (P.pending pool);
+      P.relink_pending pool ~keep_linked:Crypto.Hash.Set.empty;
+      checki (name ^ ": nothing offered after a relink") 0
+        (List.length (P.take_pending pool ~max:10));
+      checkb (name ^ ": both variants resolvable") true
+        (P.has_all_links pool (List.map Core.Datablock.hash [ a; a' ])))
+    [ ("linked", P.mark_linked); ("executed", fun pool h -> P.mark_executed pool h ~sn:1) ]
+
+(* Marks every datablock in [dbs] executed by serial 1 and prunes at 1. *)
+let execute_and_prune pool dbs =
+  List.iter (fun db -> Core.Datablock_pool.mark_executed pool (Core.Datablock.hash db) ~sn:1) dbs;
+  Core.Datablock_pool.prune pool ~lw:1
 
 let test_pool_prune () =
   let _, sk = keypair () in
   let pool = Core.Datablock_pool.create () in
-  let db1 = mk_db ~counter:1 sk and db2 = mk_db ~counter:2 sk in
-  ignore (Core.Datablock_pool.add pool db1);
-  ignore (Core.Datablock_pool.add pool db2);
-  Core.Datablock_pool.prune pool ~keep:(fun db -> db.Core.Datablock.header.counter > 1);
-  checki "one left" 1 (Core.Datablock_pool.size pool);
-  checkb "pruned gone" false (Core.Datablock_pool.mem pool (Core.Datablock.hash db1))
+  let db1 = mk_db ~counter:1 sk and db2 = mk_db ~counter:2 sk and db3 = mk_db ~counter:3 sk in
+  List.iter (fun db -> ignore (Core.Datablock_pool.add pool db)) [ db1; db2; db3 ];
+  Core.Datablock_pool.mark_executed pool (Core.Datablock.hash db1) ~sn:1;
+  Core.Datablock_pool.mark_executed pool (Core.Datablock.hash db2) ~sn:2;
+  checki "two executed" 2 (Core.Datablock_pool.executed pool);
+  Core.Datablock_pool.prune pool ~lw:1;
+  checki "two left" 2 (Core.Datablock_pool.size pool);
+  checkb "pruned gone" false (Core.Datablock_pool.mem pool (Core.Datablock.hash db1));
+  checkb "executed above lw kept" true (Core.Datablock_pool.mem pool (Core.Datablock.hash db2));
+  checki "pending one" 1 (Core.Datablock_pool.pending pool)
 
 (* A checkpoint prune forgets executed datablocks but keeps their slots:
    a late copy or a replay is refused, a requested fetch reply is not. *)
@@ -223,7 +272,7 @@ let test_pool_refuses_executed_slot () =
   let pool = Core.Datablock_pool.create () in
   let dbs = List.init 3 (fun i -> mk_db ~counter:(i + 1) sk) in
   List.iter (fun db -> ignore (Core.Datablock_pool.add pool db)) dbs;
-  Core.Datablock_pool.prune pool ~keep:(fun _ -> false);
+  execute_and_prune pool dbs;
   let db1 = List.hd dbs in
   checkb "replay refused" true (Core.Datablock_pool.add pool db1 = Core.Datablock_pool.Executed);
   checkb "equivocating variant of an executed slot refused" true
@@ -245,8 +294,9 @@ let test_pool_floor_contiguous () =
   let _, sk = keypair () in
   let pool = Core.Datablock_pool.create () in
   let prune_counters cs =
-    List.iter (fun c -> ignore (Core.Datablock_pool.add pool (mk_db ~counter:c sk))) cs;
-    Core.Datablock_pool.prune pool ~keep:(fun _ -> false)
+    let dbs = List.map (fun c -> mk_db ~counter:c sk) cs in
+    List.iter (fun db -> ignore (Core.Datablock_pool.add pool db)) dbs;
+    execute_and_prune pool dbs
   in
   let floor () =
     match Core.Datablock_pool.floors pool with
@@ -255,9 +305,10 @@ let test_pool_floor_contiguous () =
   in
   prune_counters [ 1; 2; 4; 6 ];
   checkb "base 2, above [4; 6]" true (floor () = (2, [ 4; 6 ]));
+  let db3 = mk_db ~counter:3 sk in
   checkb "gap counter 3 admissible" true
-    (Core.Datablock_pool.add pool (mk_db ~counter:3 sk) = Core.Datablock_pool.Accepted);
-  Core.Datablock_pool.prune pool ~keep:(fun _ -> false);
+    (Core.Datablock_pool.add pool db3 = Core.Datablock_pool.Accepted);
+  execute_and_prune pool [ db3 ];
   checkb "gap filled: base 4, above [6]" true (floor () = (4, [ 6 ]));
   checkb "gap counter 5 still admissible" true
     (Core.Datablock_pool.add pool (mk_db ~counter:5 sk) = Core.Datablock_pool.Accepted)
@@ -270,8 +321,9 @@ let test_pool_floor_window () =
   let window = Core.Datablock_pool.floor_window in
   (* counter 1 never executes; 2 .. window + 1 do, then one more *)
   let execute counters =
-    List.iter (fun c -> ignore (Core.Datablock_pool.add pool (mk_db ~counter:c sk))) counters;
-    Core.Datablock_pool.prune pool ~keep:(fun _ -> false)
+    let dbs = List.map (fun c -> mk_db ~counter:c sk) counters in
+    List.iter (fun db -> ignore (Core.Datablock_pool.add pool db)) dbs;
+    execute_and_prune pool dbs
   in
   let floor () =
     match Core.Datablock_pool.floors pool with
@@ -293,16 +345,19 @@ let test_pool_floor_window () =
   checkb "restored floors refuse the same slots" true
     (Core.Datablock_pool.add fresh (mk_db ~counter:5 sk) = Core.Datablock_pool.Executed)
 
-(* [pending] is a counter kept by every operation that links or unlinks
-   an entry; the reference counts the stored unlinked entries. A universe
-   of 3 creators x 3 counters x 2 variants gives duplicates,
-   equivocations, executed slots and requested fetch replies. *)
+(* [pending] is a counter kept by every state change; the reference
+   counts the stored unlinked entries. A universe of 3 creators x 3
+   counters x 2 variants gives duplicates, equivocations (Rival entries),
+   executed slots and requested fetch replies. [take_pending] may only
+   hand out a datablock that [add] answered [Accepted] for and that has
+   not been executed since: never a Rival, never an Executed entry. *)
 type pool_op =
   | Add of int * bool  (* universe index, requested *)
   | Mark of int
   | Take of int
-  | Relink of int * int  (* keep-linked and also-executed masks over the universe *)
-  | Prune of int  (* keep mask *)
+  | Relink of int  (* keep-linked mask over the universe *)
+  | Execute of int * int  (* universe index, serial *)
+  | Prune of int  (* low watermark *)
 
 let pool_universe =
   let _, sk = keypair () in
@@ -310,33 +365,28 @@ let pool_universe =
       mk_db ~creator:(i / 6) ~counter:(1 + (i / 2 mod 3))
         ~batches:[ batch ~count:(1 + (i mod 2)) () ] sk)
 
-(* The universe index of a datablock, back from its slot and variant. *)
-let in_mask mask (db : Core.Datablock.t) =
-  let i = (db.header.creator * 6) + ((db.header.counter - 1) * 2) + db.req_count - 1 in
-  (mask lsr i) land 1 = 1
-
 let hashes_in mask =
-  List.filter_map
-    (fun db -> if in_mask mask db then Some (Core.Datablock.hash db) else None)
-    (Array.to_list pool_universe)
+  List.filteri (fun i _ -> (mask lsr i) land 1 = 1) (Array.to_list pool_universe)
+  |> List.map Core.Datablock.hash
 
 let pool_op_gen =
   let n = Array.length pool_universe in
-  let mask = QCheck.Gen.int_bound ((1 lsl n) - 1) in
   QCheck.Gen.(
     frequency
       [ (6, map2 (fun i r -> Add (i, r)) (int_bound (n - 1)) (frequencyl [ (4, false); (1, true) ]));
         (2, map (fun i -> Mark i) (int_bound (n - 1)));
         (2, map (fun k -> Take k) (int_bound 3));
-        (1, map2 (fun a b -> Relink (a, b)) mask mask);
-        (1, map (fun m -> Prune m) mask) ])
+        (1, map (fun m -> Relink m) (int_bound ((1 lsl n) - 1)));
+        (2, map2 (fun i sn -> Execute (i, sn)) (int_bound (n - 1)) (int_range 1 3));
+        (1, map (fun lw -> Prune lw) (int_bound 3)) ])
 
 let pp_pool_op = function
   | Add (i, r) -> Printf.sprintf "add %d%s" i (if r then " requested" else "")
   | Mark i -> Printf.sprintf "mark %d" i
   | Take k -> Printf.sprintf "take %d" k
-  | Relink (a, b) -> Printf.sprintf "relink keep=%x exec=%x" a b
-  | Prune m -> Printf.sprintf "prune keep=%x" m
+  | Relink m -> Printf.sprintf "relink keep=%x" m
+  | Execute (i, sn) -> Printf.sprintf "execute %d sn%d" i sn
+  | Prune lw -> Printf.sprintf "prune lw=%d" lw
 
 let prop_pool_pending_count =
   QCheck.Test.make ~name:"pending = stored unlinked count" ~count:2000
@@ -348,22 +398,31 @@ let prop_pool_pending_count =
       let pool = P.create () in
       let hash_of i = Core.Datablock.hash pool_universe.(i) in
       let unlinked () = P.fold pool ~init:0 ~f:(fun acc _ ~linked -> if linked then acc else acc + 1) in
+      (* hashes [add] accepted and nothing executed since *)
+      let offerable = Crypto.Hash.Table.create 16 in
       List.for_all
         (fun op ->
           (match op with
-           | Add (i, requested) -> ignore (P.add ~requested pool pool_universe.(i) : P.verdict)
+           | Add (i, requested) ->
+             if P.add ~requested pool pool_universe.(i) = P.Accepted then
+               Crypto.Hash.Table.replace offerable (hash_of i) ()
            | Mark i -> P.mark_linked pool (hash_of i)
            | Take k ->
              let before = P.pending pool in
-             let got = List.length (P.take_pending pool ~max:k) in
-             if got <> min k before then
-               QCheck.Test.fail_reportf "took %d of %d pending (max %d)" got before k
-           | Relink (keep, exec) ->
-             let executed = hashes_in exec in
-             P.relink_pending pool
-               ~keep_linked:(Crypto.Hash.Set.of_list (hashes_in keep))
-               ~also_executed:(fun h -> List.exists (Crypto.Hash.equal h) executed)
-           | Prune keep -> P.prune pool ~keep:(in_mask keep));
+             let got = P.take_pending pool ~max:k in
+             if List.length got <> min k before then
+               QCheck.Test.fail_reportf "took %d of %d pending (max %d)" (List.length got) before k;
+             List.iter
+               (fun db ->
+                 if not (Crypto.Hash.Table.mem offerable (Core.Datablock.hash db)) then
+                   QCheck.Test.fail_reportf "took a rival or executed datablock")
+               got
+           | Relink keep ->
+             P.relink_pending pool ~keep_linked:(Crypto.Hash.Set.of_list (hashes_in keep))
+           | Execute (i, sn) ->
+             P.mark_executed pool (hash_of i) ~sn;
+             Crypto.Hash.Table.remove offerable (hash_of i)
+           | Prune lw -> P.prune pool ~lw);
           P.pending pool = unlinked ())
         ops)
 
@@ -652,6 +711,9 @@ let () =
           Alcotest.test_case "pending & take" `Quick test_pool_pending_take;
           Alcotest.test_case "mark linked & missing" `Quick test_pool_mark_linked_and_missing;
           Alcotest.test_case "relink pending" `Quick test_pool_relink_pending;
+          Alcotest.test_case "relink skips a rival" `Quick test_pool_relink_skips_rival;
+          Alcotest.test_case "a linked rival demotes the variant" `Quick
+            test_pool_linked_rival_demotes_variant;
           Alcotest.test_case "prune" `Quick test_pool_prune;
           Alcotest.test_case "refuses executed slot" `Quick test_pool_refuses_executed_slot;
           Alcotest.test_case "floor is contiguous" `Quick test_pool_floor_contiguous;

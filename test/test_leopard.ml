@@ -379,6 +379,68 @@ let test_equivocator_punished () =
   checkb "someone punished the equivocator" true (punishers <> []);
   checkb "liveness (re-sends route around the outcast)" true r.Core.Runner.all_confirmed
 
+(* Equivocation and a view change: no honest replica may execute two
+   datablocks of one (creator, counter) slot. An equivocating view-1
+   leader sends each variant of a slot to a different half and both to
+   its successor; once it stops, the successor re-proposes what the
+   abandoned proposals linked, and the rival variant it stored must not
+   be among them. With a 1 s view timeout a third leader follows before
+   the second leader's blocks have executed everywhere; with a
+   non-leader equivocator, the view-1 leader's choice reaches the
+   replicas that accepted the other variant. With k and the checkpoint
+   interval at 1024 nothing is pruned, so the whole executed ledger and
+   its datablocks stay inspectable. *)
+let test_new_leader_never_links_a_rival () =
+  let run ~equivocator ~view_timeout =
+    let cfg =
+      Core.Config.make ~n:4 ~alpha:10 ~bft_size:2 ~k:1024 ~checkpoint_interval:1024 ~payload:64
+        ~datablock_timeout:(Sim_time.ms 200) ~proposal_timeout:(Sim_time.ms 300)
+        ~view_timeout:(Sim_time.s view_timeout) ~fetch_grace:(Sim_time.ms 200)
+        ~cost:Crypto.Cost_model.free ~leader_generates_datablocks:true ()
+    in
+    let byzantine =
+      [ ((if equivocator = `Leader then Core.Config.leader_of_view cfg 1 else 0),
+         Core.Byzantine.Equivocate_datablocks) ]
+    in
+    let t =
+      Core.Runner.create
+        (run_spec ~byzantine ~stop_leader_at:(Sim_time.s 3) ~client_resend_timeout:(Sim_time.s 1)
+           cfg)
+    in
+    Core.Runner.run_until t (Sim_time.s 12);
+    let case = Printf.sprintf "%s equivocator, %d s view timeout"
+        (if equivocator = `Leader then "leader" else "non-leader") view_timeout in
+    checkb (case ^ ": safety") true (Core.Runner.report t).Core.Runner.safety_ok;
+    checkb (case ^ ": equivocation seen") true
+      ((Core.Runner.report t).Core.Runner.equivocations_detected > 0);
+    List.iter
+      (fun id ->
+        let r = (Core.Runner.replicas t).(id) in
+        let slots = Hashtbl.create 256 in
+        List.iter
+          (fun (_, (block : Core.Bftblock.t)) ->
+            List.iter
+              (fun h ->
+                match Core.Datablock_pool.find (Core.Replica.pool r) h with
+                | Some db ->
+                  let slot = (db.Core.Datablock.header.creator, db.Core.Datablock.header.counter) in
+                  let seen = Option.value ~default:[] (Hashtbl.find_opt slots slot) in
+                  if not (List.exists (Crypto.Hash.equal h) seen) then
+                    Hashtbl.replace slots slot (h :: seen)
+                | None -> Alcotest.failf "%s: replica %d: executed link not in its pool" case id)
+              block.Core.Bftblock.links)
+          (Core.Ledger.executed_range (Core.Replica.ledger r) ~from_:0);
+        checkb (case ^ ": executed something") true (Hashtbl.length slots > 0);
+        checki
+          (Printf.sprintf "%s: replica %d: slots executed with two variants" case id)
+          0
+          (Hashtbl.fold (fun _ hs n -> if List.length hs > 1 then n + 1 else n) slots 0))
+      (Core.Driver.honest_ids (Core.Runner.driver t))
+  in
+  run ~equivocator:`Leader ~view_timeout:2;
+  run ~equivocator:`Leader ~view_timeout:1;
+  run ~equivocator:`Other ~view_timeout:2
+
 let test_client_fanout_counts_once () =
   (* s = 3: every batch lands at three replicas; duplicates confirm but
      each request is counted once. *)
@@ -901,7 +963,9 @@ let () =
           Alcotest.test_case "f+1 silent stalls safely" `Quick test_too_many_silent_stalls ] );
       ( "equivocation",
         [ Alcotest.test_case "detected & contained" `Quick test_equivocator_detected_and_contained;
-          Alcotest.test_case "punished (kicked out)" `Quick test_equivocator_punished ] );
+          Alcotest.test_case "punished (kicked out)" `Quick test_equivocator_punished;
+          Alcotest.test_case "new leader never links a rival" `Quick
+            test_new_leader_never_links_a_rival ] );
       ( "extensions",
         [ Alcotest.test_case "client fanout s=3 counts once" `Quick
             test_client_fanout_counts_once;
