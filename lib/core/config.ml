@@ -19,7 +19,6 @@ type t = {
   leader_generates_datablocks : bool;
   punish_equivocators : bool;
   mempool_cap : int;
-  pace_on_pressure : bool;
 }
 
 let paper_batch_sizes ~n =
@@ -34,7 +33,7 @@ let make ~n ?alpha ?bft_size ?(k = 32) ?checkpoint_interval ?(payload = 128) ?(s
     ?(cost = Crypto.Cost_model.paper) ?(cores = 4)
     ?(priority_channels = true)
     ?(leader_generates_datablocks = false) ?(punish_equivocators = false)
-    ?(mempool_cap = 0) ?(pace_on_pressure = false) () =
+    ?(mempool_cap = 0) () =
   if n < 4 then invalid_arg "Config.make: n must be at least 4";
   if mempool_cap < 0 then invalid_arg "Config.make: mempool_cap must be >= 0";
   let default_alpha, default_bft = paper_batch_sizes ~n in
@@ -63,8 +62,7 @@ let make ~n ?alpha ?bft_size ?(k = 32) ?checkpoint_interval ?(payload = 128) ?(s
     priority_channels;
     leader_generates_datablocks;
     punish_equivocators;
-    mempool_cap;
-    pace_on_pressure }
+    mempool_cap }
 
 let quorum t = (2 * t.f) + 1
 let max_faulty t = t.f

@@ -16,11 +16,14 @@ type t = {
   payload : int;          (** request payload bytes (sizing only) *)
   s : int;                (** client submission fan-out (μ's [s], §4.3) *)
   datablock_timeout : Sim.Sim_time.span;
-      (** pack a partial datablock after this much delay with a non-empty
-          mempool (0 disables partial packing) *)
+      (** pack a partial datablock once the oldest pending request is
+          this old, counted from its client's birth instant, at most
+          once per this delay (0 disables partial packing) *)
   proposal_timeout : Sim.Sim_time.span;
       (** leader's short-timer (§6.2.1): propose with fewer than BFTsize
-          pending datablocks after this delay (0 disables). With
+          pending datablocks at most once per this delay; datablocks
+          that arrive while it is closed leave when it reopens (0
+          disables). With
           [datablock_timeout] also positive it is the cycle of the
           proposal clock: a non-leader that votes for a fresh partial
           proposal packs once more, timed to land a guard
@@ -50,10 +53,6 @@ type t = {
       (** admission bound on pending mempool requests; submissions past
           it are rejected with an explicit verdict (0 = unbounded, the
           seed behaviour) *)
-  pace_on_pressure : bool;
-      (** leader/packer pacing: defer datablock production while the
-          transport's egress queues sit at or above their high-water
-          mark, instead of batching blindly into a saturated NIC *)
 }
 
 val make :
@@ -74,15 +73,14 @@ val make :
   ?leader_generates_datablocks:bool ->
   ?punish_equivocators:bool ->
   ?mempool_cap:int ->
-  ?pace_on_pressure:bool ->
   unit ->
   t
 (** Defaults: batch sizes from {!paper_batch_sizes}, [k = 32], checkpoint
     every [k/2], 128-byte payload, [s = 1], partial-pack and short-timer
     disabled (pure Algorithm 1: datablocks carry exactly ≥ α requests),
-    4 s view timeout, paper cost model, 4 cores. All overload controls
-    ([mempool_cap], [pace_on_pressure]) default to
-    off, preserving the unbounded open-loop seed behaviour.
+    4 s view timeout, paper cost model, 4 cores. The overload control
+    [mempool_cap] defaults to off, preserving the unbounded open-loop
+    seed behaviour.
     Requires [n >= 4]. Raises [Invalid_argument] otherwise. *)
 
 val paper_batch_sizes : n:int -> int * int

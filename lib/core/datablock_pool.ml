@@ -201,7 +201,14 @@ let prune t ~lw =
          let creator = db.Datablock.header.creator and counter = db.Datablock.header.counter in
          Crypto.Hash.Table.remove t.by_hash h;
          Hashtbl.remove t.by_slot (creator, counter);
-         record_executed t ~creator ~counter)
+         record_executed t ~creator ~counter);
+  (* No block can still need a rival of a floored slot; a fetch reply
+     for it is admitted through [~requested]. *)
+  Crypto.Hash.Table.filter_map_inplace
+    (fun _ e ->
+      let { Datablock.creator; counter; _ } = e.db.Datablock.header in
+      if e.state = Rival && executed_slot t ~creator ~counter then None else Some e)
+    t.by_hash
 
 let floors t =
   Hashtbl.fold

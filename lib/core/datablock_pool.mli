@@ -25,7 +25,7 @@
     the watermark but keeps their slots as a per-creator
     executed-counter {!floor}, so a late copy or a replay of an executed
     datablock is refused on arrival instead of re-entering the pending
-    set. *)
+    set; it also forgets the Rivals of the slots a floor covers. *)
 
 type t
 
@@ -109,7 +109,8 @@ val executed : t -> int
 val prune : t -> lw:int -> unit
 (** Garbage collection after a checkpoint at [lw]: drops every
     datablock Executed by a serial [<= lw] and records its (creator,
-    counter) slot in the creator's floor. *)
+    counter) slot in the creator's floor, then drops every Rival whose
+    slot a floor covers. *)
 
 type floor = {
   creator : Net.Node_id.t;

@@ -40,10 +40,13 @@ type t = {
   mutable pack_age_max : Sim_time.span;
   (* Unconfirmed batches ordered by next re-send deadline (ns key, batch
      id as tiebreak; the value carries the attempt count for the
-     backoff). A scan pops only the due entries; confirmed batches are
-     dropped lazily when their deadline surfaces. *)
+     backoff). One scan is armed at the head's deadline ([scan_at], in
+     ns, [max_int] when none is; none past [scan_until]) and pops only
+     the due entries; confirmed batches are dropped lazily then. *)
   resend : Sim_time.span option;
   resend_queue : (Workload.Request.t * int) Heap.t;
+  mutable scan_at : int;
+  mutable scan_until : Sim_time.t;
   mutable resends : int;
   mutable max_view_entered : int;
   mutable first_vc_trigger : Sim_time.t option;
@@ -184,6 +187,8 @@ let create ~cfg ~key_rng ~platform ~now ~schedule ~deliver ~byzantine ~resend ~t
       pack_age_max = 0L;
       resend;
       resend_queue = Heap.create ();
+      scan_at = max_int;
+      scan_until = Int64.min_int;
       resends = 0;
       max_view_entered = 1;
       first_vc_trigger = None;
@@ -196,16 +201,6 @@ let create ~cfg ~key_rng ~platform ~now ~schedule ~deliver ~byzantine ~resend ~t
           ~tkey:tkeys.(id) ?obs ~strategy:strategies.(id) ~hooks ~trace ());
   Array.iter Replica.start t.replicas;
   t
-
-let offer t (b : Workload.Request.t) =
-  let id = b.Workload.Request.id in
-  Hashtbl.replace t.outstanding id ();
-  match t.resend with
-  | None -> ()
-  | Some timeout ->
-    Heap.add_ns t.resend_queue
-      ~key_ns:(Int64.to_int b.Workload.Request.born + Int64.to_int timeout)
-      ~seq:id (b, 0)
 
 (* Re-send to several deterministically chosen replicas; §4.1: s = 9
    already gives > 99.99% probability of hitting an honest one (f + 1
@@ -222,38 +217,51 @@ let resend_batch t (b : Workload.Request.t) =
           ignore (Replica.submit t.replicas.(dst) copy : Replica.admission)))
     (Workload.Assign.replicas_for ~n ~s:fanout ~leader ~key:b.Workload.Request.id)
 
-let arm_resends t ?until () =
+(* A firing that is no longer the armed scan does nothing. *)
+let rec arm_scan t =
+  if not (Heap.is_empty t.resend_queue) then begin
+    let at = Heap.peek_key_ns t.resend_queue in
+    if at < t.scan_at && Int64.compare (Int64.of_int at) t.scan_until <= 0 then begin
+      t.scan_at <- at;
+      t.schedule ~delay:Int64.(sub (of_int at) (t.now ())) (fun () -> if t.scan_at = at then scan t)
+    end
+  end
+
+and scan t =
+  t.scan_at <- max_int;
+  let timeout_ns = Int64.to_int (Option.get t.resend) in
+  let now_ns = Int64.to_int (t.now ()) in
+  while (not (Heap.is_empty t.resend_queue)) && Heap.peek_key_ns t.resend_queue <= now_ns do
+    let b, attempts = Heap.pop_value t.resend_queue in
+    (* Confirmed either through the client's own copy (a replica
+       executed it) or by f+1 executions of any copy. *)
+    if (not (Workload.Request.is_confirmed b)) && Hashtbl.mem t.outstanding b.Workload.Request.id
+    then begin
+      resend_batch t b;
+      (* Capped exponential backoff: a recovering cluster is not
+         re-flooded with its whole backlog every period. *)
+      let attempts = attempts + 1 in
+      let wait_ns = timeout_ns * min 8 (1 lsl attempts) in
+      Heap.add_ns t.resend_queue ~key_ns:(now_ns + wait_ns) ~seq:b.Workload.Request.id
+        (b, attempts)
+    end
+  done;
+  arm_scan t
+
+let offer t (b : Workload.Request.t) =
+  let id = b.Workload.Request.id in
+  Hashtbl.replace t.outstanding id ();
   match t.resend with
   | None -> ()
   | Some timeout ->
-    let period = Int64.div timeout 2L in
-    let timeout_ns = Int64.to_int timeout in
-    let rec scan () =
-      let now_ns = Int64.to_int (t.now ()) in
-      while
-        (not (Heap.is_empty t.resend_queue)) && Heap.peek_key_ns t.resend_queue <= now_ns
-      do
-        let b, attempts = Heap.pop_value t.resend_queue in
-        (* Confirmed either through the client's own copy (a replica
-           executed it) or by f+1 executions of any copy. *)
-        if
-          (not (Workload.Request.is_confirmed b))
-          && Hashtbl.mem t.outstanding b.Workload.Request.id
-        then begin
-          resend_batch t b;
-          (* Capped exponential backoff: a recovering cluster is not
-             re-flooded with its whole backlog every period. *)
-          let attempts = attempts + 1 in
-          let wait_ns = timeout_ns * min 8 (1 lsl attempts) in
-          Heap.add_ns t.resend_queue ~key_ns:(now_ns + wait_ns) ~seq:b.Workload.Request.id
-            (b, attempts)
-        end
-      done;
-      match until with
-      | Some u when Sim_time.compare (t.now ()) u >= 0 -> ()
-      | _ -> t.schedule ~delay:period scan
-    in
-    t.schedule ~delay:timeout scan
+    Heap.add_ns t.resend_queue
+      ~key_ns:(Int64.to_int b.Workload.Request.born + Int64.to_int timeout)
+      ~seq:id (b, 0);
+    arm_scan t
+
+let arm_resends t ?(until = Int64.max_int) () =
+  t.scan_until <- until;
+  arm_scan t
 
 let vc_trigger_to_entry t =
   match (t.first_vc_trigger, t.last_view_entry) with

@@ -41,11 +41,12 @@ val create :
 
 val arm_resends : t -> ?until:Sim.Sim_time.t -> unit -> unit
 (** Starts the re-send scan (a no-op with [resend = None]). Every
-    offered batch is due [resend] after its birth; a scan every
-    [resend / 2] re-sends each due, still unconfirmed batch
-    resend-tagged to min(9, f+1, n-1) replicas from
-    {!Workload.Assign.replicas_for}, then backs it off to 2x, 4x and at
-    most 8x [resend]. The scan stops rescheduling itself at [until]. *)
+    offered batch is due [resend] after its birth. One scan is armed at
+    the earliest due instant; it re-sends each due, still unconfirmed
+    batch resend-tagged to min(9, f+1, n-1) replicas from
+    {!Workload.Assign.replicas_for}, backs it off to 2x, 4x and at most
+    8x [resend], and re-arms at the next due instant. No scan is armed
+    past [until]. *)
 
 val offer : t -> Workload.Request.t -> unit
 (** Registers a batch the client has sent: countable from now on, and

@@ -12,11 +12,6 @@ type t = {
   set_down : bool -> unit;
   verify : Verify.dispatch;
   store : Store.sink;
-  (* Egress queue pressure in [0, ∞): 0 = idle, >= 1 = at the transport's
-     high-water mark. The sim plane models no finite egress buffer, so it
-     reports a constant 0 and pressure-gated behaviour never engages
-     there. *)
-  pressure : unit -> float;
 }
 
 (* Each closure is exactly the call Replica made before the seam existed;
@@ -42,5 +37,4 @@ let of_sim ?verify_pool ?(store = Store.null) ~engine ~network ~id ~cores () =
     submit_ns = (fun ~cost_ns f -> Net.Cpu.submit_ns cpu ~cost_ns f);
     set_down = (fun down -> Net.Network.set_down network id down);
     verify;
-    store;
-    pressure = (fun () -> 0.) }
+    store }

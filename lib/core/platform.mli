@@ -58,13 +58,6 @@ type t = {
           persistence entirely. The log callback is synchronous and
           schedules nothing, so attaching a sink never perturbs the
           event order. *)
-  pressure : unit -> float;
-      (** egress queue pressure: 0 when the outbound buffers are idle,
-          reaching 1 at the transport's high-water mark (and beyond it
-          while consensus-critical headroom is in use). The sim plane
-          models no finite egress buffer and always reports 0, so any
-          pressure-gated behaviour is inert there; the socket runtime
-          reports [Transport.Conn.pressure]. *)
 }
 
 val of_sim :

@@ -50,6 +50,8 @@ type instance = {
   mutable stashed_confirmation : (int * Hash.t * Ts.aggregate) option;
 }
 
+let never = Int64.max_int
+
 (* Consensus counters, one set per replica (label [replica="<id>"]).
    Pure observation: nothing here feeds back into protocol behavior, so
    an attached registry cannot perturb a deterministic run. *)
@@ -111,12 +113,17 @@ type t = {
   mutable last_partial_pack : Sim_time.t;
   mutable last_partial_propose : Sim_time.t;
   mutable propose_queued : bool;  (* a round-batched proposal task is queued *)
-  (* the proposal clock: bumping [pack_clock] disarms the pending clock
-     pack; [timer_packing] holds from an age-rule pack to the next α-full
-     one; [vote_rtt] is the last prepare-vote -> notarization time *)
-  mutable pack_clock : int;
+  (* the proposal clock: [timer_packing] holds from an age-rule pack to
+     the next α-full one; [vote_rtt] is the last prepare-vote ->
+     notarization time *)
   mutable timer_packing : bool;
   mutable vote_rtt : Sim_time.span option;
+  (* deadline slots (see [arm]): the age rule's pack, the proposal
+     clock's pack, the leader's short timer and the watchdog *)
+  age_due : Sim_time.t ref;
+  clock_due : Sim_time.t ref;
+  propose_due : Sim_time.t ref;
+  watch_due : Sim_time.t ref;
   punished : (Net.Node_id.t, unit) Hashtbl.t;  (* kicked-out equivocators *)
   (* overload accounting (plain ints: readable without a registry) *)
   mutable submits_rejected : int;   (* requests refused at admission *)
@@ -157,6 +164,20 @@ let active t =
 let send t ~dst msg = if not t.recovering then t.platform.Platform.send ~dst msg
 let multicast t msg = if not t.recovering then t.platform.Platform.multicast msg
 let schedule t ~delay f = t.platform.Platform.schedule ~delay f
+
+(* Deadline slot [d]: the instant armed ([never]: none), moved only
+   earlier by the state changes that create deadlines, so a replica
+   holds O(1) timers. A stale firing does nothing; a live one clears the
+   slot first, so [f] may re-arm it. *)
+let arm t d ~at f =
+  if Sim_time.compare at !d < 0 then begin
+    d := at;
+    t.platform.Platform.schedule_at ~at (fun () ->
+        if Sim_time.compare !d at = 0 then begin
+          d := never;
+          if active t then f ()
+        end)
+  end
 
 (* Write-ahead logging: called immediately BEFORE the send whose emission
    is a binding commitment. [enabled] is false on the default sim
@@ -318,22 +339,12 @@ let equivocate_datablocks t batches_a batches_b =
   done;
   tracef t "datablock.equivocated" "counter=%d" counter
 
-(* Pacing gate: with [pace_on_pressure] on, datablock production defers
-   while the transport's egress queues sit at/above their high-water mark
-   — packing into a saturated NIC only converts mempool backlog into
-   dropped frames. [pack_tick] retries once the pressure clears. The
-   pressure probe is short-circuited away entirely when pacing is off,
-   so default-config runs never consult the platform. *)
-let paced t = t.cfg.pace_on_pressure && t.platform.Platform.pressure () >= 1.0
+let may_pack t = active t && ((not (is_leader t)) || t.cfg.leader_generates_datablocks)
 
-let may_pack t =
-  active t && ((not (is_leader t)) || t.cfg.leader_generates_datablocks) && not (paced t)
+(* Stops the proposal clock's pending pack (see below). *)
+let disarm_pack_clock t = t.clock_due := never
 
-(* A clock pack fires only if [pack_clock] still holds the value it was
-   armed with (see the proposal clock below). *)
-let disarm_pack_clock t = t.pack_clock <- t.pack_clock + 1
-
-let maybe_pack t =
+let rec maybe_pack t =
   if may_pack t then
     match t.strategy with
     | Byzantine.Censor -> () (* holds requests back; clients must re-send *)
@@ -365,7 +376,20 @@ let maybe_pack t =
         t.last_partial_pack <- Sim_time.( + ) (now t) t.cfg.datablock_timeout;
         let batches = Mempool.take t.mempool ~target:max_int in
         if batches <> [] then sign_and_send_datablock t batches
-      end
+      end;
+      arm_age_deadline t
+
+(* The age rule's deadline: the mempool head's birth (the client's
+   instant) plus [datablock_timeout], once the partial-pack rate limit
+   has reopened. *)
+and arm_age_deadline t =
+  if Int64.compare t.cfg.datablock_timeout 0L > 0 then
+    match Mempool.oldest_age t.mempool ~now:(now t) with
+    | Some age ->
+      let due = Sim_time.(now t - age + t.cfg.datablock_timeout) in
+      let at = Sim_time.max due (Sim_time.( + ) t.last_partial_pack 1L) in
+      arm t t.age_due ~at (fun () -> maybe_pack t)
+    | None -> ()
 
 (* ----------------------------------------------------------------- *)
 (* The proposal clock (both batching timers positive)                 *)
@@ -398,7 +422,8 @@ let clock_pack t =
       let batches = Mempool.take t.mempool ~target:t.cfg.alpha in
       if batches <> [] then begin
         bump t (fun m -> m.clock_packs);
-        sign_and_send_datablock t batches
+        sign_and_send_datablock t batches;
+        arm_age_deadline t
       end
 
 (* Called at the vote instant, about one one-way delay after the leader
@@ -414,8 +439,7 @@ let arm_pack_clock t =
     let delay = Int64.(sub (sub p (div p clock_guard_fraction)) rtt) in
     if Int64.compare delay 0L > 0 then begin
       disarm_pack_clock t;
-      let armed = t.pack_clock in
-      schedule t ~delay (fun () -> if t.pack_clock = armed then clock_pack t)
+      arm t t.clock_due ~at:Sim_time.(now t + delay) (fun () -> clock_pack t)
     end
   | Some _ | None -> ()
 
@@ -461,31 +485,21 @@ let rec maybe_propose t =
       propose_block t block None;
       maybe_propose t
     end
-    else if
-      window_open && pending > 0
-      && Int64.compare t.cfg.proposal_timeout 0L > 0
-      && Sim_time.compare (now t) t.last_partial_propose > 0
-    then begin
-      (* Short-timer (§6.2.1): propose with what we have. *)
-      t.last_partial_propose <- Sim_time.( + ) (now t) t.cfg.proposal_timeout;
-      let dbs = Datablock_pool.take_pending t.pool ~max:t.cfg.bft_size in
-      let links = List.map Datablock.hash dbs in
-      let block = Bftblock.create ~view:t.view ~sn:t.next_sn ~links in
-      t.next_sn <- t.next_sn + 1;
-      propose_block t block None;
-      (* The proposal clock: the next partial proposal leaves the moment
-         the rate limit opens, onto the datablocks the non-leaders aimed
-         at it, not at the next datablock arrival or pack tick. A
-         proposal in between can only be a full one (the rate limit
-         holds back partial ones): the BFTsize rule is proposing, and,
-         as at the voters, a full proposal stops the clock. *)
-      if clocked t then begin
-        let sn = t.next_sn in
-        t.platform.Platform.schedule_at
-          ~at:(Sim_time.( + ) t.last_partial_propose 1L)
-          (fun () -> if t.next_sn = sn then maybe_propose t)
+    else if window_open && pending > 0 && Int64.compare t.cfg.proposal_timeout 0L > 0 then
+      if Sim_time.compare (now t) t.last_partial_propose > 0 then begin
+        (* Short-timer (§6.2.1): propose with what we have. *)
+        t.last_partial_propose <- Sim_time.( + ) (now t) t.cfg.proposal_timeout;
+        let dbs = Datablock_pool.take_pending t.pool ~max:t.cfg.bft_size in
+        let links = List.map Datablock.hash dbs in
+        let block = Bftblock.create ~view:t.view ~sn:t.next_sn ~links in
+        t.next_sn <- t.next_sn + 1;
+        propose_block t block None
       end
-    end
+      else
+        (* The rate limit is closed: these leave when it reopens (the
+           clock packs aimed there, or a full proposal's stragglers). *)
+        arm t t.propose_due ~at:(Sim_time.( + ) t.last_partial_propose 1L) (fun () ->
+            maybe_propose t)
   end
 
 (* Round-batched idle proposals. A datablock that finds the short timer
@@ -980,22 +994,26 @@ and note_timeout t ~abandoned ~sender =
     trigger_view_change t ~abandoned
 
 (* A watched (re-sent) request that stays unconfirmed beyond the view
-   timeout is the paper's trigger condition (1). One per-replica
-   watchdog timer checks the watch set — a timer per watched request
-   would explode under a re-send burst, when every datablock carries
-   hundreds of tagged batches to every replica. *)
-let watch_request t batch = if active t then Watchdog.watch t.watched ~now:(now t) batch
-
-let watchdog_check t =
-  if active t && Watchdog.length t.watched > 0 then begin
-    (* Give up only when a watched request has waited a full timeout AND
-       the view is old enough AND has made no execution progress for a
-       full timeout (PBFT restarts its timer on progress). *)
+   timeout is the paper's trigger condition (1): one deadline per
+   replica, not one per request (a re-send burst tags hundreds). Give up
+   only once the view is also old enough and a full timeout without
+   execution progress (PBFT restarts its timer on progress): a firing
+   inside that grace re-arms at its end. An abandoned view arms nothing;
+   entering the next one re-arms. *)
+let rec arm_watchdog t =
+  if active t && t.sent_timeout_for < t.view then
     let grace_end =
       Sim_time.(Sim_time.max t.view_entered_at t.last_execution_at + t.cfg.view_timeout)
     in
-    if Watchdog.expired t.watched ~now:(now t) ~timeout:t.cfg.view_timeout ~grace_end then
-      vote_timeout t ~abandoned:t.view
+    match Watchdog.next_due t.watched ~timeout:t.cfg.view_timeout ~grace_end with
+    | Some at when Sim_time.compare at (now t) <= 0 -> vote_timeout t ~abandoned:t.view
+    | Some at -> arm t t.watch_due ~at (fun () -> arm_watchdog t)
+    | None -> ()
+
+let watch_request t batch =
+  if active t then begin
+    Watchdog.watch t.watched ~now:(now t) batch;
+    arm_watchdog t
   end
 
 let new_view_redo_plan vcs lw =
@@ -1055,20 +1073,13 @@ let enter_view t ~nv_view ~vcs =
   retry_waiting_proposals t;
   if is_leader t then begin
     (* The new leader stops producing datablocks; flush its mempool so
-       pending requests it was responsible for are not stranded. With an
-       admission bound configured, the flush is capped at that bound —
-       an unbounded [max_int] take here would convert an overloaded
-       demoted leader's whole backlog into one giant datablock burst
-       into the brand-new view. The remainder stays queued and drains
-       through the normal packing path (pack_tick keeps running; this
-       replica no longer packs as leader, but its clients re-send and
-       the watchdog covers stranded batches). *)
-    if not (Mempool.is_empty t.mempool) then begin
-      let cap = Mempool.cap t.mempool in
-      let target = if cap > 0 then cap else max_int in
-      let batches = Mempool.take t.mempool ~target in
-      if batches <> [] then sign_and_send_datablock t batches
-    end;
+       the requests it holds are not stranded, capped at the admission
+       bound if one is set (an overloaded backlog must not become one
+       datablock burst into the new view). The rest waits for its
+       clients' re-sends and the watchdog. *)
+    let cap = Mempool.cap t.mempool in
+    let batches = Mempool.take t.mempool ~target:(if cap > 0 then cap else max_int) in
+    if batches <> [] then sign_and_send_datablock t batches;
     t.next_sn <- max t.next_sn (max_sn + 1);
     (* Unlink datablocks linked by abandoned (never-notarized) proposals
        so their requests are re-proposed rather than lost; the redo
@@ -1092,6 +1103,10 @@ let enter_view t ~nv_view ~vcs =
       plan;
     maybe_propose t
   end
+  else
+    (* A demoted leader's mempool starts packing here. *)
+    maybe_pack t;
+  arm_watchdog t
 
 (* The verified-notarization memo must not grow for the lifetime of the
    process: a socket-runtime replica runs for days, and every view change
@@ -1527,25 +1542,6 @@ let submit t batch =
       bump_by t (fun m -> m.submit_rejected) count;
       Rejected reason
 
-let rec pack_tick t =
-  if active t then begin
-    maybe_pack t;
-    watchdog_check t;
-    (* The leader's short-timer (partial proposals) also needs a periodic
-       trigger: datablock arrivals alone stop driving it once the tail of
-       the load is in the pool. *)
-    maybe_propose t;
-    let base =
-      if Int64.compare t.cfg.datablock_timeout 0L > 0 then t.cfg.datablock_timeout
-      else Sim_time.ms 500
-    in
-    let base =
-      if Int64.compare t.cfg.proposal_timeout 0L > 0 then Sim_time.min base t.cfg.proposal_timeout
-      else base
-    in
-    schedule t ~delay:base (fun () -> pack_tick t)
-  end
-
 let start t =
   (match t.strategy with
    | Byzantine.Crash_at at ->
@@ -1555,7 +1551,8 @@ let start t =
          Trace.recordf t.trace ~at:(now t) ~tag:"crash" "%a" Net.Node_id.pp t.id)
    | Byzantine.Honest | Byzantine.Silent | Byzantine.Equivocate_datablocks | Byzantine.Censor ->
      ());
-  if active t then pack_tick t
+  (* A recovered leader proposes what its restored pool holds. *)
+  if active t then maybe_propose t
 
 let create ~platform ~cfg ~id ~sk ~pks ~tsetup ~tkey ?obs ?(strategy = Byzantine.Honest)
     ?(hooks = no_hooks) ?trace () =
@@ -1622,9 +1619,12 @@ let create ~platform ~cfg ~id ~sk ~pks ~tsetup ~tkey ?obs ?(strategy = Byzantine
       last_partial_pack = Sim_time.zero;
       last_partial_propose = Sim_time.zero;
       propose_queued = false;
-      pack_clock = 0;
       timer_packing = true;
       vote_rtt = None;
+      age_due = ref never;
+      clock_due = ref never;
+      propose_due = ref never;
+      watch_due = ref never;
       punished = Hashtbl.create 4;
       submits_rejected = 0 }
   in

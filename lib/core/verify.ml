@@ -52,23 +52,23 @@ let blocking pool : dispatch =
 
 (* What a job costs, in SHA-256 compressions. A datablock check hashes
    one leaf per batch (a [Request.encode] fits one block), two
-   compressions per Merkle inner node (batches - 1 of them) and four for
-   the HMAC over the header; a share or aggregate check is one member or
-   group commitment plus the message mask, about two. *)
+   compressions per Merkle inner node (batches - 1 of them) and two for
+   the HMAC over the header (keyed pads precomputed); a share or
+   aggregate check is one member or group commitment plus the mask. *)
 let rec cost = function
-  | Datablock_check { db; _ } -> (3 * List.length db.Datablock.batches) + 2
+  | Datablock_check { db; _ } -> 3 * List.length db.Datablock.batches
   | Aggregate_check _ | Share_check _ -> 2
   | All js -> List.fold_left (fun acc j -> acc + cost j) 0 js
 
 (* Jobs cheaper than this run inline on the owner: shipping them costs
    more than they do. From the two micro rows that measure the sides
    (BENCH_micro.json; 2-vCPU x86-64 host with SHA-NI): a [verify/handoff]
-   pool round trip takes 22.2 us, and a fresh [datablock/verify-7]
-   (cost 23) 4.08 us, 177 ns per compression, so a round trip is worth
-   ~125 compressions. A full datablock (alpha = 100 batches, cost 302)
-   still goes to the pool; the 7-batch datablocks of a 1000 req/s run and
-   every lone share or aggregate check run inline. *)
-let inline_below = 125
+   pool round trip takes 22173 ns, and a fresh [datablock/verify-7]
+   (cost 21) 4077 ns, 194 ns per compression, so a round trip is worth
+   22173 / 194 = ~114 compressions. A full datablock (alpha = 100
+   batches, cost 300) still goes to the pool; the 5-7-batch datablocks
+   of a 1000 req/s run and lone share or aggregate checks run inline. *)
+let inline_below = 114
 
 let pooled pool : dispatch =
  fun job k ->

@@ -62,7 +62,7 @@ val blocking : Exec.Pool.t -> dispatch
     all finish, then the continuation runs in the caller. *)
 
 val cost : job -> int
-(** The job's estimated cost in SHA-256 compressions: [3 * batches + 2]
+(** The job's estimated cost in SHA-256 compressions: [3 * batches]
     for a datablock check (leaf hashes, Merkle inner nodes, HMAC), 2 for
     a share or aggregate check, the sum for [All]. *)
 

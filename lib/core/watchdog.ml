@@ -39,11 +39,10 @@ let watch t ~now batch =
     end
   end
 
-let rec expired t ~now ~timeout ~grace_end =
+let rec next_due t ~timeout ~grace_end =
   match Queue.peek_opt t.queue with
-  | None -> false
+  | None -> None
   | Some e when Workload.Request.is_confirmed e.batch ->
     drop t (Queue.pop t.queue);
-    expired t ~now ~timeout ~grace_end
-  | Some e ->
-    Sim.Sim_time.(compare now (e.since + timeout) >= 0 && compare now grace_end >= 0)
+    next_due t ~timeout ~grace_end
+  | Some e -> Some (Sim.Sim_time.max Sim.Sim_time.(e.since + timeout) grace_end)

@@ -3,10 +3,10 @@
     view timeout after the replica first saw it.
 
     Requests are kept in arrival order, so their observation instants
-    never decrease and only the oldest unconfirmed one can decide a
-    check: a check pops the confirmed requests at the head and looks at
-    the first one left. Its cost is the number of requests confirmed
-    since the last check, not the number watched. *)
+    never decrease and only the oldest unconfirmed one sets the
+    deadline: {!next_due} pops the confirmed requests at the head and
+    looks at the first one left. Its cost is the number of requests
+    confirmed since the last call, not the number watched. *)
 
 type t
 
@@ -17,12 +17,12 @@ val watch : t -> now:Sim.Sim_time.t -> Workload.Request.t -> unit
     watched (by id) keeps its first instant; a confirmed one is
     ignored. *)
 
-val expired :
-  t -> now:Sim.Sim_time.t -> timeout:Sim.Sim_time.span -> grace_end:Sim.Sim_time.t -> bool
-(** Whether some watched request is unconfirmed and has been watched for
-    at least [timeout], with [now] also at or past [grace_end] (the
-    replica's view must be old enough and without execution progress
-    for a full timeout). Drops the confirmed requests it passes. *)
+val next_due :
+  t -> timeout:Sim.Sim_time.span -> grace_end:Sim.Sim_time.t -> Sim.Sim_time.t option
+(** When the trigger fires if nothing changes: the oldest unconfirmed
+    request's instant plus [timeout], not before [grace_end] (the view
+    must be old enough and a timeout without execution progress);
+    [None] if none is watched. Drops the confirmed requests it passes. *)
 
 val length : t -> int
 (** Requests held, including confirmed ones not yet dropped. *)

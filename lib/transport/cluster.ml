@@ -14,8 +14,7 @@ type t = {
   mutable last_tick_ns : int;
   mutable rr : int;
   (* closed-loop arm of the hybrid client (inert while the overload
-     controls are off, i.e. [mempool_cap = 0] and [pace_on_pressure =
-     false]): admission rejections re-credit [carry] and put the target
+     controls are off, i.e. [mempool_cap = 0]): admission rejections re-credit [carry] and put the target
      on a retry-after cooldown; saturated targets are skipped. *)
   mutable rejected : int;  (* requests refused at replica admission *)
   mutable throttled : int; (* target-ticks skipped for egress pressure *)
@@ -67,8 +66,7 @@ let carry_bucket_sec = 0.5
 (* The closed-loop behaviours only engage when the replicas are actually
    configured with overload controls; otherwise the client stays the
    seed's pure open loop. *)
-let overload_controls_on t =
-  t.cfg.Core.Config.mempool_cap > 0 || t.cfg.Core.Config.pace_on_pressure
+let overload_controls_on t = t.cfg.Core.Config.mempool_cap > 0
 
 let client_targets t =
   let l = Core.Config.leader_of_view t.cfg 1 in

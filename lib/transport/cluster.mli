@@ -12,7 +12,7 @@
     pool ticks, the client and the metrics dump.
 
     The client is a closed/open hybrid. With the overload controls off
-    ([mempool_cap = 0] and [pace_on_pressure = false], the defaults) it
+    ([mempool_cap = 0], the default) it
     is the seed's pure open loop. With them on, admission rejections
     re-credit the refused requests to the rate carry (bounded to a
     half-second token bucket) and put the rejecting target on a 100 ms

@@ -32,10 +32,7 @@ let node ~loop ~id ~n ?obs ?max_frame ?outbuf_hwm ?pool ?(verify = Core.Verify.i
          moves it onto worker domains; read/write syscalls keep going
          while continuations wait for the next drain tick. *)
       verify;
-      store;
-      (* Egress pressure from the conn's outbound rings; drives the
-         replica's pacing gate when [pace_on_pressure] is configured. *)
-      pressure = (fun () -> Conn.pressure conn) }
+      store }
   in
   { loop; conn; platform }
 

@@ -350,7 +350,9 @@ let test_pool_floor_window () =
    counters x 2 variants gives duplicates, equivocations (Rival entries),
    executed slots and requested fetch replies. [take_pending] may only
    hand out a datablock that [add] answered [Accepted] for and that has
-   not been executed since: never a Rival, never an Executed entry. *)
+   not been executed since: never a Rival, never an Executed entry. No
+   datablock [add] answered [Equivocation] for, and not executed since,
+   may outlive a [prune] whose floors cover its slot. *)
 type pool_op =
   | Add of int * bool  (* universe index, requested *)
   | Mark of int
@@ -400,12 +402,24 @@ let prop_pool_pending_count =
       let unlinked () = P.fold pool ~init:0 ~f:(fun acc _ ~linked -> if linked then acc else acc + 1) in
       (* hashes [add] accepted and nothing executed since *)
       let offerable = Crypto.Hash.Table.create 16 in
+      let rivals = Crypto.Hash.Table.create 16 in
+      let floored (db : Core.Datablock.t) =
+        let { Core.Datablock.creator; counter; _ } = db.Core.Datablock.header in
+        List.exists
+          (fun (f : P.floor) ->
+            f.P.creator = creator && (counter <= f.P.base || List.mem counter f.P.above))
+          (P.floors pool)
+      in
       List.for_all
         (fun op ->
           (match op with
-           | Add (i, requested) ->
-             if P.add ~requested pool pool_universe.(i) = P.Accepted then
-               Crypto.Hash.Table.replace offerable (hash_of i) ()
+           | Add (i, requested) -> (
+             match P.add ~requested pool pool_universe.(i) with
+             | P.Accepted ->
+               Crypto.Hash.Table.replace offerable (hash_of i) ();
+               Crypto.Hash.Table.remove rivals (hash_of i)
+             | P.Equivocation _ -> Crypto.Hash.Table.replace rivals (hash_of i) ()
+             | P.Duplicate | P.Executed -> ())
            | Mark i -> P.mark_linked pool (hash_of i)
            | Take k ->
              let before = P.pending pool in
@@ -421,8 +435,13 @@ let prop_pool_pending_count =
              P.relink_pending pool ~keep_linked:(Crypto.Hash.Set.of_list (hashes_in keep))
            | Execute (i, sn) ->
              P.mark_executed pool (hash_of i) ~sn;
-             Crypto.Hash.Table.remove offerable (hash_of i)
-           | Prune lw -> P.prune pool ~lw);
+             Crypto.Hash.Table.remove offerable (hash_of i);
+             Crypto.Hash.Table.remove rivals (hash_of i)
+           | Prune lw ->
+             P.prune pool ~lw;
+             P.fold pool ~init:() ~f:(fun () db ~linked:_ ->
+                 if Crypto.Hash.Table.mem rivals (Core.Datablock.hash db) && floored db then
+                   QCheck.Test.fail_reportf "a rival of a floored slot survived prune"));
           P.pending pool = unlinked ())
         ops)
 
@@ -566,9 +585,9 @@ let test_watchdog_stale_behind_confirmed () =
     Workload.Request.mark_confirmed b
   done;
   Core.Watchdog.watch w ~now:(Sim_time.ms 200) (batch ());
-  let expired now = Core.Watchdog.expired w ~now ~timeout:wd_timeout ~grace_end:Sim_time.zero in
-  checkb "not yet a full timeout after the stale one arrived" false (expired (Sim_time.ms 299));
-  checkb "the stale request triggers a timeout vote" true (expired (Sim_time.ms 300));
+  checkb "the stale request is due a full timeout after it arrived" true
+    (Core.Watchdog.next_due w ~timeout:wd_timeout ~grace_end:Sim_time.zero
+     = Some (Sim_time.ms 300));
   checki "confirmed requests ahead of it were dropped" 1 (Core.Watchdog.length w)
 
 let test_watchdog_all_confirmed () =
@@ -576,8 +595,8 @@ let test_watchdog_all_confirmed () =
   let bs = List.init 50 (fun _ -> batch ()) in
   List.iteri (fun i b -> Core.Watchdog.watch w ~now:(Sim_time.ms i) b) bs;
   List.iter Workload.Request.mark_confirmed bs;
-  checkb "nothing triggers when every request is confirmed" false
-    (Core.Watchdog.expired w ~now:(Sim_time.s 60) ~timeout:wd_timeout ~grace_end:Sim_time.zero);
+  checkb "nothing is due when every request is confirmed" true
+    (Core.Watchdog.next_due w ~timeout:wd_timeout ~grace_end:Sim_time.zero = None);
   checki "all dropped" 0 (Core.Watchdog.length w);
   let b = batch () in
   Workload.Request.mark_confirmed b;
@@ -590,9 +609,10 @@ let test_watchdog_grace () =
   Core.Watchdog.watch w ~now:Sim_time.zero b;
   (* Watching the same id again keeps the first instant. *)
   Core.Watchdog.watch w ~now:(Sim_time.s 5) b;
-  let expired now = Core.Watchdog.expired w ~now ~timeout:wd_timeout ~grace_end:(Sim_time.s 1) in
-  checkb "nothing triggers before the grace period ends" false (expired (Sim_time.ms 999));
-  checkb "triggers once the grace period ends" true (expired (Sim_time.s 1));
+  let due grace_end = Core.Watchdog.next_due w ~timeout:wd_timeout ~grace_end in
+  checkb "due when the grace period ends" true (due (Sim_time.s 1) = Some (Sim_time.s 1));
+  checkb "due a timeout after the first watch once the grace has ended" true
+    (due Sim_time.zero = Some wd_timeout);
   checki "re-watching an id adds nothing" 1 (Core.Watchdog.length w)
 
 let test_silent_f_selection () =

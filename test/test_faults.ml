@@ -90,19 +90,23 @@ let run_sim ?(seed = 42L) build ~n =
 let test_sim_corpus_n4 () =
   List.iter (fun build -> ignore (run_sim build ~n:4 : Oracle.outcome)) Corpus.all
 
-(* The proposal clock only ever packs earlier: in every scenario no
-   honest datablock carries a request older than the datablock timeout
-   plus one pack tick (the age rule is polled at min(datablock timeout,
-   proposal timeout), so it packs at most one tick past the deadline). *)
+(* The age rule is a deadline: a request is packed once it is
+   [datablock_timeout] old, counted from its client's birth instant.
+   Two things can hold it longer. (1) The client -> replica trip: a
+   request that arrives just after a partial pack waits for the rate
+   limit, which reopens [datablock_timeout] + 1 ns after that pack, so
+   up to the trip past its own deadline. The trip is the target's
+   ingress NIC: a client batch of a few 224-byte requests serialises in
+   under 0.4 us at the default 4.9 Gb/s, and 1 ms of allowance also
+   covers ~600 KB of other frames queued ahead of it, more than any
+   corpus load keeps in flight. (2) That last nanosecond. The proposal
+   clock and the alpha rule only ever pack earlier. *)
 let test_sim_corpus_pack_age () =
   List.iter
     (fun build ->
       let sc = build ~n:4 in
       let cfg = Sim_plane.config sc in
-      let timeout = cfg.Core.Config.datablock_timeout in
-      let bound =
-        Sim.Sim_time.(timeout + Sim.Sim_time.min timeout cfg.Core.Config.proposal_timeout)
-      in
+      let bound = Sim.Sim_time.(cfg.Core.Config.datablock_timeout + ms 1) in
       let o = run_sim build ~n:4 in
       if Sim.Sim_time.compare o.Oracle.pack_age_max bound > 0 then
         Alcotest.failf "%s: a request was packed %Ld ns after its birth (bound %Ld)"

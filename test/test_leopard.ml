@@ -942,6 +942,161 @@ let test_clock_off_on_slow_link () =
   checkb "propose p50 not above 40.04 ms" true (r.propose_wait_p50 <= 0.040041);
   checkb "confirm p50 not above 88.75 ms" true (r.confirm_p50 <= 0.088754)
 
+(* -- One-shot deadlines ----------------------------------------------------------- *)
+
+(* A bare n=4 cluster: no client, no driver; the test submits requests
+   itself. Every replica timer is counted, and every multicast is
+   recorded at its send instant (newest first), as is every execution. *)
+type bare = {
+  engine : Engine.t;
+  replicas : Core.Replica.t array;
+  timers : int ref;
+  sent : (Sim_time.t * Net.Node_id.t * Core.Msg.t) list ref;
+  executed : (Sim_time.t * Net.Node_id.t) list ref;
+}
+
+let bare_cluster cfg =
+  let engine = Engine.create ~seed:5L () in
+  let network = Net.Network.create engine ~n:4 ~meta:Core.Msg.meta ~link:Net.Network.default_link in
+  let rng = Rng.split (Engine.rng engine) in
+  let keys = Array.init 4 (fun _ -> Crypto.Signature.keygen rng) in
+  let tsetup, tkeys = Crypto.Threshold.keygen rng ~threshold:(2 * cfg.Core.Config.f) ~parties:4 in
+  let timers = ref 0 and sent = ref [] and executed = ref [] in
+  let platform id =
+    let p = Core.Platform.of_sim ~engine ~network ~id ~cores:cfg.Core.Config.cores () in
+    { p with
+      Core.Platform.schedule =
+        (fun ~delay f ->
+          incr timers;
+          p.Core.Platform.schedule ~delay f);
+      schedule_at =
+        (fun ~at f ->
+          incr timers;
+          p.Core.Platform.schedule_at ~at f);
+      multicast =
+        (fun msg ->
+          sent := (Engine.now engine, id, msg) :: !sent;
+          p.Core.Platform.multicast msg) }
+  in
+  let hooks =
+    { Core.Replica.no_hooks with
+      on_execute = (fun ~id ~sn:_ _ _ -> executed := (Engine.now engine, id) :: !executed) }
+  in
+  let replicas =
+    Array.init 4 (fun id ->
+        Core.Replica.create ~platform:(platform id) ~cfg ~id ~sk:(snd keys.(id))
+          ~pks:(Array.map fst keys) ~tsetup ~tkey:tkeys.(id) ~hooks ())
+  in
+  Array.iter Core.Replica.start replicas;
+  { engine; replicas; timers; sent; executed }
+
+let submit_at c ~at ~dst ?resend id =
+  ignore
+    (Engine.schedule_at c.engine ~at (fun () ->
+         let b = Workload.Request.make ~id ~count:1 ~size_each:64 ~born:at ?resend () in
+         ignore (Core.Replica.submit c.replicas.(dst) b : Core.Replica.admission)))
+
+(* Every timer is armed by the state change that creates its deadline:
+   with both batching timeouts set and no request, nothing is. *)
+let test_idle_arms_nothing () =
+  let c = bare_cluster (small_cfg ()) in
+  Engine.run ~until:(Sim_time.s 5) c.engine;
+  let events = Engine.events_fired c.engine in
+  Engine.run ~until:(Sim_time.s 50) c.engine;
+  checki "no replica timer" 0 !(c.timers);
+  checki "no engine event after 5 s" events (Engine.events_fired c.engine)
+
+(* §6.2.1's short timer after a full proposal. With alpha = 1 each
+   request is its own datablock. The leader (replica 1) proposes the
+   first one alone at 10 ms, which closes its rate limit until 110 ms;
+   three at 20 ms make a full proposal; one straggler at 30 ms finds the
+   rate limit closed and nothing follows it. It must leave when the rate
+   limit reopens, within [proposal_timeout] of its arrival. *)
+let test_straggler_after_full_proposal () =
+  let proposal_timeout = Sim_time.ms 100 in
+  let cfg =
+    Core.Config.make ~n:4 ~alpha:1 ~bft_size:3 ~k:32 ~payload:64 ~datablock_timeout:proposal_timeout
+      ~proposal_timeout ~cost:Crypto.Cost_model.free ()
+  in
+  let c = bare_cluster cfg in
+  submit_at c ~at:(Sim_time.ms 10) ~dst:0 1;
+  List.iteri (fun i dst -> submit_at c ~at:(Sim_time.ms 20) ~dst (2 + i)) [ 0; 2; 3 ];
+  submit_at c ~at:(Sim_time.ms 30) ~dst:2 5;
+  Engine.run ~until:(Sim_time.s 1) c.engine;
+  let proposals =
+    List.rev !(c.sent)
+    |> List.filter_map (fun (at, src, msg) ->
+           match msg with
+           | Core.Msg.Propose { block; _ } when src = 1 ->
+             Some (at, List.length block.Core.Bftblock.links)
+           | _ -> None)
+  in
+  Alcotest.(check (list int)) "links per proposal" [ 1; 3; 1 ] (List.map snd proposals);
+  let at, _ = List.nth proposals 2 in
+  if Sim_time.compare at Sim_time.(ms 30 + proposal_timeout) > 0 then
+    Alcotest.failf "straggler proposed at %a, after 30 ms + proposal_timeout" Sim_time.pp at
+
+(* §4.3's trigger (1): the leader (which packs nothing) holds a re-sent
+   request, so nothing confirms it, and with both batching timeouts 0
+   nothing else is scheduled. Its timeout vote leaves at the later of
+   the watch instant + view timeout and the grace end (the view's start
+   or its last execution, + view timeout). *)
+let test_watchdog_deadline () =
+  let cfg =
+    Core.Config.make ~n:4 ~alpha:1 ~bft_size:1 ~k:32 ~payload:64 ~view_timeout:(Sim_time.s 1)
+      ~cost:Crypto.Cost_model.free ()
+  in
+  let vote_at ?execution_at ~watch_at () =
+    let c = bare_cluster cfg in
+    submit_at c ~at:watch_at ~dst:1 ~resend:true 1;
+    Option.iter (fun at -> submit_at c ~at ~dst:0 2) execution_at;
+    Engine.run ~until:(Sim_time.s 5) c.engine;
+    let votes =
+      List.filter_map
+        (fun (at, src, msg) ->
+          match msg with Core.Msg.Timeout _ -> Some (at, src) | _ -> None)
+        !(c.sent)
+    in
+    (match votes with
+     | [ (_, 1) ] -> ()
+     | _ -> Alcotest.failf "%d timeout votes, want one from the leader" (List.length votes));
+    let executed_at =
+      List.fold_left
+        (fun acc (at, id) -> if id = 1 then Sim_time.max acc at else acc)
+        Sim_time.zero !(c.executed)
+    in
+    (fst (List.hd votes), executed_at)
+  in
+  let vt = cfg.Core.Config.view_timeout in
+  let vote, _ = vote_at ~watch_at:(Sim_time.ms 300) () in
+  Alcotest.(check int64) "watched at 300 ms: watch + view timeout" (Sim_time.ms 1300) vote;
+  let vote, executed_at = vote_at ~watch_at:(Sim_time.ms 100) ~execution_at:(Sim_time.ms 500) () in
+  checkb "the leader executed after the watch" true
+    (Sim_time.compare executed_at (Sim_time.ms 500) > 0);
+  Alcotest.(check int64) "execution at ~500 ms: grace end" Sim_time.(executed_at + vt) vote
+
+(* The Rival entries of an equivocating creator are dropped once a
+   checkpoint covers their slots: with the load running the whole time,
+   replica 1's pool stays within the watermark window's links rather
+   than growing with the run (194 entries at 12 s, 806 at 48 s before). *)
+let test_rival_entries_bounded () =
+  let cfg = small_cfg () in
+  let size_after d =
+    let t =
+      Core.Runner.create
+        (run_spec ~duration:d ~load_until:d
+           ~byzantine:[ (0, Core.Byzantine.Equivocate_datablocks) ]
+           ~client_resend_timeout:(Sim_time.s 1) cfg)
+    in
+    Core.Runner.run_until t (Sim_time.s d);
+    checkb "safety" true (Core.Runner.report t).Core.Runner.safety_ok;
+    Core.Datablock_pool.size (Core.Replica.pool (Core.Runner.replicas t).(1))
+  in
+  let window = cfg.Core.Config.bft_size * cfg.Core.Config.k in
+  let s12 = size_after 12 and s48 = size_after 48 in
+  if s48 > 2 * window || s48 - s12 > window then
+    Alcotest.failf "pool size %d at 12 s, %d at 48 s (window %d links)" s12 s48 window
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -964,6 +1119,8 @@ let () =
       ( "equivocation",
         [ Alcotest.test_case "detected & contained" `Quick test_equivocator_detected_and_contained;
           Alcotest.test_case "punished (kicked out)" `Quick test_equivocator_punished;
+          Alcotest.test_case "rival entries bounded over run length" `Quick
+            test_rival_entries_bounded;
           Alcotest.test_case "new leader never links a rival" `Quick
             test_new_leader_never_links_a_rival ] );
       ( "extensions",
@@ -1011,4 +1168,9 @@ let () =
       ( "proposal clock",
         [ Alcotest.test_case "low-load wait under 3/4 cycle" `Quick test_clock_low_load_wait;
           Alcotest.test_case "alpha batches kept" `Quick test_clock_keeps_alpha_batches;
-          Alcotest.test_case "off on a slow link" `Quick test_clock_off_on_slow_link ] ) ]
+          Alcotest.test_case "off on a slow link" `Quick test_clock_off_on_slow_link ] );
+      ( "deadlines",
+        [ Alcotest.test_case "idle cluster arms nothing" `Quick test_idle_arms_nothing;
+          Alcotest.test_case "straggler after a full proposal" `Quick
+            test_straggler_after_full_proposal;
+          Alcotest.test_case "watchdog fires at its deadline" `Quick test_watchdog_deadline ] ) ]

@@ -241,7 +241,7 @@ let test_tcp_overload_acceptance () =
     Core.Config.make ~n:16 ~alpha:10 ~bft_size:2 ~k:16 ~payload:64
       ~datablock_timeout:(Sim_time.ms 20) ~proposal_timeout:(Sim_time.ms 30)
       ~view_timeout:(Sim_time.s 5) ~fetch_grace:(Sim_time.ms 200)
-      ~cost:Crypto.Cost_model.free ~mempool_cap:cap ~pace_on_pressure:true ()
+      ~cost:Crypto.Cost_model.free ~mempool_cap:cap ()
   in
   let cl =
     Transport.Cluster.create ~cfg ~load:20000. ~outbuf_hwm:(128 * 1024) ()
