@@ -135,21 +135,21 @@ let test_replay_is_byte_identical () =
    from an earlier build. Unlike the replay test above (two runs of the
    same binary) these catch a refactor that changes simulated behaviour. *)
 let golden_trace_md5 =
-  [ ("leader-crash", "8e378da6bede856e22cc9b77a7776ca3");
-    ("leader-crash-checkpoint", "5c6551aa70825121d1323be195bd4757");
-    ("f-crashes", "740d40926992d12b9d50be97f05faf24");
-    ("partition-quorum", "258e3e31e328c897bca2a93471ac398c");
-    ("slow-leader", "432a2cf286d9edfa745ff7a4e4b819c9");
-    ("silence-leader", "4049ffbb189f54d4e00c7c699a19d874");
-    ("equivocating-leader", "b9d98489bacbe72424c90e93eed5c610");
-    ("lagging-replica", "24f2f01d8af091625a7f5a535b0adf42");
-    ("duplicate-storm", "b9d460245e4307728f9a07349d16cd9a");
-    ("leader-restart", "34e22342c68208073b17601a6d8eb08c");
-    ("restart-checkpoint", "6b2cb3b0db12642f04d8b68b8c6ba940");
-    ("restart-torn-tail", "3762eec24e4de6dbcba7de2e8e390910");
-    ("restart-storm", "ba1f5fa24a34b8b10b73aa8549e64a91");
-    ("overload-burst", "e6fde84ca374292d11fd8c6f2cb8c1d9");
-    ("slow-peer", "20cd7a320b1bc26ed20368e84fec44d3") ]
+  [ ("leader-crash", "78afa1d24c515cd058d4e519c6b48d70");
+    ("leader-crash-checkpoint", "6f1c84301adc21eb7294140c89abd32c");
+    ("f-crashes", "dcb8f7088c0107a61b8988352b3d6ca3");
+    ("partition-quorum", "7d0946e910289aca397e4ff488cb8876");
+    ("slow-leader", "2c66ba5d16a8f09210d8286e0ae656a5");
+    ("silence-leader", "e28e731a9dadd57fa8c96f11b7e57daa");
+    ("equivocating-leader", "c42374a29efdb2db8c073b35398bae5c");
+    ("lagging-replica", "c0b67755ea32d25c2628bc5f86defe78");
+    ("duplicate-storm", "b8f5ef843f5000e0e2c6f3ae18c94e0e");
+    ("leader-restart", "f948fbe30d2529ad45f6f1d23bf5be43");
+    ("restart-checkpoint", "1b8a6a861fb8da1db29a04693fd2e74b");
+    ("restart-torn-tail", "1cc25a188384dabe61b26e2ec4ebd01e");
+    ("restart-storm", "2c417587ec4a696374deb76656af76a9");
+    ("overload-burst", "a653f980e426704d6c2ecbe515cefc36");
+    ("slow-peer", "382375147f3b2c90052dbf81018a6410") ]
 
 let test_golden_trace_digests () =
   checki "one digest per corpus scenario" (List.length Corpus.all)
