@@ -16,7 +16,11 @@
 # change's delta. The summary gives, for every end-to-end metric of
 # BENCHMARK.json, each side's median and quartiles, the change in the
 # medians, and the pairs the working tree won in the metric's better
-# direction. A last line gives the verdict on --metric: a gain holds when
+# direction. Then one no-regression line per end-to-end metric: REGRESSION
+# when the working tree's median is worse than rev's by more than the
+# metric's bound in BENCHMARK.json, unresolved when rev's q3 - q1 exceeds
+# the bound (unless every working-tree run beats every rev run), ok
+# otherwise. A last line gives the verdict on --metric: a gain holds when
 # the working tree wins at least 9/10 of the pairs and its median beats
 # rev's by more than rev's q3 - q1. The export and the raw results (kept under ${TMPDIR:-/tmp}
 # while it runs) are removed on exit. A run that fails its correctness
@@ -80,7 +84,7 @@ import json, re, statistics, sys
 
 tmp, rev, workload, key, seeds = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4], sys.argv[5:]
 bench = json.load(open("BENCHMARK.json"))
-metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
+metrics = [(m["name"], m["better"], m["bound"]) for m in bench["end_to_end"]]
 
 
 def load(side, seed):
@@ -113,17 +117,37 @@ def quartiles(xs):
 print()
 print("%-16s %-34s %-34s %9s %6s" % ("metric", "rev median [q1, q3]", "wt median [q1, q3]",
                                       "delta", "wins"))
-for name, better in metrics:
+regressions = []
+for name, better, bound in metrics:
     a = [runs[s][0][1][name] for s in seeds]
     b = [runs[s][1][1][name] for s in seeds]
     (a1, am, a3), (b1, bm, b3) = quartiles(a), quartiles(b)
-    wins = sum(1 for x, y in zip(a, b) if (y < x if better == "lower" else y > x))
+    beats = (lambda y, x: y < x) if better == "lower" else (lambda y, x: y > x)
+    wins = sum(1 for x, y in zip(a, b) if beats(y, x))
     delta = "%+8.1f%%" % (100 * (bm / am - 1)) if am else "%9s" % "-"
     print("%-16s %-34s %-34s %s %3d/%d"
           % (name, "%.4g [%.4g, %.4g]" % (am, a1, a3), "%.4g [%.4g, %.4g]" % (bm, b1, b3),
              delta, wins, len(seeds)))
     if name == key:
         verdict = (wins, (am - bm if better == "lower" else bm - am), a3 - a1)
+    # Both as fractions of rev's median, the unit of the bound.
+    rel = lambda d: d / abs(am) if am else (0.0 if d == 0 else float("inf"))
+    worse, spread = rel(bm - am if better == "lower" else am - bm), rel(a3 - a1)
+    if all(beats(y, x) for x in a for y in b):
+        status = "ok"
+    elif spread > bound:
+        status = "unresolved"
+    else:
+        status = "REGRESSION" if worse > bound else "ok"
+    regressions.append((name, status, worse, spread, bound))
+
+# No end-to-end median may be worse than rev's by more than its bound;
+# a rev spread wider than the bound cannot tell, unless wt beats rev in
+# every run.
+print()
+for name, status, worse, spread, bound in regressions:
+    print("no-regression %-16s %-10s (wt median %+.1f%% worse; rev q3-q1 %.1f%%; bound %.0f%%)"
+          % (name, status, 100 * worse, 100 * spread, 100 * bound))
 
 # A gain in --metric is claimed when the working tree wins at least 9 of
 # every 10 pairs and its median beats rev's by more than rev's q3 - q1.
