@@ -33,8 +33,6 @@ let pending_requests t =
   drop_confirmed_head t;
   t.pending
 
-let is_empty t = pending_requests t = 0
-
 let try_add t b =
   if t.cap > 0 && pending_requests t + b.Request.count > t.cap then
     Rejected Mempool_full

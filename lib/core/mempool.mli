@@ -39,8 +39,6 @@ val pending_requests : t -> int
 (** Requests currently poolable (confirmed batches may still be counted
     until a take skips them). *)
 
-val is_empty : t -> bool
-
 val take : t -> target:int -> Workload.Request.t list
 (** [take t ~target] removes and returns whole batches totalling at least
     [target] requests when available, fewer (possibly none) otherwise —

@@ -71,7 +71,9 @@ val create :
     [Config.leader_of_view cfg 1]. *)
 
 val start : t -> unit
-(** Starts the periodic datablock-packing timer (honest non-leaders). *)
+(** Arms a [Crash_at] crash; a recovered leader proposes what its
+    restored pool holds. Every other timer is armed by the state change
+    that creates its deadline, so an idle replica schedules nothing. *)
 
 (** {2 Crash-restart recovery}
 

@@ -63,7 +63,7 @@ let prop_mempool_conservation =
       in
       (try
          drain ();
-         !taken = !total && Core.Mempool.is_empty m
+         !taken = !total && Core.Mempool.pending_requests m = 0
        with Exit -> false))
 
 (* -- Quorum: Ready fires exactly once, at exactly [need] distinct ----- *)
