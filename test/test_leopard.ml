@@ -1077,8 +1077,8 @@ let test_watchdog_deadline () =
 
 (* The Rival entries of an equivocating creator are dropped once a
    checkpoint covers their slots: with the load running the whole time,
-   replica 1's pool stays within the watermark window's links rather
-   than growing with the run (194 entries at 12 s, 806 at 48 s before). *)
+   replica 1's pool stays within twice the watermark window's links,
+   whatever the run's length. *)
 let test_rival_entries_bounded () =
   let cfg = small_cfg () in
   let size_after d =
