@@ -75,12 +75,17 @@ let run_db_leg ~window ~pks ~domains blocks =
     | None ->
         Array.iter (fun db -> assert (Core.Datablock.verify ~pks db)) fresh
     | Some p ->
-        let futs =
-          Exec.Pool.submit_batch p
-            (Array.to_list
-               (Array.map (fun db () -> Core.Datablock.verify ~pks db) fresh))
-        in
-        List.iter (fun f -> assert (Exec.Pool.await f)) futs
+        (* The TCP plane's completion path: one batch, delivered by
+           [drain] once the notify fd turns readable. *)
+        let oks = ref None in
+        Exec.Pool.async_all p
+          (Array.to_list (Array.map (fun db () -> Core.Datablock.verify ~pks db) fresh))
+          (fun vs -> oks := Some vs);
+        while !oks = None do
+          ignore (Unix.select [ Exec.Pool.notify_fd p ] [] [] (-1.));
+          ignore (Exec.Pool.drain p : int)
+        done;
+        assert (List.for_all Fun.id (Option.get !oks))
   in
   Fun.protect
     ~finally:(fun () -> Option.iter Exec.Pool.shutdown pool)

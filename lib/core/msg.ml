@@ -222,9 +222,8 @@ let kind_index = function
   | K_fetch -> 11
   | K_fetch_reply -> 12
 
-(* Channel class by kind alone — must agree with [priority] below, which
-   the byte-identical sim plane keeps using; the transport's kind-aware
-   drop policy classifies already-encoded frames with this. *)
+(* Channel class by kind alone: the transport's kind-aware drop policy
+   classifies already-encoded frames with this. *)
 let kind_priority = function
   | K_datablock | K_fetch_reply -> Net.Nic.Low
   | K_propose | K_prepare_vote | K_notarization | K_commit_vote | K_confirmation
@@ -240,12 +239,7 @@ let category = function
   | Timeout _ | View_change_msg _ | New_view_msg _ -> "viewchange"
   | Fetch _ -> "fetch"
 
-let priority = function
-  | Datablock_msg _ | Fetch_reply _ -> Net.Nic.Low
-  | Propose _ | Prepare_vote _ | Notarization _ | Commit_vote _ | Confirmation _
-  | Checkpoint_vote _ | Checkpoint_cert_msg _ | Timeout _ | View_change_msg _
-  | New_view_msg _ | Fetch _ ->
-    Net.Nic.High
+let priority m = kind_priority (kind m)
 
 let meta = Net.Network.{ size = wire_size; category; priority }
 

@@ -128,13 +128,15 @@ val kind_index : kind -> int
 val kind_priority : kind -> Net.Nic.priority
 (** Channel class by kind alone: [Low] for bulk data
     ([K_datablock], [K_fetch_reply]), [High] for everything
-    consensus-critical. Agrees with {!priority} on every message. *)
+    consensus-critical. *)
 
 (** {2 Network metadata} *)
 
 val wire_size : t -> int
 val category : t -> string
 val priority : t -> Net.Nic.priority
+(** [priority m] is [kind_priority (kind m)]. *)
+
 val meta : t Net.Network.meta
 
 val pp : Format.formatter -> t -> unit

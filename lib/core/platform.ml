@@ -17,13 +17,8 @@ type t = {
 (* Each closure is exactly the call Replica made before the seam existed;
    nothing is reordered or cached, so a sim run through the platform is
    event-for-event the run the engine produced before. *)
-let of_sim ?verify_pool ?(store = Store.null) ~engine ~network ~id ~cores () =
+let of_sim ?(store = Store.null) ~engine ~network ~id ~cores () =
   let cpu = Net.Cpu.create engine ~cores in
-  let verify =
-    match verify_pool with
-    | None -> Verify.inline
-    | Some pool -> Verify.blocking pool
-  in
   { n = Net.Network.n network;
     now = (fun () -> Sim.Engine.now engine);
     schedule = (fun ~delay f -> ignore (Sim.Engine.schedule engine ~delay f));
@@ -36,5 +31,5 @@ let of_sim ?verify_pool ?(store = Store.null) ~engine ~network ~id ~cores () =
     submit = (fun ~cost f -> Net.Cpu.submit cpu ~cost f);
     submit_ns = (fun ~cost_ns f -> Net.Cpu.submit_ns cpu ~cost_ns f);
     set_down = (fun down -> Net.Network.set_down network id down);
-    verify;
+    verify = Verify.inline;
     store }

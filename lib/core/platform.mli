@@ -46,11 +46,10 @@ type t = {
   verify : Verify.dispatch;
       (** evaluate a verification job and continue with the verdict. The
           sim plane continues synchronously at the dispatch point
-          ({!Verify.inline}, or {!Verify.blocking} when a pool is
-          attached — both keep reports byte-identical); the socket
-          runtime continues cheap checks synchronously and costly ones
-          at a later loop tick ({!Verify.pooled}), so continuations must
-          re-check captured replica state. *)
+          ({!Verify.inline}); the socket runtime continues cheap checks
+          synchronously and costly ones at a later loop tick
+          ({!Verify.pooled}), so continuations must re-check captured
+          replica state. *)
   store : Store.sink;
       (** durable state. {!Replica} logs votes and certificates here
           before sending them and [Replica.recover] replays them after a
@@ -61,7 +60,6 @@ type t = {
 }
 
 val of_sim :
-  ?verify_pool:Exec.Pool.t ->
   ?store:Store.sink ->
   engine:Sim.Engine.t ->
   network:Msg.t Net.Network.t ->
@@ -71,9 +69,6 @@ val of_sim :
   t
 (** The simulator implementation: clock and timers from [engine],
     messaging from [network] (as replica [id]), CPU costs charged on a
-    fresh [cores]-core {!Net.Cpu}. [verify_pool] selects
-    {!Verify.blocking} over that pool instead of {!Verify.inline}: real
-    parallel crypto with unchanged completion points, so the report
-    bytes do not depend on the choice (pinned by test). [store] defaults
-    to {!Store.null} (no persistence); restart scenarios pass
-    {!Store.mem} sinks. *)
+    fresh [cores]-core {!Net.Cpu}, verification by {!Verify.inline}
+    (the CPU model charges its cost). [store] defaults to {!Store.null}
+    (no persistence); restart scenarios pass {!Store.mem} sinks. *)

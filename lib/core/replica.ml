@@ -194,12 +194,12 @@ let with_cpu_ns t cost_ns f = t.platform.Platform.submit_ns ~cost_ns f
 
 (* Heavy crypto goes through the platform's verification dispatch. On the
    sim plane the continuation runs synchronously at the dispatch point
-   (inline or blocking-pool — identical event sequences either way); on
-   the socket plane it may run at a later loop tick, after the worker
-   domains finish. Continuations therefore re-check every piece of
-   replica state they depend on (view, activity, instance state) — the
-   re-checks are no-ops when the dispatch was synchronous, so the sim
-   plane's behaviour is exactly the pre-pool code path. *)
+   ([Verify.inline]); on the socket plane it may run at a later loop
+   tick, after the worker domains finish. Continuations therefore
+   re-check every piece of replica state they depend on (view, activity,
+   instance state) — the re-checks are no-ops when the dispatch was
+   synchronous, so the sim plane's behaviour is exactly the pre-pool
+   code path. *)
 let verify_via t job k = t.platform.Platform.verify job k
 
 let instance_of t sn =
@@ -473,27 +473,28 @@ let propose_block t block justification =
         tracef t "propose" "%a" Bftblock.pp block
       end)
 
+(* Link up to BFTsize pending datablocks into the next serial and
+   propose it. *)
+let propose_pending t =
+  let dbs = Datablock_pool.take_pending t.pool ~max:t.cfg.bft_size in
+  let links = List.map Datablock.hash dbs in
+  let block = Bftblock.create ~view:t.view ~sn:t.next_sn ~links in
+  t.next_sn <- t.next_sn + 1;
+  propose_block t block None
+
 let rec maybe_propose t =
   if active t && is_leader t && not t.in_view_change then begin
     let pending = Datablock_pool.pending t.pool in
     let window_open = t.next_sn <= t.lw + t.cfg.k in
     if window_open && pending >= t.cfg.bft_size then begin
-      let dbs = Datablock_pool.take_pending t.pool ~max:t.cfg.bft_size in
-      let links = List.map Datablock.hash dbs in
-      let block = Bftblock.create ~view:t.view ~sn:t.next_sn ~links in
-      t.next_sn <- t.next_sn + 1;
-      propose_block t block None;
+      propose_pending t;
       maybe_propose t
     end
     else if window_open && pending > 0 && Int64.compare t.cfg.proposal_timeout 0L > 0 then
       if Sim_time.compare (now t) t.last_partial_propose > 0 then begin
         (* Short-timer (§6.2.1): propose with what we have. *)
         t.last_partial_propose <- Sim_time.( + ) (now t) t.cfg.proposal_timeout;
-        let dbs = Datablock_pool.take_pending t.pool ~max:t.cfg.bft_size in
-        let links = List.map Datablock.hash dbs in
-        let block = Bftblock.create ~view:t.view ~sn:t.next_sn ~links in
-        t.next_sn <- t.next_sn + 1;
-        propose_block t block None
+        propose_pending t
       end
       else
         (* The rate limit is closed: these leave when it reopens (the
@@ -655,6 +656,22 @@ let confirm_block t inst (block : Bftblock.t) proof =
     try_execute t
   end
 
+(* The leader's share collector for one voting round of an instance: add
+   [share] to the round's quorum ([slot], or a fresh one handed to
+   [install]) and [finish] the round with the shares once it is ready. *)
+let collect_share t ~slot ~install share finish =
+  let q =
+    match slot with
+    | Some q -> q
+    | None ->
+      let q = Quorum.create ~need:(quorum_size t) in
+      install q;
+      q
+  in
+  match Quorum.add q share with
+  | Quorum.Ready shares -> finish shares
+  | Quorum.Pending _ | Quorum.Already_done -> ()
+
 (* The leader completed a commit quorum: build the confirmation proof. *)
 let leader_finish_commit t inst notar_digest shares =
   let payload = Msg.commit_payload ~view:inst.iview ~notar_digest in
@@ -707,20 +724,11 @@ and cast_commit_vote t inst proof =
     let share = Ts.sign_share t.tkey payload in
     let vote = Msg.Commit_vote { view = inst.iview; sn = inst.sn; notar_digest = nd; share } in
     log_store t (Store.Logged_msg vote);
-    if is_leader t then begin
+    if is_leader t then
       (* The leader is its own collector. *)
-      match inst.commit_quorum with
-      | Some q -> (
-          match Quorum.add q share with
-          | Quorum.Ready shares -> leader_finish_commit t inst nd shares
-          | Quorum.Pending _ | Quorum.Already_done -> ())
-      | None ->
-        let q = Quorum.create ~need:(quorum_size t) in
-        inst.commit_quorum <- Some q;
-        (match Quorum.add q share with
-         | Quorum.Ready shares -> leader_finish_commit t inst nd shares
-         | Quorum.Pending _ | Quorum.Already_done -> ())
-    end
+      collect_share t ~slot:inst.commit_quorum
+        ~install:(fun q -> inst.commit_quorum <- Some q)
+        share (leader_finish_commit t inst nd)
     else send t ~dst:(leader_of t inst.iview) vote
   end
 
@@ -1318,10 +1326,13 @@ let on_datablock t (db : Datablock.t) ~is_fetch_reply =
               && not (Hashtbl.mem t.punished db.Datablock.header.creator)
             then on_datablock_verified t db ~is_fetch_reply))
 
-let on_prepare_vote t ~view ~sn ~block_hash ~share =
-  if view = t.view && is_leader t && not t.in_view_change then begin
-    (* The zero-cost hop orders the share check behind queued CPU work;
-       dropping it would move the simulator's traces. *)
+(* A vote share reaching this leader. The prepare and commit rounds
+   differ only in the signed [payload] and in [collect], which adds a
+   checked share to the round's quorum. The zero-cost hop orders the
+   share check behind queued CPU work; dropping it would move the
+   simulator's traces. *)
+let on_vote_share t ~view ~sn ~payload ~share collect =
+  if view = t.view && is_leader t && not t.in_view_change then
     with_cpu t 0L (fun () ->
         if active t && not t.in_view_change && view = t.view then begin
           let inst = instance_of t sn in
@@ -1330,57 +1341,27 @@ let on_prepare_vote t ~view ~sn ~block_hash ~share =
              poison the aggregate. *)
           if inst.iview = view then
             verify_via t
-              (Verify.Share_check
-                 { setup = t.tsetup; share; msg = Msg.prepare_payload ~view ~block_hash })
+              (Verify.Share_check { setup = t.tsetup; share; msg = payload })
               (fun ok ->
                 if ok && active t && not t.in_view_change && view = t.view then begin
                   let inst = instance_of t sn in
-                  if inst.iview = view then begin
-                    let q =
-                      match inst.prepare_quorum with
-                      | Some q -> q
-                      | None ->
-                        let q = Quorum.create ~need:(quorum_size t) in
-                        inst.prepare_quorum <- Some q;
-                        q
-                    in
-                    match Quorum.add q share with
-                    | Quorum.Ready shares -> leader_finish_prepare t inst block_hash shares
-                    | Quorum.Pending _ | Quorum.Already_done -> ()
-                  end
+                  if inst.iview = view then collect inst
                 end)
         end)
-  end
+
+let on_prepare_vote t ~view ~sn ~block_hash ~share =
+  on_vote_share t ~view ~sn ~payload:(Msg.prepare_payload ~view ~block_hash) ~share
+    (fun inst ->
+      collect_share t ~slot:inst.prepare_quorum
+        ~install:(fun q -> inst.prepare_quorum <- Some q)
+        share (leader_finish_prepare t inst block_hash))
 
 let on_commit_vote t ~view ~sn ~notar_digest ~share =
-  if view = t.view && is_leader t && not t.in_view_change then begin
-    (* Zero-cost hop: see [on_prepare_vote]. *)
-    with_cpu t 0L (fun () ->
-        if active t && not t.in_view_change && view = t.view then begin
-          let inst = instance_of t sn in
-          if inst.iview = view then
-            verify_via t
-              (Verify.Share_check
-                 { setup = t.tsetup; share; msg = Msg.commit_payload ~view ~notar_digest })
-              (fun ok ->
-                if ok && active t && not t.in_view_change && view = t.view then begin
-                  let inst = instance_of t sn in
-                  if inst.iview = view then begin
-                    let q =
-                      match inst.commit_quorum with
-                      | Some q -> q
-                      | None ->
-                        let q = Quorum.create ~need:(quorum_size t) in
-                        inst.commit_quorum <- Some q;
-                        q
-                    in
-                    match Quorum.add q share with
-                    | Quorum.Ready shares -> leader_finish_commit t inst notar_digest shares
-                    | Quorum.Pending _ | Quorum.Already_done -> ()
-                  end
-                end)
-        end)
-  end
+  on_vote_share t ~view ~sn ~payload:(Msg.commit_payload ~view ~notar_digest) ~share
+    (fun inst ->
+      collect_share t ~slot:inst.commit_quorum
+        ~install:(fun q -> inst.commit_quorum <- Some q)
+        share (leader_finish_commit t inst notar_digest))
 
 let on_notarization t ~view ~sn ~block_hash ~proof =
   if view = t.view && not t.in_view_change then

@@ -13,15 +13,13 @@ type spec = {
   client_resend_timeout : Sim_time.span option;
   gst : Sim_time.span option;
   trace : bool;
-  verify_domains : int option;
   stores : Store.sink array option;
   obs : Obs.Registry.t option;
 }
 
 let spec ~cfg ?(link = Net.Network.default_link) ?(seed = 42L) ?(load = 1e5)
     ?(duration = Sim_time.s 20) ?(warmup = Sim_time.s 5) ?load_until ?(byzantine = [])
-    ?stop_leader_at ?client_resend_timeout ?gst ?(trace = false) ?verify_domains ?stores
-    ?obs () =
+    ?stop_leader_at ?client_resend_timeout ?gst ?(trace = false) ?stores ?obs () =
   { cfg;
     link;
     seed;
@@ -34,7 +32,6 @@ let spec ~cfg ?(link = Net.Network.default_link) ?(seed = 42L) ?(load = 1e5)
     client_resend_timeout;
     gst;
     trace;
-    verify_domains;
     stores;
     obs }
 
@@ -91,10 +88,6 @@ type t = {
   (* Table-3 stage accumulators (request-weighted seconds), indexed by
      [stage_*] below; the report materializes the named list. *)
   stage_acc : float array;
-  (* One pool shared by every simulated replica when [spec.verify_domains]
-     asks for one: workers only evaluate pure crypto, so sharing changes
-     nothing observable and keeps domain count independent of n. *)
-  verify_pool : Exec.Pool.t option;
 }
 
 let engine t = t.engine
@@ -146,19 +139,13 @@ let create sp =
    | None -> ());
   let key_rng = Rng.split (Engine.rng engine) in
   let trace = Trace.create ~enabled:sp.trace ~capacity:1_000_000 () in
-  let verify_pool =
-    match sp.verify_domains with
-    | Some d when d > 0 -> Some (Exec.Pool.create ?obs:sp.obs ~domains:d ())
-    | _ -> None
-  in
   let confirm_meter = Stats.Meter.create () and goodput_meter = Stats.Meter.create () in
   let stage_acc = Array.make (Array.length stage_names) 0. in
   let inject ~dst ~size cb = Net.Network.inject network ~dst ~size ~category:"client-req" cb in
   let driver =
     Driver.create ~cfg ~key_rng
       ~platform:(fun id ->
-        Platform.of_sim ?verify_pool
-          ?store:(Option.map (fun stores -> stores.(id)) sp.stores)
+        Platform.of_sim ?store:(Option.map (fun stores -> stores.(id)) sp.stores)
           ~engine ~network ~id ~cores:cfg.Config.cores ())
       ~now:(fun () -> Engine.now engine)
       ~schedule:(fun ~delay f -> ignore (Engine.schedule engine ~delay f))
@@ -220,8 +207,7 @@ let create sp =
       trace;
       confirm_meter;
       goodput_meter;
-      stage_acc;
-      verify_pool }
+      stage_acc }
   in
   (* Bandwidth accounting restarts when the warmup window closes. *)
   ignore (Engine.schedule_at engine ~at:sp.warmup (fun () -> Net.Network.reset_stats network));
@@ -245,7 +231,7 @@ let restart_replica t id =
   let store = Option.map (fun stores -> stores.(id)) t.sp.stores in
   Driver.restart t.driver id
     ~platform:
-      (Platform.of_sim ?verify_pool:t.verify_pool ?store ~engine:t.engine ~network:t.network ~id
+      (Platform.of_sim ?store ~engine:t.engine ~network:t.network ~id
          ~cores:t.sp.cfg.Config.cores ())
 
 let bandwidth_view t id =
@@ -302,12 +288,7 @@ let report t =
     all_confirmed;
     safety_ok = Driver.ledgers_agree t.driver }
 
-let shutdown t = Option.iter Exec.Pool.shutdown t.verify_pool
-
 let run sp =
   let t = create sp in
-  Fun.protect
-    ~finally:(fun () -> shutdown t)
-    (fun () ->
-      run_until t sp.duration;
-      report t)
+  run_until t sp.duration;
+  report t

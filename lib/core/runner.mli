@@ -27,11 +27,6 @@ type spec = {
   gst : Sim.Sim_time.span option;
       (** pre-GST adversarial delays up to one view timeout *)
   trace : bool;                         (** record a shared protocol trace *)
-  verify_domains : int option;
-      (** run crypto verification on an [Exec.Pool] of this many worker
-          domains ({!Verify.blocking} dispatch: parallel compute,
-          unchanged completion points — reports stay byte-identical for
-          any value, pinned by test). [None]/[Some 0] = inline. *)
   stores : Store.sink array option;
       (** per-replica durable-state sinks (index = replica id), required
           for {!restart_replica}; [None] (the default) attaches
@@ -39,10 +34,9 @@ type spec = {
           bytes are identical to a spec without the field. *)
   obs : Obs.Registry.t option;
       (** metrics registry: replicas register [leopard_replica_*]
-          counters, the driver a [leopard_confirm_latency_ns] histogram,
-          and the verify pool (if any) its [leopard_verify_*] family.
-          Observation only — {!report} bytes are identical with and
-          without it (pinned by test). *)
+          counters and the driver a [leopard_confirm_latency_ns]
+          histogram. Observation only — {!report} bytes are identical
+          with and without it (pinned by test). *)
 }
 
 val spec :
@@ -58,7 +52,6 @@ val spec :
   ?client_resend_timeout:Sim.Sim_time.span ->
   ?gst:Sim.Sim_time.span ->
   ?trace:bool ->
-  ?verify_domains:int ->
   ?stores:Store.sink array ->
   ?obs:Obs.Registry.t ->
   unit ->
@@ -132,6 +125,3 @@ val restart_replica : t -> Net.Node_id.t -> unit
 val report : t -> report
 (** Summarizes the run so far. *)
 
-val shutdown : t -> unit
-(** Joins the verification pool's domains, if the spec asked for one.
-    {!run} does this itself; callers of {!create} must. Idempotent. *)

@@ -40,16 +40,6 @@ let run job =
 
 let inline : dispatch = fun job k -> k (run job)
 
-let blocking pool : dispatch =
- fun job k ->
-  match leaves_of job with
-  | [] -> k true
-  | [ l ] -> k (Exec.Pool.await (Exec.Pool.submit pool (fun () -> run_leaf l)))
-  | ls ->
-      let futs = Exec.Pool.submit_batch pool (List.map (fun l () -> run_leaf l) ls) in
-      (* bind each await before conjoining: no await may be skipped *)
-      k (List.fold_left (fun acc f -> Exec.Pool.await f && acc) true futs)
-
 (* What a job costs, in SHA-256 compressions. A datablock check hashes
    one leaf per batch (a [Request.encode] fits one block), two
    compressions per Merkle inner node (batches - 1 of them) and two for

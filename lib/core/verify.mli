@@ -5,30 +5,26 @@
     on received messages (datablock Merkle+signature, threshold
     aggregate, threshold share), or a batch of them. A {!dispatch}
     evaluates a job and hands the boolean verdict to a continuation.
-    Three dispatchers cover the two planes:
+    Each plane has one dispatcher:
 
     - {!inline} runs the job synchronously and calls the continuation on
-      the spot — exactly the pre-pool code path. The sim plane's default:
-      modeled costs are still charged by {!Platform.t}[.submit], and the
-      event sequence is untouched.
-    - {!blocking} ships the job to an {!Exec.Pool} and blocks for the
-      result, then continues synchronously. Same completion point as
-      {!inline} (so sim reports stay byte-identical for any pool size),
-      but the crypto genuinely executes on worker domains — this is what
-      the determinism-under-parallelism tests exercise.
-    - {!pooled} runs a cheap job inline, like {!inline}, and ships any
-      other to the pool and returns at once; its continuation then runs
-      later, on the owner thread, when {!Exec.Pool.drain} is called
-      (the TCP runtime drains from a loop tick + the pool's notify fd).
-      Continuations must therefore re-check any replica state they
-      captured — the world may have moved on while the crypto ran —
-      and must also be safe to run synchronously.
+      the spot. The sim plane always uses it: modelled costs are charged
+      by {!Platform.t}[.submit], so where the crypto really runs could
+      not change a report byte.
+    - {!pooled}, the TCP plane's, runs a cheap job inline, like
+      {!inline}, and ships any other to an {!Exec.Pool} and returns at
+      once; its continuation then runs later, on the owner thread, when
+      {!Exec.Pool.drain} is called (the TCP runtime drains from a loop
+      tick + the pool's notify fd). Continuations must therefore
+      re-check any replica state they captured — the world may have
+      moved on while the crypto ran — and must also be safe to run
+      synchronously.
 
-    All three deliver the same verdicts: jobs are pure functions of
-    immutable values, and the memo fields they warm are domain-safe
-    (see {!Datablock.t}, [Threshold]). A batch ({!All}) never
-    short-circuits — every sub-job is evaluated so its memo is warm for
-    later inline re-checks. *)
+    Both deliver the same verdicts: jobs are pure functions of immutable
+    values, and the memo fields they warm are domain-safe (see
+    {!Datablock.t}, [Threshold]). A batch ({!All}) never short-circuits
+    — every sub-job is evaluated so its memo is warm for later inline
+    re-checks. *)
 
 type job =
   | Datablock_check of {
@@ -55,11 +51,6 @@ val run : job -> bool
 
 val inline : dispatch
 (** [inline job k] is [k (run job)]. *)
-
-val blocking : Exec.Pool.t -> dispatch
-(** Parallel evaluation, synchronous completion: sub-jobs of an [All]
-    run concurrently across the pool's domains; the caller blocks until
-    all finish, then the continuation runs in the caller. *)
 
 val cost : job -> int
 (** The job's estimated cost in SHA-256 compressions: [3 * batches]

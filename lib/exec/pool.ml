@@ -7,12 +7,6 @@ type task = unit -> unit
 
 type 'a state = Pending | Value of 'a | Raised of exn
 
-type 'a future = {
-  fm : Mutex.t;
-  fc : Condition.t;
-  mutable st : 'a state;
-}
-
 type t = {
   m : Mutex.t; (* guards work, stop, inflight and the stat counters *)
   cv : Condition.t;
@@ -72,8 +66,8 @@ let worker t () =
     | None -> ()
     | Some j ->
         let start = now_ns () in
-        (* [j] never raises: submission wraps the user function so the
-           outcome (value or exception) is captured in the future. *)
+        (* [j] never raises: [async]/[async_all] wrap the user function
+           so the outcome (value or exception) is captured for [drain]. *)
         j ();
         let dt = now_ns () - start in
         (match t.task_lat with Some h -> Obs.Histogram.record h dt | None -> ());
@@ -227,7 +221,7 @@ let notify_fd t = t.notify_r
 let enqueue t jobs =
   let run_inline =
     Mutex.protect t.m (fun () ->
-        if t.stop then invalid_arg "Exec.Pool: submit after shutdown";
+        if t.stop then invalid_arg "Exec.Pool: async after shutdown";
         let rec go acc = function
           | [] -> List.rev acc
           | j :: rest ->
@@ -248,43 +242,6 @@ let enqueue t jobs =
         overflow)
   in
   List.iter (fun j -> j ()) run_inline
-
-let fulfil fut outcome =
-  Mutex.protect fut.fm (fun () ->
-      fut.st <- outcome;
-      Condition.broadcast fut.fc)
-
-let wrap_future f =
-  let fut = { fm = Mutex.create (); fc = Condition.create (); st = Pending } in
-  let job () =
-    let outcome = try Value (f ()) with e -> Raised e in
-    fulfil fut outcome
-  in
-  (fut, job)
-
-let submit t f =
-  let fut, job = wrap_future f in
-  enqueue t [ job ];
-  fut
-
-let submit_batch t fs =
-  Mutex.protect t.m (fun () -> t.batches <- t.batches + 1);
-  let futs, jobs = List.split (List.map wrap_future fs) in
-  enqueue t jobs;
-  futs
-
-let await fut =
-  let st =
-    Mutex.protect fut.fm (fun () ->
-        while (match fut.st with Pending -> true | _ -> false) do
-          Condition.wait fut.fc fut.fm
-        done;
-        fut.st)
-  in
-  match st with
-  | Value v -> v
-  | Raised e -> raise e
-  | Pending -> assert false
 
 let async t f k =
   let job () =

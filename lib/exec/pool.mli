@@ -3,18 +3,12 @@
     A fixed set of OCaml 5 domains pulls tasks from one shared queue
     (crypto verification tasks are uniform, so a shared queue beats
     per-worker deques with stealing — there is nothing to steal; see
-    DESIGN.md §11). Two completion styles serve the two planes:
-
-    - {!submit}/{!await} — allocation-light blocking futures. The sim
-      plane uses these: the submitting thread blocks until the worker
-      finishes, so the result becomes available at exactly the program
-      point an inline call would have produced it, and simulated runs
-      stay byte-for-byte deterministic for any pool size.
-    - {!async}/{!async_all} — callback completions delivered {e only} by
-      {!drain}, which the owner thread calls (the TCP runtime drains
-      from a {!Transport.Loop} tick hook and a readable {!notify_fd}).
-      Worker domains never run owner-side code, so replica state needs
-      no locks.
+    DESIGN.md §11). Completions are callbacks, {!async}/{!async_all},
+    delivered {e only} by {!drain}, which the owner thread calls (the
+    TCP runtime drains from a {!Transport.Loop} tick hook and a readable
+    {!notify_fd}). Worker domains never run owner-side code, so replica
+    state needs no locks. The simulator does not use a pool: it verifies
+    inline and charges modelled CPU costs instead.
 
     Backpressure: at most [budget] tasks may be in flight; past that a
     submission runs the task on the caller instead of queueing it
@@ -24,12 +18,9 @@
 
 type t
 
-type 'a future
-(** A pending result; one mutex + condvar + state word per future. *)
-
 type stats = {
   tasks : int;        (** tasks ever submitted, inline fallbacks included *)
-  batches : int;      (** batch submissions ({!submit_batch}/{!async_all}) *)
+  batches : int;      (** batch submissions ({!async_all}) *)
   inline_runs : int;  (** tasks run on the caller: in-flight budget was full *)
   idle_waits : int;   (** worker waits on the empty queue (idle transitions) *)
   drained : int;      (** completions delivered by {!drain} so far *)
@@ -53,19 +44,6 @@ val create : ?obs:Obs.Registry.t -> ?domains:int -> ?budget:int -> unit -> t
 
 val size : t -> int
 (** Number of worker domains. *)
-
-val submit : t -> (unit -> 'a) -> 'a future
-(** Hand one task to the pool (or run it on the caller if the budget is
-    full); the future is fulfilled when it finishes. *)
-
-val submit_batch : t -> (unit -> 'a) list -> 'a future list
-(** Like iterated {!submit} but the queue lock is taken once for the
-    whole list and sleeping workers are woken once. *)
-
-val await : 'a future -> 'a
-(** Blocks until the task finishes; re-raises the task's exception in
-    the caller. Safe from any thread, including after the task already
-    completed. *)
 
 val async : t -> (unit -> 'a) -> ('a -> unit) -> unit
 (** [async t f k] runs [f] on a worker and delivers [k result] at a
@@ -101,6 +79,4 @@ val stats : t -> stats
 
 val shutdown : t -> unit
 (** Finishes all queued work, joins the worker domains and closes the
-    pipe. Completions not yet drained are discarded. Idempotent.
-    Futures still pending after shutdown are fulfilled (workers drain
-    the queue before exiting). *)
+    pipe. Completions not yet drained are discarded. Idempotent. *)

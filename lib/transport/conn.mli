@@ -139,8 +139,8 @@ val dropped_by_kind : t -> Core.Msg.kind -> int
 val pressure : t -> float
 (** Egress queue pressure: the fullest peer queue's bytes relative to
     the HWM. [0.] = idle; [>= 1.] = at or beyond the bulk-frame drop
-    threshold. Drives the replica's pacing and the cluster client's
-    throttling. *)
+    threshold. [Cluster]'s client reads it to throttle its offered
+    load. *)
 
 val live_connections : t -> int
 (** Established connections, both directions (diagnostics / tests). *)

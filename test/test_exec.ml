@@ -1,60 +1,66 @@
 (* Exec.Pool: the bounded domain worker pool under the verification
-   pipeline. Futures, batches, drain-only async delivery, backpressure,
-   stats — and the crypto paths that now run on it: concurrent
-   Datablock.verify / Threshold.verify from several domains must agree,
-   and a corrupted block must be rejected from every domain. *)
+   pipeline. Drain-only async delivery, batches, backpressure, stats —
+   and the crypto paths that run on it: concurrent Datablock.verify /
+   Threshold.verify from several domains must agree, a corrupted block
+   must be rejected from every domain, and the memos the workers warm
+   must read back the same verdict on the owner. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
+(* Wait the way the TCP runtime does: sleep in select(2) on the notify
+   fd, then drain, until [is_done] holds. *)
+let drain_until p is_done =
+  let deadline = Unix.gettimeofday () +. 5. in
+  while (not (is_done ())) && Unix.gettimeofday () < deadline do
+    ignore (Unix.select [ Exec.Pool.notify_fd p ] [] [] 1.0);
+    ignore (Exec.Pool.drain p : int)
+  done;
+  if not (is_done ()) then Alcotest.fail "completion not delivered within 5 s"
+
+(* Run [fs] on the workers as one batch and return their results. *)
+let run_all p fs =
+  let got = ref None in
+  Exec.Pool.async_all p fs (fun vs -> got := Some vs);
+  drain_until p (fun () -> !got <> None);
+  Option.get !got
+
 (* -- pool mechanics ----------------------------------------------------- *)
 
-let test_submit_await () =
-  let p = Exec.Pool.create ~domains:2 () in
-  Fun.protect
-    ~finally:(fun () -> Exec.Pool.shutdown p)
-    (fun () ->
-      let fut = Exec.Pool.submit p (fun () -> 6 * 7) in
-      checki "value" 42 (Exec.Pool.await fut);
-      (* await after completion is fine, and repeatable *)
-      checki "await twice" 42 (Exec.Pool.await fut))
-
-let test_submit_batch_order () =
-  let p = Exec.Pool.create ~domains:4 () in
-  Fun.protect
-    ~finally:(fun () -> Exec.Pool.shutdown p)
-    (fun () ->
-      let futs =
-        Exec.Pool.submit_batch p (List.init 100 (fun i () -> i * i))
-      in
-      List.iteri (fun i f -> checki "square" (i * i) (Exec.Pool.await f)) futs)
-
-let test_await_reraises () =
+let test_drain_reraises () =
   let p = Exec.Pool.create ~domains:1 () in
   Fun.protect
     ~finally:(fun () -> Exec.Pool.shutdown p)
     (fun () ->
-      let fut = Exec.Pool.submit p (fun () -> failwith "boom") in
-      checkb "exception re-raised in caller" true
-        (match Exec.Pool.await fut with
+      let called = ref false in
+      Exec.Pool.async p (fun () -> failwith "boom") (fun () -> called := true);
+      ignore (Unix.select [ Exec.Pool.notify_fd p ] [] [] 5.0);
+      checkb "the task's exception is raised out of drain" true
+        (match Exec.Pool.drain p with
         | _ -> false
-        | exception Failure m -> String.equal m "boom"))
+        | exception Failure m -> String.equal m "boom");
+      checkb "continuation not called" false !called)
 
 let test_async_delivered_only_at_drain () =
   let p = Exec.Pool.create ~domains:2 () in
   Fun.protect
     ~finally:(fun () -> Exec.Pool.shutdown p)
     (fun () ->
-      let delivered = ref [] in
-      let futs =
-        List.init 10 (fun i ->
-            let fut = Exec.Pool.submit p (fun () -> ()) in
-            Exec.Pool.async p (fun () -> i) (fun v -> delivered := v :: !delivered);
-            fut)
-      in
+      let delivered = ref [] and ran = Atomic.make 0 in
+      for i = 0 to 9 do
+        Exec.Pool.async p
+          (fun () ->
+            Atomic.incr ran;
+            i)
+          (fun v -> delivered := v :: !delivered)
+      done;
       (* Wait for the work itself; the continuations must still be parked
          in the done queue, not run from the worker domains. *)
-      List.iter Exec.Pool.await futs;
+      let deadline = Unix.gettimeofday () +. 5. in
+      while Atomic.get ran < 10 && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.001
+      done;
+      checki "all ten tasks ran" 10 (Atomic.get ran);
       checki "nothing delivered before drain" 0 (List.length !delivered);
       (* async completions enqueue after their task finishes; give the
          last ones a moment, then drain until all ten are here. *)
@@ -98,35 +104,40 @@ let test_backpressure_runs_inline () =
       let gate = Semaphore.Binary.make false in
       (* In-flight counts from submission, so the budget is full the
          moment this is enqueued — no need to wait for pickup. *)
-      let blocked = Exec.Pool.submit p (fun () -> Semaphore.Binary.acquire gate) in
+      let delivered = ref 0 in
+      Exec.Pool.async p (fun () -> Semaphore.Binary.acquire gate) (fun () -> incr delivered);
       let caller_domain = Domain.self () in
       let ran_on = ref None in
-      let fut = Exec.Pool.submit p (fun () -> ran_on := Some (Domain.self ())) in
-      checkb "inline fallback completed without the worker" true
-        (match Exec.Pool.await fut with () -> true);
+      Exec.Pool.async p (fun () -> ran_on := Some (Domain.self ())) (fun () -> incr delivered);
+      (* the task itself ran before [async] returned; its continuation
+         still waits for a drain *)
       checkb "ran on the caller domain" true (!ran_on = Some caller_domain);
       checkb "inline_runs counted" true ((Exec.Pool.stats p).Exec.Pool.inline_runs >= 1);
+      checki "nothing delivered before drain" 0 !delivered;
       Semaphore.Binary.release gate;
-      Exec.Pool.await blocked)
+      drain_until p (fun () -> !delivered = 2))
 
 let test_stats_sanity () =
   let p = Exec.Pool.create ~domains:2 () in
   Fun.protect
     ~finally:(fun () -> Exec.Pool.shutdown p)
     (fun () ->
-      let futs = Exec.Pool.submit_batch p (List.init 20 (fun i () -> i)) in
-      List.iter (fun f -> ignore (Exec.Pool.await f : int)) futs;
+      ignore (run_all p (List.init 20 (fun i () -> i)) : int list);
       let s = Exec.Pool.stats p in
       checki "tasks" 20 s.Exec.Pool.tasks;
       checki "batches" 1 s.Exec.Pool.batches;
+      checki "one batch completion drained" 1 s.Exec.Pool.drained;
       checki "size" 2 (Exec.Pool.size p))
 
 let test_shutdown_idempotent () =
   let p = Exec.Pool.create ~domains:2 () in
-  let fut = Exec.Pool.submit p (fun () -> 1) in
+  let ran = Atomic.make false and delivered = ref false in
+  Exec.Pool.async p (fun () -> Atomic.set ran true) (fun () -> delivered := true);
   Exec.Pool.shutdown p;
-  (* queued work was finished before the workers exited *)
-  checki "pending future fulfilled" 1 (Exec.Pool.await fut);
+  (* queued work was finished before the workers exited; its undrained
+     completion was discarded *)
+  checkb "queued task ran" true (Atomic.get ran);
+  checkb "completion discarded" false !delivered;
   Exec.Pool.shutdown p (* second call is a no-op *)
 
 (* Two worker domains complete 100k async tasks; the owner sleeps only
@@ -204,26 +215,39 @@ let test_corrupted_block_rejected_from_every_domain () =
       (* Fresh tampered copy per task: every domain must recompute the
          Merkle root (no shared warm memo) and reject. *)
       let bad =
-        Exec.Pool.submit_batch p
+        run_all p
           (List.init 64 (fun _ ->
                let forged = Core.Datablock.tamper db in
                fun () -> Core.Datablock.verify ~pks forged))
       in
-      List.iter (fun f -> checkb "tampered rejected" false (Exec.Pool.await f)) bad;
+      List.iter (checkb "tampered rejected" false) bad;
       (* And one shared corrupted value hammered concurrently: the CAS'd
-         memo must never flip to Valid under the race. *)
+         memo must never flip to Valid under the race, and the owner's
+         later re-check reads the verdict the workers published. *)
       let forged = Core.Datablock.tamper db in
-      let shared =
-        Exec.Pool.submit_batch p
-          (List.init 64 (fun _ () -> Core.Datablock.verify ~pks forged))
+      let shared = run_all p (List.init 64 (fun _ () -> Core.Datablock.verify ~pks forged)) in
+      List.iter (checkb "shared tampered rejected" false) shared;
+      checkb "owner re-check of the shared forgery" false (Core.Datablock.verify ~pks forged);
+      (* Valid block accepted from every domain, ditto under sharing:
+         a fresh copy, so the workers race to warm its memos. *)
+      let fresh =
+        let open Core.Datablock in
+        of_wire ~creator:db.header.creator ~counter:db.header.counter
+          ~digest:db.header.digest ~created_at:db.created_at ~signature:db.signature
+          db.batches
       in
-      List.iter (fun f -> checkb "shared tampered rejected" false (Exec.Pool.await f)) shared;
-      (* Valid block accepted from every domain, ditto under sharing. *)
-      let good =
-        Exec.Pool.submit_batch p
-          (List.init 64 (fun _ () -> Core.Datablock.verify ~pks db))
-      in
-      List.iter (fun f -> checkb "valid accepted" true (Exec.Pool.await f)) good)
+      let good = run_all p (List.init 64 (fun _ () -> Core.Datablock.verify ~pks fresh)) in
+      List.iter (checkb "valid accepted" true) good;
+      checkb "owner re-check of the shared valid block" true
+        (Core.Datablock.verify ~pks fresh);
+      (* the plain memo fields the workers raced to fill hold the right
+         values *)
+      checkb "digest memo" true
+        (match fresh.Core.Datablock.true_digest with
+        | Some d -> Crypto.Hash.equal d (Core.Datablock.digest_of_batches fresh.batches)
+        | None -> false);
+      checkb "hash over the header memo" true
+        (Crypto.Hash.equal (Core.Datablock.hash fresh) (Core.Datablock.hash db)))
 
 let test_threshold_verdicts_agree_across_domains () =
   let rng = Sim.Rng.create 11L in
@@ -243,18 +267,19 @@ let test_threshold_verdicts_agree_across_domains () =
       (* Same aggregate verified concurrently from every domain — the
          atomic verdict memo and DLS mask memo must give one answer. *)
       let oks =
-        Exec.Pool.submit_batch p
+        run_all p
           (List.init 64 (fun i () ->
                if i mod 2 = 0 then Crypto.Threshold.verify setup agg msg
                else not (Crypto.Threshold.verify setup forged msg)))
       in
-      List.iter (fun f -> checkb "verdict" true (Exec.Pool.await f)) oks;
+      List.iter (checkb "verdict" true) oks;
+      checkb "owner re-check of the aggregate" true (Crypto.Threshold.verify setup agg msg);
+      checkb "owner re-check of the forgery" false (Crypto.Threshold.verify setup forged msg);
       (* Shares too (leader path). *)
       let share_oks =
-        Exec.Pool.submit_batch p
-          (List.map (fun s () -> Crypto.Threshold.verify_share setup s msg) shares)
+        run_all p (List.map (fun s () -> Crypto.Threshold.verify_share setup s msg) shares)
       in
-      List.iter (fun f -> checkb "share verdict" true (Exec.Pool.await f)) share_oks)
+      List.iter (checkb "share verdict" true) share_oks)
 
 let test_verify_facade_dispatchers_agree () =
   let pks, sk, db = mk_db_key () in
@@ -284,12 +309,6 @@ let test_verify_facade_dispatchers_agree () =
   Fun.protect
     ~finally:(fun () -> Exec.Pool.shutdown p)
     (fun () ->
-      let got = ref None in
-      Core.Verify.blocking p job (fun ok -> got := Some ok);
-      checkb "blocking completes synchronously" (Some true = !got) true;
-      let got = ref None in
-      Core.Verify.blocking p bad_job (fun ok -> got := Some ok);
-      checkb "blocking bad" (Some false = !got) true;
       (* pooled: a job under the inline cut completes on the spot ... *)
       let share = List.hd shares in
       let got = ref None in
@@ -324,9 +343,7 @@ let test_verify_facade_dispatchers_agree () =
 let () =
   Alcotest.run "exec"
     [ ( "pool",
-        [ Alcotest.test_case "submit/await" `Quick test_submit_await;
-          Alcotest.test_case "batch order" `Quick test_submit_batch_order;
-          Alcotest.test_case "await re-raises" `Quick test_await_reraises;
+        [ Alcotest.test_case "drain re-raises a task's exception" `Quick test_drain_reraises;
           Alcotest.test_case "async only at drain" `Quick test_async_delivered_only_at_drain;
           Alcotest.test_case "async_all order + notify fd" `Quick
             test_async_all_order_and_notify_fd;

@@ -17,10 +17,10 @@ let small_cfg ?(n = 4) ?(k = 16) ?(view_timeout = Sim_time.s 2) () =
     ~fetch_grace:(Sim_time.ms 200) ~cost:Crypto.Cost_model.free ()
 
 let run_spec ?(load = 400.) ?(duration = 12) ?(load_until = 6) ?byzantine ?stop_leader_at
-    ?client_resend_timeout ?gst ?(seed = 42L) ?verify_domains cfg =
+    ?client_resend_timeout ?gst ?(seed = 42L) cfg =
   Core.Runner.spec ~cfg ~seed ~load ~duration:(Sim_time.s duration)
     ~warmup:(Sim_time.s 2) ~load_until:(Sim_time.s load_until)
-    ?byzantine ?stop_leader_at ?client_resend_timeout ?gst ?verify_domains ()
+    ?byzantine ?stop_leader_at ?client_resend_timeout ?gst ()
 
 (* -- Honest runs -------------------------------------------------------------- *)
 
@@ -119,28 +119,6 @@ let test_metrics_do_not_perturb_report () =
   checkb "registry saw confirmations" true (contains "leopard_confirm_latency_ns_count");
   checkb "confirm histogram non-empty" true
     (not (contains "leopard_confirm_latency_ns_count 0\n"))
-
-(* Determinism under parallelism: routing the heavy crypto through an
-   Exec.Pool of 1, 2 or 4 worker domains (Verify.blocking dispatch) must
-   leave the report byte-for-byte what the inline run produces — the
-   workers compute the same pure verdicts, and completion points are
-   unchanged. Any cross-domain leak (memo tearing, event reordering)
-   shows up as a byte difference here. *)
-let test_pool_size_determinism () =
-  let report_bytes verify_domains =
-    let spec =
-      run_spec ~seed:13L ~client_resend_timeout:(Sim_time.s 1) ?verify_domains (small_cfg ())
-    in
-    Marshal.to_string (Core.Runner.run spec) []
-  in
-  let inline = report_bytes None in
-  List.iter
-    (fun d ->
-      checkb
-        (Printf.sprintf "%d-domain pool byte-identical to inline" d)
-        true
-        (String.equal inline (report_bytes (Some d))))
-    [ 1; 2; 4 ]
 
 let test_latency_breakdown_components () =
   let r = Core.Runner.run (run_spec (small_cfg ())) in
@@ -543,7 +521,7 @@ let test_leader_generates_datablocks_still_correct () =
 (* Wiring in-memory durable stores must not perturb the protocol at all:
    the sink is written to synchronously off the hot path and never read
    until a recovery. Pinned as a full-report byte comparison, like the
-   verify-pool determinism test above. *)
+   metrics observation-only test above. *)
 let test_mem_store_report_identical () =
   let bytes stores =
     let spec =
@@ -664,7 +642,6 @@ let test_snapshot_size_flat () =
     cursor := Sim_time.(!cursor + s 1);
     Core.Runner.run_until t !cursor
   done;
-  Core.Runner.shutdown t;
   let sizes = Array.of_list (List.rev !sizes) in
   checkb "200 checkpoints saved" true (Array.length sizes >= 200);
   let window_max lo hi =
@@ -731,7 +708,6 @@ let test_replayed_datablock_executed_once () =
   done;
   Net.Network.send network ~src:creator ~dst:leader (Core.Msg.Fetch_reply db);
   Core.Runner.run_until t (Sim_time.s 12);
-  Core.Runner.shutdown t;
   checki "linked by exactly one serial" 1
     (List.length (Option.value ~default:[] (Hashtbl.find_opt linked_at (Crypto.Hash.to_hex h))));
   Array.iter
@@ -773,7 +749,6 @@ let test_restart_keeps_executed_floors () =
   Core.Runner.restart_replica t victim;
   Net.Network.send network ~src:creator ~dst:victim msg;
   Core.Runner.run_until t (Sim_time.s 6);
-  Core.Runner.shutdown t;
   checkb "recovered replica refuses the replay" false
     (Core.Datablock_pool.mem
        (Core.Replica.pool (Core.Runner.replicas t).(victim))
@@ -824,7 +799,6 @@ let test_bookkeeping_bounded () =
     sample ()
   done;
   let lw = Core.Replica.low_watermark (replicas ()).(0) in
-  Core.Runner.shutdown t;
   checkb "eight view changes" true (top_view () >= 9);
   checkb "many checkpoints" true (lw >= 20 * cfg.Core.Config.checkpoint_interval);
   let peak name = Option.value ~default:0 (Hashtbl.find_opt peak name) in
@@ -1109,8 +1083,6 @@ let () =
           Alcotest.test_case "golden seed-13 summary" `Quick test_golden_seed13_summary;
           Alcotest.test_case "metrics observation-only (byte-identical)" `Quick
             test_metrics_do_not_perturb_report;
-          Alcotest.test_case "pool sizes 1/2/4 byte-identical" `Quick
-            test_pool_size_determinism;
           Alcotest.test_case "latency breakdown" `Quick test_latency_breakdown_components;
           Alcotest.test_case "bandwidth shape" `Quick test_bandwidth_accounting_shape ] );
       ( "silent faults",

@@ -75,35 +75,33 @@ let test_replica_admission () =
       ~duration:(Sim_time.s 1) ~warmup:Sim_time.zero ~obs:reg ()
   in
   let t = Core.Runner.create spec in
-  Fun.protect ~finally:(fun () -> Core.Runner.shutdown t)
-    (fun () ->
-      let replicas = Core.Runner.replicas t in
-      (* The view-1 leader does not pack (it generates no datablocks), so
-         submissions accumulate against the admission bound. *)
-      let leader = replicas.(1) in
-      checkb "replica 1 leads view 1" true (Core.Replica.is_leader leader);
-      for i = 1 to 5 do
-        checkb "admitted under the cap" true
-          (Core.Replica.submit leader (req ~id:i ()) = Core.Replica.Admitted)
-      done;
-      checki "pending at the cap" 20 (Core.Replica.mempool_pending leader);
-      checkb "past the cap: typed rejection" true
-        (Core.Replica.submit leader (req ~id:6 ())
-         = Core.Replica.Rejected Core.Replica.Mempool_full);
-      checki "pending unchanged by the rejection" 20
-        (Core.Replica.mempool_pending leader);
-      checki "rejected requests counted" 4 (Core.Replica.submits_rejected leader);
-      checkb "rejection visible in metrics" true
-        (contains (Obs.Registry.expose reg) "leopard_replica_submit_rejected_total");
-      (* A halted replica refuses with Inactive — crash churn, not
-         overload, so it does not count toward admission rejections. *)
-      let other = replicas.(0) in
-      Core.Replica.halt other;
-      checkb "halted replica refuses" true
-        (Core.Replica.submit other (req ~id:7 ())
-         = Core.Replica.Rejected Core.Replica.Inactive);
-      checki "inactive refusal is not an admission rejection" 0
-        (Core.Replica.submits_rejected other))
+  let replicas = Core.Runner.replicas t in
+  (* The view-1 leader does not pack (it generates no datablocks), so
+     submissions accumulate against the admission bound. *)
+  let leader = replicas.(1) in
+  checkb "replica 1 leads view 1" true (Core.Replica.is_leader leader);
+  for i = 1 to 5 do
+    checkb "admitted under the cap" true
+      (Core.Replica.submit leader (req ~id:i ()) = Core.Replica.Admitted)
+  done;
+  checki "pending at the cap" 20 (Core.Replica.mempool_pending leader);
+  checkb "past the cap: typed rejection" true
+    (Core.Replica.submit leader (req ~id:6 ())
+     = Core.Replica.Rejected Core.Replica.Mempool_full);
+  checki "pending unchanged by the rejection" 20
+    (Core.Replica.mempool_pending leader);
+  checki "rejected requests counted" 4 (Core.Replica.submits_rejected leader);
+  checkb "rejection visible in metrics" true
+    (contains (Obs.Registry.expose reg) "leopard_replica_submit_rejected_total");
+  (* A halted replica refuses with Inactive — crash churn, not
+     overload, so it does not count toward admission rejections. *)
+  let other = replicas.(0) in
+  Core.Replica.halt other;
+  checkb "halted replica refuses" true
+    (Core.Replica.submit other (req ~id:7 ())
+     = Core.Replica.Rejected Core.Replica.Inactive);
+  checki "inactive refusal is not an admission rejection" 0
+    (Core.Replica.submits_rejected other)
 
 (* -- leader handover under overload (sim) -------------------------------- *)
 
@@ -122,19 +120,17 @@ let test_leader_handover_under_overload () =
       ~client_resend_timeout:(Sim_time.s 1) ()
   in
   let t = Core.Runner.create spec in
-  Fun.protect ~finally:(fun () -> Core.Runner.shutdown t)
-    (fun () ->
-      Core.Runner.run_until t (Sim_time.s 12);
-      let r = Core.Runner.report t in
-      checkb "safety" true r.Core.Runner.safety_ok;
-      checkb "the new view was entered" true (r.Core.Runner.final_view >= 2);
-      checkb "commits resumed after the handover" true
-        (r.Core.Runner.confirmed > 0 && r.Core.Runner.executed_blocks > 0);
-      Array.iter
-        (fun rep ->
-          checkb "mempool bounded throughout" true
-            (Core.Replica.mempool_pending rep <= cap))
-        (Core.Runner.replicas t))
+  Core.Runner.run_until t (Sim_time.s 12);
+  let r = Core.Runner.report t in
+  checkb "safety" true r.Core.Runner.safety_ok;
+  checkb "the new view was entered" true (r.Core.Runner.final_view >= 2);
+  checkb "commits resumed after the handover" true
+    (r.Core.Runner.confirmed > 0 && r.Core.Runner.executed_blocks > 0);
+  Array.iter
+    (fun rep ->
+      checkb "mempool bounded throughout" true
+        (Core.Replica.mempool_pending rep <= cap))
+    (Core.Runner.replicas t)
 
 (* -- transport: kind-aware drop policy ----------------------------------- *)
 
