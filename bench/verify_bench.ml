@@ -75,17 +75,22 @@ let run_db_leg ~window ~pks ~domains blocks =
     | None ->
         Array.iter (fun db -> assert (Core.Datablock.verify ~pks db)) fresh
     | Some p ->
-        (* The TCP plane's completion path: one batch, delivered by
-           [drain] once the notify fd turns readable. *)
-        let oks = ref None in
-        Exec.Pool.async_all p
-          (Array.to_list (Array.map (fun db () -> Core.Datablock.verify ~pks db) fresh))
-          (fun vs -> oks := Some vs);
-        while !oks = None do
+        (* The path [Verify.pooled] takes above its cut: one [async] per
+           datablock, each verdict delivered by [drain] once the notify
+           fd turns readable. *)
+        let pending = ref n_blocks in
+        Array.iter
+          (fun db ->
+            Exec.Pool.async p
+              (fun () -> Core.Datablock.verify ~pks db)
+              (fun ok ->
+                assert ok;
+                decr pending))
+          fresh;
+        while !pending > 0 do
           ignore (Unix.select [ Exec.Pool.notify_fd p ] [] [] (-1.));
           ignore (Exec.Pool.drain p : int)
-        done;
-        assert (List.for_all Fun.id (Option.get !oks))
+        done
   in
   Fun.protect
     ~finally:(fun () -> Option.iter Exec.Pool.shutdown pool)

@@ -44,12 +44,13 @@ type t = {
   set_down : bool -> unit;
       (** fail-stop support: a down replica neither sends nor receives *)
   verify : Verify.dispatch;
-      (** evaluate a verification job and continue with the verdict. The
-          sim plane continues synchronously at the dispatch point
+      (** check a datablock and continue with the verdict. The sim plane
+          continues synchronously at the dispatch point
           ({!Verify.inline}); the socket runtime continues cheap checks
-          synchronously and costly ones at a later loop tick
-          ({!Verify.pooled}), so continuations must re-check captured
-          replica state. *)
+          synchronously and costly ones at a later loop tick, after
+          {!Exec.Pool.drain} ({!Verify.pooled}), so the continuation
+          must re-check captured replica state. Threshold checks do not
+          pass here: they are direct calls. *)
   store : Store.sink;
       (** durable state. {!Replica} logs votes and certificates here
           before sending them and [Replica.recover] replays them after a

@@ -192,14 +192,13 @@ let log_store t r =
 let with_cpu t cost f = t.platform.Platform.submit ~cost f
 let with_cpu_ns t cost_ns f = t.platform.Platform.submit_ns ~cost_ns f
 
-(* Heavy crypto goes through the platform's verification dispatch. On the
-   sim plane the continuation runs synchronously at the dispatch point
-   ([Verify.inline]); on the socket plane it may run at a later loop
-   tick, after the worker domains finish. Continuations therefore
-   re-check every piece of replica state they depend on (view, activity,
-   instance state) — the re-checks are no-ops when the dispatch was
-   synchronous, so the sim plane's behaviour is exactly the pre-pool
-   code path. *)
+(* The datablock check goes through the platform's verification
+   dispatch. On the sim plane the continuation runs synchronously at the
+   dispatch point ([Verify.inline]); on the socket plane it may run at a
+   later loop tick, after a worker domain finishes, so it re-checks the
+   replica state it depends on. Threshold shares and proofs are checked
+   by direct calls: at two compressions each they are far below the
+   cut at which [Verify.pooled] would ship a job. *)
 let verify_via t job k = t.platform.Platform.verify job k
 
 let instance_of t sn =
@@ -705,11 +704,10 @@ and replay_stashed_confirmation t inst =
     process_confirmation t inst ~view ~notar_digest ~proof
   | None -> ()
 
+(* [proof] has been verified against [view] and [notar_digest]. *)
 and process_confirmation t inst ~view ~notar_digest ~proof =
   match (inst.block, inst.notarization) with
-  | Some block, Some notar
-    when Hash.equal (Msg.notar_digest notar) notar_digest
-         && Ts.verify t.tsetup proof (Msg.commit_payload ~view ~notar_digest) ->
+  | Some block, Some notar when Hash.equal (Msg.notar_digest notar) notar_digest ->
     confirm_block t inst block proof
   | _ ->
     (* Block or σ¹ not here yet (jitter can reorder a sender's messages);
@@ -1129,6 +1127,7 @@ let notar_cache_len t = Notar_table.length t.verified_notarizations
 
 let bookkeeping_sizes t =
   [ ("executed_links", Datablock_pool.executed t.pool);
+    ("instances", Hashtbl.length t.instances);
     ("checkpoint_quorums", Hashtbl.length t.checkpoint_quorums);
     ("timeout_votes", Hashtbl.length t.timeout_votes);
     ("vc_msgs", Hashtbl.length t.vc_msgs) ]
@@ -1198,25 +1197,8 @@ let on_view_change_msg t (vc : Msg.view_change) =
         (Int64.mul t.cfg.cost.tvrf_aggregate (Int64.of_int fresh))
     in
     with_cpu t cost (fun () ->
-        if active t && t.new_view_sent_for < target then begin
-          (* Pre-warm the aggregate memos of the entries this replica has
-             not verified before, in parallel; [verify_view_change] then
-             re-walks the entries against warm memos (and records them in
-             the notarization cache — owner-thread state the workers
-             never touch). *)
-          let jobs =
-            List.map
-              (fun (v, block, proof) ->
-                Verify.Aggregate_check
-                  { setup = t.tsetup;
-                    agg = proof;
-                    msg = Msg.prepare_payload ~view:v ~block_hash:(Bftblock.hash block) })
-              (fresh_entries t vc.Msg.vc_entries)
-          in
-          verify_via t (Verify.All jobs) (fun _ ->
-              if active t && t.new_view_sent_for < target && verify_view_change t vc
-              then on_view_change_verified t vc ~target)
-        end)
+        if active t && t.new_view_sent_for < target && verify_view_change t vc then
+          on_view_change_verified t vc ~target)
   end
 
 let on_new_view_msg t (nv : Msg.new_view) =
@@ -1237,34 +1219,17 @@ let on_new_view_msg t (nv : Msg.new_view) =
     in
     with_cpu t cost (fun () ->
         if active t && nv.Msg.nv_view > t.view then begin
-          (* Same pre-warm as [on_view_change_msg], over the deduplicated
-             union of the carried entries. *)
-          let jobs =
-            fresh_entries t (List.concat_map (fun vc -> vc.Msg.vc_entries) nv.Msg.nv_vcs)
-            |> List.sort_uniq (fun (v1, b1, _) (v2, b2, _) ->
-                   compare (v1, Bftblock.hash b1) (v2, Bftblock.hash b2))
-            |> List.map (fun (v, block, proof) ->
-                   Verify.Aggregate_check
-                     { setup = t.tsetup;
-                       agg = proof;
-                       msg = Msg.prepare_payload ~view:v ~block_hash:(Bftblock.hash block) })
+          let sig_ok =
+            Sig.verify t.pks.(nv.Msg.nv_sender) nv.Msg.nv_signature (Msg.new_view_payload nv)
           in
-          verify_via t (Verify.All jobs) (fun _ ->
-              if active t && nv.Msg.nv_view > t.view then begin
-                let sig_ok =
-                  Sig.verify t.pks.(nv.Msg.nv_sender) nv.Msg.nv_signature
-                    (Msg.new_view_payload nv)
-                in
-                let distinct_senders =
-                  List.sort_uniq Net.Node_id.compare
-                    (List.map (fun vc -> vc.Msg.vc_sender) nv.Msg.nv_vcs)
-                in
-                if sig_ok
-                   && List.length distinct_senders >= quorum_size t
-                   && List.for_all (fun vc -> vc.Msg.vc_new_view = nv.Msg.nv_view) nv.Msg.nv_vcs
-                   && List.for_all (verify_view_change t) nv.Msg.nv_vcs
-                then enter_view t ~nv_view:nv.Msg.nv_view ~vcs:nv.Msg.nv_vcs
-              end)
+          let distinct_senders =
+            List.sort_uniq Net.Node_id.compare (List.map (fun vc -> vc.Msg.vc_sender) nv.Msg.nv_vcs)
+          in
+          if sig_ok
+             && List.length distinct_senders >= quorum_size t
+             && List.for_all (fun vc -> vc.Msg.vc_new_view = nv.Msg.nv_view) nv.Msg.nv_vcs
+             && List.for_all (verify_view_change t) nv.Msg.nv_vcs
+          then enter_view t ~nv_view:nv.Msg.nv_view ~vcs:nv.Msg.nv_vcs
         end)
   end
 
@@ -1339,14 +1304,7 @@ let on_vote_share t ~view ~sn ~payload ~share collect =
           (* Only valid shares enter the quorum (the CPU cost of the
              check is charged at aggregation); a Byzantine voter cannot
              poison the aggregate. *)
-          if inst.iview = view then
-            verify_via t
-              (Verify.Share_check { setup = t.tsetup; share; msg = payload })
-              (fun ok ->
-                if ok && active t && not t.in_view_change && view = t.view then begin
-                  let inst = instance_of t sn in
-                  if inst.iview = view then collect inst
-                end)
+          if inst.iview = view && Ts.verify_share t.tsetup share payload then collect inst
         end)
 
 let on_prepare_vote t ~view ~sn ~block_hash ~share =
@@ -1378,56 +1336,27 @@ let on_notarization t ~view ~sn ~block_hash ~proof =
             | Some block -> Hash.equal (Bftblock.hash block) block_hash
             | None -> true (* the block body may still be in flight *)
           in
-          if block_matches then
-            verify_via t
-              (Verify.Aggregate_check
-                 { setup = t.tsetup;
-                   agg = proof;
-                   msg = Msg.prepare_payload ~view ~block_hash })
-              (fun ok ->
-                if ok && active t && view = t.view && not t.in_view_change then begin
-                  (* re-fetch: the instance may have moved (or appeared)
-                     while the crypto ran on the pool; refresh and the
-                     match re-check are idempotent, so the inline path is
-                     unchanged *)
-                  let inst = instance_of t sn in
-                  refresh_instance_view t inst;
-                  let block_matches =
-                    match inst.block with
-                    | Some block -> Hash.equal (Bftblock.hash block) block_hash
-                    | None -> true
-                  in
-                  if block_matches then begin
-                    (match inst.voted_at with
-                     | Some at ->
-                       inst.voted_at <- None;
-                       t.vote_rtt <- Some (Sim_time.( - ) (now t) at)
-                     | None -> ());
-                    (* The commit vote about to be cast binds us to this
-                       σ¹; keep the proof so a restarted replica can
-                       rebuild the binding. *)
-                    log_store t
-                      (Store.Logged_msg (Msg.Notarization { view; sn; block_hash; proof }));
-                    accept_notarization t inst proof
-                  end
-                end)
+          if block_matches && Ts.verify t.tsetup proof (Msg.prepare_payload ~view ~block_hash)
+          then begin
+            (match inst.voted_at with
+             | Some at ->
+               inst.voted_at <- None;
+               t.vote_rtt <- Some (Sim_time.( - ) (now t) at)
+             | None -> ());
+            (* The commit vote about to be cast binds us to this σ¹; keep
+               the proof so a restarted replica can rebuild the binding. *)
+            log_store t (Store.Logged_msg (Msg.Notarization { view; sn; block_hash; proof }));
+            accept_notarization t inst proof
+          end
         end)
 
+(* The proof is checked before the instance is looked up: a garbage
+   Confirmation must neither create an instance for its serial nor
+   displace a stashed valid one. *)
 let on_confirmation t ~view ~sn ~notar_digest ~proof =
   with_cpu t t.cfg.cost.tvrf_aggregate (fun () ->
-      if active t then
-        (* memo pre-warm: [process_confirmation] re-checks the proof
-           inline (it also gates on block/notarization presence, which
-           may change while the pool runs), but against a warm memo the
-           re-check is a field read. The verdict itself is ignored here —
-           an invalid proof simply fails inside [process_confirmation],
-           exactly as before. *)
-        verify_via t
-          (Verify.Aggregate_check
-             { setup = t.tsetup; agg = proof; msg = Msg.commit_payload ~view ~notar_digest })
-          (fun _ok ->
-            if active t then
-              process_confirmation t (instance_of t sn) ~view ~notar_digest ~proof))
+      if active t && Ts.verify t.tsetup proof (Msg.commit_payload ~view ~notar_digest) then
+        process_confirmation t (instance_of t sn) ~view ~notar_digest ~proof)
 
 let on_checkpoint_vote t ~cp_sn ~cp_state ~share =
   if

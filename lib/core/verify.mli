@@ -1,11 +1,13 @@
-(** Verification dispatch: the seam that lets hot crypto checks run off
-    the event loop.
+(** Verification dispatch: the seam that lets the datablock check run
+    off the event loop.
 
-    A {!job} names one of the three CPU-heavy checks a replica performs
-    on received messages (datablock Merkle+signature, threshold
-    aggregate, threshold share), or a batch of them. A {!dispatch}
-    evaluates a job and hands the boolean verdict to a continuation.
-    Each plane has one dispatcher:
+    A {!job} is the replica's one check that can be worth shipping to a
+    worker: a datablock's Merkle recompute and creator signature
+    (Algorithm 1, lines 17–18). Threshold shares and proofs cost two
+    compressions, far below {!inline_below}, so the replica checks
+    them by direct calls where they arrive. A {!dispatch} evaluates a
+    job and hands the boolean verdict to a continuation. Each plane has
+    one dispatcher:
 
     - {!inline} runs the job synchronously and calls the continuation on
       the spot. The sim plane always uses it: modelled costs are charged
@@ -20,42 +22,23 @@
       moved on while the crypto ran — and must also be safe to run
       synchronously.
 
-    Both deliver the same verdicts: jobs are pure functions of immutable
-    values, and the memo fields they warm are domain-safe (see
-    {!Datablock.t}, [Threshold]). A batch ({!All}) never short-circuits
-    — every sub-job is evaluated so its memo is warm for later inline
-    re-checks. *)
+    Both deliver the same verdicts: a job is a pure function of
+    immutable values, and the memo fields it warms are domain-safe (see
+    {!Datablock.t}). *)
 
-type job =
-  | Datablock_check of {
-      pks : Crypto.Signature.public_key array;
-      db : Datablock.t;
-    }
-  | Aggregate_check of {
-      setup : Crypto.Threshold.setup;
-      agg : Crypto.Threshold.aggregate;
-      msg : string;
-    }
-  | Share_check of {
-      setup : Crypto.Threshold.setup;
-      share : Crypto.Threshold.share;
-      msg : string;
-    }
-  | All of job list  (** conjunction; [All []] is vacuously true *)
+type job = Datablock_check of { pks : Crypto.Signature.public_key array; db : Datablock.t }
 
 type dispatch = job -> (bool -> unit) -> unit
 
 val run : job -> bool
-(** Synchronous evaluation. [All] evaluates {e every} sub-job (no
-    short-circuit) and returns their conjunction. *)
+(** Synchronous evaluation. *)
 
 val inline : dispatch
 (** [inline job k] is [k (run job)]. *)
 
 val cost : job -> int
 (** The job's estimated cost in SHA-256 compressions: [3 * batches]
-    for a datablock check (leaf hashes, Merkle inner nodes, HMAC), 2 for
-    a share or aggregate check, the sum for [All]. *)
+    (leaf hashes, Merkle inner nodes, HMAC). *)
 
 val inline_below : int
 (** The cut of {!pooled}: jobs whose {!cost} is below it run inline.
@@ -65,6 +48,6 @@ val inline_below : int
 val pooled : Exec.Pool.t -> dispatch
 (** Cost-aware: a job whose {!cost} is below {!inline_below} runs on the
     caller and its continuation is called synchronously, as {!inline}
-    does (so [All []] completes at once). Any other job runs on the
-    pool's workers and its continuation at a later {!Exec.Pool.drain} on
-    the owner thread, never synchronously. *)
+    does. Any other job runs on a pool worker ({!Exec.Pool.async}) and
+    its continuation at a later {!Exec.Pool.drain} on the owner thread,
+    never synchronously. *)

@@ -5,8 +5,6 @@
 
 type task = unit -> unit
 
-type 'a state = Pending | Value of 'a | Raised of exn
-
 type t = {
   m : Mutex.t; (* guards work, stop, inflight and the stat counters *)
   cv : Condition.t;
@@ -25,7 +23,6 @@ type t = {
   mutable closed : bool;
   (* stats (under [m] except [drained]/[busy_ns], under [dm]) *)
   mutable tasks : int;
-  mutable batches : int;
   mutable inline_runs : int;
   mutable idle_waits : int;
   mutable drained : int;
@@ -36,7 +33,6 @@ type t = {
 
 type stats = {
   tasks : int;
-  batches : int;
   inline_runs : int;
   idle_waits : int;
   drained : int;
@@ -66,8 +62,8 @@ let worker t () =
     | None -> ()
     | Some j ->
         let start = now_ns () in
-        (* [j] never raises: [async]/[async_all] wrap the user function
-           so the outcome (value or exception) is captured for [drain]. *)
+        (* [j] never raises: [async] wraps the user function so the
+           outcome (value or exception) is captured for [drain]. *)
         j ();
         let dt = now_ns () - start in
         (match t.task_lat with Some h -> Obs.Histogram.record h dt | None -> ());
@@ -113,7 +109,6 @@ let create ?obs ?domains ?budget () =
       drain_buf = Bytes.create 64;
       closed = false;
       tasks = 0;
-      batches = 0;
       inline_runs = 0;
       idle_waits = 0;
       drained = 0;
@@ -136,27 +131,20 @@ let create ?obs ?domains ?budget () =
       in
       let c name help = Obs.Registry.counter reg ~help name in
       let tasks_c = c "leopard_verify_tasks_total" "tasks submitted (inline included)" in
-      let batches_c = c "leopard_verify_batches_total" "batch submissions" in
       let inline_c = c "leopard_verify_inline_runs_total" "budget-full inline fallbacks" in
       let idle_c = c "leopard_verify_idle_waits_total" "worker idle transitions" in
       let drained_c = c "leopard_verify_drained_total" "completions delivered by drain" in
       (* Scrape-time mirror of the pool's own counters: the hot path
          keeps its existing mutex-guarded ints, obs pays nothing. *)
       Obs.Registry.on_collect reg (fun () ->
-          let depth_v, inflight_v, tasks_v, batches_v, inline_v, idle_v =
+          let depth_v, inflight_v, tasks_v, inline_v, idle_v =
             Mutex.protect t.m (fun () ->
-                ( Queue.length t.work,
-                  t.inflight,
-                  t.tasks,
-                  t.batches,
-                  t.inline_runs,
-                  t.idle_waits ))
+                (Queue.length t.work, t.inflight, t.tasks, t.inline_runs, t.idle_waits))
           in
           let drained_v = Mutex.protect t.dm (fun () -> t.drained) in
           Obs.Gauge.set depth depth_v;
           Obs.Gauge.set inflight inflight_v;
           Obs.Counter.mirror tasks_c tasks_v;
-          Obs.Counter.mirror batches_c batches_v;
           Obs.Counter.mirror inline_c inline_v;
           Obs.Counter.mirror idle_c idle_v;
           Obs.Counter.mirror drained_c drained_v));
@@ -214,79 +202,36 @@ let drain t =
 
 let notify_fd t = t.notify_r
 
-(* Enqueue [jobs] (already wrapped as unit tasks) honouring the
-   in-flight budget: whatever does not fit runs on the caller, and the
-   queue lock is taken once for the whole batch. Returns the overflow
-   to run inline; the caller runs it after releasing [t.m]. *)
-let enqueue t jobs =
-  let run_inline =
-    Mutex.protect t.m (fun () ->
-        if t.stop then invalid_arg "Exec.Pool: async after shutdown";
-        let rec go acc = function
-          | [] -> List.rev acc
-          | j :: rest ->
-              if t.inflight >= t.budget then begin
-                t.inline_runs <- t.inline_runs + 1;
-                t.tasks <- t.tasks + 1;
-                go (j :: acc) rest
-              end
-              else begin
-                t.inflight <- t.inflight + 1;
-                t.tasks <- t.tasks + 1;
-                Queue.push j t.work;
-                go acc rest
-              end
-        in
-        let overflow = go [] jobs in
-        Condition.broadcast t.cv;
-        overflow)
-  in
-  List.iter (fun j -> j ()) run_inline
-
 let async t f k =
   let job () =
-    let outcome = try Value (f ()) with e -> Raised e in
-    push_done t (fun () ->
-        match outcome with Value v -> k v | Raised e -> raise e | Pending -> ())
+    let outcome = try Ok (f ()) with e -> Error e in
+    push_done t (fun () -> match outcome with Ok v -> k v | Error e -> raise e)
   in
-  enqueue t [ job ]
-
-let async_all t fs k =
-  Mutex.protect t.m (fun () -> t.batches <- t.batches + 1);
-  match fs with
-  | [] -> push_done t (fun () -> k [])
-  | fs ->
-      let n = List.length fs in
-      let results = Array.make n Pending in
-      let remaining = Atomic.make n in
-      let jobs =
-        List.mapi
-          (fun i f () ->
-            let outcome = try Value (f ()) with e -> Raised e in
-            results.(i) <- outcome;
-            if Atomic.fetch_and_add remaining (-1) = 1 then
-              push_done t (fun () ->
-                  let vs =
-                    Array.to_list
-                      (Array.map
-                         (function
-                           | Value v -> v
-                           | Raised e -> raise e
-                           | Pending -> assert false)
-                         results)
-                  in
-                  k vs))
-          fs
-      in
-      enqueue t jobs
+  (* Past the in-flight budget the task runs on the caller, once [t.m]
+     is released. *)
+  let queued =
+    Mutex.protect t.m (fun () ->
+        if t.stop then invalid_arg "Exec.Pool: async after shutdown";
+        t.tasks <- t.tasks + 1;
+        if t.inflight >= t.budget then begin
+          t.inline_runs <- t.inline_runs + 1;
+          false
+        end
+        else begin
+          t.inflight <- t.inflight + 1;
+          Queue.push job t.work;
+          Condition.signal t.cv;
+          true
+        end)
+  in
+  if not queued then job ()
 
 let stats t =
-  let tasks, batches, inline_runs, idle_waits, busy_ns =
-    Mutex.protect t.m (fun () ->
-        (t.tasks, t.batches, t.inline_runs, t.idle_waits, t.busy_ns))
+  let tasks, inline_runs, idle_waits, busy_ns =
+    Mutex.protect t.m (fun () -> (t.tasks, t.inline_runs, t.idle_waits, t.busy_ns))
   in
   let drained = Mutex.protect t.dm (fun () -> t.drained) in
-  { tasks; batches; inline_runs; idle_waits; drained; busy_ns }
+  { tasks; inline_runs; idle_waits; drained; busy_ns }
 
 let shutdown t =
   let already =

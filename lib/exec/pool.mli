@@ -3,7 +3,7 @@
     A fixed set of OCaml 5 domains pulls tasks from one shared queue
     (crypto verification tasks are uniform, so a shared queue beats
     per-worker deques with stealing — there is nothing to steal; see
-    DESIGN.md §11). Completions are callbacks, {!async}/{!async_all},
+    DESIGN.md §11). A completion is a callback given to {!async} and
     delivered {e only} by {!drain}, which the owner thread calls (the
     TCP runtime drains from a {!Transport.Loop} tick hook and a readable
     {!notify_fd}). Worker domains never run owner-side code, so replica
@@ -20,7 +20,6 @@ type t
 
 type stats = {
   tasks : int;        (** tasks ever submitted, inline fallbacks included *)
-  batches : int;      (** batch submissions ({!async_all}) *)
   inline_runs : int;  (** tasks run on the caller: in-flight budget was full *)
   idle_waits : int;   (** worker waits on the empty queue (idle transitions) *)
   drained : int;      (** completions delivered by {!drain} so far *)
@@ -50,12 +49,6 @@ val async : t -> (unit -> 'a) -> ('a -> unit) -> unit
     later {!drain} on the owner thread — never synchronously, so caller
     state cannot be reentered. If [f] raises, the exception is
     re-raised out of that [drain] call. *)
-
-val async_all : t -> (unit -> 'a) list -> ('a list -> unit) -> unit
-(** Batched {!async}: one queue-lock acquisition, one completion with
-    the results in submission order, delivered by {!drain} when the
-    last task finishes. [async_all t [] k] delivers [k []] at the next
-    {!drain}. *)
 
 val drain : t -> int
 (** Runs every completion callback whose task has finished and whose

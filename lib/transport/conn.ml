@@ -564,62 +564,44 @@ let enqueue_frame t ~dst ~kind frame =
     end
   end
 
-let enqueue t ~dst msg =
-  if not t.down then
-    if Net.Node_id.equal dst t.id then
-      (* Self-delivery through the loop, like the simulator's immediate
-         local hop: asynchronous, but ahead of any network arrival. *)
+(* Queue [frame], the encoding of [msg], to [dst] under the link-fault
+   verdict for that copy. A delayed or duplicated copy reuses the frame. *)
+let route t ~dst ~kind msg frame =
+  match t.fault with
+  | None -> enqueue_frame t ~dst ~kind frame
+  | Some f -> (
+    match f ~dst msg with
+    | Pass -> enqueue_frame t ~dst ~kind frame
+    | Fault_drop -> t.faulted <- t.faulted + 1
+    | Fault_delay d ->
+      t.faulted <- t.faulted + 1;
       ignore
-        (Loop.schedule t.loop ~delay:0L (fun () ->
-             if not t.down then t.on_msg ~src:t.id msg))
-    else enqueue_frame t ~dst ~kind:(Core.Msg.kind msg) (Frame.encode_msg msg)
+        (Loop.schedule t.loop ~delay:d (fun () -> enqueue_frame t ~dst ~kind frame)
+          : Loop.handle)
+    | Fault_duplicate ->
+      t.faulted <- t.faulted + 1;
+      enqueue_frame t ~dst ~kind frame;
+      enqueue_frame t ~dst ~kind frame)
 
 let send t ~dst msg =
   if not t.down then
-    match t.fault with
-    | None -> enqueue t ~dst msg
-    (* Self-sends never cross a wire: the fault surface models link
-       faults (partitions, lossy paths), not process faults. *)
-    | Some _ when Net.Node_id.equal dst t.id -> enqueue t ~dst msg
-    | Some f -> (
-      match f ~dst msg with
-      | Pass -> enqueue t ~dst msg
-      | Fault_drop -> t.faulted <- t.faulted + 1
-      | Fault_delay d ->
-        t.faulted <- t.faulted + 1;
-        ignore
-          (Loop.schedule t.loop ~delay:d (fun () -> enqueue t ~dst msg)
-            : Loop.handle)
-      | Fault_duplicate ->
-        t.faulted <- t.faulted + 1;
-        enqueue t ~dst msg;
-        enqueue t ~dst msg)
+    if Net.Node_id.equal dst t.id then
+      (* Self-delivery through the loop, like the simulator's immediate
+         local hop: asynchronous, but ahead of any network arrival. It
+         never crosses a wire, so no link fault applies: the fault
+         surface models partitions and lossy paths, not process faults. *)
+      ignore
+        (Loop.schedule t.loop ~delay:0L (fun () ->
+             if not t.down then t.on_msg ~src:t.id msg))
+    else route t ~dst ~kind:(Core.Msg.kind msg) msg (Frame.encode_shared msg)
 
 let multicast t ~n msg =
   if not t.down then begin
-    (* Encode once; every peer's queue references the same frame string.
-       Per-peer fault verdicts still apply — a delayed or duplicated copy
-       reuses the shared frame rather than re-encoding. *)
+    (* Encode once; every peer's queue references the same frame string. *)
     let frame = Frame.encode_shared msg in
     let kind = Core.Msg.kind msg in
     for dst = 0 to n - 1 do
-      if not (Net.Node_id.equal dst t.id) then begin
-        match t.fault with
-        | None -> enqueue_frame t ~dst ~kind frame
-        | Some f -> (
-          match f ~dst msg with
-          | Pass -> enqueue_frame t ~dst ~kind frame
-          | Fault_drop -> t.faulted <- t.faulted + 1
-          | Fault_delay d ->
-            t.faulted <- t.faulted + 1;
-            ignore
-              (Loop.schedule t.loop ~delay:d (fun () -> enqueue_frame t ~dst ~kind frame)
-                : Loop.handle)
-          | Fault_duplicate ->
-            t.faulted <- t.faulted + 1;
-            enqueue_frame t ~dst ~kind frame;
-            enqueue_frame t ~dst ~kind frame)
-      end
+      if not (Net.Node_id.equal dst t.id) then route t ~dst ~kind msg frame
     done
   end
 

@@ -57,8 +57,6 @@ let encode_shared msg =
   incr encodes;
   Bytes.unsafe_to_string b
 
-let encode_msg = encode_shared
-
 (* -- incremental decoding ----------------------------------------------- *)
 
 (* A reader owns a buffer only while a frame is incomplete. [feed]

@@ -65,9 +65,6 @@ val encode_shared : Core.Msg.t -> string
     {!Core.Codec.Encode_error} on unrepresentable values, as the codec
     does. Bumps {!encode_count}. *)
 
-val encode_msg : Core.Msg.t -> string
-(** Alias of {!encode_shared} (every message frame is shareable). *)
-
 val encode_count : unit -> int
 (** Message-frame encodes since process start. Diff around a multicast
     to assert the encode-once property: one frame to [k] peers bumps

@@ -1,5 +1,5 @@
 (* Exec.Pool: the bounded domain worker pool under the verification
-   pipeline. Drain-only async delivery, batches, backpressure, stats —
+   pipeline. Drain-only async delivery, backpressure, stats —
    and the crypto paths that run on it: concurrent Datablock.verify /
    Threshold.verify from several domains must agree, a corrupted block
    must be rejected from every domain, and the memos the workers warm
@@ -18,12 +18,13 @@ let drain_until p is_done =
   done;
   if not (is_done ()) then Alcotest.fail "completion not delivered within 5 s"
 
-(* Run [fs] on the workers as one batch and return their results. *)
+(* Run each of [fs] on the workers and return the results in
+   submission order. *)
 let run_all p fs =
-  let got = ref None in
-  Exec.Pool.async_all p fs (fun vs -> got := Some vs);
-  drain_until p (fun () -> !got <> None);
-  Option.get !got
+  let results = Array.make (List.length fs) None in
+  List.iteri (fun i f -> Exec.Pool.async p f (fun v -> results.(i) <- Some v)) fs;
+  drain_until p (fun () -> Array.for_all Option.is_some results);
+  List.map Option.get (Array.to_list results)
 
 (* -- pool mechanics ----------------------------------------------------- *)
 
@@ -75,24 +76,22 @@ let test_async_delivered_only_at_drain () =
       checki "all delivered" 10 (List.length !delivered);
       checki "delivered count in stats" 10 (Exec.Pool.stats p).Exec.Pool.drained)
 
-let test_async_all_order_and_notify_fd () =
-  let p = Exec.Pool.create ~domains:4 () in
+(* One worker takes tasks from the FIFO queue one at a time, so the
+   completions reach [drain] in submission order. *)
+let test_async_order_and_notify_fd () =
+  let p = Exec.Pool.create ~domains:1 () in
   Fun.protect
     ~finally:(fun () -> Exec.Pool.shutdown p)
     (fun () ->
-      let result = ref None in
-      Exec.Pool.async_all p
-        (List.init 50 (fun i () -> 2 * i))
-        (fun vs -> result := Some vs);
-      (* The notify fd must become readable once the batch completes. *)
+      let delivered = ref [] in
+      for i = 0 to 49 do
+        Exec.Pool.async p (fun () -> 2 * i) (fun v -> delivered := v :: !delivered)
+      done;
+      (* The notify fd must become readable once a completion is queued. *)
       let r, _, _ = Unix.select [ Exec.Pool.notify_fd p ] [] [] 5.0 in
       checkb "notify fd readable" true (r <> []);
-      ignore (Exec.Pool.drain p : int);
-      match !result with
-      | None -> Alcotest.fail "batch completion not delivered"
-      | Some vs ->
-        checki "batch size" 50 (List.length vs);
-        List.iteri (fun i v -> checki "submission order" (2 * i) v) vs)
+      drain_until p (fun () -> List.length !delivered = 50);
+      List.iteri (fun i v -> checki "submission order" (2 * i) v) (List.rev !delivered))
 
 let test_backpressure_runs_inline () =
   (* One worker, blocked; a budget of 1 is exhausted by the blocked task,
@@ -125,8 +124,7 @@ let test_stats_sanity () =
       ignore (run_all p (List.init 20 (fun i () -> i)) : int list);
       let s = Exec.Pool.stats p in
       checki "tasks" 20 s.Exec.Pool.tasks;
-      checki "batches" 1 s.Exec.Pool.batches;
-      checki "one batch completion drained" 1 s.Exec.Pool.drained;
+      checki "one completion drained per task" 20 s.Exec.Pool.drained;
       checki "size" 2 (Exec.Pool.size p))
 
 let test_shutdown_idempotent () =
@@ -283,70 +281,52 @@ let test_threshold_verdicts_agree_across_domains () =
 
 let test_verify_facade_dispatchers_agree () =
   let pks, sk, db = mk_db_key () in
-  let rng = Sim.Rng.create 23L in
-  let setup, keys = Crypto.Threshold.keygen rng ~threshold:2 ~parties:4 in
-  let msg = "facade payload" in
-  let shares = Array.to_list (Array.map (fun k -> Crypto.Threshold.sign_share k msg) keys) in
-  let agg = Option.get (Crypto.Threshold.combine setup msg shares) in
-  let job =
-    Core.Verify.All
-      [ Core.Verify.Datablock_check { pks; db };
-        Core.Verify.Aggregate_check { setup; agg; msg };
-        Core.Verify.Share_check { setup; share = List.hd shares; msg } ]
-  in
-  let bad_job =
-    Core.Verify.All
-      [ Core.Verify.Datablock_check { pks; db };
-        Core.Verify.Aggregate_check
-          { setup; agg = Crypto.Threshold.forge_attempt setup msg; msg } ]
-  in
-  checkb "run: all good" true (Core.Verify.run job);
-  checkb "run: one bad poisons the batch" false (Core.Verify.run bad_job);
+  let job = Core.Verify.Datablock_check { pks; db } in
+  let bad_job = Core.Verify.Datablock_check { pks; db = Core.Datablock.tamper db } in
+  checkb "run: good" true (Core.Verify.run job);
+  checkb "run: tampered" false (Core.Verify.run bad_job);
   let got = ref None in
   Core.Verify.inline job (fun ok -> got := Some ok);
   checkb "inline" (Some true = !got) true;
+  let got = ref None in
+  Core.Verify.inline bad_job (fun ok -> got := Some ok);
+  checkb "inline rejects the tampered block" (Some false = !got) true;
   let p = Exec.Pool.create ~domains:2 () in
   Fun.protect
     ~finally:(fun () -> Exec.Pool.shutdown p)
     (fun () ->
       (* pooled: a job under the inline cut completes on the spot ... *)
-      let share = List.hd shares in
+      checkb "8-batch check is below the cut" true
+        (Core.Verify.cost job < Core.Verify.inline_below);
       let got = ref None in
-      Core.Verify.pooled p (Core.Verify.Share_check { setup; share; msg }) (fun ok -> got := Some ok);
-      checkb "pooled cheap share check is synchronous" (Some true = !got) true;
+      Core.Verify.pooled p job (fun ok -> got := Some ok);
+      checkb "pooled cheap check is synchronous" (Some true = !got) true;
       let got = ref None in
-      Core.Verify.pooled p
-        (Core.Verify.Share_check { setup; share; msg = "another payload" })
-        (fun ok -> got := Some ok);
-      checkb "pooled cheap bad share is synchronous and false" (Some false = !got) true;
+      Core.Verify.pooled p bad_job (fun ok -> got := Some ok);
+      checkb "pooled cheap tampered check is synchronous and false" (Some false = !got) true;
       (* ... and one above it goes to a worker and completes only at drain *)
       let big =
         Core.Datablock.create ~sk ~creator:0 ~counter:2 ~now:Sim.Sim_time.zero
           (List.init 64 (fun i -> Workload.Request.make ~id:i ~count:1 ~size_each:64 ~born:0L ()))
       in
       let big_job = Core.Verify.Datablock_check { pks; db = big } in
+      let big_bad = Core.Verify.Datablock_check { pks; db = Core.Datablock.tamper big } in
       checkb "64-batch check is above the cut" true
         (Core.Verify.cost big_job >= Core.Verify.inline_below);
-      let got = ref None in
+      let got = ref None and got_bad = ref None in
       Core.Verify.pooled p big_job (fun ok -> got := Some ok);
-      checkb "pooled large job never synchronous" (None = !got) true;
-      let rec drain_until deadline =
-        ignore (Exec.Pool.drain p : int);
-        if !got = None && Unix.gettimeofday () < deadline then begin
-          Unix.sleepf 0.001;
-          drain_until deadline
-        end
-      in
-      drain_until (Unix.gettimeofday () +. 5.);
-      checkb "pooled delivers at drain" (Some true = !got) true)
+      Core.Verify.pooled p big_bad (fun ok -> got_bad := Some ok);
+      checkb "pooled large job never synchronous" (None = !got && None = !got_bad) true;
+      drain_until p (fun () -> !got <> None && !got_bad <> None);
+      checkb "pooled delivers at drain" (Some true = !got) true;
+      checkb "pooled rejects the tampered large block" (Some false = !got_bad) true)
 
 let () =
   Alcotest.run "exec"
     [ ( "pool",
         [ Alcotest.test_case "drain re-raises a task's exception" `Quick test_drain_reraises;
           Alcotest.test_case "async only at drain" `Quick test_async_delivered_only_at_drain;
-          Alcotest.test_case "async_all order + notify fd" `Quick
-            test_async_all_order_and_notify_fd;
+          Alcotest.test_case "async order + notify fd" `Quick test_async_order_and_notify_fd;
           Alcotest.test_case "backpressure inline fallback" `Quick
             test_backpressure_runs_inline;
           Alcotest.test_case "stats" `Quick test_stats_sanity;

@@ -45,7 +45,7 @@ let datablock_frame =
     Workload.Request.make ~id:(100 + i) ~count:4 ~size_each:64
       ~born:Sim.Sim_time.zero ()
   in
-  Frame.encode_msg
+  Frame.encode_shared
     (Core.Msg.Datablock_msg
        (Core.Datablock.create ~sk ~creator:0 ~counter:1 ~now:Sim.Sim_time.zero
           (List.init datablock_batches batch)))

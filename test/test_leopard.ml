@@ -811,6 +811,81 @@ let test_bookkeeping_bounded () =
   checkb "view-change messages bounded" true (peak "vc_msgs" <= 3);
   checkb "safety" true (Core.Driver.ledgers_agree (Core.Runner.driver t))
 
+(* A Confirmation's proof is checked before its serial is looked up.
+   Garbage proofs for far-future serials leave the instance table as it
+   was, and a garbage copy of a stashed valid Confirmation does not
+   displace it: once the held proposal arrives, the victim confirms
+   the serial from the stash. *)
+let test_garbage_confirmations_refused () =
+  let cfg = small_cfg () in
+  let t =
+    Core.Runner.create
+      (Core.Runner.spec ~cfg ~seed:31L ~load:400. ~duration:(Sim_time.s 12)
+         ~warmup:(Sim_time.s 1) ~load_until:(Sim_time.s 3) ())
+  in
+  let network = Core.Runner.network t in
+  let leader = Core.Config.leader_of_view cfg 1 and victim = 2 in
+  let garbage = Crypto.Threshold.aggregate_of_raw 12345 in
+  (* Hold back the first proposal the leader sends the victim after 1 s,
+     and the Confirmation of its serial, so the test can deliver them in
+     its own order. *)
+  let target = ref None and held_propose = ref None and held_conf = ref None in
+  Net.Network.set_fault_hook network (fun ~now ~src ~dst msg ->
+      match msg with
+      | Core.Msg.Propose { block; _ }
+        when src = leader && dst = victim && !target = None
+             && Sim_time.compare now (Sim_time.s 1) > 0 ->
+        target := Some block.Core.Bftblock.sn;
+        held_propose := Some msg;
+        Net.Network.Drop
+      | Core.Msg.Confirmation { sn; _ } when dst = victim && Some sn = !target ->
+        held_conf := Some msg;
+        Net.Network.Drop
+      | _ -> Net.Network.Pass);
+  let cursor = ref (Sim_time.s 1) in
+  while !held_conf = None && Sim_time.compare !cursor (Sim_time.s 6) < 0 do
+    cursor := Sim_time.(!cursor + ms 50);
+    Core.Runner.run_until t !cursor
+  done;
+  Net.Network.clear_fault_hook network;
+  let sn, view, notar_digest, conf =
+    match !held_conf with
+    | Some (Core.Msg.Confirmation { sn; view; notar_digest; _ } as conf) ->
+      (sn, view, notar_digest, conf)
+    | _ -> Alcotest.fail "no Confirmation captured for a held proposal"
+  in
+  let r = (Core.Runner.replicas t).(victim) in
+  let step span =
+    cursor := Sim_time.(!cursor + span);
+    Core.Runner.run_until t !cursor
+  in
+  (* The valid Confirmation overtakes the proposal and is stashed; a
+     garbage copy follows it. *)
+  Net.Network.send network ~src:leader ~dst:victim conf;
+  step (Sim_time.ms 20);
+  Net.Network.send network ~src:leader ~dst:victim
+    (Core.Msg.Confirmation { view; sn; notar_digest; proof = garbage });
+  step (Sim_time.ms 20);
+  checkb "not confirmed before the proposal" false
+    (Core.Ledger.is_confirmed (Core.Replica.ledger r) sn);
+  Net.Network.send network ~src:leader ~dst:victim (Option.get !held_propose);
+  step (Sim_time.ms 50);
+  checkb "the stashed valid Confirmation survives a garbage copy" true
+    (Core.Ledger.is_confirmed (Core.Replica.ledger r) sn);
+  (* Load has stopped: let the cluster settle, then flood. *)
+  step (Sim_time.s 3);
+  let instances () = List.assoc "instances" (Core.Replica.bookkeeping_sizes r) in
+  let before = instances () in
+  let far = Core.Replica.low_watermark r + 1_000_000 in
+  for i = 0 to 999 do
+    Net.Network.send network ~src:leader ~dst:victim
+      (Core.Msg.Confirmation { view; sn = far + i; notar_digest; proof = garbage })
+  done;
+  step (Sim_time.ms 100);
+  checki "1000 garbage Confirmations leave the instance table as it was" before
+    (instances ());
+  checkb "safety" true (Core.Driver.ledgers_agree (Core.Runner.driver t))
+
 (* -- the proposal clock -------------------------------------------------- *)
 
 (* tcpbench's batching at n = 4: α = 100, BFTsize 10, both timers 20 ms.
@@ -1129,7 +1204,9 @@ let () =
             test_snapshot_size_flat;
           Alcotest.test_case "replayed datablock executed once" `Quick
             test_replayed_datablock_executed_once;
-          Alcotest.test_case "bookkeeping tables bounded" `Quick test_bookkeeping_bounded ] );
+          Alcotest.test_case "bookkeeping tables bounded" `Quick test_bookkeeping_bounded;
+          Alcotest.test_case "garbage confirmations refused" `Quick
+            test_garbage_confirmations_refused ] );
       ( "internals",
         [ Alcotest.test_case "watermarks bound parallelism" `Quick test_watermarks_bound_parallelism;
           Alcotest.test_case "checkpoints advance lw" `Quick test_checkpoints_advance_watermark;

@@ -24,7 +24,7 @@ let test_frame_msg_golden () =
   checks "msg frame"
     ("4c50524401000125000000"
     ^ "0b20000000ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
-    (to_hex (Transport.Frame.encode_msg (Core.Msg.Fetch { hash = Crypto.Hash.of_string "abc" })))
+    (to_hex (Transport.Frame.encode_shared (Core.Msg.Fetch { hash = Crypto.Hash.of_string "abc" })))
 
 (* -- frame incremental decoding ----------------------------------------- *)
 
@@ -44,7 +44,7 @@ let collect_frames feeds =
 let test_frame_byte_at_a_time () =
   let wire =
     Transport.Frame.encode_hello 2
-    ^ Transport.Frame.encode_msg (Core.Msg.Fetch { hash = Crypto.Hash.of_string "x" })
+    ^ Transport.Frame.encode_shared (Core.Msg.Fetch { hash = Crypto.Hash.of_string "x" })
   in
   let bytes = List.init (String.length wire) (fun i -> String.make 1 wire.[i]) in
   let res, frames, r = collect_frames bytes in
@@ -407,7 +407,7 @@ let multicast_wire ?clamp msgs =
   checki "nothing dropped" 0 (Transport.Conn.dropped conn);
   let expected_bytes =
     Transport.Frame.encode_hello 0
-    ^ String.concat "" (List.map Transport.Frame.encode_msg msgs)
+    ^ String.concat "" (List.map Transport.Frame.encode_shared msgs)
   in
   let wires =
     Array.map
@@ -505,7 +505,7 @@ let test_large_frame_genuine_backpressure () =
   in
   let expected =
     Transport.Frame.encode_hello 0
-    ^ String.concat "" (List.map Transport.Frame.encode_msg msgs)
+    ^ String.concat "" (List.map Transport.Frame.encode_shared msgs)
   in
   checkb "each frame spans multiple kernel write chunks" true
     (String.length expected / List.length msgs > 2 * 65536);
@@ -605,7 +605,7 @@ let test_memory_per_node_not_per_connection () =
   let got = ref 0 in
   let conn = Transport.Conn.create ~loop ~id:0 ~pool ~on_msg:(fun ~src:_ _ -> incr got) () in
   let port = Transport.Conn.listen conn () in
-  let frame = Transport.Frame.encode_msg (Core.Msg.Fetch { hash = Crypto.Hash.of_string "m" }) in
+  let frame = Transport.Frame.encode_shared (Core.Msg.Fetch { hash = Crypto.Hash.of_string "m" }) in
   let fds =
     List.init k (fun i ->
         let fd = raw_dial port in
@@ -633,13 +633,13 @@ let test_partial_frames_over_sockets () =
   let port = Transport.Conn.listen conn () in
   let fd = raw_dial port in
   let big = datablock_msg ~counter:1 52_000 in
-  let big_frame = Transport.Frame.encode_msg big in
+  let big_frame = Transport.Frame.encode_shared big in
   checkb "the large frame is over 1 MiB" true (String.length big_frame > 1 lsl 20);
   push loop fd (Transport.Frame.encode_hello 1 ^ big_frame);
   checkb "large frame delivered" true (spin loop (fun () -> List.length !got = 1));
   checki "its buffer is back" 2 (pool_held pool);
   let small = Core.Msg.Fetch { hash = Crypto.Hash.of_string "split" } in
-  let frame = Transport.Frame.encode_msg small in
+  let frame = Transport.Frame.encode_shared small in
   let recvd () = (Transport.Conn.stats conn).Transport.Conn.bytes_recvd in
   let before = recvd () in
   push loop fd (String.sub frame 0 5);
@@ -688,12 +688,12 @@ let test_multicast_burst_debug_pool () =
   let n = List.length msgs in
   checkb "burst delivered to every peer" true
     (spin loop (fun () -> Array.for_all (fun l -> List.length l = n) (Array.sub got 1 k)));
-  let expected = List.map Transport.Frame.encode_msg msgs in
+  let expected = List.map Transport.Frame.encode_shared msgs in
   for i = 1 to k do
     checkb
       (Printf.sprintf "peer %d decodes byte-identically" i)
       true
-      (List.map Transport.Frame.encode_msg (List.rev got.(i)) = expected)
+      (List.map Transport.Frame.encode_shared (List.rev got.(i)) = expected)
   done;
   Transport.Conn.close sender;
   Array.iter Transport.Conn.close receivers;
@@ -715,7 +715,7 @@ let test_queued_bytes_gauge () =
   List.iter (fun m -> Transport.Conn.send conn ~dst:1 m) msgs;
   Transport.Conn.send conn ~dst:2 (List.hd msgs);
   Transport.Loop.run_for loop ~span:(Sim.Sim_time.ms 5);
-  let frame_bytes m = String.length (Transport.Frame.encode_msg m) in
+  let frame_bytes m = String.length (Transport.Frame.encode_shared m) in
   let expected = List.fold_left (fun acc m -> acc + frame_bytes m) 0 msgs + frame_bytes (List.hd msgs) in
   ignore (Obs.Registry.expose reg : string);
   let g =
