@@ -128,6 +128,10 @@ val submit : t -> Workload.Request.t -> admission
     unconfirmed after the view timeout, the replica votes to change the
     view (§4.3, view-change trigger). *)
 
+val ack_wire_bytes : int
+(** Bytes of the acknowledgment a replica sends back per executed
+    request batch (48; charged as "ack" egress). *)
+
 (** {2 Introspection (tests, metrics, debugging)} *)
 
 val id : t -> Net.Node_id.t

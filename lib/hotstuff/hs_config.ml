@@ -13,5 +13,3 @@ let make ~n ?(batch_size = 800) ?(payload = 128) ?(propose_timeout = Sim.Sim_tim
   if n < 4 then invalid_arg "Hs_config.make: n must be at least 4";
   if batch_size < 1 then invalid_arg "Hs_config.make: batch_size must be positive";
   { n; f = (n - 1) / 3; batch_size; payload; propose_timeout; cost; cores }
-
-let quorum t = (2 * t.f) + 1

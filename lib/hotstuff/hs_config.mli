@@ -24,5 +24,3 @@ val make :
     payload, 50 ms partial-batch timeout, ECDSA-like costs (libhotstuff
     instantiates QCs with secp256k1 signature vectors), 4 cores.
     Requires [n >= 4]. *)
-
-val quorum : t -> int

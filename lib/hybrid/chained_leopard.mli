@@ -3,11 +3,12 @@
     The paper's §4.3 remark: "the decoupling of data delivery ... can
     also be leveraged based on chain-based BFT protocols, like HotStuff,
     to preserve the efficiency while the number of replicas increases."
-    This library is that protocol: chained HotStuff's structure (one
-    block per height, each carrying a QC for its parent, three-chain
-    commit, trivially cheap view synchronization) with Leopard's data
-    plane (non-leaders disseminate datablocks; blocks carry only their
-    hashes).
+    This library is that protocol: {!Hotstuff.Chain} (one block per
+    height, each carrying a QC for its parent, three-chain commit) with
+    blocks that carry datablock hashes, and Leopard's data plane around
+    it (non-leaders pack and disseminate datablocks; a follower that
+    lacks a proposal's datablocks fetches them from the leader and
+    retries the proposal).
 
     Compared to full Leopard it gives up parallel agreement instances
     (heights are sequential) in exchange for the chain's simpler
@@ -19,6 +20,11 @@
     comparison, and leader replacement for chained protocols is the
     well-trodden HotStuff pacemaker. Leopard's full view change lives in
     {!Core.Replica}. *)
+
+module Links :
+  Hotstuff.Chain.PAYLOAD with type pool = Core.Datablock_pool.t and type item = Crypto.Hash.t
+(** Datablock hashes from a datablock pool; a block's batches are those
+    of its datablocks, once all are in the pool. *)
 
 type cfg = {
   n : int;

@@ -77,8 +77,7 @@ type replica = {
   pks : Sig.public_key array;
   silent : bool;
   cpu : Net.Cpu.t;
-  mempool : Workload.Request.t Queue.t;
-  mutable pending_reqs : int;
+  mempool : Core.Mempool.t;
   instances : (int, inst) Hashtbl.t;
   mutable next_seq : int;          (* leader *)
   mutable executed_up_to : int;    (* highest contiguous executed seq *)
@@ -135,29 +134,17 @@ let maybe_commit r seq i =
         end)
   | Some _ | None -> ()
 
-let take_batch r limit =
-  let rec go acc got =
-    if got >= limit then List.rev acc
-    else
-      match Queue.pop r.mempool with
-      | exception Queue.Empty -> List.rev acc
-      | b ->
-        r.pending_reqs <- r.pending_reqs - b.Workload.Request.count;
-        if Workload.Request.is_confirmed b then go acc got
-        else go (b :: acc) (got + b.Workload.Request.count)
-  in
-  go [] 0
-
 let rec maybe_propose r =
   if active r && is_leader r && r.next_seq <= r.executed_up_to + r.cfg.window then begin
-    let full = r.pending_reqs >= r.cfg.batch_size in
+    let pending = Core.Mempool.pending_requests r.mempool in
+    let full = pending >= r.cfg.batch_size in
     let timed_out =
-      r.pending_reqs > 0
+      pending > 0
       && Sim_time.compare Sim_time.(Engine.now r.engine - r.last_proposal) r.cfg.propose_timeout >= 0
     in
     if full || timed_out then begin
       r.last_proposal <- Engine.now r.engine;
-      let batch = take_batch r r.cfg.batch_size in
+      let batch = Core.Mempool.take r.mempool ~target:r.cfg.batch_size in
       if batch <> [] then begin
         let block = make_block ~seq:r.next_seq ~batch in
         r.next_seq <- r.next_seq + 1;
@@ -238,8 +225,7 @@ let handle r ~src m =
 
 let submit r b =
   if active r then begin
-    Queue.push b r.mempool;
-    r.pending_reqs <- r.pending_reqs + b.Workload.Request.count;
+    Core.Mempool.add r.mempool b;
     if is_leader r then maybe_propose r
   end
 
@@ -264,8 +250,7 @@ let run (sp : cfg Baseline.spec) =
                 pks;
                 silent = ctx.is_silent id;
                 cpu = Net.Cpu.create ctx.engine ~cores:cfg.cores;
-                mempool = Queue.create ();
-                pending_reqs = 0;
+                mempool = Core.Mempool.create ();
                 instances = Hashtbl.create 64;
                 next_seq = 1;
                 executed_up_to = 0;

@@ -13,15 +13,17 @@ let spec ?(load = 2000.) ?(duration = 8) ?silent cfg =
   Hotstuff.Hs_replica.spec ~cfg ~load ~duration:(Sim_time.s duration) ~warmup:(Sim_time.s 2)
     ~silent:(Option.value silent ~default:0) ()
 
+module C = Hotstuff.Chain.Make (Hotstuff.Hs_replica.Requests)
+
 let test_types () =
-  let b = Hotstuff.Hs_types.make_block ~height:1 ~parent:Hotstuff.Hs_types.genesis_hash ~batch:[] in
-  checki "req count" 0 b.Hotstuff.Hs_types.req_count;
-  let b2 = Hotstuff.Hs_types.make_block ~height:2 ~parent:(Hotstuff.Hs_types.block_hash b) ~batch:[] in
+  let b = C.make_block ~height:1 ~parent:C.genesis_hash [] in
+  checki "payload bytes" 0 b.Hotstuff.Chain.payload_bytes;
+  let b2 = C.make_block ~height:2 ~parent:b.Hotstuff.Chain.hash [] in
   checkb "hash differs by height/parent" false
-    (Crypto.Hash.equal (Hotstuff.Hs_types.block_hash b) (Hotstuff.Hs_types.block_hash b2));
+    (Crypto.Hash.equal b.Hotstuff.Chain.hash b2.Hotstuff.Chain.hash);
   checkb "vote payload binds height" true
-    (Hotstuff.Hs_types.vote_payload ~height:1 ~block_hash:(Hotstuff.Hs_types.block_hash b)
-     <> Hotstuff.Hs_types.vote_payload ~height:2 ~block_hash:(Hotstuff.Hs_types.block_hash b))
+    (C.vote_payload ~height:1 ~block_hash:b.Hotstuff.Chain.hash
+     <> C.vote_payload ~height:2 ~block_hash:b.Hotstuff.Chain.hash)
 
 let test_commit_progress () =
   let r = Hotstuff.Hs_replica.run (spec (cfg ())) in
@@ -83,6 +85,85 @@ let test_batch_size_amortizes () =
   let small = run 10 and big = run 500 in
   checkb "bigger batch, higher throughput" true (big > small)
 
+(* The shared chain at one follower (replica 1 of n = 4, leader 0), fed
+   proposals by hand. Blocks carry datablock links, as in chained Leopard:
+   block h links datablock h, and only the datablocks in [present] are in
+   the follower's pool at the start. *)
+module L = Hotstuff.Chain.Make (Hybrid.Chained_leopard.Links)
+
+let follower ~present =
+  let engine = Engine.create ~seed:1L () in
+  let network =
+    Net.Network.create engine ~n:4 ~meta:Hotstuff.Chain.meta ~link:Net.Network.default_link
+  in
+  let rng = Rng.create 7L in
+  let tsetup, tkeys = Crypto.Threshold.keygen rng ~threshold:2 ~parties:4 in
+  let _, sk = Crypto.Signature.keygen rng in
+  let pool = Core.Datablock_pool.create () in
+  let dbs =
+    Array.init 6 (fun i ->
+        Core.Datablock.create ~sk ~creator:2 ~counter:(i + 1) ~now:Sim_time.zero
+          [ Workload.Request.make ~id:(i + 1) ~count:1 ~size_each:8 ~born:Sim_time.zero () ])
+  in
+  let add h = ignore (Core.Datablock_pool.add pool dbs.(h - 1)) in
+  List.iter add present;
+  let committed = ref [] in
+  let chain =
+    L.create ~engine ~network ~wrap:Fun.id ~id:1 ~leader:0 ~f:1 ~tsetup ~tkey:tkeys.(1)
+      ~silent:false ~cpu:(Net.Cpu.create engine ~cores:1) ~cost:Crypto.Cost_model.free
+      ~block_size:1 ~propose_timeout:(Sim_time.ms 100) ~pool
+      ~commit:(fun ~height ~digest:_ _ -> committed := !committed @ [ height ])
+  in
+  let blocks = Array.make 6 (L.make_block ~height:0 ~parent:L.genesis_hash []) in
+  for h = 1 to 6 do
+    let parent = if h = 1 then L.genesis_hash else blocks.(h - 2).Hotstuff.Chain.hash in
+    blocks.(h - 1) <- L.make_block ~height:h ~parent [ Core.Datablock.hash dbs.(h - 1) ]
+  done;
+  let qc (b : _ Hotstuff.Chain.block) =
+    let payload = L.vote_payload ~height:b.height ~block_hash:b.hash in
+    let shares = List.map (fun k -> Crypto.Threshold.sign_share tkeys.(k) payload) [ 0; 2; 3 ] in
+    { Hotstuff.Chain.qc_height = b.height;
+      qc_block = b.hash;
+      qc_proof = Option.get (Crypto.Threshold.combine tsetup payload shares) }
+  in
+  (* Proposal h, justified by QC(h - 1). *)
+  let propose h =
+    L.try_vote chain blocks.(h - 1) (if h = 1 then None else Some (qc blocks.(h - 2)))
+  in
+  (propose, add, committed)
+
+let outcome =
+  Alcotest.testable
+    (fun ppf o ->
+      Fmt.string ppf
+        (match o with
+         | Hotstuff.Chain.Stored -> "Stored"
+         | Hotstuff.Chain.Waiting -> "Waiting"
+         | Hotstuff.Chain.Refused -> "Refused"))
+    ( = )
+
+let heights = Alcotest.(list int)
+
+let test_three_chain () =
+  let propose, _, committed = follower ~present:[ 1; 2; 3; 4; 5; 6 ] in
+  List.iter (fun h -> Alcotest.check outcome "stored" Hotstuff.Chain.Stored (propose h)) [ 1; 2; 3 ];
+  Alcotest.check heights "QC(2) commits nothing" [] !committed;
+  ignore (propose 4);
+  Alcotest.check heights "QC(3) commits 1, not 2" [ 1 ] !committed;
+  ignore (propose 5);
+  Alcotest.check heights "QC(4) commits 2" [ 1; 2 ] !committed
+
+let test_waiting_proposal_retried_below_vote () =
+  let propose, add, committed = follower ~present:[ 2; 3; 4; 5; 6 ] in
+  Alcotest.check outcome "1 waits for its datablock" Hotstuff.Chain.Waiting (propose 1);
+  Alcotest.check outcome "2 is voted" Hotstuff.Chain.Stored (propose 2);
+  add 1;
+  Alcotest.check outcome "1 is stored below the vote" Hotstuff.Chain.Stored (propose 1);
+  ignore (propose 3);
+  ignore (propose 4);
+  ignore (propose 5);
+  Alcotest.check heights "1 and 2 commit" [ 1; 2 ] !committed
+
 let () =
   Alcotest.run "hotstuff"
     [ ( "hotstuff",
@@ -91,4 +172,8 @@ let () =
           Alcotest.test_case "f silent live" `Quick test_silent_f_live;
           Alcotest.test_case "golden seed-13 summary" `Quick test_golden_seed13_summary;
           Alcotest.test_case "leader bottleneck shape" `Slow test_leader_bottleneck_shape;
-          Alcotest.test_case "batching amortizes" `Slow test_batch_size_amortizes ] ) ]
+          Alcotest.test_case "batching amortizes" `Slow test_batch_size_amortizes ] );
+      ( "chain",
+        [ Alcotest.test_case "three-chain commit" `Quick test_three_chain;
+          Alcotest.test_case "waiting proposal retried below the vote" `Quick
+            test_waiting_proposal_retried_below_vote ] ) ]
