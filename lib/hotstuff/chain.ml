@@ -34,7 +34,6 @@ module type PAYLOAD = sig
   type item
 
   val tag : string
-  val acks : bool
   val encode : item -> string
   val wire_bytes : item -> int
   val payload_bytes : item -> int
@@ -135,7 +134,7 @@ module Make (P : PAYLOAD) = struct
             t.committed_up_to <- h;
             List.iter Workload.Request.mark_confirmed batches;
             let acked = List.length batches in
-            if P.acks && acked > 0 then
+            if acked > 0 then
               Net.Network.charge_egress t.network ~src:t.id
                 ~size:(Core.Replica.ack_wire_bytes * acked) ~category:"ack";
             t.commit ~height:h ~digest:block.hash batches;

@@ -45,9 +45,6 @@ module type PAYLOAD = sig
   val tag : string
   (** Separates this protocol's block hashes, votes and genesis. *)
 
-  val acks : bool
-  (** Whether a commit charges client acknowledgments. *)
-
   val encode : item -> string
   (** An item's bytes in the block hash. *)
 

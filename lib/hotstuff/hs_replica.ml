@@ -5,7 +5,6 @@ module Requests = struct
   type item = Workload.Request.t
 
   let tag = "hs"
-  let acks = true
   let encode = Workload.Request.encode
   let wire_bytes = Workload.Request.wire_bytes
   let payload_bytes = Workload.Request.payload_bytes

@@ -34,7 +34,6 @@ module Links = struct
   type item = Hash.t
 
   let tag = "cl"
-  let acks = false
   let encode = Hash.raw
   let wire_bytes _ = Hash.size_bytes
   let payload_bytes _ = 0

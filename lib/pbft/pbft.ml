@@ -114,6 +114,12 @@ let try_execute r =
          i.executed <- true;
          r.executed_up_to <- next;
          List.iter Workload.Request.mark_confirmed block.batch;
+         (* One acknowledgment per batch back to its client, as Leopard
+            and the chain baselines charge it. *)
+         let acked = List.length block.batch in
+         if acked > 0 then
+           Net.Network.charge_egress r.network ~src:r.id
+             ~size:(Core.Replica.ack_wire_bytes * acked) ~category:"ack";
          r.on_execute ~seq:next block;
          go ()
        | None -> ())

@@ -32,7 +32,7 @@ let render_summary (r : Baseline.report) =
     r.Baseline.safety_ok
 
 let golden_seed13_summary =
-  "offered=16000 confirmed=15792 heights=329 leader_bps=2776000 p50=0.101712 p99=0.161481 \
+  "offered=16000 confirmed=15792 heights=329 leader_bps=2872000 p50=0.101712 p99=0.161481 \
    safety=true"
 
 let test_golden_seed13_summary () =

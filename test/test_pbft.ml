@@ -33,7 +33,7 @@ let render_summary (r : Baseline.report) =
     r.Baseline.safety_ok
 
 let golden_seed13_summary =
-  "offered=16000 confirmed=15968 leader_bps=8697600 p50=0.015335 p99=0.019550 safety=true"
+  "offered=16000 confirmed=15968 leader_bps=8721600 p50=0.015335 p99=0.019550 safety=true"
 
 let test_golden_seed13_summary () =
   let sp = { (spec ~silent:1 (cfg ())) with Baseline.seed = 13L } in
