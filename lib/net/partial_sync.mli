@@ -8,9 +8,6 @@
 type scheduler =
   now:Sim.Sim_time.t -> src:Node_id.t -> dst:Node_id.t -> Sim.Sim_time.span
 
-val synchronous : scheduler
-(** No extra delay (the network's base propagation already holds). *)
-
 val until_gst :
   rng:Sim.Rng.t -> gst:Sim.Sim_time.t -> max_delay:Sim.Sim_time.span -> scheduler
 (** Uniform random delay in [\[0, max_delay\]] before GST; zero after.
@@ -21,13 +18,6 @@ val target_node :
   gst:Sim.Sim_time.t -> victim:Node_id.t -> delay:Sim.Sim_time.span -> scheduler
 (** Delays everything to and from [victim] before GST — an adversary
     isolating one replica (e.g. the collector/leader). *)
-
-val reorder :
-  rng:Sim.Rng.t -> gst:Sim.Sim_time.t -> max_delay:Sim.Sim_time.span -> scheduler
-(** Aggressive pre-GST reordering: each message draws an independent
-    delay, so sent order and received order diverge (exercises the
-    out-of-order confirmation paths of §4.1). Alias of {!until_gst}; kept
-    distinct for test readability. *)
 
 val geo :
   regions:(Node_id.t -> int) -> rtt_matrix:(int -> int -> Sim.Sim_time.span) -> scheduler
