@@ -1,9 +1,3 @@
-type decision =
-  | Pass
-  | Drop
-  | Delay of Sim.Sim_time.span
-  | Duplicate
-
 type what = W_drop | W_delay of Sim.Sim_time.span | W_duplicate
 
 type active = { rule : Scenario.rule; what : what }
@@ -50,7 +44,7 @@ let matches (r : Scenario.rule) ~src ~dst kind =
   && (match r.dst with None -> true | Some d -> Net.Node_id.equal d dst)
   && match r.kinds with None -> true | Some ks -> List.mem kind ks
 
-let decide t ~src ~dst msg =
+let decide t ~src ~dst msg : Net.Network.fault_verdict =
   let cut =
     match t.group_of with
     | None -> false
@@ -60,7 +54,7 @@ let decide t ~src ~dst msg =
   else if t.rules == [] then Pass
   else begin
     let kind = Core.Msg.kind msg in
-    let rec go = function
+    let rec go : _ -> Net.Network.fault_verdict = function
       | [] -> Pass
       | { rule; what } :: rest ->
         if matches rule ~src ~dst kind then

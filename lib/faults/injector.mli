@@ -2,7 +2,7 @@
 
     Compiles a scenario's link-fault actions ([Partition]/[Heal]/
     [Drop]/[Delay]/[Duplicate]) into active state, and renders a
-    {!decision} for every message crossing a wire. Both planes drive
+    {!Net.Network.fault_verdict} for every message crossing a wire. Both planes drive
     the same injector — the simulator from {!Net.Network.set_fault_hook}
     (per wire crossing, post-egress) and the TCP cluster from per-node
     {!Transport.Conn.set_fault} filters (pre-framing) — so one scenario
@@ -13,12 +13,6 @@
 
 type t
 
-type decision =
-  | Pass
-  | Drop
-  | Delay of Sim.Sim_time.span
-  | Duplicate
-
 val create : n:int -> rng:Sim.Rng.t -> t
 
 val apply : t -> Scenario.action -> bool
@@ -27,7 +21,8 @@ val apply : t -> Scenario.action -> bool
     replaces any active partition; [Drop]/[Delay]/[Duplicate] append a
     rule (first match wins); [Heal] clears partition and rules. *)
 
-val decide : t -> src:Net.Node_id.t -> dst:Net.Node_id.t -> Core.Msg.t -> decision
+val decide :
+  t -> src:Net.Node_id.t -> dst:Net.Node_id.t -> Core.Msg.t -> Net.Network.fault_verdict
 (** The verdict for one message: [Drop] if an active partition separates
     [src] from [dst], otherwise the effect of the first matching rule
     (subject to its probability), otherwise [Pass]. *)

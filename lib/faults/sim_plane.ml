@@ -51,13 +51,7 @@ let run ?(seed = 42L) ?load (sc : Scenario.t) =
   let network = Core.Runner.network t in
   let trace = Core.Runner.trace t in
   let inj = Injector.create ~n ~rng:(Rng.split (Engine.rng engine)) in
-  Net.Network.set_fault_hook network (fun ~now:_ ~src ~dst msg ->
-      match Injector.decide inj ~src ~dst msg with
-      | Injector.Pass -> Net.Network.Pass
-      | Injector.Drop -> Net.Network.Drop
-      | Injector.Delay d ->
-        Net.Network.Divert { delay_ns = Int64.to_int d; copies = 1 }
-      | Injector.Duplicate -> Net.Network.Divert { delay_ns = 0; copies = 2 });
+  Net.Network.set_fault_hook network (fun ~now:_ ~src ~dst msg -> Injector.decide inj ~src ~dst msg);
   List.iter
     (fun (e : Scenario.event) ->
       ignore

@@ -45,13 +45,7 @@ let run ?(seed = 42L) ?load ?data_root ?metrics_out (sc : Scenario.t) =
       let inj = Injector.create ~n ~rng:(Rng.create seed) in
       for src = 0 to n - 1 do
         Transport.Cluster.set_fault_filter cl src
-          (Some
-             (fun ~dst msg ->
-               match Injector.decide inj ~src ~dst msg with
-               | Injector.Pass -> Transport.Conn.Pass
-               | Injector.Drop -> Transport.Conn.Fault_drop
-               | Injector.Delay d -> Transport.Conn.Fault_delay d
-               | Injector.Duplicate -> Transport.Conn.Fault_duplicate))
+          (Some (fun ~dst msg -> Injector.decide inj ~src ~dst msg))
       done;
       List.iter
         (fun (e : Scenario.event) ->

@@ -64,7 +64,8 @@ type 'msg node = {
 type fault_verdict =
   | Pass
   | Drop
-  | Divert of { delay_ns : int; copies : int }
+  | Delay of Sim_time.span
+  | Duplicate
 
 type 'msg t = {
   engine : Engine.t;
@@ -131,13 +132,13 @@ let cross_wire t ~src ~dst ~priority ~size packet =
   match verdict with
   | Drop -> ()
   | Pass -> deliver_after (wire_delay_ns t ~src ~dst)
-  | Divert { delay_ns; copies } ->
-    (* All copies share one base wire delay so a duplicate pair arrives
-       back-to-back, the adversary's best reordering position. *)
-    let base = wire_delay_ns t ~src ~dst in
-    for _ = 1 to copies do
-      deliver_after (base + max 0 delay_ns)
-    done
+  | Delay d -> deliver_after (wire_delay_ns t ~src ~dst + max 0 (Int64.to_int d))
+  | Duplicate ->
+    (* Both copies share one wire delay so the pair arrives back-to-back,
+       the adversary's best reordering position. *)
+    let dt = wire_delay_ns t ~src ~dst in
+    deliver_after dt;
+    deliver_after dt
 
 let on_egress_done t packet =
   match packet with

@@ -78,18 +78,20 @@ val set_extra_delay :
 (** Installs an adversarial scheduler hook adding wire delay per message
     (see {!Partial_sync}). *)
 
-(** Per-delivery fault verdict, consulted as each protocol message
-    crosses the wire (post-egress, per destination — a multicast can be
-    faulted towards some receivers and not others). [Divert] re-delivers
-    [copies] copies, each [delay_ns] later than the normal arrival;
-    [Divert { delay_ns = 0; copies = 2 }] is a duplication,
-    [Divert { delay_ns; copies = 1 }] a pure delay. Self-deliveries and
-    client {!inject} traffic are not subject to faults (partitions cut
+(** A link fault's verdict on one message to one destination, the one
+    type both planes take ([Faults.Injector] renders it; the TCP plane
+    applies it through [Transport.Conn.set_fault]). Here it is consulted
+    as each protocol message crosses the wire (post-egress, per
+    destination — a multicast can be faulted towards some receivers and
+    not others). [Delay d] delivers the message [d] later than its normal
+    arrival; [Duplicate] delivers two copies back to back. Self-deliveries
+    and client {!inject} traffic are not subject to faults (partitions cut
     wires, not processes — use {!set_down} for crashes). *)
 type fault_verdict =
   | Pass
   | Drop
-  | Divert of { delay_ns : int; copies : int }
+  | Delay of Sim.Sim_time.span
+  | Duplicate
 
 val set_fault_hook :
   'msg t ->

@@ -108,7 +108,7 @@ val restart_replica : t -> Net.Node_id.t -> unit
     {!set_replica_down}, only what the store made durable survives. *)
 
 val set_fault_filter :
-  t -> Net.Node_id.t -> (dst:Net.Node_id.t -> Core.Msg.t -> Conn.fault_verdict) option -> unit
+  t -> Net.Node_id.t -> (dst:Net.Node_id.t -> Core.Msg.t -> Net.Network.fault_verdict) option -> unit
 (** Installs (or removes) replica [id]'s outbound link-fault filter (see
     {!Conn.set_fault}); the chaos harness builds partitions and
     drop/delay/duplicate rules out of these. *)

@@ -95,12 +95,6 @@ type in_conn = {
   mutable src : Net.Node_id.t option;
 }
 
-type fault_verdict =
-  | Pass
-  | Fault_drop
-  | Fault_delay of Sim.Sim_time.span
-  | Fault_duplicate
-
 type stats = {
   mutable write_syscalls : int;
   mutable read_syscalls : int;
@@ -132,7 +126,7 @@ type t = {
      the kind-aware policy's audit trail — consensus-critical kinds must
      stay at zero while datablock frames absorb the overload. *)
   dropped_kinds : int array;
-  mutable fault : (dst:Net.Node_id.t -> Core.Msg.t -> fault_verdict) option;
+  mutable fault : (dst:Net.Node_id.t -> Core.Msg.t -> Net.Network.fault_verdict) option;
   mutable faulted : int;
   mutable max_write : int; (* debug clamp on bytes per write(2) *)
   mutable flushq : out_conn list; (* peers with frames queued this tick *)
@@ -571,14 +565,14 @@ let route t ~dst ~kind msg frame =
   | None -> enqueue_frame t ~dst ~kind frame
   | Some f -> (
     match f ~dst msg with
-    | Pass -> enqueue_frame t ~dst ~kind frame
-    | Fault_drop -> t.faulted <- t.faulted + 1
-    | Fault_delay d ->
+    | Net.Network.Pass -> enqueue_frame t ~dst ~kind frame
+    | Net.Network.Drop -> t.faulted <- t.faulted + 1
+    | Net.Network.Delay d ->
       t.faulted <- t.faulted + 1;
       ignore
         (Loop.schedule t.loop ~delay:d (fun () -> enqueue_frame t ~dst ~kind frame)
           : Loop.handle)
-    | Fault_duplicate ->
+    | Net.Network.Duplicate ->
       t.faulted <- t.faulted + 1;
       enqueue_frame t ~dst ~kind frame;
       enqueue_frame t ~dst ~kind frame)

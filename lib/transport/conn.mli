@@ -98,13 +98,8 @@ val multicast : t -> n:int -> Core.Msg.t -> unit
     [leopard_transport_faulted_total] metric (separately from
     {!dropped}, which counts capacity losses). *)
 
-type fault_verdict =
-  | Pass
-  | Fault_drop
-  | Fault_delay of Sim.Sim_time.span
-  | Fault_duplicate
-
-val set_fault : t -> (dst:Net.Node_id.t -> Core.Msg.t -> fault_verdict) option -> unit
+val set_fault :
+  t -> (dst:Net.Node_id.t -> Core.Msg.t -> Net.Network.fault_verdict) option -> unit
 (** Installs (or with [None] removes) the outbound fault filter. *)
 
 val set_down : t -> bool -> unit

@@ -22,22 +22,22 @@ let test_partition_cuts_groups () =
   checkb "link faults report applied" true
     (Injector.apply inj (Scenario.Partition [ [ 0 ]; [ 1; 2; 3 ] ]));
   checkb "partitioned" true (Injector.partitioned inj);
-  checkb "cut edge drops" true (Injector.decide inj ~src:0 ~dst:1 timeout_msg = Injector.Drop);
+  checkb "cut edge drops" true (Injector.decide inj ~src:0 ~dst:1 timeout_msg = Net.Network.Drop);
   checkb "cut edge drops (reverse)" true
-    (Injector.decide inj ~src:2 ~dst:0 timeout_msg = Injector.Drop);
+    (Injector.decide inj ~src:2 ~dst:0 timeout_msg = Net.Network.Drop);
   checkb "same side passes" true
-    (Injector.decide inj ~src:1 ~dst:3 timeout_msg = Injector.Pass);
+    (Injector.decide inj ~src:1 ~dst:3 timeout_msg = Net.Network.Pass);
   checkb "heal applied" true (Injector.apply inj Scenario.Heal);
   checkb "healed edge passes" true
-    (Injector.decide inj ~src:0 ~dst:1 timeout_msg = Injector.Pass)
+    (Injector.decide inj ~src:0 ~dst:1 timeout_msg = Net.Network.Pass)
 
 let test_unlisted_ids_form_implicit_group () =
   let inj = Injector.create ~n:4 ~rng:(Sim.Rng.create 1L) in
   ignore (Injector.apply inj (Scenario.Partition [ [ 0 ] ]) : bool);
   checkb "isolated node cut from the rest" true
-    (Injector.decide inj ~src:0 ~dst:3 timeout_msg = Injector.Drop);
+    (Injector.decide inj ~src:0 ~dst:3 timeout_msg = Net.Network.Drop);
   checkb "the rest still talk" true
-    (Injector.decide inj ~src:1 ~dst:2 timeout_msg = Injector.Pass)
+    (Injector.decide inj ~src:1 ~dst:2 timeout_msg = Net.Network.Pass)
 
 let test_rule_matching () =
   let inj = Injector.create ~n:4 ~rng:(Sim.Rng.create 1L) in
@@ -46,7 +46,7 @@ let test_rule_matching () =
     (Injector.apply inj (Scenario.Drop (Scenario.rule ~kinds:[ Core.Msg.K_propose ] ()))
       : bool);
   checkb "kind mismatch passes" true
-    (Injector.decide inj ~src:0 ~dst:1 timeout_msg = Injector.Pass);
+    (Injector.decide inj ~src:0 ~dst:1 timeout_msg = Net.Network.Pass);
   (* Src filter, first match wins over later rules. *)
   ignore (Injector.apply inj (Scenario.Drop (Scenario.rule ~src:2 ())) : bool);
   ignore
@@ -55,9 +55,9 @@ let test_rule_matching () =
       : bool);
   checki "three rules active" 3 (Injector.active_rules inj);
   checkb "src match drops (first rule wins)" true
-    (Injector.decide inj ~src:2 ~dst:1 timeout_msg = Injector.Drop);
+    (Injector.decide inj ~src:2 ~dst:1 timeout_msg = Net.Network.Drop);
   checkb "other src passes" true
-    (Injector.decide inj ~src:3 ~dst:1 timeout_msg = Injector.Pass);
+    (Injector.decide inj ~src:3 ~dst:1 timeout_msg = Net.Network.Pass);
   (* Heal clears rules too. *)
   ignore (Injector.apply inj Scenario.Heal : bool);
   checki "heal clears rules" 0 (Injector.active_rules inj);
@@ -74,8 +74,8 @@ let test_probabilistic_rule_is_deterministic () =
   in
   checkb "same seed, same decisions" true (decisions 5L = decisions 5L);
   checkb "coin actually flips" true
-    (List.exists (fun d -> d = Injector.Drop) (decisions 5L)
-    && List.exists (fun d -> d = Injector.Pass) (decisions 5L))
+    (List.exists (fun d -> d = Net.Network.Drop) (decisions 5L)
+    && List.exists (fun d -> d = Net.Network.Pass) (decisions 5L))
 
 (* -- sim plane: the whole corpus must satisfy its oracle ----------------- *)
 
