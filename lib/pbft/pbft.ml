@@ -21,7 +21,6 @@ let make_cfg ~n ?(batch_size = 400) ?(payload = 128) ?(window = 8)
 type block = {
   seq : int;
   batch : Workload.Request.t list;
-  req_count : int;
   payload_bytes : int;
   digest_memo : Hash.t;
   wire_bytes : int;
@@ -30,7 +29,6 @@ type block = {
 let make_block ~seq ~batch =
   { seq;
     batch;
-    req_count = List.fold_left (fun a b -> a + b.Workload.Request.count) 0 batch;
     payload_bytes = List.fold_left (fun a b -> a + Workload.Request.payload_bytes b) 0 batch;
     digest_memo =
       Hash.of_strings (Printf.sprintf "pbft:%d" seq :: List.map Workload.Request.encode batch);
