@@ -114,11 +114,13 @@ let follower ~present =
       ~block_size:1 ~propose_timeout:(Sim_time.ms 100) ~pool
       ~commit:(fun ~height ~digest:_ _ -> committed := !committed @ [ height ])
   in
-  let blocks = Array.make 6 (L.make_block ~height:0 ~parent:L.genesis_hash []) in
-  for h = 1 to 6 do
-    let parent = if h = 1 then L.genesis_hash else blocks.(h - 2).Hotstuff.Chain.hash in
-    blocks.(h - 1) <- L.make_block ~height:h ~parent [ Core.Datablock.hash dbs.(h - 1) ]
-  done;
+  let rec build h parent =
+    if h > 6 then []
+    else
+      let b = L.make_block ~height:h ~parent [ Core.Datablock.hash dbs.(h - 1) ] in
+      b :: build (h + 1) b.Hotstuff.Chain.hash
+  in
+  let blocks = Array.of_list (build 1 L.genesis_hash) in
   let qc (b : _ Hotstuff.Chain.block) =
     let payload = L.vote_payload ~height:b.height ~block_hash:b.hash in
     let shares = List.map (fun k -> Crypto.Threshold.sign_share tkeys.(k) payload) [ 0; 2; 3 ] in
