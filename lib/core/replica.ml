@@ -59,6 +59,7 @@ type metrics = {
   commits : Obs.Counter.t;
   datablocks : Obs.Counter.t;
   clock_packs : Obs.Counter.t;
+  idle_packs : Obs.Counter.t;
   views : Obs.Counter.t;
   vc_triggers : Obs.Counter.t;
   equivocations : Obs.Counter.t;
@@ -118,6 +119,11 @@ type t = {
      notarization time *)
   mutable timer_packing : bool;
   mutable vote_rtt : Sim_time.span option;
+  (* the idle pack: the batch it sent while the packing rules still
+     count it as the mempool's head, and the earliest instant of the
+     next one (the last datablock's send + [datablock_timeout]) *)
+  mutable idle_copy : Workload.Request.t option;
+  mutable idle_from : Sim_time.t;
   (* deadline slots (see [arm]): the age rule's pack, the proposal
      clock's pack, the leader's short timer and the watchdog *)
   age_due : Sim_time.t ref;
@@ -292,6 +298,7 @@ let save_snapshot t = (t.platform.Platform.store).Store.save (snapshot_of t)
 
 let sign_and_send_datablock t batches =
   bump t (fun m -> m.datablocks);
+  t.idle_from <- Sim_time.( + ) (now t) t.cfg.datablock_timeout;
   let counter = t.db_counter in
   t.db_counter <- counter + 1;
   (* Durable BEFORE the multicast: re-using a counter after a restart
@@ -343,7 +350,41 @@ let may_pack t = active t && ((not (is_leader t)) || t.cfg.leader_generates_data
 (* Stops the proposal clock's pending pack (see below). *)
 let disarm_pack_clock t = t.clock_due := never
 
-let rec maybe_pack t =
+(* The idle pack. An idle replica's first batch b would wait the whole
+   [datablock_timeout] T for the age rule, which then packs it with
+   every batch that followed it. So when b enters an empty mempool, the
+   partial-pack rate limit is open and no datablock left for T, b is
+   packed at once, and the packing rules go on as if b still headed the
+   mempool (the copy, [idle_copy]): the age rule packs b's followers at
+   b's birth + T, b's requests count toward the α rule, and the next
+   pack by any rule closes the copy. So b leaves early and no other
+   request leaves later, for at most one extra datablock per T of
+   silence. The leader, which packs nothing by default, never idle
+   packs. *)
+let idle t =
+  (not (is_leader t))
+  && Option.is_none t.idle_copy
+  && Int64.compare t.cfg.datablock_timeout 0L > 0
+  && Sim_time.compare (now t) t.last_partial_pack > 0
+  && Sim_time.compare (now t) t.idle_from >= 0
+  && Mempool.pending_requests t.mempool = 0
+
+(* The mempool as the packing rules see it: an open copy heads it. *)
+let head_age t =
+  match t.idle_copy with
+  | Some b -> Some Sim_time.(now t - b.Workload.Request.born)
+  | None -> Mempool.oldest_age t.mempool ~now:(now t)
+
+let copy_count t = match t.idle_copy with Some b -> b.Workload.Request.count | None -> 0
+
+(* [target] requests' worth of batches, the copy's counted first; the
+   pack closes the copy. *)
+let take_for_pack t ~target =
+  let held = copy_count t in
+  t.idle_copy <- None;
+  Mempool.take t.mempool ~target:(target - held)
+
+let rec maybe_pack ?idle t =
   if may_pack t then
     match t.strategy with
     | Byzantine.Censor -> () (* holds requests back; clients must re-send *)
@@ -355,10 +396,10 @@ let rec maybe_pack t =
         | first :: rest -> equivocate_datablocks t [ first ] rest
       end
     | Byzantine.Honest | Byzantine.Silent | Byzantine.Crash_at _ ->
-      let full = Mempool.has_at_least t.mempool t.cfg.alpha in
+      let full = Mempool.has_at_least t.mempool (t.cfg.alpha - copy_count t) in
       let stale =
         Int64.compare t.cfg.datablock_timeout 0L > 0
-        && (match Mempool.oldest_age t.mempool ~now:(now t) with
+        && (match head_age t with
             | Some age -> Sim_time.compare age t.cfg.datablock_timeout >= 0
             | None -> false)
       in
@@ -367,14 +408,24 @@ let rec maybe_pack t =
            full datablock, so the clock stops until the age rule packs. *)
         t.timer_packing <- false;
         disarm_pack_clock t;
-        let batches = Mempool.take t.mempool ~target:t.cfg.alpha in
+        let batches = take_for_pack t ~target:t.cfg.alpha in
         if batches <> [] then sign_and_send_datablock t batches
       end
       else if stale && Sim_time.compare (now t) t.last_partial_pack > 0 then begin
         t.timer_packing <- true;
         t.last_partial_pack <- Sim_time.( + ) (now t) t.cfg.datablock_timeout;
-        let batches = Mempool.take t.mempool ~target:max_int in
+        let batches = take_for_pack t ~target:max_int in
         if batches <> [] then sign_and_send_datablock t batches
+      end
+      else begin
+        match idle with
+        | Some b ->
+          (* The mempool holds b alone. *)
+          let batches = Mempool.take t.mempool ~target:max_int in
+          t.idle_copy <- Some b;
+          bump t (fun m -> m.idle_packs);
+          sign_and_send_datablock t batches
+        | None -> ()
       end;
       arm_age_deadline t
 
@@ -383,7 +434,7 @@ let rec maybe_pack t =
    has reopened. *)
 and arm_age_deadline t =
   if Int64.compare t.cfg.datablock_timeout 0L > 0 then
-    match Mempool.oldest_age t.mempool ~now:(now t) with
+    match head_age t with
     | Some age ->
       let due = Sim_time.(now t - age + t.cfg.datablock_timeout) in
       let at = Sim_time.max due (Sim_time.( + ) t.last_partial_pack 1L) in
@@ -418,7 +469,7 @@ let clock_pack t =
     match t.strategy with
     | Byzantine.Censor | Byzantine.Equivocate_datablocks -> ()
     | Byzantine.Honest | Byzantine.Silent | Byzantine.Crash_at _ ->
-      let batches = Mempool.take t.mempool ~target:t.cfg.alpha in
+      let batches = take_for_pack t ~target:t.cfg.alpha in
       if batches <> [] then begin
         bump t (fun m -> m.clock_packs);
         sign_and_send_datablock t batches;
@@ -1441,10 +1492,11 @@ type admission = Mempool.admission = Admitted | Rejected of reject_reason
 let submit t batch =
   if not (active t) then Rejected Inactive
   else
+    let idle = idle t in
     match Mempool.try_add t.mempool batch with
     | Mempool.Admitted ->
       if batch.Workload.Request.resend then watch_request t batch;
-      maybe_pack t;
+      maybe_pack ?idle:(if idle then Some batch else None) t;
       Admitted
     | Mempool.Rejected reason ->
       let count = batch.Workload.Request.count in
@@ -1479,6 +1531,9 @@ let create ~platform ~cfg ~id ~sk ~pks ~tsetup ~tkey ?obs ?(strategy = Byzantine
           clock_packs =
             c "leopard_replica_clock_packs_total"
               "datablocks packed by the proposal clock (counted in datablocks too)";
+          idle_packs =
+            c "leopard_replica_idle_packs_total"
+              "datablocks packed by the idle pack (counted in datablocks too)";
           views = c "leopard_replica_views_entered_total" "views entered via new-view";
           vc_triggers = c "leopard_replica_vc_triggers_total" "view changes triggered";
           equivocations =
@@ -1531,6 +1586,8 @@ let create ~platform ~cfg ~id ~sk ~pks ~tsetup ~tkey ?obs ?(strategy = Byzantine
       propose_queued = false;
       timer_packing = true;
       vote_rtt = None;
+      idle_copy = None;
+      idle_from = Sim_time.zero;
       age_due = ref never;
       clock_due = ref never;
       propose_due = ref never;

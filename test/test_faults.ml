@@ -135,21 +135,21 @@ let test_replay_is_byte_identical () =
    from an earlier build. Unlike the replay test above (two runs of the
    same binary) these catch a refactor that changes simulated behaviour. *)
 let golden_trace_md5 =
-  [ ("leader-crash", "78afa1d24c515cd058d4e519c6b48d70");
-    ("leader-crash-checkpoint", "6f1c84301adc21eb7294140c89abd32c");
-    ("f-crashes", "dcb8f7088c0107a61b8988352b3d6ca3");
-    ("partition-quorum", "7d0946e910289aca397e4ff488cb8876");
-    ("slow-leader", "2c66ba5d16a8f09210d8286e0ae656a5");
-    ("silence-leader", "e28e731a9dadd57fa8c96f11b7e57daa");
-    ("equivocating-leader", "c42374a29efdb2db8c073b35398bae5c");
-    ("lagging-replica", "c0b67755ea32d25c2628bc5f86defe78");
-    ("duplicate-storm", "b8f5ef843f5000e0e2c6f3ae18c94e0e");
-    ("leader-restart", "f948fbe30d2529ad45f6f1d23bf5be43");
-    ("restart-checkpoint", "1b8a6a861fb8da1db29a04693fd2e74b");
-    ("restart-torn-tail", "1cc25a188384dabe61b26e2ec4ebd01e");
-    ("restart-storm", "2c417587ec4a696374deb76656af76a9");
+  [ ("leader-crash", "818a9f162b97dfb1515b439f46a4c51e");
+    ("leader-crash-checkpoint", "987ffe0ea7d2d01421f4b85a00462055");
+    ("f-crashes", "79973f2fb1f854732dedddafda7fe1ff");
+    ("partition-quorum", "03de6f90e00fd328d3345d2a219c1d37");
+    ("slow-leader", "d2560fec93d3782492799c0bd0f2f97e");
+    ("silence-leader", "db3759874a8b0f4f6cc68dda346e6998");
+    ("equivocating-leader", "0c6a529fdbfce70858e206b639024c90");
+    ("lagging-replica", "3b65a7551267a4fd3f3a5e16a04a6cae");
+    ("duplicate-storm", "07538f3f60dbe83a72a0c5c8e9048791");
+    ("leader-restart", "dc28551abee9025cff7c135f60933088");
+    ("restart-checkpoint", "f155fb09b84508de699e4c6f2e98fd26");
+    ("restart-torn-tail", "86e759ef70762ad9ea1becaa97b1be3d");
+    ("restart-storm", "3b87f1c5ec50b976fdd3e821081225ae");
     ("overload-burst", "a653f980e426704d6c2ecbe515cefc36");
-    ("slow-peer", "382375147f3b2c90052dbf81018a6410") ]
+    ("slow-peer", "68a95ea7d8231dc604111ca5e617f266") ]
 
 let test_golden_trace_digests () =
   checki "one digest per corpus scenario" (List.length Corpus.all)

@@ -76,9 +76,9 @@ let render_summary (r : Core.Runner.report) =
        (List.map (fun (name, v) -> Printf.sprintf "%s:%.9f" name v) r.Core.Runner.stage_seconds))
 
 let golden_seed13_summary =
-  "offered=2397 confirmed=2397 blocks=122 leader_sent=120675 p50=0.046662 p99=0.144703 vc=0 \
-   stages=Datablock Generation:71.820798552,Datablock Delivery:32.315971060,\
-   Agreement:13.063192045,Response to Client:2.397000000"
+  "offered=2397 confirmed=2397 blocks=124 leader_sent=121878 p50=0.046662 p99=0.144703 vc=0 \
+   stages=Datablock Generation:71.460797922,Datablock Delivery:32.872190070,\
+   Agreement:13.069260469,Response to Client:2.397000000"
 
 (* The same run's exact nearest-rank quantiles (s), from its 900 raw
    confirmation latencies: a probe build that also logged each latency
@@ -815,16 +815,30 @@ let test_bookkeeping_bounded () =
    Garbage proofs for far-future serials leave the instance table as it
    was, and a garbage copy of a stashed valid Confirmation does not
    displace it: once the held proposal arrives, the victim confirms
-   the serial from the stash. *)
+   the serial from the stash. The confirmation is observed as the
+   victim logs it (a mem store keeps the run as it is): the ledger
+   forgets the block at the next checkpoint. *)
 let test_garbage_confirmations_refused () =
   let cfg = small_cfg () in
+  let leader = Core.Config.leader_of_view cfg 1 and victim = 2 in
+  let confirmed = ref [] in
+  let observed =
+    let sink = Core.Store.mem () in
+    { sink with
+      Core.Store.log =
+        (fun r ->
+          (match r with
+           | Core.Store.Confirmed_block b -> confirmed := b.Core.Bftblock.sn :: !confirmed
+           | _ -> ());
+          sink.Core.Store.log r) }
+  in
+  let stores = Array.init 4 (fun i -> if i = victim then observed else Core.Store.mem ()) in
   let t =
     Core.Runner.create
       (Core.Runner.spec ~cfg ~seed:31L ~load:400. ~duration:(Sim_time.s 12)
-         ~warmup:(Sim_time.s 1) ~load_until:(Sim_time.s 3) ())
+         ~warmup:(Sim_time.s 1) ~load_until:(Sim_time.s 3) ~stores ())
   in
   let network = Core.Runner.network t in
-  let leader = Core.Config.leader_of_view cfg 1 and victim = 2 in
   let garbage = Crypto.Threshold.aggregate_of_raw 12345 in
   (* Hold back the first proposal the leader sends the victim after 1 s,
      and the Confirmation of its serial, so the test can deliver them in
@@ -866,12 +880,11 @@ let test_garbage_confirmations_refused () =
   Net.Network.send network ~src:leader ~dst:victim
     (Core.Msg.Confirmation { view; sn; notar_digest; proof = garbage });
   step (Sim_time.ms 20);
-  checkb "not confirmed before the proposal" false
-    (Core.Ledger.is_confirmed (Core.Replica.ledger r) sn);
+  checkb "not confirmed before the proposal" false (List.mem sn !confirmed);
   Net.Network.send network ~src:leader ~dst:victim (Option.get !held_propose);
   step (Sim_time.ms 50);
   checkb "the stashed valid Confirmation survives a garbage copy" true
-    (Core.Ledger.is_confirmed (Core.Replica.ledger r) sn);
+    (List.mem sn !confirmed);
   (* Load has stopped: let the cluster settle, then flood. *)
   step (Sim_time.s 3);
   let instances () = List.assoc "instances" (Core.Replica.bookkeeping_sizes r) in
@@ -899,6 +912,7 @@ type clock_run = {
   confirmed : int;
   datablocks : int;
   clock_packs : int;
+  idle_packs : int;
 }
 
 let proposal_timeout = Sim_time.ms 20
@@ -937,17 +951,17 @@ let clock_run ?(link = Net.Network.default_link) ~load () =
   Engine.run ~until:(Sim_time.s 7) engine;
   let waits = Array.of_list !waits in
   Array.sort compare waits;
-  let counter id =
-    Obs.Counter.value
-      (Obs.Registry.counter reg ~labels:[ ("replica", string_of_int id) ]
-         "leopard_replica_clock_packs_total")
+  let counter name id =
+    Obs.Counter.value (Obs.Registry.counter reg ~labels:[ ("replica", string_of_int id) ] name)
   in
+  let total name = List.fold_left (fun a id -> a + counter name id) 0 [ 0; 1; 2; 3 ] in
   { propose_wait_p50 = waits.(Array.length waits / 2);
     confirm_p50 = Obs.Histogram.Snapshot.quantile (Core.Driver.latency driver) 0.5 /. 1e9;
     offered = Workload.Generator.offered gen;
     confirmed = Core.Driver.confirmed driver;
     datablocks = Array.fold_left (fun a r -> a + Core.Replica.datablocks_created r) 0 replicas;
-    clock_packs = List.fold_left (fun a id -> a + counter id) 0 [ 0; 1; 2; 3 ] }
+    clock_packs = total "leopard_replica_clock_packs_total";
+    idle_packs = total "leopard_replica_idle_packs_total" }
 
 (* At 1000 req/s the age rule packs at a random phase of the leader's
    20 ms short-timer cycle and the datablock waits there for the next
@@ -965,19 +979,36 @@ let test_clock_low_load_wait () =
   checkb "the clock packs" true (r.clock_packs > 0)
 
 (* The capacity hazard: where α fills within a cycle, a clock pack would
-   split datablocks the α rule fills. Datablocks per request must stay
-   at the figures recorded before the clock (1200 for 120000 requests
-   with partial proposals; 3600 for 360000 with full ones). *)
+   split datablocks the α rule fills. Datablocks per request, idle packs
+   aside, must stay at the figures recorded before the clock (1200 for
+   120000 requests with partial proposals; 3600 for 360000 with full
+   ones). An idle pack sends early a datablock the other rules would
+   have built anyway, minus its first batch: here the three start-up
+   ones, one per packing replica. *)
 let test_clock_keeps_alpha_batches () =
   List.iter
     (fun (load, offered_before, datablocks_before) ->
       let r = clock_run ~load () in
       checki "all confirmed" r.offered r.confirmed;
       checki (Printf.sprintf "no clock pack at %.0f req/s" load) 0 r.clock_packs;
-      if r.datablocks * offered_before > datablocks_before * r.offered then
-        Alcotest.failf "%.0f req/s: %d datablocks for %d requests, %d for %d before" load
-          r.datablocks r.offered datablocks_before offered_before)
+      checki (Printf.sprintf "start-up idle packs at %.0f req/s" load) 3 r.idle_packs;
+      let packed = r.datablocks - r.idle_packs in
+      if packed * offered_before > datablocks_before * r.offered then
+        Alcotest.failf "%.0f req/s: %d datablocks (%d idle packs) for %d requests, %d for %d before"
+          load r.datablocks r.idle_packs r.offered datablocks_before offered_before)
     [ (20_000., 120_000, 1200); (60_000., 360_000, 3600) ]
+
+(* At 50 req/s every request reaches an idle replica: each is packed
+   alone at its submit instant, where before it waited the whole 20 ms
+   age timeout (confirm p50 46.5 ms, one datablock per request). Two of
+   each tick's three datablocks still wait one short-timer cycle at the
+   leader. *)
+let test_clock_light_load_idle_pack () =
+  let r = clock_run ~load:50. () in
+  checki "all confirmed" r.offered r.confirmed;
+  checki "one datablock per request" r.offered r.datablocks;
+  checki "every datablock an idle pack" r.datablocks r.idle_packs;
+  Alcotest.(check string) "confirm p50" "26.5 ms" (Printf.sprintf "%.1f ms" (r.confirm_p50 *. 1e3))
 
 (* A 10 ms one-way link makes the vote -> notarization time at least
    20 ms, past 7/8 of the cycle: there is no time left to aim at, so no
@@ -995,16 +1026,18 @@ let test_clock_off_on_slow_link () =
 
 (* A bare n=4 cluster: no client, no driver; the test submits requests
    itself. Every replica timer is counted, and every multicast is
-   recorded at its send instant (newest first), as is every execution. *)
+   recorded at its send instant (newest first), as is every execution.
+   [strategy] is replica 0's. *)
 type bare = {
   engine : Engine.t;
   replicas : Core.Replica.t array;
   timers : int ref;
   sent : (Sim_time.t * Net.Node_id.t * Core.Msg.t) list ref;
   executed : (Sim_time.t * Net.Node_id.t) list ref;
+  reg : Obs.Registry.t;
 }
 
-let bare_cluster cfg =
+let bare_cluster ?(strategy = Core.Byzantine.Honest) cfg =
   let engine = Engine.create ~seed:5L () in
   let network = Net.Network.create engine ~n:4 ~meta:Core.Msg.meta ~link:Net.Network.default_link in
   let rng = Rng.split (Engine.rng engine) in
@@ -1031,19 +1064,111 @@ let bare_cluster cfg =
     { Core.Replica.no_hooks with
       on_execute = (fun ~id ~sn:_ _ _ -> executed := (Engine.now engine, id) :: !executed) }
   in
+  let reg = Obs.Registry.create () in
   let replicas =
     Array.init 4 (fun id ->
+        let strategy = if id = 0 then strategy else Core.Byzantine.Honest in
         Core.Replica.create ~platform:(platform id) ~cfg ~id ~sk:(snd keys.(id))
-          ~pks:(Array.map fst keys) ~tsetup ~tkey:tkeys.(id) ~hooks ())
+          ~pks:(Array.map fst keys) ~tsetup ~tkey:tkeys.(id) ~obs:reg ~strategy ~hooks ())
   in
   Array.iter Core.Replica.start replicas;
-  { engine; replicas; timers; sent; executed }
+  { engine; replicas; timers; sent; executed; reg }
 
 let submit_at c ~at ~dst ?resend id =
   ignore
     (Engine.schedule_at c.engine ~at (fun () ->
          let b = Workload.Request.make ~id ~count:1 ~size_each:64 ~born:at ?resend () in
          ignore (Core.Replica.submit c.replicas.(dst) b : Core.Replica.admission)))
+
+(* -- The idle pack ----------------------------------------------------------- *)
+
+(* Replica 0's datablocks as (send instant ms, request ids), in send
+   order, and its idle-pack count. *)
+let packs_of c =
+  List.rev !(c.sent)
+  |> List.filter_map (fun (at, src, msg) ->
+         match msg with
+         | Core.Msg.Datablock_msg db when src = 0 ->
+           Some
+             ( Int64.to_int (Int64.div at 1_000_000L),
+               List.map (fun b -> b.Workload.Request.id) db.Core.Datablock.batches )
+         | _ -> None)
+
+let idle_packs c id =
+  Obs.Counter.value
+    (Obs.Registry.counter c.reg ~labels:[ ("replica", string_of_int id) ]
+       "leopard_replica_idle_packs_total")
+
+let packs = Alcotest.(list (pair int (list int)))
+
+(* α = 3, T = 200 ms, one-request batches; the leader is replica 1. *)
+let idle_cfg ?(datablock_timeout = Sim_time.ms 200) ?leader_generates_datablocks () =
+  Core.Config.make ~n:4 ~alpha:3 ~bft_size:2 ~k:32 ~payload:64 ~datablock_timeout
+    ~proposal_timeout:(Sim_time.ms 300) ?leader_generates_datablocks
+    ~cost:Crypto.Cost_model.free ()
+
+let run_idle ?strategy cfg submits =
+  let c = bare_cluster ?strategy cfg in
+  List.iter (fun (ms, dst, id) -> submit_at c ~at:(Sim_time.ms ms) ~dst id) submits;
+  Engine.run ~until:(Sim_time.s 2) c.engine;
+  c
+
+(* A request that reaches an idle replica leaves at its submit instant;
+   one that follows it leaves where the age rule packed both before:
+   at the first one's birth + T, not at its own. *)
+let test_idle_pack_follower () =
+  let c = run_idle (idle_cfg ()) [ (10, 0, 1); (50, 0, 2) ] in
+  Alcotest.check packs "replica 0's datablocks" [ (10, [ 1 ]); (210, [ 2 ]) ] (packs_of c);
+  checki "one idle pack" 1 (idle_packs c 0)
+
+(* The idle batch counts toward α: the α rule fires at the third
+   request's arrival, as it did with the first still in the mempool.
+   A request 70 ms later finds the mempool empty and the rate limit
+   open, but a datablock left within T: it waits for the age rule. *)
+let test_idle_pack_alpha_phase () =
+  let c = run_idle (idle_cfg ()) [ (10, 0, 1); (20, 0, 2); (30, 0, 3); (100, 0, 4) ] in
+  Alcotest.check packs "replica 0's datablocks"
+    [ (10, [ 1 ]); (30, [ 2; 3 ]); (300, [ 4 ]) ]
+    (packs_of c);
+  checki "one idle pack" 1 (idle_packs c 0)
+
+(* The copy closes at birth + T even with nothing to pack, and the rate
+   limit reopens at birth + 2T, as before: a request at 300 ms finds it
+   closed and leaves by the age rule at 500 ms (which closes it until
+   700 ms), and one at 800 ms is idle packed again. *)
+let test_idle_pack_rate_limit () =
+  let c = run_idle (idle_cfg ()) [ (10, 0, 1); (300, 0, 2); (800, 0, 3) ] in
+  Alcotest.check packs "replica 0's datablocks"
+    [ (10, [ 1 ]); (500, [ 2 ]); (800, [ 3 ]) ]
+    (packs_of c);
+  checki "two idle packs" 2 (idle_packs c 0)
+
+(* No idle pack for a leader that packs, a censor, an equivocator, or
+   with the age rule off. *)
+let test_idle_pack_exclusions () =
+  let none name c = checki (name ^ ": no idle pack") 0 (idle_packs c 0 + idle_packs c 1) in
+  let c = run_idle (idle_cfg ~leader_generates_datablocks:true ()) [ (10, 1, 1) ] in
+  none "leader" c;
+  let leader_packs =
+    List.filter_map
+      (fun (at, src, msg) ->
+        match msg with
+        | Core.Msg.Datablock_msg _ when src = 1 -> Some (Int64.to_int (Int64.div at 1_000_000L))
+        | _ -> None)
+      !(c.sent)
+  in
+  Alcotest.(check (list int)) "the leader packs by the age rule" [ 210 ] leader_packs;
+  let c = run_idle ~strategy:Core.Byzantine.Censor (idle_cfg ()) [ (10, 0, 1) ] in
+  none "censor" c;
+  Alcotest.check packs "the censor packs nothing" [] (packs_of c);
+  let c =
+    run_idle ~strategy:Core.Byzantine.Equivocate_datablocks (idle_cfg ()) [ (10, 0, 1) ]
+  in
+  none "equivocator" c;
+  checki "the equivocator packs nothing" 0 (Core.Replica.datablocks_created c.replicas.(0));
+  let c = run_idle (idle_cfg ~datablock_timeout:0L ()) [ (10, 0, 1); (20, 0, 2) ] in
+  none "T = 0" c;
+  Alcotest.check packs "below α nothing leaves with T = 0" [] (packs_of c)
 
 (* Every timer is armed by the state change that creates its deadline:
    with both batching timeouts set and no request, nothing is. *)
@@ -1217,9 +1342,16 @@ let () =
       ( "proposal clock",
         [ Alcotest.test_case "low-load wait under 3/4 cycle" `Quick test_clock_low_load_wait;
           Alcotest.test_case "alpha batches kept" `Quick test_clock_keeps_alpha_batches;
-          Alcotest.test_case "off on a slow link" `Quick test_clock_off_on_slow_link ] );
+          Alcotest.test_case "off on a slow link" `Quick test_clock_off_on_slow_link;
+          Alcotest.test_case "light load: idle packs" `Quick test_clock_light_load_idle_pack ] );
       ( "deadlines",
         [ Alcotest.test_case "idle cluster arms nothing" `Quick test_idle_arms_nothing;
           Alcotest.test_case "straggler after a full proposal" `Quick
             test_straggler_after_full_proposal;
-          Alcotest.test_case "watchdog fires at its deadline" `Quick test_watchdog_deadline ] ) ]
+          Alcotest.test_case "watchdog fires at its deadline" `Quick test_watchdog_deadline ] );
+      ( "idle pack",
+        [ Alcotest.test_case "follower keeps its pack time" `Quick test_idle_pack_follower;
+          Alcotest.test_case "alpha phase holds" `Quick test_idle_pack_alpha_phase;
+          Alcotest.test_case "rate limit as before" `Quick test_idle_pack_rate_limit;
+          Alcotest.test_case "no idle pack for leader, censor, equivocator or T = 0" `Quick
+            test_idle_pack_exclusions ] ) ]
