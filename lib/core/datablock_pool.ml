@@ -27,7 +27,7 @@ type floor = { creator : Net.Node_id.t; base : int; above : int list }
 type t = {
   by_hash : entry Crypto.Hash.Table.t;
   by_slot : (int * int, Crypto.Hash.t) Hashtbl.t; (* (creator, counter) -> hash *)
-  pending : Crypto.Hash.t Queue.t;                (* arrival order, lazily cleaned *)
+  pending : Crypto.Hash.t Queue.t;                (* arrival order, compacted *)
   mutable pending_count : int;                    (* entries in state [Pending] *)
   mutable evidence : (Net.Node_id.t * Datablock.t * Datablock.t) list;
   floors : (Net.Node_id.t, creator_floor) Hashtbl.t;
@@ -45,15 +45,40 @@ let create () =
 
 (* Every state change goes through [set] (a new entry through
    [enqueue]), so [pending_count] counts the entries [take_pending] can
-   still hand out and the queue holds each of them. *)
+   still hand out and the queue holds each of them. An entry that
+   leaves Pending stays queued until a take passes it, which on a
+   replica that never takes is never: so once the queue outgrows twice
+   the Pending count plus a slack, it keeps only the first slot of each
+   Pending hash. [take_pending] hands out a Pending hash at its first
+   slot, so the drop changes no take; a hash taken and later relinked
+   queues at the back, as a relinked hash does anyway. *)
+let compact t =
+  let live = Queue.create () and seen = Crypto.Hash.Table.create (2 * t.pending_count) in
+  Queue.iter
+    (fun h ->
+      match Crypto.Hash.Table.find_opt t.by_hash h with
+      | Some { state = Pending; _ } when not (Crypto.Hash.Table.mem seen h) ->
+        Crypto.Hash.Table.add seen h ();
+        Queue.push h live
+      | Some _ | None -> ())
+    t.pending;
+  Queue.clear t.pending;
+  Queue.transfer live t.pending
+
+let queue_slack = 64
+
+let bound_queue t =
+  if Queue.length t.pending > (2 * t.pending_count) + queue_slack then compact t
+
 let enqueue t h =
   t.pending_count <- t.pending_count + 1;
-  Queue.push h t.pending
+  Queue.push h t.pending;
+  bound_queue t
 
 let set t h e state =
   (match e.state with Pending -> t.pending_count <- t.pending_count - 1 | _ -> ());
-  (match state with Pending -> enqueue t h | _ -> ());
-  e.state <- state
+  e.state <- state;
+  match state with Pending -> enqueue t h | _ -> bound_queue t
 
 (* A proposal that links a rival, or a block that executes it, chose it
    for its slot (§4.3 remark): the variant this replica accepted there,
@@ -142,6 +167,7 @@ let rec has_all_links t = function
   | h :: rest -> mem t h && has_all_links t rest
 
 let pending t = t.pending_count
+let queued t = Queue.length t.pending
 
 let take_pending t ~max =
   let rec go acc n =

@@ -70,6 +70,13 @@ val pending : t -> int
 (** Number of Pending datablocks (leader's proposal trigger), in O(1):
     a count kept by every state change. *)
 
+val queued : t -> int
+(** Hashes in the arrival queue behind {!take_pending}: every Pending
+    entry, plus slots of entries that have left Pending since. A state
+    change that would leave more than [2 * pending t + 64] compacts the
+    queue to the Pending entries, so it stays within that bound on a
+    replica that never takes, whatever the run's length. *)
+
 val take_pending : t -> max:int -> Datablock.t list
 (** Removes up to [max] Pending datablocks, oldest first, making them
     Linked. *)

@@ -1178,6 +1178,7 @@ let notar_cache_len t = Notar_table.length t.verified_notarizations
 
 let bookkeeping_sizes t =
   [ ("executed_links", Datablock_pool.executed t.pool);
+    ("pool_queue", Datablock_pool.queued t.pool);
     ("instances", Hashtbl.length t.instances);
     ("checkpoint_quorums", Hashtbl.length t.checkpoint_quorums);
     ("timeout_votes", Hashtbl.length t.timeout_votes);

@@ -167,6 +167,7 @@ val notar_cache_len : t -> int
 val bookkeeping_sizes : t -> (string * int) list
 (** Entry counts of the tables a checkpoint or a view change prunes:
     [executed_links] (the pool's Executed datablocks, serials in
-    [(lw, executed_up_to]]),
+    [(lw, executed_up_to]]), [pool_queue] (the pool's arrival queue,
+    within [2 * Datablock_pool.pending + 64]),
     [checkpoint_quorums] (above [lw]), [timeout_votes] and [vc_msgs]
     (from the current view up) — introspection for the bound test. *)

@@ -757,7 +757,11 @@ let test_restart_keeps_executed_floors () =
 
 (* Checkpoint quorums, timeout votes and view-change messages are
    pruned behind the watermark and the view: across many checkpoints and
-   view changes their sizes stay flat instead of growing with the run. *)
+   view changes their sizes stay flat instead of growing with the run.
+   The datablock pool's arrival queue stays within twice its Pending
+   entries plus 64 at every replica, also at those that never take from
+   it (before the bound, a non-leader kept a slot for every datablock it
+   ever accepted). *)
 let test_bookkeeping_bounded () =
   let cfg = small_cfg ~view_timeout:(Sim_time.s 1) () in
   let t =
@@ -768,10 +772,14 @@ let test_bookkeeping_bounded () =
   let network = Core.Runner.network t in
   let replicas () = Core.Runner.replicas t in
   let top_view () = Array.fold_left (fun m r -> max m (Core.Replica.view r)) 1 (replicas ()) in
-  let peak = Hashtbl.create 4 in
+  let peak = Hashtbl.create 4 and queue_over = ref [] in
   let sample () =
     Array.iter
       (fun r ->
+        let pool = Core.Replica.pool r in
+        let queued = Core.Datablock_pool.queued pool
+        and pending = Core.Datablock_pool.pending pool in
+        if queued > (2 * pending) + 64 then queue_over := (queued, pending) :: !queue_over;
         List.iter
           (fun (name, size) ->
             let m = Option.value ~default:0 (Hashtbl.find_opt peak name) in
@@ -809,6 +817,11 @@ let test_bookkeeping_bounded () =
     (peak "checkpoint_quorums" <= k / cfg.Core.Config.checkpoint_interval);
   checkb "timeout votes bounded" true (peak "timeout_votes" <= 3);
   checkb "view-change messages bounded" true (peak "vc_msgs" <= 3);
+  (match !queue_over with
+   | [] -> ()
+   | (queued, pending) :: _ ->
+     Alcotest.failf "pool queue %d slots for %d Pending datablocks (peak %d)" queued pending
+       (peak "pool_queue"));
   checkb "safety" true (Core.Driver.ledgers_agree (Core.Runner.driver t))
 
 (* A Confirmation's proof is checked before its serial is looked up.
