@@ -78,8 +78,8 @@ module Make (P : PAYLOAD) = struct
     propose_timeout : Sim_time.span;
     pool : P.pool;
     commit : height:int -> digest:Hash.t -> Workload.Request.t list -> unit;
-    blocks : (int, P.item block) Hashtbl.t;
-    votes : (int, Core.Quorum.t) Hashtbl.t;  (* leader side *)
+    blocks : (int, P.item block) Hashtbl.t;   (* heights above [committed_up_to] *)
+    votes : (int, Core.Quorum.t) Hashtbl.t;  (* leader side, likewise *)
     mutable voted_up_to : int;
     mutable high_qc : qc option;
     mutable next_height : int;                (* leader side *)
@@ -121,7 +121,10 @@ module Make (P : PAYLOAD) = struct
   let hash_cost t block = Crypto.Cost_model.hash_cost t.cost ~bytes_len:block.payload_bytes
 
   (* Commits in height order up to [commit_target]; a missing block or
-     missing data stops the loop (a chain cannot skip a height). *)
+     missing data stops the loop (a chain cannot skip a height). A
+     committed height's block and vote quorum are dropped: nothing reads
+     them again, since the justify check reads only the QC, and the
+     three-chain rule only its height. *)
   let rec commit_through t =
     let h = t.committed_up_to + 1 in
     if h <= t.commit_target then
@@ -132,6 +135,8 @@ module Make (P : PAYLOAD) = struct
           | None -> ()
           | Some batches ->
             t.committed_up_to <- h;
+            Hashtbl.remove t.blocks h;
+            Hashtbl.remove t.votes h;
             List.iter Workload.Request.mark_confirmed batches;
             let acked = List.length batches in
             if acked > 0 then
@@ -177,9 +182,10 @@ module Make (P : PAYLOAD) = struct
       end
     end
 
+  (* A vote for a committed height comes after its QC formed. *)
   and record_vote t ~height ~block_hash ~share =
     let payload = vote_payload ~height ~block_hash in
-    if Ts.verify_share t.tsetup share payload then begin
+    if height > t.committed_up_to && Ts.verify_share t.tsetup share payload then begin
       let q =
         match Hashtbl.find_opt t.votes height with
         | Some q -> q
@@ -204,10 +210,11 @@ module Make (P : PAYLOAD) = struct
                 maybe_propose t)
     end
 
-  (* A proposal is stored whenever its justify checks out and its data is
-     here, but voted for only above [voted_up_to]: a proposal that waited
-     for data may be retried after a higher height was voted, and the
-     commit loop must still find it. *)
+  (* A proposal is stored whenever its justify checks out, its data is
+     here and its height is not yet committed, but voted for only above
+     [voted_up_to]: a proposal that waited for data may be retried after
+     a higher height was voted, and the commit loop must still find
+     it. *)
   let try_vote t block justify =
     let h = block.height in
     let justify_ok =
@@ -223,7 +230,7 @@ module Make (P : PAYLOAD) = struct
       Option.iter (raise_commit_target t) justify;
       if P.missing t.pool block.items <> [] then Waiting
       else begin
-        Hashtbl.replace t.blocks h block;
+        if h > t.committed_up_to then Hashtbl.replace t.blocks h block;
         commit_through t;
         if h > t.voted_up_to then begin
           t.voted_up_to <- h;
@@ -234,6 +241,8 @@ module Make (P : PAYLOAD) = struct
         Stored
       end
     end
+
+  let sizes t = [ ("blocks", Hashtbl.length t.blocks); ("votes", Hashtbl.length t.votes) ]
 
   let handle t ~try_vote m =
     if active t then

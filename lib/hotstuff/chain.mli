@@ -114,6 +114,11 @@ module Make (P : PAYLOAD) : sig
       after the missing data arrives, also once a higher height was
       voted: the block is then stored, so the commit loop can pass it. *)
 
+  val sizes : 'm t -> (string * int) list
+  (** Entry counts of the [blocks] table (stored proposals) and, at the
+      leader, the [votes] table (vote quorums). Both hold only heights
+      above the last committed one. *)
+
   val handle : 'm t -> try_vote:(P.item block -> qc option -> unit) -> P.item msg -> unit
   (** Charges a message's CPU cost, then runs [try_vote] on a proposal or
       aggregates a vote at the leader. *)

@@ -166,6 +166,55 @@ let test_waiting_proposal_retried_below_vote () =
   ignore (propose 5);
   Alcotest.check heights "1 and 2 commit" [ 1; 2 ] !committed
 
+(* A 4-replica HotStuff cluster fed one request every 2 ms for 8 s: every
+   replica's chain keeps only the heights above its commit point, not
+   one block and one quorum per height of the run. *)
+let test_chain_tables_bounded () =
+  let engine = Engine.create ~seed:3L () in
+  let network =
+    Net.Network.create engine ~n:4 ~meta:Hotstuff.Chain.meta ~link:Net.Network.default_link
+  in
+  let tsetup, tkeys = Crypto.Threshold.keygen (Rng.create 11L) ~threshold:2 ~parties:4 in
+  let committed = ref 0 in
+  let replicas =
+    Array.init 4 (fun id ->
+        let pool = Core.Mempool.create () in
+        let chain =
+          C.create ~engine ~network ~wrap:Fun.id ~id ~leader:0 ~f:1 ~tsetup ~tkey:tkeys.(id)
+            ~silent:false ~cpu:(Net.Cpu.create engine ~cores:1) ~cost:Crypto.Cost_model.free
+            ~block_size:10 ~propose_timeout:(Sim_time.ms 10) ~pool
+            ~commit:(fun ~height ~digest:_ _ -> if id = 1 then committed := height)
+        in
+        Net.Network.set_handler network id (fun ~src:_ m ->
+            C.handle chain m ~try_vote:(fun block justify -> ignore (C.try_vote chain block justify)));
+        (pool, chain))
+  in
+  let peak = Hashtbl.create 2 in
+  let leader_pool, leader = replicas.(0) in
+  let rec feed i =
+    if i <= 4000 then begin
+      Core.Mempool.add leader_pool
+        (Workload.Request.make ~id:i ~count:1 ~size_each:8 ~born:(Engine.now engine) ());
+      C.maybe_propose leader;
+      Array.iter
+        (fun (_, chain) ->
+          List.iter
+            (fun (name, size) ->
+              let m = Option.value ~default:0 (Hashtbl.find_opt peak name) in
+              Hashtbl.replace peak name (max m size))
+            (C.sizes chain))
+        replicas;
+      ignore (Engine.schedule engine ~delay:(Sim_time.ms 2) (fun () -> feed (i + 1)))
+    end
+  in
+  feed 1;
+  Engine.run ~until:(Sim_time.s 9) engine;
+  checkb "hundreds of heights committed" true (!committed > 300);
+  let peak name = Option.value ~default:0 (Hashtbl.find_opt peak name) in
+  if peak "blocks" > 4 || peak "votes" > 4 then
+    Alcotest.failf "%d heights committed; peak %d blocks and %d quorums held" !committed
+      (peak "blocks") (peak "votes")
+
 let () =
   Alcotest.run "hotstuff"
     [ ( "hotstuff",
@@ -178,4 +227,5 @@ let () =
       ( "chain",
         [ Alcotest.test_case "three-chain commit" `Quick test_three_chain;
           Alcotest.test_case "waiting proposal retried below the vote" `Quick
-            test_waiting_proposal_retried_below_vote ] ) ]
+            test_waiting_proposal_retried_below_vote;
+          Alcotest.test_case "tables bounded" `Quick test_chain_tables_bounded ] ) ]
