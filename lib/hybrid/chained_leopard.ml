@@ -159,14 +159,23 @@ let try_vote r (block : block) justify =
                  end)
                (Core.Datablock_pool.missing_links r.pool block.items)))
 
+(* Each waiting proposal whose datablocks are all here is retried once:
+   it leaves [waiting] when its retry is scheduled, and [try_vote] puts
+   it back if it must still wait. *)
 let retry_waiting r =
   if Hashtbl.length r.waiting > 0 then begin
-    let entries = Hashtbl.fold (fun h e acc -> (h, e) :: acc) r.waiting [] in
+    let ready =
+      Hashtbl.fold
+        (fun h ((block : block), _) acc ->
+          if Core.Datablock_pool.missing_links r.pool block.items = [] then h :: acc else acc)
+        r.waiting []
+    in
     List.iter
-      (fun (_, ((block : block), justify)) ->
-        if Core.Datablock_pool.missing_links r.pool block.items = [] then
-          with_cpu r r.cfg.cost.tsig_share (fun () -> if active r then try_vote r block justify))
-      entries
+      (fun h ->
+        let block, justify = Hashtbl.find r.waiting h in
+        Hashtbl.remove r.waiting h;
+        with_cpu r r.cfg.cost.tsig_share (fun () -> if active r then try_vote r block justify))
+      ready
   end
 
 let handle r ~src m =
