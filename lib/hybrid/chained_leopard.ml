@@ -166,13 +166,13 @@ let retry_waiting r =
   if Hashtbl.length r.waiting > 0 then begin
     let ready =
       Hashtbl.fold
-        (fun h ((block : block), _) acc ->
-          if Core.Datablock_pool.missing_links r.pool block.items = [] then h :: acc else acc)
+        (fun h ((block : block), justify) acc ->
+          if Core.Datablock_pool.has_all_links r.pool block.items then (h, block, justify) :: acc
+          else acc)
         r.waiting []
     in
     List.iter
-      (fun h ->
-        let block, justify = Hashtbl.find r.waiting h in
+      (fun (h, block, justify) ->
         Hashtbl.remove r.waiting h;
         with_cpu r r.cfg.cost.tsig_share (fun () -> if active r then try_vote r block justify))
       ready

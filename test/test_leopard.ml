@@ -83,8 +83,8 @@ let golden_seed13_summary =
 (* The same run's exact nearest-rank quantiles (s), from its 900 raw
    confirmation latencies: a probe build that also logged each latency
    the driver records, sorted, read at rank ceil(q * 900). *)
-let exact_seed13_p50 = 0.046548617
-let exact_seed13_p99 = 0.146547964
+let exact_seed13_p50 = 0.046546561
+let exact_seed13_p99 = 0.146538071
 
 let test_golden_seed13_summary () =
   let spec = run_spec ~seed:13L ~client_resend_timeout:(Sim_time.s 1) (small_cfg ()) in
