@@ -186,7 +186,8 @@ let test_chain_tables_bounded () =
             ~commit:(fun ~height ~digest:_ _ -> if id = 1 then committed := height)
         in
         Net.Network.set_handler network id (fun ~src:_ m ->
-            C.handle chain m ~try_vote:(fun block justify -> ignore (C.try_vote chain block justify)));
+            C.handle chain m ~try_vote:(fun block justify ->
+                ignore (C.try_vote chain block justify)));
         (pool, chain))
   in
   let peak = Hashtbl.create 2 in
