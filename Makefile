@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: check ci fmt fmt-check chaos build test bench bench-fast bench-micro bench-macro bench-net bench-verify bench-store bench-trend clean
+.PHONY: check ci fmt fmt-check chaos loc build test bench bench-fast bench-micro bench-macro bench-net bench-verify bench-store bench-trend clean
 
 check: ## build + full test suite (tier-1 gate)
 	dune build && dune runtest
@@ -24,6 +24,9 @@ fmt-check: ## fail if sources disagree with the pinned ocamlformat
 
 chaos: ## deterministic fault-injection corpus on both planes
 	dune exec bin/leopard_cli.exe -- chaos --trace-dir _chaos
+
+loc: ## non-test lib/ lines (.ml, .mli, .c), per library and in total
+	@bash scripts/loc.sh
 
 build:
 	dune build

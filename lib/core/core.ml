@@ -23,6 +23,9 @@ module Bftblock = Bftblock
 module Mempool = Mempool
 (** Pending request batches at one replica. *)
 
+module Packer = Packer
+(** Algorithm 1's packing rules over a mempool, shared with chained Leopard. *)
+
 module Datablock_pool = Datablock_pool
 (** Verified datablocks, equivocation evidence, pending-link tracking. *)
 

@@ -1,7 +1,7 @@
 (** The memory pool (Fig. 4): pending request batches at one replica.
 
     Non-leader replicas continually drain their mempool into datablocks
-    (Algorithm 1). Packed batches are removed to avoid repetition (line
+    (Algorithm 1, run by {!Packer}). Packed batches are removed to avoid repetition (line
     12); batches confirmed elsewhere (possible when the client fan-out
     [s > 1]) are skipped lazily.
 
@@ -27,8 +27,9 @@ val cap : t -> int
 (** The admission bound this pool was created with (0 = unbounded). *)
 
 val add : t -> Workload.Request.t -> unit
-(** Unconditional enqueue, bypassing the cap — for internal re-enqueue
-    of batches already admitted once. *)
+(** Unconditional enqueue, bypassing the cap: the client submit of the
+    HotStuff and PBFT baselines, whose leaders run an unbounded pool and
+    never refuse a request. *)
 
 val try_add : t -> Workload.Request.t -> admission
 (** Admission-checked enqueue: [Rejected Mempool_full] when a capacity

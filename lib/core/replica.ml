@@ -50,8 +50,6 @@ type instance = {
   mutable stashed_confirmation : (int * Hash.t * Ts.aggregate) option;
 }
 
-let never = Int64.max_int
-
 (* Consensus counters, one set per replica (label [replica="<id>"]).
    Pure observation: nothing here feeds back into protocol behavior, so
    an attached registry cannot perturb a deterministic run. *)
@@ -79,7 +77,7 @@ type t = {
   hooks : hooks;
   trace : Trace.t;
   ms : metrics option;
-  mempool : Mempool.t;
+  packer : Packer.t;  (* the mempool and Algorithm 1's rules *)
   pool : Datablock_pool.t;
   instances : (int, instance) Hashtbl.t;
   ledger : Ledger.t;
@@ -111,25 +109,13 @@ type t = {
   mutable crashed : bool;
   (* replaying the durable log: no sends, no hooks, no snapshot saves *)
   mutable recovering : bool;
-  mutable last_partial_pack : Sim_time.t;
   mutable last_partial_propose : Sim_time.t;
   mutable propose_queued : bool;  (* a round-batched proposal task is queued *)
-  (* the proposal clock: [timer_packing] holds from an age-rule pack to
-     the next α-full one; [vote_rtt] is the last prepare-vote ->
-     notarization time *)
-  mutable timer_packing : bool;
+  (* the last prepare-vote -> notarization time, for the packer's clock *)
   mutable vote_rtt : Sim_time.span option;
-  (* the idle pack: the batch it sent while the packing rules still
-     count it as the mempool's head, and the earliest instant of the
-     next one (the last datablock's send + [datablock_timeout]) *)
-  mutable idle_copy : Workload.Request.t option;
-  mutable idle_from : Sim_time.t;
-  (* deadline slots (see [arm]): the age rule's pack, the proposal
-     clock's pack, the leader's short timer and the watchdog *)
-  age_due : Sim_time.t ref;
-  clock_due : Sim_time.t ref;
-  propose_due : Sim_time.t ref;
-  watch_due : Sim_time.t ref;
+  (* deadline slots: the leader's short timer and the watchdog *)
+  propose_due : Deadline.t;
+  watch_due : Deadline.t;
   punished : (Net.Node_id.t, unit) Hashtbl.t;  (* kicked-out equivocators *)
   (* overload accounting (plain ints: readable without a registry) *)
   mutable submits_rejected : int;   (* requests refused at admission *)
@@ -143,7 +129,7 @@ let view t = t.view
 let low_watermark t = t.lw
 let ledger t = t.ledger
 let state_hash t = t.state_hash
-let mempool_pending t = Mempool.pending_requests t.mempool
+let mempool_pending t = Mempool.pending_requests (Packer.mempool t.packer)
 let submits_rejected t = t.submits_rejected
 let pool t = t.pool
 let datablocks_created t = t.db_counter - 1
@@ -170,20 +156,6 @@ let active t =
 let send t ~dst msg = if not t.recovering then t.platform.Platform.send ~dst msg
 let multicast t msg = if not t.recovering then t.platform.Platform.multicast msg
 let schedule t ~delay f = t.platform.Platform.schedule ~delay f
-
-(* Deadline slot [d]: the instant armed ([never]: none), moved only
-   earlier by the state changes that create deadlines, so a replica
-   holds O(1) timers. A stale firing does nothing; a live one clears the
-   slot first, so [f] may re-arm it. *)
-let arm t d ~at f =
-  if Sim_time.compare at !d < 0 then begin
-    d := at;
-    t.platform.Platform.schedule_at ~at (fun () ->
-        if Sim_time.compare !d at = 0 then begin
-          d := never;
-          if active t then f ()
-        end)
-  end
 
 (* Write-ahead logging: called immediately BEFORE the send whose emission
    is a binding commitment. [enabled] is false on the default sim
@@ -293,12 +265,14 @@ let snapshot_of t : Store.snapshot =
 let save_snapshot t = (t.platform.Platform.store).Store.save (snapshot_of t)
 
 (* ----------------------------------------------------------------- *)
-(* Datablock preparation (Algorithm 1)                                *)
+(* Datablock preparation (Algorithm 1; the rules are [Packer]'s)     *)
 (* ----------------------------------------------------------------- *)
 
-let sign_and_send_datablock t batches =
+(* The packer's [emit]. *)
+let sign_and_send_datablock t rule batches =
+  if rule = Packer.Idle then bump t (fun m -> m.idle_packs);
+  if rule = Packer.Clock then bump t (fun m -> m.clock_packs);
   bump t (fun m -> m.datablocks);
-  t.idle_from <- Sim_time.( + ) (now t) t.cfg.datablock_timeout;
   let counter = t.db_counter in
   t.db_counter <- counter + 1;
   (* Durable BEFORE the multicast: re-using a counter after a restart
@@ -345,153 +319,28 @@ let equivocate_datablocks t batches_a batches_b =
   done;
   tracef t "datablock.equivocated" "counter=%d" counter
 
-let may_pack t = active t && ((not (is_leader t)) || t.cfg.leader_generates_datablocks)
+(* Who packs: an active replica, and the leader only with
+   [leader_generates_datablocks]. The packer's [may_pack] also excludes
+   the censor, the equivocator (see [pack]) and a leader's idle pack. *)
+let packs t = active t && ((not (is_leader t)) || t.cfg.leader_generates_datablocks)
 
-(* Stops the proposal clock's pending pack (see below). *)
-let disarm_pack_clock t = t.clock_due := never
+let may_pack t ~idle =
+  packs t
+  && (match t.strategy with
+      | Byzantine.Honest | Byzantine.Silent | Byzantine.Crash_at _ -> not (idle && is_leader t)
+      | Byzantine.Censor | Byzantine.Equivocate_datablocks -> false)
 
-(* The idle pack. An idle replica's first batch b would wait the whole
-   [datablock_timeout] T for the age rule, which then packs it with
-   every batch that followed it. So when b enters an empty mempool, the
-   partial-pack rate limit is open and no datablock left for T, b is
-   packed at once, and the packing rules go on as if b still headed the
-   mempool (the copy, [idle_copy]): the age rule packs b's followers at
-   b's birth + T, b's requests count toward the α rule, and the next
-   pack by any rule closes the copy. So b leaves early and no other
-   request leaves later, for at most one extra datablock per T of
-   silence. The leader, which packs nothing by default, never idle
-   packs. *)
-let idle t =
-  (not (is_leader t))
-  && Option.is_none t.idle_copy
-  && Int64.compare t.cfg.datablock_timeout 0L > 0
-  && Sim_time.compare (now t) t.last_partial_pack > 0
-  && Sim_time.compare (now t) t.idle_from >= 0
-  && Mempool.pending_requests t.mempool = 0
-
-(* The mempool as the packing rules see it: an open copy heads it. *)
-let head_age t =
-  match t.idle_copy with
-  | Some b -> Some Sim_time.(now t - b.Workload.Request.born)
-  | None -> Mempool.oldest_age t.mempool ~now:(now t)
-
-let copy_count t = match t.idle_copy with Some b -> b.Workload.Request.count | None -> 0
-
-(* [target] requests' worth of batches, the copy's counted first; the
-   pack closes the copy. *)
-let take_for_pack t ~target =
-  let held = copy_count t in
-  t.idle_copy <- None;
-  Mempool.take t.mempool ~target:(target - held)
-
-let rec maybe_pack ?idle t =
-  if may_pack t then
-    match t.strategy with
-    | Byzantine.Censor -> () (* holds requests back; clients must re-send *)
-    | Byzantine.Equivocate_datablocks ->
-      if Mempool.has_at_least t.mempool (max 2 t.cfg.alpha) then begin
-        let batches = Mempool.take t.mempool ~target:(max 2 t.cfg.alpha) in
-        match batches with
-        | [ _ ] | [] -> () (* need two variants; wait for more *)
-        | first :: rest -> equivocate_datablocks t [ first ] rest
-      end
-    | Byzantine.Honest | Byzantine.Silent | Byzantine.Crash_at _ ->
-      let full = Mempool.has_at_least t.mempool (t.cfg.alpha - copy_count t) in
-      let stale =
-        Int64.compare t.cfg.datablock_timeout 0L > 0
-        && (match head_age t with
-            | Some age -> Sim_time.compare age t.cfg.datablock_timeout >= 0
-            | None -> false)
-      in
-      if full then begin
-        (* α fills within a cycle: a clock pack would only split the next
-           full datablock, so the clock stops until the age rule packs. *)
-        t.timer_packing <- false;
-        disarm_pack_clock t;
-        let batches = take_for_pack t ~target:t.cfg.alpha in
-        if batches <> [] then sign_and_send_datablock t batches
-      end
-      else if stale && Sim_time.compare (now t) t.last_partial_pack > 0 then begin
-        t.timer_packing <- true;
-        t.last_partial_pack <- Sim_time.( + ) (now t) t.cfg.datablock_timeout;
-        let batches = take_for_pack t ~target:max_int in
-        if batches <> [] then sign_and_send_datablock t batches
-      end
-      else begin
-        match idle with
-        | Some b ->
-          (* The mempool holds b alone. *)
-          let batches = Mempool.take t.mempool ~target:max_int in
-          t.idle_copy <- Some b;
-          bump t (fun m -> m.idle_packs);
-          sign_and_send_datablock t batches
-        | None -> ()
-      end;
-      arm_age_deadline t
-
-(* The age rule's deadline: the mempool head's birth (the client's
-   instant) plus [datablock_timeout], once the partial-pack rate limit
-   has reopened. *)
-and arm_age_deadline t =
-  if Int64.compare t.cfg.datablock_timeout 0L > 0 then
-    match head_age t with
-    | Some age ->
-      let due = Sim_time.(now t - age + t.cfg.datablock_timeout) in
-      let at = Sim_time.max due (Sim_time.( + ) t.last_partial_pack 1L) in
-      arm t t.age_due ~at (fun () -> maybe_pack t)
-    | None -> ()
-
-(* ----------------------------------------------------------------- *)
-(* The proposal clock (both batching timers positive)                 *)
-(* ----------------------------------------------------------------- *)
-
-(* Below its BFTsize the leader proposes on its short timer, once per
-   [proposal_timeout]. A datablock packed by the age rule lands at a
-   random phase of that cycle and waits half a cycle on average for the
-   next proposal. So each non-leader also packs on the leader's clock:
-   the vote for a fresh partial proposal arms one pack, aimed to land a
-   guard before the leader's next short-timer proposal. The α-full and
-   age rules are untouched, so the clock only ever packs earlier. *)
-let clocked t =
-  Int64.compare t.cfg.datablock_timeout 0L > 0 && Int64.compare t.cfg.proposal_timeout 0L > 0
-
-(* guard = proposal_timeout / 8. A datablock that misses the proposal it
-   was aimed at waits a whole cycle, so the guard must cover the aim's
-   error: the spread of sign + multicast + verify between the pack and
-   the leader's pool, beyond the rtt term below. That is under a
-   millisecond on the simulated links and a few loop rounds on loopback,
-   against 2.5 ms at tcpbench's 20 ms cycle. The guard is also the wait
-   left at the leader: one eighth of a cycle in place of one half. *)
-let clock_guard_fraction = 8L
-
-let clock_pack t =
-  if may_pack t then
-    match t.strategy with
-    | Byzantine.Censor | Byzantine.Equivocate_datablocks -> ()
-    | Byzantine.Honest | Byzantine.Silent | Byzantine.Crash_at _ ->
-      let batches = take_for_pack t ~target:t.cfg.alpha in
-      if batches <> [] then begin
-        bump t (fun m -> m.clock_packs);
-        sign_and_send_datablock t batches;
-        arm_age_deadline t
-      end
-
-(* Called at the vote instant, about one one-way delay after the leader
-   proposed. The leader's next proposal is [proposal_timeout] after its
-   last one; our datablock needs about one one-way delay to reach it, and
-   the vote -> notarization [rtt] (two one-way delays plus the leader's
-   quorum wait) over-covers both, so a slow link aims earlier. No rtt
-   measured yet, or no time left in the cycle: arm nothing. *)
-let arm_pack_clock t =
-  match t.vote_rtt with
-  | Some rtt when t.timer_packing ->
-    let p = t.cfg.proposal_timeout in
-    let delay = Int64.(sub (sub p (div p clock_guard_fraction)) rtt) in
-    if Int64.compare delay 0L > 0 then begin
-      disarm_pack_clock t;
-      arm t t.clock_due ~at:Sim_time.(now t + delay) (fun () -> clock_pack t)
+let pack t =
+  match t.strategy with
+  | Byzantine.Equivocate_datablocks ->
+    let mempool = Packer.mempool t.packer and target = max 2 t.cfg.alpha in
+    if packs t && Mempool.has_at_least mempool target then begin
+      match Mempool.take mempool ~target with
+      | first :: (_ :: _ as rest) -> equivocate_datablocks t [ first ] rest
+      | [ _ ] | [] -> () (* need two variants; wait for more *)
     end
-  | Some _ | None -> ()
+  | Byzantine.Honest | Byzantine.Silent | Byzantine.Crash_at _ | Byzantine.Censor ->
+    Packer.pack t.packer
 
 (* ----------------------------------------------------------------- *)
 (* Normal case, leader side (Algorithm 2: pre-prepare / notarize /
@@ -549,7 +398,7 @@ let rec maybe_propose t =
       else
         (* The rate limit is closed: these leave when it reopens (the
            clock packs aimed there, or a full proposal's stragglers). *)
-        arm t t.propose_due ~at:(Sim_time.( + ) t.last_partial_propose 1L) (fun () ->
+        Deadline.arm t.propose_due ~at:(Sim_time.( + ) t.last_partial_propose 1L) (fun () ->
             maybe_propose t)
   end
 
@@ -886,9 +735,10 @@ let try_vote_prepare t (msg : Msg.t) =
           (* Only partial proposals set the clock: under load the leader
              proposes on BFTsize, and clock packs would only split
              datablocks that the α rule fills. *)
-          if clocked t && justification = None then
-            if List.length block.Bftblock.links < t.cfg.bft_size then arm_pack_clock t
-            else disarm_pack_clock t;
+          if justification = None then
+            Packer.voted t.packer
+              ~partial:(List.length block.Bftblock.links < t.cfg.bft_size)
+              ~rtt:t.vote_rtt;
           tracef t "vote.prepare" "sn%d" sn;
           (* A confirmation that overtook the proposal can complete now. *)
           replay_stashed_confirmation t inst;
@@ -1064,7 +914,7 @@ let rec arm_watchdog t =
     in
     match Watchdog.next_due t.watched ~timeout:t.cfg.view_timeout ~grace_end with
     | Some at when Sim_time.compare at (now t) <= 0 -> vote_timeout t ~abandoned:t.view
-    | Some at -> arm t t.watch_due ~at (fun () -> arm_watchdog t)
+    | Some at -> Deadline.arm t.watch_due ~at (fun () -> arm_watchdog t)
     | None -> ()
 
 let watch_request t batch =
@@ -1134,9 +984,7 @@ let enter_view t ~nv_view ~vcs =
        bound if one is set (an overloaded backlog must not become one
        datablock burst into the new view). The rest waits for its
        clients' re-sends and the watchdog. *)
-    let cap = Mempool.cap t.mempool in
-    let batches = Mempool.take t.mempool ~target:(if cap > 0 then cap else max_int) in
-    if batches <> [] then sign_and_send_datablock t batches;
+    Packer.flush t.packer;
     t.next_sn <- max t.next_sn (max_sn + 1);
     (* Unlink datablocks linked by abandoned (never-notarized) proposals
        so their requests are re-proposed rather than lost; the redo
@@ -1162,7 +1010,7 @@ let enter_view t ~nv_view ~vcs =
   end
   else
     (* A demoted leader's mempool starts packing here. *)
-    maybe_pack t;
+    pack t;
   arm_watchdog t
 
 (* The verified-notarization memo must not grow for the lifetime of the
@@ -1493,11 +1341,10 @@ type admission = Mempool.admission = Admitted | Rejected of reject_reason
 let submit t batch =
   if not (active t) then Rejected Inactive
   else
-    let idle = idle t in
-    match Mempool.try_add t.mempool batch with
+    match Packer.offer t.packer batch with
     | Mempool.Admitted ->
       if batch.Workload.Request.resend then watch_request t batch;
-      maybe_pack ?idle:(if idle then Some batch else None) t;
+      pack t;
       Admitted
     | Mempool.Rejected reason ->
       let count = batch.Workload.Request.count in
@@ -1545,6 +1392,17 @@ let create ~platform ~cfg ~id ~sk ~pks ~tsetup ~tkey ?obs ?(strategy = Byzantine
               "client requests refused at mempool admission" })
       obs
   in
+  (* The packer's seam calls back into the replica built below. *)
+  let self = ref None in
+  let packer =
+    Packer.create
+      { Packer.now = platform.Platform.now;
+        schedule_at = platform.Platform.schedule_at;
+        may_pack = (fun ~idle -> may_pack (Option.get !self) ~idle);
+        emit = (fun rule batches -> sign_and_send_datablock (Option.get !self) rule batches) }
+      ~alpha:cfg.Config.alpha ~datablock_timeout:cfg.datablock_timeout
+      ~proposal_timeout:cfg.proposal_timeout ~mempool_cap:cfg.mempool_cap ()
+  in
   let t =
     { platform;
       ms;
@@ -1557,7 +1415,7 @@ let create ~platform ~cfg ~id ~sk ~pks ~tsetup ~tkey ?obs ?(strategy = Byzantine
       strategy;
       hooks;
       trace;
-      mempool = Mempool.create ~cap:cfg.Config.mempool_cap ();
+      packer;
       pool = Datablock_pool.create ();
       instances = Hashtbl.create 64;
       ledger = Ledger.create ();
@@ -1582,20 +1440,15 @@ let create ~platform ~cfg ~id ~sk ~pks ~tsetup ~tkey ?obs ?(strategy = Byzantine
       verified_notarizations = Notar_table.create 64;
       crashed = false;
       recovering = false;
-      last_partial_pack = Sim_time.zero;
       last_partial_propose = Sim_time.zero;
       propose_queued = false;
-      timer_packing = true;
       vote_rtt = None;
-      idle_copy = None;
-      idle_from = Sim_time.zero;
-      age_due = ref never;
-      clock_due = ref never;
-      propose_due = ref never;
-      watch_due = ref never;
+      propose_due = Deadline.create platform.Platform.schedule_at;
+      watch_due = Deadline.create platform.Platform.schedule_at;
       punished = Hashtbl.create 4;
       submits_rejected = 0 }
   in
+  self := Some t;
   platform.Platform.set_handler (fun ~src msg -> handle t ~src msg);
   t
 

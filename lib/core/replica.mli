@@ -27,7 +27,9 @@
     at the leader and at the voters, and so does a voter's own α-full
     pack. The clock only adds packs, never
     delays one; [leopard_replica_clock_packs_total] counts them. With
-    both timeouts at 0 (the Algorithm-1 default) none of this runs. *)
+    both timeouts at 0 (the Algorithm-1 default) none of this runs. The
+    packing rules are {!Packer}'s; the replica supplies its signing,
+    write-ahead log and counters. *)
 
 type t
 

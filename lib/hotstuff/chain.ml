@@ -86,6 +86,7 @@ module Make (P : PAYLOAD) = struct
     mutable committed_up_to : int;
     mutable commit_target : int;              (* highest height known committable *)
     mutable last_proposal : Sim_time.t;
+    short_timer : Deadline.t;
   }
 
   let create ~engine ~network ~wrap ~id ~leader ~f ~tsetup ~tkey ~silent ~cpu ~cost ~block_size
@@ -112,7 +113,9 @@ module Make (P : PAYLOAD) = struct
       next_height = 1;
       committed_up_to = 0;
       commit_target = 0;
-      last_proposal = Sim_time.zero }
+      last_proposal = Sim_time.zero;
+      short_timer =
+        Deadline.create (fun ~at f -> ignore (Engine.schedule_at engine ~at f : Engine.handle)) }
 
   let is_leader t = Net.Node_id.equal t.id t.leader
   let active t = not t.silent
@@ -153,13 +156,15 @@ module Make (P : PAYLOAD) = struct
     t.next_height = 1
     || match t.high_qc with Some qc -> qc.qc_height = t.next_height - 1 | None -> false
 
+  (* A partial block waits for the short timer, [last_proposal +
+     propose_timeout]: one deadline, armed only while items are pending,
+     so an idle leader schedules nothing. *)
   let rec maybe_propose t =
     if active t && is_leader t && ready_to_propose t then begin
       let pending = P.pending t.pool in
       let full = pending >= t.block_size in
-      let timed_out =
-        pending > 0 && Sim_time.compare Sim_time.(now t - t.last_proposal) t.propose_timeout >= 0
-      in
+      let due = Sim_time.( + ) t.last_proposal t.propose_timeout in
+      let timed_out = pending > 0 && Sim_time.compare (now t) due >= 0 in
       if full || timed_out then begin
         t.last_proposal <- now t;
         let items = P.take t.pool ~max:t.block_size in
@@ -180,6 +185,7 @@ module Make (P : PAYLOAD) = struct
               end)
         end
       end
+      else if pending > 0 then Deadline.arm t.short_timer ~at:due (fun () -> maybe_propose t)
     end
 
   (* A vote for a committed height comes after its QC formed. *)

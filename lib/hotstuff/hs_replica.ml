@@ -1,5 +1,3 @@
-open Sim
-
 module Requests = struct
   type pool = Core.Mempool.t
   type item = Workload.Request.t
@@ -18,43 +16,33 @@ module C = Chain.Make (Requests)
 
 let spec ~cfg = Baseline.spec ~cfg ~f:cfg.Hs_config.f
 
+let start (cfg : Hs_config.t) (ctx : Requests.item Chain.msg Baseline.ctx) =
+  let tsetup, tkeys = Crypto.Threshold.keygen ctx.key_rng ~threshold:(2 * cfg.f) ~parties:cfg.n in
+  let replicas =
+    Array.init cfg.n (fun id ->
+        let mempool = Core.Mempool.create () in
+        let chain =
+          C.create ~engine:ctx.engine ~network:ctx.network ~wrap:Fun.id ~id ~leader:ctx.leader
+            ~f:cfg.f ~tsetup ~tkey:tkeys.(id) ~silent:(ctx.is_silent id)
+            ~cpu:(Net.Cpu.create ctx.engine ~cores:cfg.cores)
+            ~cost:cfg.cost ~block_size:cfg.batch_size ~propose_timeout:cfg.propose_timeout
+            ~pool:mempool ~commit:ctx.commit
+        in
+        Net.Network.set_handler ctx.network id (fun ~src:_ m ->
+            C.handle chain m ~try_vote:(fun block justify ->
+                ignore (C.try_vote chain block justify)));
+        (mempool, chain))
+  in
+  (* libhotstuff clients send individual commands to the leader, which
+     is never silent. *)
+  let mempool, chain = replicas.(ctx.leader) in
+  Baseline.
+    { targets = [ ctx.leader ];
+      submit =
+        (fun ~target:_ b ->
+          Core.Mempool.add mempool b;
+          C.maybe_propose chain) }
+
 let run (sp : Hs_config.t Baseline.spec) =
   let cfg = sp.cfg in
-  let n = cfg.Hs_config.n in
-  Baseline.run sp ~n ~f:cfg.f ~payload:cfg.payload ~meta:Chain.meta
-    (fun (ctx : Requests.item Chain.msg Baseline.ctx) ->
-      let tsetup, tkeys = Crypto.Threshold.keygen ctx.key_rng ~threshold:(2 * cfg.f) ~parties:n in
-      let replicas =
-        Array.init n (fun id ->
-            let silent = ctx.is_silent id in
-            let mempool = Core.Mempool.create () in
-            let chain =
-              C.create ~engine:ctx.engine ~network:ctx.network ~wrap:Fun.id ~id ~leader:ctx.leader
-                ~f:cfg.f ~tsetup ~tkey:tkeys.(id) ~silent
-                ~cpu:(Net.Cpu.create ctx.engine ~cores:cfg.cores)
-                ~cost:cfg.cost ~block_size:cfg.batch_size ~propose_timeout:cfg.propose_timeout
-                ~pool:mempool ~commit:ctx.commit
-            in
-            Net.Network.set_handler ctx.network id (fun ~src:_ m ->
-                C.handle chain m ~try_vote:(fun block justify ->
-                    ignore (C.try_vote chain block justify)));
-            (silent, mempool, chain))
-      in
-      (* The leader also proposes partial blocks on the propose timeout. *)
-      let leader_silent, _, leader_chain = replicas.(ctx.leader) in
-      let rec partial_tick () =
-        if not leader_silent then begin
-          C.maybe_propose leader_chain;
-          ignore (Engine.schedule ctx.engine ~delay:cfg.propose_timeout partial_tick)
-        end
-      in
-      partial_tick ();
-      (* libhotstuff clients send individual commands to the leader. *)
-      { targets = [ ctx.leader ];
-        submit =
-          (fun ~target b ->
-            let silent, mempool, chain = replicas.(target) in
-            if not silent then begin
-              Core.Mempool.add mempool b;
-              C.maybe_propose chain
-            end) })
+  Baseline.run sp ~n:cfg.Hs_config.n ~f:cfg.f ~payload:cfg.payload ~meta:Chain.meta (start cfg)

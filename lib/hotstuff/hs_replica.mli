@@ -13,5 +13,10 @@ module Requests :
 val spec : cfg:Hs_config.t -> Hs_config.t Baseline.options
 (** {!Baseline.spec} with [f] from [cfg]. *)
 
+val start : Hs_config.t -> Workload.Request.t Chain.msg Baseline.ctx -> Baseline.clients
+(** Builds the replicas on [ctx] (leader [ctx.leader]), clients
+    submitting to the leader. The leader's only timer is the chain's
+    short timer, armed while requests are pending. *)
+
 val run : Hs_config.t Baseline.spec -> Baseline.report
 (** One HotStuff cluster, leader 0, clients submitting to the leader. *)

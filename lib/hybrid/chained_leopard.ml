@@ -88,23 +88,20 @@ type replica = {
   sk : Crypto.Signature.private_key;
   silent : bool;
   cpu : Net.Cpu.t;
-  mempool : Core.Mempool.t;
   pool : Core.Datablock_pool.t;
   pks : Crypto.Signature.public_key array;
   mutable db_counter : int;
-  mutable last_partial_pack : Sim_time.t;
   waiting : (int, block * Hotstuff.Chain.qc option) Hashtbl.t;  (* proposals awaiting datablocks *)
   mutable fetch_inflight : Hash.Set.t;
 }
 
-let is_leader r = Net.Node_id.equal r.id r.leader
 let active r = not r.silent
 let now r = Engine.now r.engine
 let with_cpu r cost f = Net.Cpu.submit r.cpu ~cost f
 
-(* -- datablock plane (Algorithm 1, unchanged from Leopard) ----------- *)
+(* -- datablock plane: Leopard's packer, which the leader never runs -- *)
 
-let send_datablock r batches =
+let send_datablock r (_ : Core.Packer.rule) batches =
   let counter = r.db_counter in
   r.db_counter <- counter + 1;
   let db = Core.Datablock.create ~sk:r.sk ~creator:r.id ~counter ~now:(now r) batches in
@@ -117,25 +114,6 @@ let send_datablock r batches =
         ignore (Core.Datablock_pool.add r.pool db);
         Net.Network.multicast r.network ~src:r.id (Datablock_msg db)
       end)
-
-let maybe_pack r =
-  if active r && not (is_leader r) then begin
-    if Core.Mempool.has_at_least r.mempool r.cfg.alpha then begin
-      let batches = Core.Mempool.take r.mempool ~target:r.cfg.alpha in
-      if batches <> [] then send_datablock r batches
-    end
-    else if
-      Int64.compare r.cfg.datablock_timeout 0L > 0
-      && (match Core.Mempool.oldest_age r.mempool ~now:(now r) with
-          | Some age -> Sim_time.compare age r.cfg.datablock_timeout >= 0
-          | None -> false)
-      && Sim_time.compare (now r) r.last_partial_pack > 0
-    then begin
-      r.last_partial_pack <- Sim_time.( + ) (now r) r.cfg.datablock_timeout;
-      let batches = Core.Mempool.take r.mempool ~target:max_int in
-      if batches <> [] then send_datablock r batches
-    end
-  end
 
 (* -- chain plane: the shared chain, waiting for missing datablocks -- *)
 
@@ -203,72 +181,64 @@ let handle r ~src m =
         | Some db -> Net.Network.send r.network ~src:r.id ~dst:src (Fetch_reply db)
         | None -> ())
 
-let submit r b =
-  if active r then begin
-    Core.Mempool.add r.mempool b;
-    maybe_pack r
-  end
-
-let rec tick r =
-  if active r then begin
-    maybe_pack r;
-    C.maybe_propose r.chain;
-    let base =
-      if Int64.compare r.cfg.datablock_timeout 0L > 0 then r.cfg.datablock_timeout
-      else Sim_time.ms 500
-    in
-    ignore (Engine.schedule r.engine ~delay:base (fun () -> tick r))
-  end
-
 (* ------------------------------------------------------------------- *)
 
 let spec ~cfg = Baseline.spec ~cfg ~f:cfg.f
 
+let start cfg (ctx : msg Baseline.ctx) =
+  let n = cfg.n in
+  let keys = Array.init n (fun _ -> Crypto.Signature.keygen ctx.key_rng) in
+  let pks = Array.map fst keys in
+  let tsetup, tkeys = Ts.keygen ctx.key_rng ~threshold:(2 * cfg.f) ~parties:n in
+  let packers =
+    Array.init n (fun id ->
+        let silent = ctx.is_silent id in
+        let cpu = Net.Cpu.create ctx.engine ~cores:cfg.cores in
+        let pool = Core.Datablock_pool.create () in
+        let chain =
+          C.create ~engine:ctx.engine ~network:ctx.network ~wrap:(fun m -> Chain m) ~id
+            ~leader:ctx.leader ~f:cfg.f ~tsetup ~tkey:tkeys.(id) ~silent ~cpu ~cost:cfg.cost
+            ~block_size:cfg.links_per_block ~propose_timeout:cfg.proposal_timeout ~pool
+            ~commit:ctx.commit
+        in
+        let r =
+          { chain;
+            engine = ctx.engine;
+            network = ctx.network;
+            cfg;
+            id;
+            leader = ctx.leader;
+            sk = snd keys.(id);
+            silent;
+            cpu;
+            pool;
+            pks;
+            db_counter = 1;
+            waiting = Hashtbl.create 16;
+            fetch_inflight = Hash.Set.empty }
+        in
+        Net.Network.set_handler ctx.network id (fun ~src m -> handle r ~src m);
+        Core.Packer.create
+          { Core.Packer.now = (fun () -> Engine.now ctx.engine);
+            schedule_at = (fun ~at f -> ignore (Engine.schedule_at ctx.engine ~at f));
+            may_pack = (fun ~idle:_ -> active r && not (Net.Node_id.equal id ctx.leader));
+            emit = send_datablock r }
+          ~alpha:cfg.alpha ~datablock_timeout:cfg.datablock_timeout
+          ~proposal_timeout:cfg.proposal_timeout ())
+  in
+  (* Clients submit to the honest non-leaders, which pack datablocks. *)
+  let targets =
+    List.filter
+      (fun id -> (not (Net.Node_id.equal id ctx.leader)) && not (ctx.is_silent id))
+      (List.init n Fun.id)
+  in
+  let submit ~target b =
+    ignore (Core.Packer.offer packers.(target) b : Core.Mempool.admission);
+    Core.Packer.pack packers.(target)
+  in
+  Baseline.{ targets; submit }
+
 let run (sp : cfg Baseline.spec) =
   let cfg = sp.cfg in
-  let n = cfg.n in
-  let client_tick = if n >= 128 then Sim_time.ms 100 else Sim_time.ms 20 in
-  Baseline.run sp ~n ~f:cfg.f ~payload:cfg.payload ~meta ~tick:client_tick (fun (ctx : msg Baseline.ctx) ->
-      let keys = Array.init n (fun _ -> Crypto.Signature.keygen ctx.key_rng) in
-      let pks = Array.map fst keys in
-      let tsetup, tkeys = Ts.keygen ctx.key_rng ~threshold:(2 * cfg.f) ~parties:n in
-      let replicas =
-        Array.init n (fun id ->
-            let silent = ctx.is_silent id in
-            let cpu = Net.Cpu.create ctx.engine ~cores:cfg.cores in
-            let pool = Core.Datablock_pool.create () in
-            let chain =
-              C.create ~engine:ctx.engine ~network:ctx.network ~wrap:(fun m -> Chain m) ~id
-                ~leader:ctx.leader ~f:cfg.f ~tsetup ~tkey:tkeys.(id) ~silent ~cpu ~cost:cfg.cost
-                ~block_size:cfg.links_per_block ~propose_timeout:cfg.proposal_timeout ~pool
-                ~commit:ctx.commit
-            in
-            let r =
-              { chain;
-                engine = ctx.engine;
-                network = ctx.network;
-                cfg;
-                id;
-                leader = ctx.leader;
-                sk = snd keys.(id);
-                silent;
-                cpu;
-                mempool = Core.Mempool.create ();
-                pool;
-                pks;
-                db_counter = 1;
-                last_partial_pack = Sim_time.zero;
-                waiting = Hashtbl.create 16;
-                fetch_inflight = Hash.Set.empty }
-            in
-            Net.Network.set_handler ctx.network id (fun ~src m -> handle r ~src m);
-            r)
-      in
-      Array.iter (fun r -> if active r then tick r) replicas;
-      (* Clients submit to the non-leader replicas, which pack datablocks. *)
-      let targets =
-        List.filter
-          (fun id -> (not (Net.Node_id.equal id ctx.leader)) && not (ctx.is_silent id))
-          (List.init n Fun.id)
-      in
-      { targets; submit = (fun ~target b -> submit replicas.(target) b) })
+  let client_tick = if cfg.n >= 128 then Sim_time.ms 100 else Sim_time.ms 20 in
+  Baseline.run sp ~n:cfg.n ~f:cfg.f ~payload:cfg.payload ~meta ~tick:client_tick (start cfg)

@@ -6,9 +6,9 @@
     This library is that protocol: {!Hotstuff.Chain} (one block per
     height, each carrying a QC for its parent, three-chain commit) with
     blocks that carry datablock hashes, and Leopard's data plane around
-    it (non-leaders pack and disseminate datablocks; a follower that
-    lacks a proposal's datablocks fetches them from the leader and
-    retries the proposal).
+    it (non-leaders pack datablocks with Leopard's {!Core.Packer} and
+    disseminate them; a follower that lacks a proposal's datablocks
+    fetches them from the leader and retries the proposal).
 
     Compared to full Leopard it gives up parallel agreement instances
     (heights are sequential) in exchange for the chain's simpler
@@ -53,8 +53,23 @@ val make_cfg :
     BFTsize/4 links per block (chain blocks are smaller since they are
     sequential); timers at 500 ms. *)
 
+type msg =
+  | Chain of Crypto.Hash.t Hotstuff.Chain.msg
+  | Datablock_msg of Core.Datablock.t
+  | Fetch of { hash : Crypto.Hash.t }
+  | Fetch_reply of Core.Datablock.t
+
+val meta : msg Net.Network.meta
+
 val spec : cfg:cfg -> cfg Baseline.options
 (** {!Baseline.spec} with [f] from [cfg]. *)
+
+val start : cfg -> msg Baseline.ctx -> Baseline.clients
+(** Builds the replicas on [ctx] (leader [ctx.leader]), clients
+    submitting to the honest non-leaders. Each non-leader packs with a
+    {!Core.Packer}; the leader's only timer is the chain's short timer.
+    Every timer is armed by the state change that creates its deadline,
+    so an idle cluster schedules nothing. *)
 
 val run : cfg Baseline.spec -> Baseline.report
 (** One chained-Leopard cluster, leader 0, clients submitting to the

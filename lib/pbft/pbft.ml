@@ -80,6 +80,7 @@ type replica = {
   mutable next_seq : int;          (* leader *)
   mutable executed_up_to : int;    (* highest contiguous executed seq *)
   mutable last_proposal : Sim_time.t;
+  short_timer : Deadline.t;        (* leader: a partial batch's proposal *)
   on_execute : seq:int -> block -> unit;
 }
 
@@ -142,10 +143,8 @@ let rec maybe_propose r =
   if active r && is_leader r && r.next_seq <= r.executed_up_to + r.cfg.window then begin
     let pending = Core.Mempool.pending_requests r.mempool in
     let full = pending >= r.cfg.batch_size in
-    let timed_out =
-      pending > 0
-      && Sim_time.compare Sim_time.(Engine.now r.engine - r.last_proposal) r.cfg.propose_timeout >= 0
-    in
+    let due = Sim_time.( + ) r.last_proposal r.cfg.propose_timeout in
+    let timed_out = pending > 0 && Sim_time.compare (Engine.now r.engine) due >= 0 in
     if full || timed_out then begin
       r.last_proposal <- Engine.now r.engine;
       let batch = Core.Mempool.take r.mempool ~target:r.cfg.batch_size in
@@ -170,6 +169,7 @@ let rec maybe_propose r =
             end)
       end
     end
+    else if pending > 0 then Deadline.arm r.short_timer ~at:due (fun () -> maybe_propose r)
   end
 
 let on_pre_prepare r block signature ~src =
@@ -235,38 +235,35 @@ let submit r b =
 
 let spec ~cfg = Baseline.spec ~cfg ~f:cfg.f
 
+let start cfg (ctx : msg Baseline.ctx) =
+  let keys = Array.init cfg.n (fun _ -> Sig.keygen ctx.key_rng) in
+  let pks = Array.map fst keys in
+  let on_execute ~seq block = ctx.commit ~height:seq ~digest:(block_digest block) block.batch in
+  let replicas =
+    Array.init cfg.n (fun id ->
+        let r =
+          { engine = ctx.engine;
+            network = ctx.network;
+            cfg;
+            id;
+            leader = ctx.leader;
+            sk = snd keys.(id);
+            pks;
+            silent = ctx.is_silent id;
+            cpu = Net.Cpu.create ctx.engine ~cores:cfg.cores;
+            mempool = Core.Mempool.create ();
+            instances = Hashtbl.create 64;
+            next_seq = 1;
+            executed_up_to = 0;
+            last_proposal = Sim_time.zero;
+            short_timer =
+              Deadline.create (fun ~at f -> ignore (Engine.schedule_at ctx.engine ~at f));
+            on_execute }
+        in
+        Net.Network.set_handler ctx.network id (fun ~src m -> handle r ~src m);
+        r)
+  in
+  Baseline.{ targets = [ ctx.leader ]; submit = (fun ~target b -> submit replicas.(target) b) }
+
 let run (sp : cfg Baseline.spec) =
-  let cfg = sp.cfg in
-  let n = cfg.n in
-  Baseline.run sp ~n ~f:cfg.f ~payload:cfg.payload ~meta (fun (ctx : msg Baseline.ctx) ->
-      let keys = Array.init n (fun _ -> Sig.keygen ctx.key_rng) in
-      let pks = Array.map fst keys in
-      let on_execute ~seq block = ctx.commit ~height:seq ~digest:(block_digest block) block.batch in
-      let replicas =
-        Array.init n (fun id ->
-            let r =
-              { engine = ctx.engine;
-                network = ctx.network;
-                cfg;
-                id;
-                leader = ctx.leader;
-                sk = snd keys.(id);
-                pks;
-                silent = ctx.is_silent id;
-                cpu = Net.Cpu.create ctx.engine ~cores:cfg.cores;
-                mempool = Core.Mempool.create ();
-                instances = Hashtbl.create 64;
-                next_seq = 1;
-                executed_up_to = 0;
-                last_proposal = Sim_time.zero;
-                on_execute }
-            in
-            Net.Network.set_handler ctx.network id (fun ~src m -> handle r ~src m);
-            r)
-      in
-      let rec leader_tick () =
-        maybe_propose replicas.(ctx.leader);
-        ignore (Engine.schedule ctx.engine ~delay:cfg.propose_timeout (fun () -> leader_tick ()))
-      in
-      leader_tick ();
-      { targets = [ ctx.leader ]; submit = (fun ~target b -> submit replicas.(target) b) })
+  Baseline.run sp ~n:sp.cfg.n ~f:sp.cfg.f ~payload:sp.cfg.payload ~meta (start sp.cfg)

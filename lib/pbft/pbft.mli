@@ -34,5 +34,13 @@ val make_cfg :
 val spec : cfg:cfg -> cfg Baseline.options
 (** {!Baseline.spec} with [f] from [cfg]. *)
 
+type msg
+val meta : msg Net.Network.meta
+
+val start : cfg -> msg Baseline.ctx -> Baseline.clients
+(** Builds the replicas on [ctx] (leader [ctx.leader]), clients
+    submitting to the leader. The leader's only timer is its short
+    timer, armed while requests are pending. *)
+
 val run : cfg Baseline.spec -> Baseline.report
 (** One PBFT cluster, leader 0, clients submitting to the leader. *)

@@ -8,7 +8,9 @@
 # $GITHUB_STEP_SUMMARY is set (GitHub Actions), the same table is
 # appended there as GitHub-flavored markdown, with each bench step's
 # regression verdict (including the worst offender) pulled
-# from its log into the Note column.
+# from its log into the Note column. The non-test lib/ line count
+# (scripts/loc.sh) follows the table in both places; it never fails the
+# gate.
 set -u -o pipefail
 cd "$(dirname "$0")/.."
 
@@ -85,12 +87,18 @@ run_step chaos-tcp dune exec bin/leopard_cli.exe -- chaos --plane tcp --tcp-n 4 
 # correctness gate and prints every declared metric
 run_step tcpbench-smoke python3 tcpbench/test_smoke.py
 
+# informational, never fails the gate: the non-test lib/ size
+loc=$(bash scripts/loc.sh 2>&1 || true)
+
 echo
 fail=0
 for i in "${!STEPS[@]}"; do
   printf 'ci-step|%s|%s|%ss\n' "${STEPS[$i]}" "${STATUSES[$i]}" "${TIMES[$i]}"
   [ "${STATUSES[$i]}" = FAIL ] && fail=1
 done
+echo
+echo "lib/ lines (scripts/loc.sh):"
+echo "$loc"
 
 if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
   {
@@ -108,6 +116,12 @@ if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
       printf '| %s | %s %s | %ss | %s |\n' \
         "${STEPS[$i]}" "$icon" "${STATUSES[$i]}" "${TIMES[$i]}" "$note"
     done
+    echo
+    echo "### Non-test lib/ lines (informational)"
+    echo
+    echo '```'
+    echo "$loc"
+    echo '```'
     echo
   } >>"$GITHUB_STEP_SUMMARY"
 fi

@@ -140,6 +140,66 @@ let test_mempool_take_partial () =
   let taken = Core.Mempool.take m ~target:100 in
   checki "partial take returns what exists" 1 (List.length taken)
 
+(* -- Packer ------------------------------------------------------------------- *)
+
+(* A packer on a fake seam: an engine for the clock and timers, packing
+   always allowed, and each datablock recorded as (rule, instant ms,
+   request ids). α = 3, T = 200 ms, no proposal clock. *)
+let fake_packer () =
+  let engine = Engine.create () in
+  let sent = ref [] in
+  let emit rule batches =
+    let ms = Int64.to_int (Int64.div (Engine.now engine) 1_000_000L) in
+    sent := (rule, ms, List.map (fun b -> b.Workload.Request.id) batches) :: !sent
+  in
+  let p =
+    Core.Packer.create
+      { Core.Packer.now = (fun () -> Engine.now engine);
+        schedule_at = (fun ~at f -> ignore (Engine.schedule_at engine ~at f));
+        may_pack = (fun ~idle:_ -> true);
+        emit }
+      ~alpha:3 ~datablock_timeout:(Sim_time.ms 200) ~proposal_timeout:0L ()
+  in
+  let at ms f = ignore (Engine.schedule_at engine ~at:(Sim_time.ms ms) f) in
+  let submit ms id =
+    at ms (fun () ->
+        let b = Workload.Request.make ~id ~count:1 ~size_each:8 ~born:(Sim_time.ms ms) () in
+        checkb "admitted" true (Core.Packer.offer p b = Core.Mempool.Admitted);
+        Core.Packer.pack p)
+  in
+  (engine, p, sent, at, submit)
+
+let rule =
+  Alcotest.testable
+    (fun ppf r ->
+      Fmt.string ppf
+        (match r with
+         | Core.Packer.Alpha -> "Alpha"
+         | Core.Packer.Age -> "Age"
+         | Core.Packer.Idle -> "Idle"
+         | Core.Packer.Clock -> "Clock"
+         | Core.Packer.Flush -> "Flush"))
+    ( = )
+
+(* A flush closes the idle copy. Request 1 is idle packed at 10 ms and
+   request 2 waits behind its copy; the flush at 20 ms (a replica
+   promoted to leader) sends request 2. Request 3 at 230 ms then finds
+   the mempool empty, the rate limit open and T passed since the flush:
+   it is idle packed. A copy left open would make the age rule fire at
+   request 1's birth + T, close the rate limit until 410 ms and hold
+   request 3 until 430 ms. *)
+let test_packer_flush_closes_copy () =
+  let engine, p, sent, at, submit = fake_packer () in
+  submit 10 1;
+  submit 15 2;
+  at 20 (fun () -> Core.Packer.flush p);
+  submit 230 3;
+  Engine.run ~until:(Sim_time.s 1) engine;
+  Alcotest.(check (list (triple rule int (list int))))
+    "datablocks"
+    Core.Packer.[ (Idle, 10, [ 1 ]); (Flush, 20, [ 2 ]); (Idle, 230, [ 3 ]) ]
+    (List.rev !sent)
+
 (* -- Datablock_pool ---------------------------------------------------------------- *)
 
 let mk_db ?(creator = 0) ?(counter = 1) ?(batches = [ batch () ]) sk =
@@ -725,6 +785,8 @@ let () =
           Alcotest.test_case "skips confirmed" `Quick test_mempool_skips_confirmed;
           Alcotest.test_case "oldest age" `Quick test_mempool_oldest_age;
           Alcotest.test_case "partial take" `Quick test_mempool_take_partial ] );
+      ( "packer",
+        [ Alcotest.test_case "flush closes the idle copy" `Quick test_packer_flush_closes_copy ] );
       ( "datablock pool",
         [ Alcotest.test_case "accept/duplicate/equivocation" `Quick
             test_pool_accept_duplicate_equivocation;

@@ -47,8 +47,8 @@ let render_summary (r : Baseline.report) =
     r.Baseline.safety_ok
 
 let golden_seed13_summary =
-  "offered=16000 confirmed=15840 heights=396 leader_sent=4791600 leader_received=1610400 \
-   leader_bps=8536000 goodput_bps=2048000 p50=0.072352 p99=0.080740 safety=true"
+  "offered=16000 confirmed=15872 heights=413 leader_sent=4796736 leader_received=1612896 \
+   leader_bps=8546176 goodput_bps=2042539 p50=0.065536 p99=0.076546 safety=true"
 
 let test_golden_seed13_summary () =
   let sp = { (spec ~silent:1 (cfg ())) with Baseline.seed = 13L } in
@@ -216,6 +216,43 @@ let test_chain_tables_bounded () =
     Alcotest.failf "%d heights committed; peak %d blocks and %d quorums held" !committed
       (peak "blocks") (peak "votes")
 
+(* A bare n = 4 HotStuff cluster on the test config, with no client:
+   every timer is armed by the state change that creates its deadline,
+   so nothing is. A request after 50 idle seconds finds the short timer
+   long passed and is proposed at once. *)
+let test_idle_arms_nothing () =
+  let engine = Engine.create ~seed:5L () in
+  let network =
+    Net.Network.create engine ~n:4 ~meta:Hotstuff.Chain.meta ~link:Net.Network.default_link
+  in
+  let proposed = ref [] in
+  Net.Network.set_fault_hook network (fun ~now ~src:_ ~dst msg ->
+      (match msg with
+       | Hotstuff.Chain.Proposal _ when dst = 1 -> proposed := now :: !proposed
+       | _ -> ());
+      Net.Network.Pass);
+  let clients =
+    Hotstuff.Hs_replica.start (cfg ())
+      { Baseline.engine;
+        network;
+        key_rng = Rng.split (Engine.rng engine);
+        leader = 0;
+        is_silent = (fun _ -> false);
+        commit = (fun ~height:_ ~digest:_ _ -> ()) }
+  in
+  Engine.run ~until:(Sim_time.s 5) engine;
+  let events = Engine.events_fired engine in
+  Engine.run ~until:(Sim_time.s 50) engine;
+  checki "no engine event after 5 s" events (Engine.events_fired engine);
+  ignore
+    (Engine.schedule_at engine ~at:(Sim_time.s 51) (fun () ->
+         clients.Baseline.submit ~target:0
+           (Workload.Request.make ~id:1 ~count:1 ~size_each:64 ~born:(Sim_time.s 51) ())));
+  Engine.run ~until:(Sim_time.s 52) engine;
+  match !proposed with
+  | [ at ] -> checkb "proposed within 1 ms" true (Sim_time.compare at (Sim_time.ms 51_001) < 0)
+  | l -> Alcotest.failf "%d proposals" (List.length l)
+
 let () =
   Alcotest.run "hotstuff"
     [ ( "hotstuff",
@@ -223,6 +260,7 @@ let () =
           Alcotest.test_case "commit progress" `Quick test_commit_progress;
           Alcotest.test_case "f silent live" `Quick test_silent_f_live;
           Alcotest.test_case "golden seed-13 summary" `Quick test_golden_seed13_summary;
+          Alcotest.test_case "idle cluster arms nothing" `Quick test_idle_arms_nothing;
           Alcotest.test_case "leader bottleneck shape" `Slow test_leader_bottleneck_shape;
           Alcotest.test_case "batching amortizes" `Slow test_batch_size_amortizes ] );
       ( "chain",

@@ -32,7 +32,7 @@ let render_summary (r : Baseline.report) =
     r.Baseline.safety_ok
 
 let golden_seed13_summary =
-  "offered=16000 confirmed=15792 heights=329 leader_bps=2872000 p50=0.101712 p99=0.161481 \
+  "offered=16000 confirmed=15816 heights=332 leader_bps=2872000 p50=0.101712 p99=0.161481 \
    safety=true"
 
 let test_golden_seed13_summary () =
@@ -85,6 +85,65 @@ let test_deterministic () =
   Alcotest.(check int) "same confirmed" a.Baseline.confirmed
     b.Baseline.confirmed
 
+(* -- One-shot deadlines ------------------------------------------------------- *)
+
+(* A bare n = 4 chained cluster on the test config: no client generator,
+   leader 0; the test submits requests itself. Every datablock replica 1
+   multicasts is recorded once, as (creation instant ms, request ids),
+   through a fault hook that passes every message. *)
+let bare_cluster () =
+  let engine = Engine.create ~seed:5L () in
+  let network =
+    Net.Network.create engine ~n:4 ~meta:Hybrid.Chained_leopard.meta
+      ~link:Net.Network.default_link
+  in
+  let packs = ref [] in
+  Net.Network.set_fault_hook network (fun ~now:_ ~src ~dst msg ->
+      (match msg with
+       | Hybrid.Chained_leopard.Datablock_msg db when src = 1 && dst = 0 ->
+         packs :=
+           ( Int64.to_int (Int64.div db.Core.Datablock.created_at 1_000_000L),
+             List.map (fun b -> b.Workload.Request.id) db.Core.Datablock.batches )
+           :: !packs
+       | _ -> ());
+      Net.Network.Pass);
+  let clients =
+    Hybrid.Chained_leopard.start (cfg ())
+      { Baseline.engine;
+        network;
+        key_rng = Rng.split (Engine.rng engine);
+        leader = 0;
+        is_silent = (fun _ -> false);
+        commit = (fun ~height:_ ~digest:_ _ -> ()) }
+  in
+  let submit ms id =
+    ignore
+      (Engine.schedule_at engine ~at:(Sim_time.ms ms) (fun () ->
+           clients.Baseline.submit ~target:1
+             (Workload.Request.make ~id ~count:1 ~size_each:64 ~born:(Sim_time.ms ms) ())))
+  in
+  (engine, packs, submit)
+
+(* Every timer is armed by the state change that creates its deadline:
+   with no request, nothing is. *)
+let test_idle_arms_nothing () =
+  let engine, _, _ = bare_cluster () in
+  Engine.run ~until:(Sim_time.s 5) engine;
+  let events = Engine.events_fired engine in
+  Engine.run ~until:(Sim_time.s 50) engine;
+  Alcotest.(check int) "no engine event after 5 s" events (Engine.events_fired engine)
+
+(* T = 100 ms. A lone request leaves at its submit instant (the idle
+   pack); one that follows it leaves at the first one's birth + T, the
+   age rule's deadline. *)
+let test_idle_pack () =
+  let engine, packs, submit = bare_cluster () in
+  submit 10 1;
+  submit 50 2;
+  Engine.run ~until:(Sim_time.s 2) engine;
+  Alcotest.(check (list (pair int (list int))))
+    "replica 1's datablocks" [ (10, [ 1 ]); (110, [ 2 ]) ] (List.rev !packs)
+
 let () =
   Alcotest.run "hybrid"
     [ ( "chained leopard",
@@ -93,4 +152,7 @@ let () =
           Alcotest.test_case "golden seed-13 summary" `Quick test_golden_seed13_summary;
           Alcotest.test_case "leader stays light" `Slow test_leader_stays_light;
           Alcotest.test_case "deterministic" `Quick test_deterministic ]
-        @ List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_safety_random_seeds ] ) ]
+        @ List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_safety_random_seeds ] );
+      ( "deadlines",
+        [ Alcotest.test_case "idle cluster arms nothing" `Quick test_idle_arms_nothing;
+          Alcotest.test_case "idle pack, then the age rule" `Quick test_idle_pack ] ) ]

@@ -33,7 +33,7 @@ let render_summary (r : Baseline.report) =
     r.Baseline.safety_ok
 
 let golden_seed13_summary =
-  "offered=16000 confirmed=15968 leader_bps=8721600 p50=0.015335 p99=0.019550 safety=true"
+  "offered=16000 confirmed=16000 leader_bps=8739264 p50=0.011403 p99=0.019477 safety=true"
 
 let test_golden_seed13_summary () =
   let sp = { (spec ~silent:1 (cfg ())) with Baseline.seed = 13L } in
@@ -60,10 +60,30 @@ let test_quadratic_votes_show_in_traffic () =
   checkb "n=10 slower than n=4" true (r10.Baseline.throughput < r4.Baseline.throughput);
   checkb "n=10 still progresses" true (r10.Baseline.confirmed > 0)
 
+(* A bare n = 4 cluster with no client: every timer is armed by the
+   state change that creates its deadline, so nothing is. *)
+let test_idle_arms_nothing () =
+  let engine = Engine.create ~seed:5L () in
+  let network = Net.Network.create engine ~n:4 ~meta:Pbft.meta ~link:Net.Network.default_link in
+  ignore
+    (Pbft.start (cfg ())
+       { Baseline.engine;
+         network;
+         key_rng = Rng.split (Engine.rng engine);
+         leader = 0;
+         is_silent = (fun _ -> false);
+         commit = (fun ~height:_ ~digest:_ _ -> ()) }
+      : Baseline.clients);
+  Engine.run ~until:(Sim_time.s 5) engine;
+  let events = Engine.events_fired engine in
+  Engine.run ~until:(Sim_time.s 50) engine;
+  Alcotest.(check int) "no engine event after 5 s" events (Engine.events_fired engine)
+
 let () =
   Alcotest.run "pbft"
     [ ( "pbft",
         [ Alcotest.test_case "progress & safety" `Quick test_progress_and_safety;
           Alcotest.test_case "f silent" `Quick test_silent_f;
           Alcotest.test_case "golden seed-13 summary" `Quick test_golden_seed13_summary;
+          Alcotest.test_case "idle cluster arms nothing" `Quick test_idle_arms_nothing;
           Alcotest.test_case "scale degradation" `Slow test_quadratic_votes_show_in_traffic ] ) ]
